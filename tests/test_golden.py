@@ -1,0 +1,99 @@
+"""Golden digests: the exact bytes the CLI writes and the streams produce.
+
+Every output file of `iterate`, `bound --out`, `confidence` and
+`montecarlo` on the shipped configs is pinned by its sha256, and so are
+fixed Philox-2x64 and normal blocks.  A change that moves any digest
+changes output bits; regenerate the digests deliberately, in a commit of
+their own, and log it in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stochmann.cli import main
+from stochmann.streams import derive_key, philox2x64, substream_normals
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Random123 known-answer vectors for Philox-2x64 with 10 rounds
+# (Salmon et al., SC'11): (counter word 0, counter word 1, key) -> output.
+PHILOX_KAT = [
+    ((0, 0, 0), (0xCA00A0459843D731, 0x66C24222C9A845B5)),
+    ((2**64 - 1, 2**64 - 1, 2**64 - 1),
+     (0x65B021D60CD8310F, 0x4D02F3222F86DF20)),
+    ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0),
+     (0x0A5E742C2997341C, 0xB0F883D38000DE5D)),
+]
+
+NORMALS_SHA256 = ("46d722affed97f887094ffea3797a303"
+                  "a3a99ecfc1c6233fd0c73a8fc50a52f1")
+
+GOLDEN = {
+    "reference.json": {
+        "bound_n1000_seed20240814_cfg721e95457faf.json":
+            "8c5857c066b9612b1cacebced126a49ab6fe09806bd7f1d384028c5f35a8958c",
+        "iterate_seed20240814_cfg721e95457faf.csv":
+            "87cd7e75643a9377b51cefeee0a484ead4d38d0d9612080dbe413eac17741ee8",
+        "iterate_seed20240814_cfg721e95457faf.json":
+            "7f1c2a00c820745688d10fe24a1de27698837fd0f5f315f5d2a3fdbdfbce2dce",
+        "montecarlo_seed20240814_cfg721e95457faf.csv":
+            "571cc1e1cb24f6a5797afa5391e2e397323b448607c70ca7bac2939f32ae92a8",
+        "montecarlo_seed20240814_cfg721e95457faf.json":
+            "f9f25f03c98411011516d52f21a3dc450ca81251fd341968f887a16e4d37a1dd",
+    },
+    "confidence_demo.json": {
+        "bound_n1000_seed7_cfg00eb6ec81404.json":
+            "41b758f0a086d4aa5ef0bece6acca3bef4c147905f713e8bc5ea139d96e9842f",
+        "confidence_seed7_cfg00eb6ec81404.json":
+            "d359d3c6b13cc2a30a27a8cc5c9ef28efa46993ddbfff31cbf431dc154133587",
+        "iterate_seed7_cfg00eb6ec81404.csv":
+            "c92c90f236c95ccd6ac1da4163b64c7072c14ef55548378262b624e89ef2406b",
+        "iterate_seed7_cfg00eb6ec81404.json":
+            "9becf1b8154f929bf97c5fef2dd3f8a6631d12964878a6edf9148de60c243e9f",
+        "montecarlo_seed7_cfg00eb6ec81404.csv":
+            "db773e09ab38ec312e8e63c2a71eb9800fb3c230d0184a511bfab45484530b96",
+        "montecarlo_seed7_cfg00eb6ec81404.json":
+            "74004a72f9e38593e3cbc36dd7b245ce0474f724f1cd9d4c005a9f99cc3cd5b4",
+    },
+}
+
+# `confidence` on reference.json is vacuous at every n under the cap.
+CONFIDENCE_EXIT = {"reference.json": 4, "confidence_demo.json": 0}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digests(config, out):
+    """Run the four writing commands on config; {file name: sha256}."""
+    cfg = str(CONFIGS / config)
+    assert main(["iterate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["bound", "--config", cfg, "--n", "1000", "--eps", "0.1",
+                 "--out", str(out)]) == 0
+    assert main(["confidence", "--config", cfg, "--out", str(out)]) \
+        == CONFIDENCE_EXIT[config]
+    assert main(["montecarlo", "--config", cfg, "--replicas", "200",
+                 "--out", str(out)]) == 0
+    return {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def test_philox2x64_known_answers():
+    for (c0, c1, key), expected in PHILOX_KAT:
+        x0, x1 = philox2x64(c0, c1, key)
+        assert (int(x0), int(x1)) == expected
+
+
+def test_substream_normals_block_digest():
+    keys = derive_key(20240814, np.arange(3, dtype=np.uint64))
+    block = substream_normals(keys[:, None], np.arange(1, 5, dtype=np.uint64), 3)
+    assert block.shape == (3, 4, 3)
+    assert sha256(block.astype("<f8").tobytes()) == NORMALS_SHA256
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_cli_output_digests(config, tmp_path):
+    assert cli_digests(config, tmp_path) == GOLDEN[config]

@@ -21,7 +21,7 @@ from .montecarlo import ExperimentPlan
 from .noise import NoiseModel, bounded_uniform, gaussian, zero
 from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
 from .spaces import (MAP_FAMILIES, NORM_KINDS, affine, as_point,
-                     contraction_constant, dimension, inverse_quadratic,
+                     contraction_constant, dimension, inverse_quadratic, norm,
                      reference_fixed_point, scaled_cosine)
 
 __all__ = [
@@ -152,6 +152,9 @@ def validate_config(raw):
                 _number(nz[key], f"noise.{key}", minimum=0.0)
         for key in ("sigma", "L", "mean_norm_bound"):
             if key in nz:
+                if fam == "zero":
+                    raise ValidationError(
+                        f"noise.{key}: not allowed for zero noise")
                 _number(nz[key], f"noise.{key}", minimum=0.0)
 
     if "bounds" in raw:
@@ -253,7 +256,7 @@ def build_map(cfg):
         box = np.asarray(mp["domain_box"], dtype=np.float64)
     family = mp["family"]
     if family == "inverse_quadratic":
-        return inverse_quadratic(domain_box=box)
+        return inverse_quadratic(declared_c=declared_c, domain_box=box)
     if family == "affine":
         return affine(np.asarray(mp["matrix"], dtype=np.float64),
                       np.asarray(mp["offset"], dtype=np.float64),
@@ -319,8 +322,7 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
         if x_star is None:
             x_star = reference_fixed_point(map_spec)
         x0 = as_point(cfg["scheme"]["x0"], dimension(map_spec), name="scheme.x0")
-        from .spaces import norm as _norm
-        N = float(_norm(x0 - x_star, norm_kind))
+        N = float(norm(x0 - x_star, norm_kind))
     if "rho" in bd:
         rho = float(bd["rho"])
     else:

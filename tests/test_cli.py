@@ -174,11 +174,15 @@ def test_cramer_check_pass_and_flag(tmp_path, capsys):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    cfg = json.loads(json.dumps(REFERENCE))
-    cfg["typo"] = 1
-    cfg_path = write(tmp_path, cfg)
-    assert main(["iterate", "--config", cfg_path]) == 2
-    assert "typo" in capsys.readouterr().err
+    cases = [({"typo": 1}, "typo")]
+    # zero noise has no moment parameters to override
+    cases += [({"noise": {"family": "zero", key: 1.0}}, f"noise.{key}")
+              for key in ("sigma", "L", "mean_norm_bound")]
+    for change, field in cases:
+        cfg = dict(json.loads(json.dumps(REFERENCE)), **change)
+        cfg_path = write(tmp_path, cfg)
+        assert main(["iterate", "--config", cfg_path]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

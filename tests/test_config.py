@@ -153,6 +153,16 @@ def test_build_bound_params_fills_gaps_from_run():
     assert np.isclose(p.rho, 0.5 * 2 * 0.5 * (1 - INVERSE_QUADRATIC_C))
 
 
+def test_build_bound_params_honours_declared_c():
+    maps = [{"family": "inverse_quadratic"},
+            {"family": "scaled_cosine", "lam": 0.5},
+            {"family": "affine", "matrix": [[0.2]], "offset": [1.0]}]
+    for mp in maps:
+        cfg = copy.deepcopy(BASE)
+        cfg["map"] = dict(mp, declared_c=0.9)
+        assert build_bound_params(validate_config(cfg)).c == 0.9
+
+
 def test_build_bound_params_overrides_win():
     cfg = copy.deepcopy(BASE)
     cfg["bounds"] = {"N": 0.25, "c": 0.1, "sigma": 0.5, "L": 0.5,

@@ -17,8 +17,8 @@ import numpy as np
 
 from stochmann.bounds import BoundParams, canonical_eps0, envelope_sequence
 from stochmann.montecarlo import ExperimentPlan, rate_diagnostic, replica_seeds
-from stochmann.noise import default_cramer_params, gaussian, sample_many
-from stochmann.schemes import SchemeConfig, StepSequences, step
+from stochmann.noise import default_cramer_params, gaussian
+from stochmann.schemes import SchemeConfig, StepSequences, advance
 from stochmann.spaces import (INVERSE_QUADRATIC_C, inverse_quadratic, norm,
                               reference_fixed_point)
 
@@ -40,14 +40,11 @@ def block_envelope(args):
                        seed=0)
     params, x_star = make_params(rho=0.5 * (1.0 - INVERSE_QUADRATIC_C))
     seeds = replica_seeds(args.seed, args.replicas)
-    X = np.tile(cfg.x0, (args.replicas, 1))
     errs = np.empty((args.replicas, args.horizon))
     norms = np.empty((args.replicas, args.horizon))
     t0 = time.perf_counter()
-    for n in range(1, args.horizon + 1):
-        draws = sample_many(cfg.noise, 1, seeds, n)
-        X = step("stochastic_mann", X, n, cfg, draws)
-        norms[:, n - 1] = norm(draws)
+    for n, X, xi in advance(cfg, seeds, args.horizon):
+        norms[:, n - 1] = norm(xi)
         errs[:, n - 1] = norm(X - x_star)
     env = envelope_sequence(params, norms)
     margin = np.min(env - errs)

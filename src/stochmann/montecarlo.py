@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import beta
 
-from . import noise as noise_mod
-from .bounds import min_iterations_for_confidence, series_S1, series_S2, tail_bound
-from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
-                     ValidationError)
-from .schemes import step
-from .spaces import as_point, dimension, norm
+from .bounds import (min_iterations_for_confidence, rate_envelope, series_S1,
+                     series_S2, tail_bound)
+from .errors import CoverageError, InfeasibleExperimentError, ValidationError
+from .schemes import advance, run
+from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import derive_key
 
 __all__ = [
@@ -131,27 +130,16 @@ def clopper_pearson(successes, trials, confidence=0.99):
 def replica_errors(scheme, x_star, seeds, checkpoints):
     """Errors ||x_{n+1} - x*|| for each replica at each checkpoint n.
 
-    Runs all replicas as one batched state; every arithmetic operation is
-    elementwise, so row r equals a serial run under seeds[r] bit for bit.
-    Raises DivergedError (with offending replica indices) on any non-finite
-    iterate; a contraction map cannot trigger this.
+    Runs all replicas as one batched state through schemes.advance, so row
+    r equals a serial run under seeds[r] bit for bit.  Raises DivergedError
+    (with offending replica indices) on any non-finite iterate; a
+    contraction map cannot trigger this.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
     d = dimension(scheme.map_spec)
     x_star = as_point(x_star, d, name="x_star")
     cps = {int(n): j for j, n in enumerate(checkpoints)}
-    horizon = max(cps)
-    stochastic = scheme.kind == "stochastic_mann"
-    X = np.tile(scheme.x0, (seeds.shape[0], 1))
-    out = np.empty((seeds.shape[0], len(cps)), dtype=np.float64)
-    for n in range(1, horizon + 1):
-        draws = noise_mod.sample_many(scheme.noise, d, seeds, n) if stochastic else None
-        X = step(scheme.kind, X, n, scheme, draws)
-        if not np.all(np.isfinite(X)):
-            bad = np.flatnonzero(~np.all(np.isfinite(X), axis=-1))
-            raise DivergedError(
-                f"{bad.size} replica(s) diverged at step {n}",
-                last_finite_index=n, replicas=bad.tolist())
+    out = np.empty((len(seeds), len(cps)), dtype=np.float64)
+    for n, X, _ in advance(scheme, seeds, max(cps)):
         j = cps.get(n)
         if j is not None:
             out[:, j] = norm(X - x_star, scheme.norm_kind)
@@ -205,7 +193,6 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None, series_tol=1e-10):
             f"P(error > {eps:g}) <= {alpha:g}",
             report=tail_bound(int(min(cap, plan.scheme.horizon)), eps, params,
                               series_tol=series_tol))
-    from .spaces import reference_fixed_point  # late import; cycle-free
     x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-13)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, (n_alpha,))
@@ -234,7 +221,6 @@ def error_table(scheme, checkpoints, x_star):
     needed = max(cps[-1] - 1, 1)
     if scheme.horizon != needed:
         scheme = replace(scheme, horizon=needed)
-    from .schemes import run  # late import keeps module load order simple
     traj = run(scheme, x_star)
     ref = abs(float(x_star[0]))
     rows = []
@@ -253,12 +239,10 @@ def rate_diagnostic(plan, params, eps0):
     stays bounded as the horizon grows; exceedance fractions at scale eps0
     should be summable-small across checkpoints.
     """
-    from .bounds import rate_envelope
     if len(plan.checkpoints) < 3:
         raise ValidationError("experiment.checkpoints: rate diagnostic needs >= 3")
     if any(n < 2 for n in plan.checkpoints):
         raise ValidationError("experiment.checkpoints: rate diagnostic needs n >= 2")
-    from .spaces import reference_fixed_point
     x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-13)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, plan.checkpoints)

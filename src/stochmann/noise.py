@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ValidationError
+from .spaces import norm
 from .streams import derive_key, substream_uniforms
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
@@ -131,10 +132,12 @@ def bounded_uniform(half_width, dim=1, sigma=None, L=None, mean_norm_bound=None)
     return _with_overrides(model, sigma, L, mean_norm_bound)
 
 
-def _draw(model, dim, keys, indices):
-    """Draws of shape broadcast(keys, indices) + (dim,); pure in inputs."""
+def sample_block(model, dim, seed, indices):
+    """Draws of shape broadcast(seed, indices) + (dim,); the draw at
+    (seed, index) is bitwise the same in any batch shape."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
+    keys = derive_key(seed)
     if model.family == "zero":
         shape = np.broadcast_shapes(np.shape(keys), np.shape(indices))
         return np.zeros(shape + (dim,), dtype=np.float64)
@@ -146,20 +149,12 @@ def _draw(model, dim, keys, indices):
 
 def sample(model, dim, stream_key):
     """One draw from the substream stream_key = (seed, index)."""
-    seed, index = stream_key
-    return _draw(model, dim, derive_key(seed), int(index))
-
-
-def sample_block(model, dim, seed, indices):
-    """Draws for many indices of one trajectory; row i is
-    sample(model, dim, (seed, indices[i])) bit for bit."""
-    return _draw(model, dim, derive_key(seed), np.asarray(indices, dtype=np.uint64))
+    return sample_block(model, dim, stream_key[0], int(stream_key[1]))
 
 
 def sample_many(model, dim, seeds, index):
-    """One common index across many seeds (replica batch); row r is
-    sample(model, dim, (seeds[r], index)) bit for bit."""
-    return _draw(model, dim, derive_key(np.asarray(seeds, dtype=np.uint64)), int(index))
+    """One common index across many seeds (replica batch)."""
+    return sample_block(model, dim, seeds, int(index))
 
 
 @dataclass(frozen=True)
@@ -213,8 +208,6 @@ def cramer_check(model, dim=None, m_max=10, draws=10**5, seed=0, norm_kind="eucl
     heavy powers these are themselves noisy, which is why the flag
     threshold sits at three standard errors rather than one.
     """
-    from .spaces import norm  # local import to avoid a cycle
-
     if dim is None:
         dim = model.dim
     if m_max < 2:

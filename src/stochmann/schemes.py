@@ -28,8 +28,12 @@ from .spaces import as_point, dimension, eval_map, norm
 
 SCHEME_KINDS = ("picard", "krasnoselskii", "mann", "ishikawa", "stochastic_mann")
 
-__all__ = ["SCHEME_KINDS", "StepSequences", "SchemeConfig", "Trajectory",
-           "step_sizes", "step", "run"]
+# Noise elements (replicas x steps x d) that advance() draws per tile:
+# large enough to amortize a Philox call, small enough to stay in cache.
+TILE_ELEMENTS = 2**14
+
+__all__ = ["SCHEME_KINDS", "TILE_ELEMENTS", "StepSequences", "SchemeConfig",
+           "Trajectory", "step_sizes", "step", "advance", "run"]
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,36 @@ def step(kind, x, n, cfg, noise_draw=None):
     raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
 
 
+def advance(cfg, seeds, horizon):
+    """The package's only time loop: one replica per seed, from x_1 = cfg.x0.
+
+    Yields (n, X, xi) after step n: X is the (R, d) state x_{n+1} and xi the
+    (R, d) noise of step n, None for deterministic schemes.  Replica r draws
+    from the substream (seeds[r], n), in (R x T) tiles of about
+    TILE_ELEMENTS values; cfg.seed is ignored.  All arithmetic is
+    elementwise, so row r is bitwise the run under seeds[r] for any R.  A
+    non-finite state raises DivergedError naming the offending replicas.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    d = dimension(cfg.map_spec)
+    X = np.tile(cfg.x0, (seeds.shape[0], 1))
+    stochastic = cfg.kind == "stochastic_mann"
+    tile_steps = max(1, TILE_ELEMENTS // X.size)
+    for start in range(1, horizon + 1, tile_steps):
+        stop = min(start + tile_steps, horizon + 1)
+        if stochastic:
+            tile = noise_mod.sample_block(cfg.noise, d, seeds,
+                                          np.arange(start, stop, dtype=np.uint64))
+        for n in range(start, stop):
+            xi = tile[:, n - start] if stochastic else None
+            X = step(cfg.kind, X, n, cfg, xi)
+            if not np.isfinite(X).all():
+                bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+                raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
+                                    last_finite_index=n, replicas=bad.tolist())
+            yield n, X, xi
+
+
 def run(cfg, x_star=None):
     """Run the configured scheme for cfg.horizon steps.
 
@@ -157,28 +191,17 @@ def run(cfg, x_star=None):
     last finite 1-based iterate index.
     """
     d = dimension(cfg.map_spec)
-    horizon = cfg.horizon
-    stochastic = cfg.kind == "stochastic_mann"
-    if stochastic:
-        draws = noise_mod.sample_block(cfg.noise, d, cfg.seed,
-                                       np.arange(1, horizon + 1, dtype=np.uint64))
-        noise_norms = norm(draws, cfg.norm_kind)
-    else:
-        draws = None
-        noise_norms = np.empty(0, dtype=np.float64)
-    iterates = np.empty((horizon + 1, d), dtype=np.float64)
-    x = cfg.x0.copy()
-    iterates[0] = x
-    for n in range(1, horizon + 1):
-        x = step(cfg.kind, x, n, cfg, draws[n - 1] if stochastic else None)
-        if not np.all(np.isfinite(x)):
-            raise DivergedError(
-                f"iterate x_{n + 1} left the representable range",
-                last_finite_index=n)
-        iterates[n] = x
+    iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
+    iterates[0] = cfg.x0
+    draws = np.empty((cfg.horizon if cfg.noise else 0, d), dtype=np.float64)
+    # a Python int seed is reduced mod 2**64, as derive_key does
+    for n, X, xi in advance(cfg, [int(cfg.seed) % 2**64], cfg.horizon):
+        iterates[n] = X[0]
+        if xi is not None:
+            draws[n - 1] = xi[0]
     errors = None
     if x_star is not None:
         x_star = as_point(x_star, d, name="x_star")
         errors = norm(iterates - x_star, cfg.norm_kind)
-    return Trajectory(iterates=iterates, noise_norms=noise_norms,
+    return Trajectory(iterates=iterates, noise_norms=norm(draws, cfg.norm_kind),
                       errors_to_ref=errors, norm_kind=cfg.norm_kind)

@@ -15,7 +15,8 @@ from stochmann.montecarlo import (ExperimentPlan, TailEstimate,
                                   error_table, rate_diagnostic,
                                   replica_errors, replica_seeds)
 from stochmann.noise import bounded_uniform, gaussian
-from stochmann.schemes import SchemeConfig, StepSequences, run
+from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences,
+                               run)
 from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
                               reference_fixed_point)
 from stochmann.streams import derive_key
@@ -78,16 +79,25 @@ def test_replica_seeds_are_derived_keys():
 
 
 def test_batched_replicas_equal_serial_runs_bitwise():
-    cfg = ref_cfg(horizon=300)
-    x_star = reference_fixed_point(cfg.map_spec)
-    seeds = replica_seeds(42, 6)
+    ref = ref_cfg(horizon=300)
+    d2 = dataclasses.replace(
+        ref, map_spec=affine(np.array([[0.3, 0.1], [-0.2, 0.4]]),
+                             np.array([0.5, -1.0])),
+        x0=np.array([0.0, 2.0]), noise=gaussian(scale=0.5, dim=2))
+    # 200 replicas give noise tiles shorter than the horizon, so the batch
+    # crosses tile boundaries that the serial runs place elsewhere.
+    assert TILE_ELEMENTS // 200 < ref.horizon
+    cases = [(ref, 6, range(6)), (ref, 200, (0, 117, 199)), (d2, 6, range(6))]
     cps = (10, 100, 300)
-    batch = replica_errors(cfg, x_star, seeds, cps)
-    for r, s in enumerate(seeds):
-        traj = run(dataclasses.replace(cfg, seed=int(s)), x_star)
-        for j, n in enumerate(cps):
-            # checkpoint n records the error of x_{n+1}
-            assert batch[r, j] == traj.error(n + 1)
+    for cfg, replicas, rows in cases:
+        x_star = reference_fixed_point(cfg.map_spec)
+        seeds = replica_seeds(42, replicas)
+        batch = replica_errors(cfg, x_star, seeds, cps)
+        for r in rows:
+            traj = run(dataclasses.replace(cfg, seed=int(seeds[r])), x_star)
+            for j, n in enumerate(cps):
+                # checkpoint n records the error of x_{n+1}
+                assert batch[r, j] == traj.error(n + 1)
 
 
 def test_replica_divergence_reported_with_indices():

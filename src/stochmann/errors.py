@@ -24,7 +24,7 @@ class DivergedError(StochmannError):
     """An iterate left the representable range.
 
     last_finite_index is the largest 1-based iterate index whose coordinates
-    were all finite; for replica batches, `replicas` lists offenders.
+    were all finite; `replicas` lists the offending replica rows.
     """
 
     def __init__(self, message, last_finite_index=None, replicas=None):

@@ -2,7 +2,9 @@
 
 Every output file of `iterate`, `bound --out`, `confidence` and
 `montecarlo` on the shipped configs is pinned by its sha256, and so are
-fixed Philox-2x64 and normal blocks.  A change that moves any digest
+fixed Philox-2x64 and normal blocks, the raw iterates of single runs on
+every map family and the raw replica errors of a batch that crosses noise
+tiles.  A change that moves any digest
 changes output bits; regenerate the digests deliberately, in a commit of
 their own, and log it in CHANGES.md.
 """
@@ -14,6 +16,11 @@ import numpy as np
 import pytest
 
 from stochmann.cli import main
+from stochmann.montecarlo import replica_errors, replica_seeds
+from stochmann.noise import bounded_uniform, gaussian
+from stochmann.schemes import TILE_ELEMENTS, SchemeConfig, StepSequences, run
+from stochmann.spaces import (affine, inverse_quadratic, reference_fixed_point,
+                              scaled_cosine)
 from stochmann.streams import derive_key, philox2x64, substream_normals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,6 +67,23 @@ GOLDEN = {
     },
 }
 
+# sha256 of run(...).iterates; the horizon crosses a noise tile at d = 1, 2
+RUN_HORIZON = 20000
+RUN_SHA256 = {
+    "inverse_quadratic":
+        "fd374315e1d57c4a2b8589d6ec75ab7ba470c9cc618bffd2a85f91ad009d05ef",
+    "affine_d1":
+        "f2a55b1a1250c77f0cbd9ead2cc76af720616803bc2ef7964184ce7213b3370c",
+    "scaled_cosine":
+        "681cb6327f69be289bb4dd688c8ad42a62b4098360692dc8f343fee2360f1c6d",
+    "affine_d2":
+        "6e728dc56c2617ae6d205377675182d2152974f067442d5bc0b62e28667e5935",
+}
+
+# sha256 of replica_errors(...) over 200 replicas, horizon 300
+REPLICA_ERRORS_SHA256 = ("1b25117b3c14eebe5b99dfe20f29835a"
+                         "a37d7b19898536e7d97f9f4327747ae3")
+
 # `confidence` on reference.json is vacuous at every n under the cap.
 CONFIDENCE_EXIT = {"reference.json": 4, "confidence_demo.json": 0}
 
@@ -81,6 +105,25 @@ def cli_digests(config, out):
     return {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}
 
 
+def scheme(map_spec, x0, noise, a=0.5, horizon=RUN_HORIZON):
+    return SchemeConfig(kind="stochastic_mann", map_spec=map_spec,
+                        x0=np.array(x0), steps=StepSequences(a=a),
+                        noise=noise, horizon=horizon, seed=20240814)
+
+
+RUN_CASES = {
+    "inverse_quadratic": lambda: scheme(inverse_quadratic(), [0.5],
+                                        gaussian(2.0)),
+    "affine_d1": lambda: scheme(affine([[0.3]], [0.7]), [0.0],
+                                bounded_uniform(0.1), a=0.9),
+    "scaled_cosine": lambda: scheme(scaled_cosine(0.8), [1.0],
+                                    gaussian(0.5)),
+    "affine_d2": lambda: scheme(
+        affine([[0.3, 0.1], [-0.2, 0.4]], [0.5, -1.0]), [0.0, 2.0],
+        gaussian(0.5, dim=2)),
+}
+
+
 def test_philox2x64_known_answers():
     for (c0, c1, key), expected in PHILOX_KAT:
         x0, x1 = philox2x64(c0, c1, key)
@@ -97,3 +140,20 @@ def test_substream_normals_block_digest():
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_cli_output_digests(config, tmp_path):
     assert cli_digests(config, tmp_path) == GOLDEN[config]
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_iterates_digest(case):
+    cfg = RUN_CASES[case]()
+    assert TILE_ELEMENTS < RUN_HORIZON
+    iterates = run(cfg).iterates
+    assert sha256(iterates.astype("<f8").tobytes()) == RUN_SHA256[case]
+
+
+def test_replica_errors_digest():
+    # 200 replicas draw 81-step tiles, so the 300 steps cross 3 boundaries
+    cfg = scheme(inverse_quadratic(), [0.5], gaussian(2.0), horizon=300)
+    assert TILE_ELEMENTS // 200 < cfg.horizon
+    errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
+                          replica_seeds(42, 200), (10, 100, 300))
+    assert sha256(errs.astype("<f8").tobytes()) == REPLICA_ERRORS_SHA256

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .bounds import (min_iterations_for_confidence, rate_envelope, series_S1,
                      series_S2, tail_bound)
@@ -115,15 +115,21 @@ def replica_seeds(base_seed, replicas):
 
 
 def clopper_pearson(successes, trials, confidence=0.99):
-    """Exact (tail-inversion) binomial confidence limits."""
+    """Exact (tail-inversion) binomial confidence limits.
+
+    The limits are quantiles of Beta distributions, computed with
+    betaincinv(a, b, q), the same bits as scipy.stats.beta.ppf(q, a, b)
+    without importing scipy.stats.
+    """
     if not (0 <= successes <= trials and trials >= 1):
         raise ValidationError("clopper_pearson: need 0 <= successes <= trials")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("clopper_pearson: confidence must lie in (0, 1)")
     tail = 0.5 * (1.0 - confidence)
-    lo = 0.0 if successes == 0 else float(beta.ppf(tail, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(beta.ppf(1.0 - tail, successes + 1,
-                                                        trials - successes))
+    lo = 0.0 if successes == 0 else float(
+        betaincinv(successes, trials - successes + 1, tail))
+    hi = 1.0 if successes == trials else float(
+        betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return lo, hi
 
 

@@ -12,19 +12,22 @@ Five update rules on a common interface:
 
 Iterates are indexed from 1 with x_1 the user's initial point, so the step
 counter n in the update rule and in the error bounds line up index for
-index.  step() accepts batched states of shape (..., d) and is bitwise
-consistent with the scalar path.
+index.  step() accepts batched states of shape (..., d), or a float for a
+single state on the line, and is bitwise consistent between them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from . import noise as noise_mod
 from .errors import DivergedError, ValidationError
-from .spaces import as_point, dimension, eval_map, norm
+from .spaces import as_point, dimension, eval_map, map_function, norm
 
 SCHEME_KINDS = ("picard", "krasnoselskii", "mann", "ishikawa", "stochastic_mann")
 
@@ -127,13 +130,17 @@ class Trajectory:
         return self.iterates.shape[0]
 
 
-def step(kind, x, n, cfg, noise_draw=None):
+def step(kind, x, n, cfg, noise_draw=None, F=None):
     """One update x_{n+1} from x_n = x at 1-based step index n.
 
-    x may carry leading batch axes; all arithmetic is elementwise, so a
-    batched call agrees bitwise with per-element scalar calls.
+    x may carry leading batch axes, or be a float when d = 1; all arithmetic
+    is elementwise, so a batched call agrees bitwise with per-element calls.
+    F is the map as spaces.map_function returns it; without it, each
+    evaluation goes through the validating eval_map.
     """
-    fx = eval_map(cfg.map_spec, x)
+    if F is None:
+        F = partial(eval_map, cfg.map_spec)
+    fx = F(x)
     if kind == "picard":
         return fx
     if kind == "krasnoselskii":
@@ -148,15 +155,18 @@ def step(kind, x, n, cfg, noise_draw=None):
         b_n = cfg.ishikawa_b / (n + 1)
         a_n = cfg.steps.a
         y = (1.0 - b_n) * x + b_n * fx
-        return (1.0 - a_n) * x + a_n * eval_map(cfg.map_spec, y)
+        return (1.0 - a_n) * x + a_n * F(y)
     raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
 
 
 def advance(cfg, seeds, horizon):
     """The package's only time loop: one replica per seed, from x_1 = cfg.x0.
 
-    Yields (n, X, xi) after step n: X is the (R, d) state x_{n+1} and xi the
-    (R, d) noise of step n, None for deterministic schemes.  Replica r draws
+    Yields (n, X, xi) after step n: X is the state x_{n+1} and xi the noise
+    of step n, None for deterministic schemes.  Both are (R, d) arrays,
+    except for one replica on the line (R*d == 1), which is stepped and
+    yielded as Python floats: the same step() arithmetic without numpy's
+    per-call overhead, bitwise equal to the array path.  Replica r draws
     from the substream (seeds[r], n), in (R x T) tiles of about
     TILE_ELEMENTS values; cfg.seed is ignored.  All arithmetic is
     elementwise, so row r is bitwise the run under seeds[r] for any R.  A
@@ -164,17 +174,29 @@ def advance(cfg, seeds, horizon):
     """
     seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
     d = dimension(cfg.map_spec)
-    X = np.tile(cfg.x0, (seeds.shape[0], 1))
-    stochastic = cfg.kind == "stochastic_mann"
-    tile_steps = max(1, TILE_ELEMENTS // X.size)
+    F = map_function(cfg.map_spec)
+    kind = cfg.kind
+    stochastic = kind == "stochastic_mann"
+    scalar = seeds.shape[0] * d == 1
+    X = float(cfg.x0[0]) if scalar else np.tile(cfg.x0, (seeds.shape[0], 1))
+    tile_steps = max(1, TILE_ELEMENTS // (seeds.shape[0] * d))
     for start in range(1, horizon + 1, tile_steps):
         stop = min(start + tile_steps, horizon + 1)
         if stochastic:
             tile = noise_mod.sample_block(cfg.noise, d, seeds,
                                           np.arange(start, stop, dtype=np.uint64))
+        if scalar:
+            draws = tile.reshape(-1).tolist() if stochastic else repeat(None)
+            for n, xi in zip(range(start, stop), draws):
+                X = step(kind, X, n, cfg, xi, F)
+                if not math.isfinite(X):
+                    raise DivergedError(f"1 replica(s) diverged at step {n}",
+                                        last_finite_index=n, replicas=[0])
+                yield n, X, xi
+            continue
         for n in range(start, stop):
             xi = tile[:, n - start] if stochastic else None
-            X = step(cfg.kind, X, n, cfg, xi)
+            X = step(kind, X, n, cfg, xi, F)
             if not np.isfinite(X).all():
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
                 raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
@@ -194,11 +216,13 @@ def run(cfg, x_star=None):
     iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
     iterates[0] = cfg.x0
     draws = np.empty((cfg.horizon if cfg.noise else 0, d), dtype=np.float64)
+    # one replica: advance yields floats at d = 1 and (1, d) rows otherwise
+    rows, draw_rows = (iterates[:, 0], draws[:, 0]) if d == 1 else (iterates, draws)
     # a Python int seed is reduced mod 2**64, as derive_key does
     for n, X, xi in advance(cfg, [int(cfg.seed) % 2**64], cfg.horizon):
-        iterates[n] = X[0]
+        rows[n] = X
         if xi is not None:
-            draws[n - 1] = xi[0]
+            draw_rows[n - 1] = xi
     errors = None
     if x_star is not None:
         x_star = as_point(x_star, d, name="x_star")

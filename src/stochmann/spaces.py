@@ -31,6 +31,7 @@ __all__ = [
     "as_point",
     "norm",
     "dimension",
+    "map_function",
     "eval_map",
     "contraction_constant",
     "estimate_contraction",
@@ -151,24 +152,42 @@ def dimension(m):
     return 1
 
 
-def eval_map(m, x):
-    """Evaluate F at x; x has shape (..., d) and the result matches it.
+def map_function(m):
+    """F as a callable on a float (d = 1) or on an (..., d) array.
 
-    The affine branch accumulates A[:, j] * x[..., j] in fixed column order,
-    which keeps batched evaluation bitwise equal to the point-by-point one.
+    It does no validation: resolve it once, then call it every step.  The
+    affine branch accumulates A[:, j] * x[..., j] in fixed column order,
+    which keeps batched evaluation bitwise equal to the point-by-point one;
+    at d = 1 it is b0 + a00 * x, the same two operations on a float.
     """
+    if m.family == "inverse_quadratic":
+        return lambda x: 1.0 / (1.0 + x * x)
+    if m.family == "scaled_cosine":
+        lam = m.lam
+        # np.cos, not math.cos: the array path's ufunc loop, and nan at inf
+        return lambda x: lam * np.cos(x)
+    A, b = m.matrix, m.offset
+    d = A.shape[0]
+    if d == 1:
+        a00, b0 = float(A[0, 0]), float(b[0])
+        return lambda x: b0 + a00 * x
+
+    def affine_map(x):
+        out = b + A[:, 0] * x[..., 0, None]
+        for j in range(1, d):
+            out += A[:, j] * x[..., j, None]
+        return out
+
+    return affine_map
+
+
+def eval_map(m, x):
+    """Evaluate F at x; x has shape (..., d) and the result matches it."""
     x = np.asarray(x, dtype=np.float64)
     d = dimension(m)
     if x.shape[-1:] != (d,):
         raise ValidationError(f"eval_map: expected trailing dimension {d}, got shape {x.shape}")
-    if m.family == "inverse_quadratic":
-        return 1.0 / (1.0 + x * x)
-    if m.family == "scaled_cosine":
-        return m.lam * np.cos(x)
-    out = np.broadcast_to(m.offset, x.shape).copy()
-    for j in range(d):
-        out += m.matrix[:, j] * x[..., j, None]
-    return out
+    return map_function(m)(x)
 
 
 def contraction_constant(m, norm_kind="euclidean"):

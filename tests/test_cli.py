@@ -192,6 +192,16 @@ def test_module_entry_point_runs():
     assert "montecarlo" in proc.stdout
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # every command pays this import; scipy.stats alone costs about a second
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stochmann.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_bad_usage_exits_2(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "stochmann", "bound",
                            "--config", str(tmp_path / "none.json")],

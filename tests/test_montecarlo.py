@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binomtest
+from scipy.stats import beta, binomtest
 
 from stochmann.bounds import (BoundParams, series_S1, series_S2, tail_bound)
 from stochmann.errors import (CoverageError, DivergedError,
@@ -16,9 +16,9 @@ from stochmann.montecarlo import (ExperimentPlan, TailEstimate,
                                   replica_errors, replica_seeds)
 from stochmann.noise import bounded_uniform, gaussian
 from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences,
-                               run)
+                               advance, run)
 from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
-                              reference_fixed_point)
+                              reference_fixed_point, scaled_cosine)
 from stochmann.streams import derive_key
 
 
@@ -54,6 +54,18 @@ def test_clopper_pearson_matches_scipy_exact_ci():
             assert np.isclose(hi, ref.high, rtol=1e-9, atol=1e-12)
 
 
+def test_clopper_pearson_bitwise_equal_to_beta_ppf():
+    # 640 k per n, both limits per cell
+    tail = 0.5 * (1.0 - 0.99)
+    for n in (100, 200, 1000, 2000, 10000):
+        for k in np.unique(np.linspace(0, n, 640).astype(int)).tolist():
+            lo, hi = clopper_pearson(k, n, confidence=0.99)
+            assert lo == (0.0 if k == 0 else
+                          float(beta.ppf(tail, k, n - k + 1)))
+            assert hi == (1.0 if k == n else
+                          float(beta.ppf(1.0 - tail, k + 1, n - k)))
+
+
 @given(st.integers(1, 500), st.data())
 @settings(max_examples=100, deadline=None)
 def test_clopper_pearson_brackets_point_estimate(n, data):
@@ -79,15 +91,21 @@ def test_replica_seeds_are_derived_keys():
 
 
 def test_batched_replicas_equal_serial_runs_bitwise():
+    # a serial run has R = d = 1 and steps floats; a batch steps arrays
     ref = ref_cfg(horizon=300)
     d2 = dataclasses.replace(
         ref, map_spec=affine(np.array([[0.3, 0.1], [-0.2, 0.4]]),
                              np.array([0.5, -1.0])),
         x0=np.array([0.0, 2.0]), noise=gaussian(scale=0.5, dim=2))
+    cosine = dataclasses.replace(ref, map_spec=scaled_cosine(0.8),
+                                 x0=np.array([1.0]))
+    d1 = dataclasses.replace(art_cfg(horizon=300),
+                             map_spec=affine(np.array([[0.3]]), np.array([0.7])))
     # 200 replicas give noise tiles shorter than the horizon, so the batch
     # crosses tile boundaries that the serial runs place elsewhere.
     assert TILE_ELEMENTS // 200 < ref.horizon
-    cases = [(ref, 6, range(6)), (ref, 200, (0, 117, 199)), (d2, 6, range(6))]
+    cases = [(ref, 6, range(6)), (ref, 200, (0, 117, 199)), (d2, 6, range(6)),
+             (cosine, 6, range(6)), (d1, 6, range(6)), (ref, 1, (0,))]
     cps = (10, 100, 300)
     for cfg, replicas, rows in cases:
         x_star = reference_fixed_point(cfg.map_spec)
@@ -98,6 +116,14 @@ def test_batched_replicas_equal_serial_runs_bitwise():
             for j, n in enumerate(cps):
                 # checkpoint n records the error of x_{n+1}
                 assert batch[r, j] == traj.error(n + 1)
+    # deterministic kinds: one replica steps floats, two step arrays
+    for kind in ("picard", "krasnoselskii", "mann", "ishikawa"):
+        cfg = dataclasses.replace(ref, kind=kind, noise=None)
+        single = [X for _, X, _ in advance(cfg, [0], 50)]
+        pair = [X.copy() for _, X, _ in advance(cfg, [0, 1], 50)]
+        assert all(isinstance(x, float) for x in single), kind
+        assert np.array_equal(np.array(pair), np.tile(
+            np.array(single)[:, None, None], (1, 2, 1))), kind
 
 
 def test_replica_divergence_reported_with_indices():
@@ -108,6 +134,24 @@ def test_replica_divergence_reported_with_indices():
         replica_errors(cfg, x_star, seeds, (20,))
     assert info.value.replicas == [5]
     assert info.value.last_finite_index == 1
+
+
+def test_late_divergence_reported_at_its_step():
+    # replica 0 of base seed 0 first leaves the floats at step 14; replica 2
+    # stays finite over the horizon
+    cfg = ref_cfg(horizon=20, scale=1e308)
+    x_star = reference_fixed_point(inverse_quadratic())
+    seeds = replica_seeds(0, 3)
+    k = 14
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedError) as info:
+            run(dataclasses.replace(cfg, seed=int(seeds[0])))
+        assert info.value.last_finite_index == k
+        assert info.value.replicas == [0]
+        with pytest.raises(DivergedError) as info:
+            replica_errors(cfg, x_star, seeds[[2, 0]], (20,))
+        assert info.value.last_finite_index == k
+        assert info.value.replicas == [1]
 
 
 def test_empirical_tail_cells_and_bounds():

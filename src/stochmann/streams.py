@@ -38,18 +38,30 @@ def _as_u64(x):
     return np.asarray(x, dtype=np.uint64)
 
 
-def _mulhilo(b):
-    """Full 128-bit product of the Philox multiplier with b, as (hi, lo)."""
+def _mulhilo(b, hi, lo, t, u):
+    """Full 128-bit product of the Philox multiplier with b, written to
+    (hi, lo); t and u are scratch buffers, and b is overwritten too."""
     a_lo = _PHILOX_M & _MASK32
     a_hi = _PHILOX_M >> _SH32
-    b_lo = b & _MASK32
-    b_hi = b >> _SH32
-    lo = _PHILOX_M * b
+    np.multiply(_PHILOX_M, b, out=lo)
+    np.bitwise_and(b, _MASK32, out=u)       # u = b_lo
+    np.right_shift(b, _SH32, out=b)         # b = b_hi
     # 32x32 partial products; each intermediate stays below 2**64.
-    t = a_hi * b_lo + ((a_lo * b_lo) >> _SH32)
-    mid = a_lo * b_hi + (t & _MASK32)
-    hi = a_hi * b_hi + (t >> _SH32) + (mid >> _SH32)
-    return hi, lo
+    # t = a_hi * b_lo + ((a_lo * b_lo) >> 32)
+    np.multiply(a_lo, u, out=t)
+    np.right_shift(t, _SH32, out=t)
+    np.multiply(a_hi, u, out=u)
+    np.add(u, t, out=t)
+    # u = mid = a_lo * b_hi + (t & MASK32)
+    np.bitwise_and(t, _MASK32, out=u)
+    np.multiply(a_lo, b, out=hi)
+    np.add(hi, u, out=u)
+    # hi = a_hi * b_hi + (t >> 32) + (mid >> 32)
+    np.multiply(a_hi, b, out=hi)
+    np.right_shift(t, _SH32, out=t)
+    np.add(hi, t, out=hi)
+    np.right_shift(u, _SH32, out=u)
+    np.add(hi, u, out=hi)
 
 
 def philox2x64(c0, c1, key, rounds=_ROUNDS):
@@ -58,17 +70,27 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS):
     Inputs broadcast together; returns two uint64 arrays of the broadcast
     shape.  Distinct (c0, c1, key) triples give statistically independent
     outputs, which is what makes draw-by-counter streams sound.
+
+    The rounds run in place in six buffers of the broadcast shape.  A
+    noise tile's temporaries are about 128 KB each; allocating and freeing
+    ~20 of them per round let malloc trim the top of a small heap and
+    fault the pages back in, which made batched Monte Carlo runs ~25%
+    slower.
     """
+    c0, c1, k = _as_u64(c0), _as_u64(c1), _as_u64(key)
+    shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(k))
+    x0, x1, hi, lo, t, u = (np.empty(shape, dtype=np.uint64) for _ in range(6))
+    x0[...] = c0
+    x1[...] = c1
     with np.errstate(over="ignore"):
-        c0 = _as_u64(c0) + np.uint64(0)  # force array semantics
-        c1 = _as_u64(c1) + np.uint64(0)
-        k = _as_u64(key) + np.uint64(0)
+        k = k + np.uint64(0)
         for _ in range(rounds):
-            hi, lo = _mulhilo(c0)
-            c0 = hi ^ c1 ^ k
-            c1 = lo
+            _mulhilo(x0, hi, lo, t, u)
+            np.bitwise_xor(hi, x1, out=hi)
+            np.bitwise_xor(hi, k, out=hi)
+            x0, x1, hi, lo = hi, lo, x0, x1
             k = k + _PHILOX_W
-    return c0, c1
+    return x0[()], x1[()]
 
 
 def mix64(x):

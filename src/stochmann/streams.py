@@ -83,7 +83,6 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS):
     x0[...] = c0
     x1[...] = c1
     with np.errstate(over="ignore"):
-        k = k + np.uint64(0)
         for _ in range(rounds):
             _mulhilo(x0, hi, lo, t, u)
             np.bitwise_xor(hi, x1, out=hi)

@@ -1,20 +1,48 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# stdout digests with the "(x.xs)" timing lines removed
+REPRODUCE_TABLES_FAST = \
+    "3170cc0043e6e7acc8e87f77baad23f50eaea8e0fa185e48a5ab166e0cb2a80c"
+ENVELOPE_DEMO_R20_H200 = \
+    "45483391e72415df03b664675fb6737796c4bcc1747fc78b33fb712f86b32802"
 
-def test_envelope_demo_smoke():
+
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # one replica takes advance's float path, ten its array path
-    for replicas in ("10", "1"):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "envelope_demo.py"),
-             "--replicas", replicas, "--horizon", "100"],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "VIOLATION" not in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def untimed_digest(stdout):
+    kept = [line for line in stdout.splitlines(keepends=True)
+            if not re.fullmatch(r"\(\d+\.\ds\)\n?", line)]
+    return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+
+
+def test_envelope_demo_smoke():
+    # one replica takes advance's float path, the others its array path
+    for replicas, horizon, digest in (("10", "100", None), ("1", "100", None),
+                                      ("20", "200", ENVELOPE_DEMO_R20_H200)):
+        stdout = run_script("envelope_demo.py", "--replicas", replicas,
+                            "--horizon", horizon)
+        assert "VIOLATION" not in stdout
+        if digest is not None:
+            assert untimed_digest(stdout) == digest
+
+
+def test_reproduce_tables_fast_digest():
+    stdout = run_script("reproduce_tables.py", "--fast")
+    assert "VIOLATION" not in stdout
+    assert untimed_digest(stdout) == REPRODUCE_TABLES_FAST

@@ -9,41 +9,42 @@ stable if the rate envelope has the right shape.
 """
 
 import argparse
-import dataclasses
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from stochmann.bounds import BoundParams, canonical_eps0, envelope_sequence
+from stochmann.bounds import canonical_eps0, envelope_sequence
+from stochmann.config import build_bound_params, build_scheme, load_config
 from stochmann.montecarlo import ExperimentPlan, rate_diagnostic, replica_seeds
-from stochmann.noise import default_cramer_params, gaussian
-from stochmann.schemes import SchemeConfig, StepSequences, advance
-from stochmann.spaces import (INVERSE_QUADRATIC_C, inverse_quadratic, norm,
-                              reference_fixed_point)
+from stochmann.schemes import advance
+from stochmann.spaces import norm, reference_fixed_point
+
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
-def make_params(rho):
-    sigma, L, mnb = default_cramer_params("gaussian", 2.0, dim=1)
-    x_star = reference_fixed_point(inverse_quadratic(), tol=1e-14)
-    return BoundParams(N=abs(0.5 - float(x_star[0])), a=0.5,
-                       c=INVERSE_QUADRATIC_C, sigma=sigma, L=L,
-                       mean_norm_bound=mnb, rho=rho), x_star
+def load_reference(rho_scale):
+    """The shipped reference scheme, its fixed point, and its bound
+    parameters with rho = rho_scale * 2a(1-c)."""
+    cfg = load_config(REFERENCE)
+    cfg["bounds"]["rho_scale"] = rho_scale
+    scheme = build_scheme(cfg)
+    x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
+    return scheme, x_star, params
 
 
 def block_envelope(args):
     print("== pathwise envelope, %d trajectories, horizon %d =="
           % (args.replicas, args.horizon))
-    cfg = SchemeConfig(kind="stochastic_mann", map_spec=inverse_quadratic(),
-                       x0=np.array([0.5]), steps=StepSequences(a=0.5),
-                       noise=gaussian(scale=2.0), horizon=args.horizon,
-                       seed=0)
-    params, x_star = make_params(rho=0.5 * (1.0 - INVERSE_QUADRATIC_C))
+    scheme, x_star, params = load_reference(rho_scale=0.5)
     seeds = replica_seeds(args.seed, args.replicas)
     errs = np.empty((args.replicas, args.horizon))
     norms = np.empty((args.replicas, args.horizon))
     t0 = time.perf_counter()
-    for n, X, xi in advance(cfg, seeds, args.horizon):
+    for n, X, xi in advance(scheme, seeds, args.horizon):
         norms[:, n - 1] = norm(xi)
         errs[:, n - 1] = norm(X - x_star)
     env = envelope_sequence(params, norms)
@@ -57,18 +58,14 @@ def block_envelope(args):
 def block_rate(args):
     print("== rate-envelope stability, %d replicas ==" % args.replicas)
     # rho at half of a(1-c) keeps the rate-envelope exponent positive
-    params, _ = make_params(rho=0.5 * 0.5 * (1.0 - INVERSE_QUADRATIC_C))
+    scheme, _, params = load_reference(rho_scale=0.25)
     eps0 = canonical_eps0(params, d=1)
-    cfg_base = SchemeConfig(kind="stochastic_mann",
-                            map_spec=inverse_quadratic(), x0=np.array([0.5]),
-                            steps=StepSequences(a=0.5),
-                            noise=gaussian(scale=2.0), horizon=10 ** 4, seed=0)
     t0 = time.perf_counter()
     sups = []
     for horizon in (10 ** 4, 10 ** 5):
-        cfg = dataclasses.replace(cfg_base, horizon=horizon)
         cps = tuple(10 ** k for k in range(1, int(math.log10(horizon)) + 1))
-        plan = ExperimentPlan(scheme=cfg, checkpoints=cps, eps_grid=(0.1,),
+        plan = ExperimentPlan(scheme=replace(scheme, horizon=horizon),
+                              checkpoints=cps, eps_grid=(0.1,),
                               replicas=args.replicas, base_seed=args.seed)
         diag = rate_diagnostic(plan, params, eps0)
         sups.append(diag.sup_ratio)

@@ -7,8 +7,11 @@ Three blocks are printed:
      F(x) = 1/(1+x^2) at decade checkpoints,
   2. empirical tail frequencies with exact binomial intervals against the
      exponential bound on a checkpoint/epsilon grid,
-  3. confidence sizing n_alpha and observed coverage on a small affine
-     testbed where the constants are favourable enough to run on a desk.
+  3. confidence sizing n_alpha and observed coverage on the affine
+     testbed of configs/confidence_demo.json, whose constants are
+     favourable enough to run on a desk.
+
+Blocks 1 and 2 run configs/reference.json.
 
 Default settings take a couple of minutes; --fast trims horizons and
 replica counts for a smoke pass.
@@ -17,37 +20,28 @@ replica counts for a smoke pass.
 import argparse
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
-import numpy as np
+from stochmann.bounds import certificate
+from stochmann.config import (build_bound_params, build_plan, build_scheme,
+                              load_config)
+from stochmann.montecarlo import (coverage_experiment, empirical_tail,
+                                  error_table)
+from stochmann.spaces import reference_fixed_point
 
-from stochmann.bounds import BoundParams, min_iterations_for_confidence
-from stochmann.montecarlo import (ExperimentPlan, coverage_experiment,
-                                  empirical_tail, error_table)
-from stochmann.noise import bounded_uniform, default_cramer_params, gaussian
-from stochmann.schemes import SchemeConfig, StepSequences
-from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
-                              reference_fixed_point)
-
-
-def reference_setup(horizon, seed):
-    cfg = SchemeConfig(kind="stochastic_mann", map_spec=inverse_quadratic(),
-                       x0=np.array([0.5]), steps=StepSequences(a=0.5),
-                       noise=gaussian(scale=2.0), horizon=horizon, seed=seed)
-    x_star = reference_fixed_point(cfg.map_spec, tol=1e-14)
-    sigma, L, mnb = default_cramer_params("gaussian", 2.0, dim=1)
-    a, c = 0.5, INVERSE_QUADRATIC_C
-    params = BoundParams(N=abs(0.5 - float(x_star[0])), a=a, c=c, sigma=sigma,
-                         L=L, mean_norm_bound=mnb, rho=a * (1.0 - c))
-    return cfg, x_star, params
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def block_error_decay(args):
     print("== error decay, single run, seed %d ==" % args.seed)
     top = 5 if args.fast else 6
     cps = tuple(10 ** k for k in range(1, top + 1))
-    cfg, x_star, _ = reference_setup(horizon=cps[-1], seed=args.seed)
+    scheme = replace(build_scheme(load_config(CONFIGS / "reference.json")),
+                     horizon=cps[-1], seed=args.seed)
+    x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
     t0 = time.perf_counter()
-    rows = error_table(cfg, cps, x_star)
+    rows = error_table(scheme, cps, x_star)
     print(f"{'n':>9}  {'x_n':>22}  {'abs error':>12}  {'rel error':>12}")
     for r in rows:
         print(f"{r.n:>9d}  {r.value:>22.15f}  {r.absolute_error:>12.4e}"
@@ -58,10 +52,12 @@ def block_error_decay(args):
 def block_tail_grid(args):
     replicas = 10 ** 3 if args.fast else 10 ** 4
     print("== tail frequencies vs exponential bound, %d replicas ==" % replicas)
-    cfg, x_star, params = reference_setup(horizon=10 ** 4, seed=args.seed)
-    plan = ExperimentPlan(scheme=cfg, checkpoints=(10 ** 2, 10 ** 3, 10 ** 4),
-                          eps_grid=(0.05, 0.1, 0.2), replicas=replicas,
-                          base_seed=args.seed)
+    cfg = load_config(CONFIGS / "reference.json")
+    scheme = replace(build_scheme(cfg), seed=args.seed)
+    x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
+    plan = build_plan(cfg, scheme=scheme, base_seed=args.seed,
+                      replicas=replicas)
     t0 = time.perf_counter()
     cells = empirical_tail(plan, x_star, params)
     print(f"{'n':>6} {'eps':>5}  {'p_hat':>8}  {'99% CI':>21}"
@@ -80,25 +76,19 @@ def block_coverage(args):
     replicas = 10 ** 3 if args.fast else 10 ** 4
     print("== confidence sizing and coverage, affine testbed, %d replicas =="
           % replicas)
-    art = BoundParams(N=0.7, a=0.9, c=0.0, sigma=0.1, L=0.1,
-                      mean_norm_bound=0.1, rho=0.9)
-    scheme = SchemeConfig(
-        kind="stochastic_mann",
-        map_spec=affine(np.array([[0.0]]), np.array([0.7]), declared_c=0.0),
-        x0=np.array([0.0]), steps=StepSequences(a=0.9),
-        noise=bounded_uniform(half_width=0.1), horizon=10 ** 4, seed=0)
+    cfg = load_config(CONFIGS / "confidence_demo.json")
+    scheme = build_scheme(cfg)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec)
+    cert = certificate(params)
+    plan = build_plan(cfg, scheme=scheme, replicas=replicas)
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
           f"  {'target':>7}")
     t0 = time.perf_counter()
     for alpha in (0.05, 0.1):
         for eps in (0.1, 0.2):
-            n_alpha = min_iterations_for_confidence(eps, alpha, art,
-                                                    n_cap=10 ** 6)
-            plan = ExperimentPlan(scheme=scheme, checkpoints=(10,),
-                                  eps_grid=(eps,), replicas=replicas,
-                                  base_seed=7)
-            cov = coverage_experiment(plan, eps=eps, alpha=alpha, params=art,
-                                      n_cap=10 ** 6)
+            n_alpha = cert.min_iterations(eps, alpha, n_cap=10 ** 6)
+            cov = coverage_experiment(plan, eps=eps, alpha=alpha,
+                                      params=params, n_cap=10 ** 6)
             slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / replicas)
             print(f"{alpha:>6.2f} {eps:>5.2f}  {n_alpha:>8d}  {cov:>9.4f}"
                   f"  {1.0 - alpha - slack:>7.4f}")

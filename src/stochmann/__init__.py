@@ -7,10 +7,10 @@ everything against Monte Carlo replication.  All randomness is counter
 based, so every experiment is a pure function of its seeds.
 """
 
-from .bounds import (BoundParams, BoundReport, canonical_eps0, constants_K,
-                     deterministic_envelope, envelope_sequence, log_K1,
+from .bounds import (BoundParams, BoundReport, Certificate, canonical_eps0,
+                     certificate, deterministic_envelope, envelope_sequence,
                      min_iterations_for_confidence, product_bound,
-                     rate_envelope, series_S1, series_S2, tail_bound)
+                     rate_envelope, tail_bound)
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, NonContractiveError,
                      StochmannError, ValidationError)

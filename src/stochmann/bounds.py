@@ -35,12 +35,10 @@ __all__ = [
     "product_bound",
     "deterministic_envelope",
     "envelope_sequence",
-    "series_S1",
     "series_S1_detail",
-    "series_S2",
     "series_S2_detail",
-    "constants_K",
-    "log_K1",
+    "Certificate",
+    "certificate",
     "tail_bound",
     "min_iterations_for_confidence",
     "rate_envelope",
@@ -240,10 +238,6 @@ def series_S1_detail(a, c, tol=1e-10):
     return _series_power_sum(p, 2.0, tol)
 
 
-def series_S1(a, c, tol=1e-10):
-    return series_S1_detail(a, c, tol).value
-
-
 def series_S2_detail(a, c, sigma, tol=1e-10):
     """S2 = 4 a^2 sigma^2 sum_{i>=1} (i+1)^(2a(1-c)) / i^4, error <= tol."""
     if not (0.0 < a < 1.0 and 0.0 <= c < 1.0):
@@ -256,32 +250,6 @@ def series_S2_detail(a, c, sigma, tol=1e-10):
     inner = _series_power_sum(2.0 * a * (1.0 - c), 4.0, tol / scale)
     return SeriesEstimate(value=scale * inner.value, terms=inner.terms,
                           half_width=scale * inner.half_width)
-
-
-def series_S2(a, c, sigma, tol=1e-10):
-    return series_S2_detail(a, c, sigma, tol).value
-
-
-def log_K1(params, s1):
-    """ln K1 = 2 (N^2 + (a S1 mean_norm_bound)^2); K1 itself can overflow,
-    the log never does at sane parameters."""
-    drift = params.a * s1 * params.mean_norm_bound
-    return 2.0 * (params.N ** 2 + drift ** 2)
-
-
-def constants_K(params, s1, s2):
-    """(K1, K2) from precomputed series values.
-
-    K1 = exp(2(N^2 + (a S1 mean_norm_bound)^2)), reported as inf when it
-    overflows (callers needing the log use log_K1).  K2 = min(1, 1/(16 S2)),
-    with the noiseless S2 = 0 case pinned to K2 = 1.
-    """
-    if s2 < 0.0:
-        raise ValidationError("constants_K: S2 must be >= 0")
-    lk1 = log_K1(params, s1)
-    k1 = math.exp(lk1) if lk1 <= 709.0 else math.inf
-    k2 = 1.0 if s2 == 0.0 else min(1.0, 1.0 / (16.0 * s2))
-    return k1, k2
 
 
 @dataclass(frozen=True)
@@ -308,74 +276,112 @@ class BoundReport:
     clipped_bound: float
 
 
-def tail_bound(n, eps, params, series_tol=1e-10, s1=None, s2=None):
-    """Certified bound on P{ ||x_{n+1} - x*|| > eps }.
+@dataclass(frozen=True)
+class Certificate:
+    """The tail-bound constants of one parameter set, computed once.
 
-    Series values are recomputed at series_tol unless passed in; the
-    evaluation itself happens in the log domain so huge K1 cannot poison
-    the clipped result.
+    log_K1 = 2 (N^2 + (a S1 mean_norm_bound)^2), and K1 = exp(log_K1) is
+    reported as inf when it overflows; the log never does at sane
+    parameters.  K2 = min(1, 1/(16 S2)), with the noiseless S2 = 0 case
+    pinned to K2 = 1.  Every bound is evaluated in the log domain, so a
+    huge K1 cannot poison a clipped result.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError("n: must be an integer >= 1")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValidationError("eps: must be a positive real")
+
+    params: BoundParams
+    S1: float
+    S2: float
+    log_K1: float
+    K1: float
+    K2: float
+
+    def log_bound(self, n, eps):
+        """ln of the raw bound K1 exp(-K2 n^gamma eps^2), gamma the tail
+        exponent; exact even when the bound itself overflows."""
+        gamma = tail_exponent(self.params)
+        return self.log_K1 - self.K2 * math.exp(gamma * math.log(n)) * eps * eps
+
+    def report(self, n, eps):
+        """Certified bound on P{ ||x_{n+1} - x*|| > eps }."""
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValidationError("n: must be an integer >= 1")
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise ValidationError("eps: must be a positive real")
+        log_raw = self.log_bound(n, eps)
+        raw = math.exp(log_raw) if log_raw <= 709.0 else math.inf
+        return BoundReport(n=int(n), eps=float(eps), S1=self.S1, S2=self.S2,
+                           K1=self.K1, K2=self.K2, log_K1=self.log_K1,
+                           tail_exponent=tail_exponent(self.params),
+                           rate_exponent=rate_exponent(self.params),
+                           raw_bound=raw, log_raw_bound=log_raw,
+                           clipped_bound=min(1.0, raw))
+
+    def min_iterations(self, eps, alpha, n_cap=10 ** 12):
+        """Smallest n with clipped tail bound <= alpha, or None if no n
+        under n_cap qualifies.
+
+        The raw bound is strictly decreasing in n (K2 > 0, tail exponent
+        > 0), so exponential growth followed by bisection finds the exact
+        threshold with O(log n_cap) bound evaluations.
+        """
+        if not (0.0 < alpha < 1.0):
+            raise ValidationError("alpha: must lie in (0, 1)")
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise ValidationError("eps: must be a positive real")
+        if not (isinstance(n_cap, (int, np.integer)) and n_cap >= 1):
+            raise ValidationError("n_cap: must be an integer >= 1")
+        log_alpha = math.log(alpha)
+
+        def ok(n):
+            return self.log_bound(n, eps) <= log_alpha
+
+        if ok(1):
+            return 1
+        if not ok(n_cap):
+            return None
+        lo = 1  # invariant: not ok(lo), ok(hi)
+        hi = 2
+        while not ok(min(hi, n_cap)):
+            lo, hi = hi, hi * 2
+        hi = min(hi, n_cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def eps0(self, d=1):
+        """The scale sqrt((1+d)/K2) that turns the rate envelope into the
+        almost-sure convergence certificate in dimension d."""
+        if d < 1:
+            raise ValidationError("d: must be >= 1")
+        return math.sqrt((1.0 + d) / self.K2)
+
+
+def certificate(params, series_tol=1e-10, s1=None, s2=None):
+    """The Certificate of params, its series summed to series_tol unless
+    their values are passed in."""
     if s1 is None:
-        s1 = series_S1(params.a, params.c, series_tol)
+        s1 = series_S1_detail(params.a, params.c, series_tol).value
     if s2 is None:
-        s2 = series_S2(params.a, params.c, params.sigma, series_tol)
-    k1, k2 = constants_K(params, s1, s2)
-    lk1 = log_K1(params, s1)
-    gamma = tail_exponent(params)
-    log_raw = lk1 - k2 * math.exp(gamma * math.log(n)) * eps * eps
-    raw = math.exp(log_raw) if log_raw <= 709.0 else math.inf
-    return BoundReport(n=int(n), eps=float(eps), S1=s1, S2=s2, K1=k1, K2=k2,
-                       log_K1=lk1, tail_exponent=gamma,
-                       rate_exponent=rate_exponent(params),
-                       raw_bound=raw, log_raw_bound=log_raw,
-                       clipped_bound=min(1.0, raw))
+        s2 = series_S2_detail(params.a, params.c, params.sigma, series_tol).value
+    if s2 < 0.0:
+        raise ValidationError("certificate: S2 must be >= 0")
+    lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)
+    k1 = math.exp(lk1) if lk1 <= 709.0 else math.inf
+    k2 = 1.0 if s2 == 0.0 else min(1.0, 1.0 / (16.0 * s2))
+    return Certificate(params=params, S1=s1, S2=s2, log_K1=lk1, K1=k1, K2=k2)
 
 
-def min_iterations_for_confidence(eps, alpha, params, n_cap=10 ** 12,
-                                  series_tol=1e-10):
-    """Smallest n with clipped tail bound <= alpha, or None if no n under
-    n_cap qualifies.
+def tail_bound(n, eps, params, s1=None, s2=None):
+    """Certified bound on P{ ||x_{n+1} - x*|| > eps }; see Certificate."""
+    return certificate(params, s1=s1, s2=s2).report(n, eps)
 
-    The raw bound is strictly decreasing in n (K2 > 0, tail exponent > 0),
-    so exponential growth followed by bisection finds the exact threshold
-    with O(log n_cap) bound evaluations, all in the log domain.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError("alpha: must lie in (0, 1)")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValidationError("eps: must be a positive real")
-    if not (isinstance(n_cap, (int, np.integer)) and n_cap >= 1):
-        raise ValidationError("n_cap: must be an integer >= 1")
-    s1 = series_S1(params.a, params.c, series_tol)
-    s2 = series_S2(params.a, params.c, params.sigma, series_tol)
-    _, k2 = constants_K(params, s1, s2)
-    lk1 = log_K1(params, s1)
-    gamma = tail_exponent(params)
-    log_alpha = math.log(alpha)
 
-    def ok(n):
-        return lk1 - k2 * math.exp(gamma * math.log(n)) * eps * eps <= log_alpha
-
-    if ok(1):
-        return 1
-    if not ok(n_cap):
-        return None
-    lo = 1  # invariant: not ok(lo), ok(hi)
-    hi = 2
-    while not ok(min(hi, n_cap)):
-        lo, hi = hi, hi * 2
-    hi = min(hi, n_cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def min_iterations_for_confidence(eps, alpha, params, n_cap=10 ** 12):
+    """Smallest n with clipped tail bound <= alpha, or None past n_cap."""
+    return certificate(params).min_iterations(eps, alpha, n_cap)
 
 
 def rate_envelope(n, eps0, params):
@@ -396,12 +402,6 @@ def rate_envelope(n, eps0, params):
     return eps0 * math.sqrt(math.log(n) / math.exp(gamma_r * math.log(n)))
 
 
-def canonical_eps0(params, d=1, series_tol=1e-10):
-    """The scale sqrt((1+d)/K2) that turns the rate envelope into the
-    almost-sure convergence certificate in dimension d."""
-    if d < 1:
-        raise ValidationError("d: must be >= 1")
-    s1 = series_S1(params.a, params.c, series_tol)
-    s2 = series_S2(params.a, params.c, params.sigma, series_tol)
-    _, k2 = constants_K(params, s1, s2)
-    return math.sqrt((1.0 + d) / k2)
+def canonical_eps0(params, d=1):
+    """The almost-sure scale sqrt((1+d)/K2); see Certificate.eps0."""
+    return certificate(params).eps0(d)

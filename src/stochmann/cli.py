@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .bounds import min_iterations_for_confidence, tail_bound
+from .bounds import certificate
 from .config import (build_bound_params, build_map, build_noise, build_plan,
                      build_scheme, config_hash, dumps17, experiment_settings,
                      load_config)
@@ -115,7 +115,7 @@ def cmd_bound(args):
     digest = config_hash(cfg)
     settings = _apply_overrides(experiment_settings(cfg), args)
     params = build_bound_params(cfg)
-    report = tail_bound(args.n, args.eps, params)
+    report = certificate(params).report(args.n, args.eps)
     payload = {
         "command": "bound",
         "config_hash": digest,
@@ -144,13 +144,13 @@ def cmd_confidence(args):
     alpha = args.alpha if args.alpha is not None else settings["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ValidationError("confidence: alpha must lie in (0, 1)")
-    n_alpha = min_iterations_for_confidence(eps, alpha, params,
-                                            n_cap=settings["n_cap"])
+    cert = certificate(params)
+    n_alpha = cert.min_iterations(eps, alpha, settings["n_cap"])
     if n_alpha is None:
         raise InfeasibleExperimentError(
             f"no n <= {settings['n_cap']} certifies P(error > {eps:g}) <= "
             f"{alpha:g}",
-            report=tail_bound(settings["n_cap"], eps, params))
+            report=cert.report(settings["n_cap"], eps))
     if n_alpha > settings["run_cap"]:
         raise InfeasibleExperimentError(
             f"certified n_alpha = {n_alpha} exceeds run cap "

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .bounds import (min_iterations_for_confidence, rate_envelope, series_S1,
-                     series_S2, tail_bound)
+from .bounds import certificate, rate_envelope
 from .errors import CoverageError, InfeasibleExperimentError, ValidationError
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
@@ -152,7 +151,7 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     return out
 
 
-def empirical_tail(plan, x_star, params, series_tol=1e-10):
+def empirical_tail(plan, x_star, params):
     """TailEstimate for every (checkpoint, eps) cell of the plan.
 
     p_hat estimates P{||x_{n+1} - x*|| > eps}; the attached bound_clipped
@@ -161,18 +160,17 @@ def empirical_tail(plan, x_star, params, series_tol=1e-10):
     """
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, plan.checkpoints)
-    s1 = series_S1(params.a, params.c, series_tol)
-    s2 = series_S2(params.a, params.c, params.sigma, series_tol)
+    cert = certificate(params)
     cells = []
     for j, n in enumerate(plan.checkpoints):
         col = errs[:, j]
         for eps in plan.eps_grid:
             k = int(np.sum(col > eps))
             lo, hi = clopper_pearson(k, plan.replicas)
-            rep = tail_bound(n, eps, params, s1=s1, s2=s2)
+            bound = cert.report(n, eps).clipped_bound
             cells.append(TailEstimate(n=n, eps=eps, p_hat=k / plan.replicas,
                                       ci_low=lo, ci_high=hi,
-                                      bound_clipped=rep.clipped_bound))
+                                      bound_clipped=bound))
     return cells
 
 
@@ -181,7 +179,7 @@ def dominance_failures(cells):
     return [cell for cell in cells if not cell.dominated]
 
 
-def coverage_experiment(plan, eps, alpha, params, n_cap=None, series_tol=1e-10):
+def coverage_experiment(plan, eps, alpha, params, n_cap=None):
     """Empirical check of the confidence-set guarantee.
 
     Sizes n_alpha from the tail bound, runs the plan's replicas to
@@ -190,15 +188,14 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None, series_tol=1e-10):
     CoverageError when coverage undercuts 1 - alpha by more than three
     binomial standard errors.
     """
+    cert = certificate(params)
     cap = plan.scheme.horizon if n_cap is None else n_cap
-    n_alpha = min_iterations_for_confidence(eps, alpha, params, n_cap=cap,
-                                            series_tol=series_tol)
+    n_alpha = cert.min_iterations(eps, alpha, cap)
     if n_alpha is None or n_alpha > plan.scheme.horizon:
         raise InfeasibleExperimentError(
             f"no iteration count <= {min(cap, plan.scheme.horizon)} certifies "
             f"P(error > {eps:g}) <= {alpha:g}",
-            report=tail_bound(int(min(cap, plan.scheme.horizon)), eps, params,
-                              series_tol=series_tol))
+            report=cert.report(int(min(cap, plan.scheme.horizon)), eps))
     x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-13)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, (n_alpha,))

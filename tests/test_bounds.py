@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stochmann.bounds import (BoundParams, canonical_eps0, constants_K,
+from stochmann.bounds import (BoundParams, canonical_eps0, certificate,
                               deterministic_envelope, envelope_sequence,
-                              log_K1, min_iterations_for_confidence,
-                              product_bound, rate_envelope, rate_exponent,
-                              series_S1, series_S1_detail, series_S2,
+                              min_iterations_for_confidence, product_bound,
+                              rate_envelope, rate_exponent, series_S1_detail,
                               series_S2_detail, tail_bound, tail_exponent)
 from stochmann.errors import ValidationError
 
@@ -180,7 +179,7 @@ def test_series_S2_matches_quadrature_oracle():
 
 def test_series_limit_is_basel_sum():
     # p -> 0 collapses the summand to 1/i^2
-    val = series_S1(1e-9, 0.0, 1e-10)
+    val = series_S1_detail(1e-9, 0.0, 1e-10).value
     assert abs(val - math.pi**2 / 6.0) < 1e-6
 
 
@@ -194,9 +193,10 @@ def test_series_certified_width_brackets_refined_value():
 
 def test_series_S2_sigma_scaling():
     a, c = 0.5, 0.3
-    base = series_S2(a, c, 1.0, 1e-11)
-    assert np.isclose(series_S2(a, c, 3.0, 1e-11), 9.0 * base, rtol=1e-9)
-    assert series_S2(a, c, 0.0) == 0.0
+    base = series_S2_detail(a, c, 1.0, 1e-11).value
+    assert np.isclose(series_S2_detail(a, c, 3.0, 1e-11).value, 9.0 * base,
+                      rtol=1e-9)
+    assert series_S2_detail(a, c, 0.0).value == 0.0
 
 
 def test_series_rejects_divergent_exponent():
@@ -208,30 +208,32 @@ def test_series_rejects_divergent_exponent():
 
 def test_log_K1_plug_in():
     p = params(N=0.7, a=0.9, c=0.0, mnb=0.1)
-    s1 = series_S1(p.a, p.c)
-    expected = 2.0 * (0.7**2 + (0.9 * s1 * 0.1) ** 2)
-    assert np.isclose(log_K1(p, s1), expected, rtol=1e-14)
+    cert = certificate(p)
+    assert cert.S1 == series_S1_detail(p.a, p.c).value
+    expected = 2.0 * (0.7**2 + (0.9 * cert.S1 * 0.1) ** 2)
+    assert np.isclose(cert.log_K1, expected, rtol=1e-14)
 
 
 def test_constants_K_plug_in():
     p = params(N=0.7, a=0.9, c=0.0, sigma=0.1, mnb=0.1)
-    s1 = series_S1(p.a, p.c)
-    s2 = series_S2(p.a, p.c, p.sigma)
-    K1, K2 = constants_K(p, s1, s2)
+    s1 = series_S1_detail(p.a, p.c).value
+    s2 = series_S2_detail(p.a, p.c, p.sigma).value
+    cert = certificate(p)
+    K1, K2 = cert.K1, cert.K2
+    assert cert.S1 == s1 and cert.S2 == s2
     assert np.isclose(K1, math.exp(2.0 * (0.49 + (0.09 * s1) ** 2)), rtol=1e-12)
     assert np.isclose(K2, min(1.0, 1.0 / (16.0 * s2)), rtol=1e-14)
 
 
 def test_constants_K_noiseless_and_overflow():
     p0 = params(N=0.0, a=0.5, c=0.5, sigma=0.0, mnb=0.0)
-    s1 = series_S1(p0.a, p0.c)
-    K1, K2 = constants_K(p0, s1, 0.0)
-    assert K1 == 1.0 and K2 == 1.0  # zero start, zero noise
+    cert0 = certificate(p0)
+    assert cert0.S2 == 0.0
+    assert cert0.K1 == 1.0 and cert0.K2 == 1.0  # zero start, zero noise
     phuge = params(N=30.0, a=0.5, c=0.5, sigma=2.0, mnb=2.0)
-    s2 = series_S2(phuge.a, phuge.c, phuge.sigma)
-    K1h, _ = constants_K(phuge, series_S1(phuge.a, phuge.c), s2)
-    assert math.isinf(K1h)
-    assert np.isfinite(log_K1(phuge, series_S1(phuge.a, phuge.c)))
+    cert = certificate(phuge)
+    assert math.isinf(cert.K1)
+    assert np.isfinite(cert.log_K1)
 
 
 def test_tail_bound_plug_in_arithmetic():
@@ -239,8 +241,8 @@ def test_tail_bound_plug_in_arithmetic():
                sigma=4.0, L=4.0, mnb=1.5957691216057308,
                rho=0.5 * 2 * 0.5 * (1 - 0.649519052838329))
     rep = tail_bound(1000, 0.1, p)
-    s1 = series_S1(p.a, p.c)
-    s2 = series_S2(p.a, p.c, p.sigma)
+    s1 = series_S1_detail(p.a, p.c).value
+    s2 = series_S2_detail(p.a, p.c, p.sigma).value
     lk1 = 2.0 * (p.N**2 + (p.a * s1 * p.mean_norm_bound) ** 2)
     k2 = min(1.0, 1.0 / (16.0 * s2))
     gamma = 2 * p.a * (1 - p.c) - p.rho
@@ -253,12 +255,11 @@ def test_tail_bound_plug_in_arithmetic():
 
 def test_tail_bound_monotone_in_n_and_eps():
     p = params(N=0.7, a=0.9, c=0.0, sigma=0.1, L=0.1, mnb=0.1, rho=0.9)
-    s1 = series_S1(p.a, p.c)
-    s2 = series_S2(p.a, p.c, p.sigma)
-    raws = [tail_bound(n, 0.1, p, s1=s1, s2=s2).raw_bound
+    cert = certificate(p)
+    raws = [cert.report(n, 0.1).raw_bound
             for n in (1, 3, 10, 100, 1000, 10000)]
     assert all(x > y for x, y in zip(raws, raws[1:]))
-    raws_eps = [tail_bound(100, e, p, s1=s1, s2=s2).raw_bound
+    raws_eps = [cert.report(100, e).raw_bound
                 for e in (0.01, 0.05, 0.1, 0.5, 1.0)]
     assert all(x > y for x, y in zip(raws_eps, raws_eps[1:]))
 
@@ -285,10 +286,9 @@ ART = dict(N=0.7, a=0.9, c=0.0, sigma=0.1, L=0.1, mnb=0.1, rho=0.9)
 
 
 def linear_scan(eps, alpha, p, cap):
-    s1 = series_S1(p.a, p.c)
-    s2 = series_S2(p.a, p.c, p.sigma)
+    cert = certificate(p)
     for n in range(1, cap + 1):
-        if tail_bound(n, eps, p, s1=s1, s2=s2).raw_bound <= alpha:
+        if cert.report(n, eps).raw_bound <= alpha:
             return n
     return None
 
@@ -356,7 +356,7 @@ def test_rate_envelope_rejects_degenerate_exponent():
 
 def test_canonical_eps0_formula():
     p = params(N=0.7, a=0.9, c=0.0, sigma=0.1, mnb=0.1, rho=0.45)
-    s2 = series_S2(p.a, p.c, p.sigma)
+    s2 = series_S2_detail(p.a, p.c, p.sigma).value
     k2 = min(1.0, 1.0 / (16.0 * s2))
     assert np.isclose(canonical_eps0(p, d=1), math.sqrt(2.0 / k2), rtol=1e-12)
     assert np.isclose(canonical_eps0(p, d=3), math.sqrt(4.0 / k2), rtol=1e-12)
@@ -368,7 +368,7 @@ def test_canonical_eps0_formula():
 def test_tail_bound_randomized_sanity(a, c, sigma, n, eps):
     p = BoundParams(N=0.5, a=a, c=c, sigma=sigma, L=max(sigma, 0.1),
                     mean_norm_bound=sigma, rho=0.5 * 2 * a * (1 - c))
-    rep = tail_bound(n, eps, p, series_tol=1e-8)
+    rep = certificate(p, series_tol=1e-8).report(n, eps)
     assert 0.0 <= rep.clipped_bound <= 1.0
     assert rep.raw_bound >= 0.0
     assert rep.tail_exponent > 0.0

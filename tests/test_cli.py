@@ -2,13 +2,20 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stochmann import bounds
 from stochmann.bounds import tail_bound
 from stochmann.cli import main
-from stochmann.config import build_bound_params, config_hash
+from stochmann.config import (build_bound_params, build_plan, build_scheme,
+                              config_hash)
+from stochmann.errors import InfeasibleExperimentError
+from stochmann.montecarlo import coverage_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 REFERENCE = {
     "map": {"family": "inverse_quadratic"},
@@ -183,6 +190,34 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         cfg_path = write(tmp_path, cfg)
         assert main(["iterate", "--config", cfg_path]) == 2
         assert field in capsys.readouterr().err
+
+
+def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
+    calls = []
+    series_power_sum = bounds._series_power_sum
+
+    def counted(p, q, tol):
+        calls.append((p, q))
+        return series_power_sum(p, q, tol)
+
+    monkeypatch.setattr(bounds, "_series_power_sum", counted)
+    ref, demo = str(CONFIGS / "reference.json"), \
+        str(CONFIGS / "confidence_demo.json")
+    out = ["--out", str(tmp_path)]
+    for argv, code in ((["confidence", "--config", ref] + out, 4),
+                       (["bound", "--config", ref, "--n", "1000",
+                         "--eps", "0.1"], 0),
+                       (["montecarlo", "--config", demo, "--replicas", "50"]
+                        + out, 0)):
+        calls.clear()
+        assert main(argv) == code
+        assert len(calls) == 2, argv
+    calls.clear()
+    plan = build_plan(REFERENCE, scheme=build_scheme(REFERENCE))
+    with pytest.raises(InfeasibleExperimentError):
+        coverage_experiment(plan, eps=0.1, alpha=0.05,
+                            params=build_bound_params(REFERENCE))
+    assert len(calls) == 2
 
 
 def test_module_entry_point_runs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochmann.bounds import series_S2
+from stochmann.bounds import certificate
 from stochmann.config import (build_bound_params, build_map, build_noise,
                               build_plan, build_scheme, config_hash, dumps17,
                               experiment_settings, load_config,
@@ -217,4 +217,4 @@ def test_sigma_zero_consistency():
            "noise": {"family": "zero"}}
     p = build_bound_params(cfg)
     assert p.sigma == 0.0
-    assert series_S2(p.a, p.c, p.sigma) == 0.0
+    assert certificate(p).S2 == 0.0

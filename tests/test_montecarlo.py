@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binomtest
 
-from stochmann.bounds import (BoundParams, series_S1, series_S2, tail_bound)
+from stochmann.bounds import BoundParams, certificate
 from stochmann.errors import (CoverageError, DivergedError,
                               InfeasibleExperimentError, ValidationError)
 from stochmann.montecarlo import (ExperimentPlan, TailEstimate,
@@ -166,14 +166,13 @@ def test_empirical_tail_cells_and_bounds():
     assert [(c.n, c.eps) for c in cells] \
         == [(50, 0.05), (50, 0.2), (200, 0.05), (200, 0.2)]
     errs = replica_errors(cfg, x_star, replica_seeds(9, 300), (50, 200))
-    s1 = series_S1(params.a, params.c)
-    s2 = series_S2(params.a, params.c, params.sigma)
+    cert = certificate(params)
     for cell in cells:
         j = (50, 200).index(cell.n)
         k = int(np.sum(errs[:, j] > cell.eps))
         assert cell.p_hat == k / 300
         assert cell.ci_low <= cell.p_hat <= cell.ci_high
-        ref = tail_bound(cell.n, cell.eps, params, s1=s1, s2=s2)
+        ref = cert.report(cell.n, cell.eps)
         assert cell.bound_clipped == ref.clipped_bound
 
 

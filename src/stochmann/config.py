@@ -77,6 +77,21 @@ def _number(value, path, integer=False, minimum=None, maximum=None,
     return int(value) if integer else float(value)
 
 
+def _numbers(value, path, depth=1, **limits):
+    """A nonempty list (depth 1) or rectangular list of lists (depth 2) of
+    numbers, each checked by _number; a bad entry is named by its indexed
+    path."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{path}: must be a nonempty list")
+    for i, v in enumerate(value):
+        if depth == 1:
+            _number(v, f"{path}[{i}]", **limits)
+        else:
+            _numbers(v, f"{path}[{i}]", depth - 1, **limits)
+            if len(v) != len(value[0]):
+                raise ValidationError(f"{path}[{i}]: rows must have equal length")
+
+
 def _choice(value, options, path):
     if value not in options:
         raise ValidationError(f"{path}: must be one of {sorted(options)}")
@@ -115,6 +130,9 @@ def validate_config(raw):
                 raise ValidationError(f"map.{key}: required for affine maps")
     if family == "scaled_cosine" and "lam" not in mp:
         raise ValidationError("map.lam: required for scaled_cosine maps")
+    for key, depth in (("matrix", 2), ("offset", 1), ("domain_box", 2)):
+        if key in mp:
+            _numbers(mp[key], f"map.{key}", depth)
     if "declared_c" in mp:
         _number(mp["declared_c"], "map.declared_c", minimum=0.0)
     if "lam" in mp:
@@ -128,6 +146,7 @@ def validate_config(raw):
     _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
     if "x0" not in sc:
         raise ValidationError("scheme.x0: required")
+    _numbers(sc["x0"], "scheme.x0")
     if "a" in sc:
         _number(sc["a"], "scheme.a", exclusive_min=0.0)
     if "horizon" in sc:
@@ -178,15 +197,10 @@ def validate_config(raw):
         ex = raw["experiment"]
         _object(ex, _EXPERIMENT_KEYS, "experiment")
         if "checkpoints" in ex:
-            if not isinstance(ex["checkpoints"], list) or not ex["checkpoints"]:
-                raise ValidationError("experiment.checkpoints: must be a nonempty list")
-            for i, n in enumerate(ex["checkpoints"]):
-                _number(n, f"experiment.checkpoints[{i}]", integer=True, minimum=1)
+            _numbers(ex["checkpoints"], "experiment.checkpoints", integer=True,
+                     minimum=1)
         if "eps_grid" in ex:
-            if not isinstance(ex["eps_grid"], list) or not ex["eps_grid"]:
-                raise ValidationError("experiment.eps_grid: must be a nonempty list")
-            for i, e in enumerate(ex["eps_grid"]):
-                _number(e, f"experiment.eps_grid[{i}]", exclusive_min=0.0)
+            _numbers(ex["eps_grid"], "experiment.eps_grid", exclusive_min=0.0)
         if "replicas" in ex:
             _number(ex["replicas"], "experiment.replicas", integer=True, minimum=1)
         if "alpha" in ex:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmann import bounds
 from stochmann.bounds import tail_bound
@@ -185,6 +187,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # zero noise has no moment parameters to override
     cases += [({"noise": {"family": "zero", key: 1.0}}, f"noise.{key}")
               for key in ("sigma", "L", "mean_norm_bound")]
+    # malformed array fields, each named by its path
+    scheme = REFERENCE["scheme"]
+    cases += [({"scheme": dict(scheme, x0=x0)}, "scheme.x0")
+              for x0 in ("abc", ["a"])]
+    cases += [({"map": {"family": "affine", "matrix": matrix,
+                        "offset": [0.0, 0.0]}}, "map.matrix")
+              for matrix in ([["a"]], [[0.1, 0.2], [0.3]])]
+    cases += [({"map": {"family": "inverse_quadratic", "domain_box": "x"}},
+               "map.domain_box")]
     for change, field in cases:
         cfg = dict(json.loads(json.dumps(REFERENCE)), **change)
         cfg_path = write(tmp_path, cfg)
@@ -218,6 +229,45 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
         coverage_experiment(plan, eps=0.1, alpha=0.05,
                             params=build_bound_params(REFERENCE))
     assert len(calls) == 2
+
+
+# every numeric or array field of a config that names them all
+FULL = {
+    "map": {"family": "affine", "matrix": [[0.0]], "offset": [0.7],
+            "declared_c": 0.0, "domain_box": [[-10.0, 10.0]]},
+    "scheme": {"kind": "stochastic_mann", "x0": [0.0], "a": 0.9,
+               "horizon": 20, "seed": 1, "ishikawa_b": 1.0},
+    "noise": {"family": "bounded_uniform", "half_width": 0.1, "sigma": 0.1,
+              "L": 0.1, "mean_norm_bound": 0.1},
+    "bounds": {"N": 0.7, "rho": 0.9, "rho_scale": 0.5, "c": 0.0,
+               "sigma": 0.1, "L": 0.1, "mean_norm_bound": 0.1, "n_cap": 1000},
+    "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
+                   "alpha": 0.05, "run_cap": 100},
+    "base_seed": 7,
+}
+FIELDS = [(block, key) for block in ("map", "scheme", "noise", "bounds",
+                                     "experiment")
+          for key, value in FULL[block].items()
+          if not isinstance(value, str)] + [(None, "base_seed")]
+_SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.none())
+_OBJECTS = st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)
+NON_NUMERIC = st.one_of(_SCALARS, _OBJECTS,
+                        st.lists(st.one_of(_SCALARS, _OBJECTS), max_size=3))
+
+
+def test_full_config_runs(tmp_path):
+    assert main(["iterate", "--config", write(tmp_path, FULL),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@given(field=st.sampled_from(FIELDS), value=NON_NUMERIC)
+@settings(max_examples=50, deadline=None)
+def test_non_numeric_field_exits_2(tmp_path_factory, field, value):
+    cfg = json.loads(json.dumps(FULL))
+    block, key = field
+    (cfg if block is None else cfg[block])[key] = value
+    path = write(tmp_path_factory.mktemp("cfg"), cfg)
+    assert main(["iterate", "--config", path]) == 2
 
 
 def test_module_entry_point_runs():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import StochmannError, ValidationError
 
 __all__ = [
     "BoundParams",
@@ -109,7 +109,8 @@ def product_bound(i, n, a, c):
     j = np.arange(i + 1, n + 1, dtype=np.float64)
     lhs = float(np.prod(1.0 - kappa / j)) if j.size else 1.0
     rhs = float(((i + 1.0) / (n + 1.0)) ** kappa)
-    assert lhs <= rhs * (1.0 + 1e-12)
+    if not lhs <= rhs * (1.0 + 1e-12):
+        raise StochmannError(f"product_bound: lhs {lhs!r} exceeds rhs {rhs!r}")
     return lhs, rhs
 
 

@@ -7,7 +7,11 @@ slow tails, the alg-weighted form does not).
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from stochmann.bounds import (BoundParams, canonical_eps0, certificate,
                               rate_envelope, rate_exponent, series_S1_detail,
                               series_S2_detail, tail_bound, tail_exponent)
 from stochmann.errors import ValidationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def params(N=0.5, a=0.5, c=0.3, sigma=1.0, L=1.0, mnb=0.5, rho=None):
@@ -80,6 +86,31 @@ def test_product_bound_against_fraction_product():
 def test_product_bound_inequality_randomized(i, extra, a, c):
     lhs, rhs = product_bound(i, i + extra, a, c)
     assert lhs <= rhs * (1.0 + 1e-14)
+
+
+def test_product_bound_check_survives_optimized_mode():
+    # python -O strips asserts; the check must still raise
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from stochmann.bounds import product_bound\n"
+        "from stochmann.errors import StochmannError\n"
+        "assert sys.flags.optimize\n"
+        "np.prod = lambda *args, **kwargs: 2.0\n"
+        "try:\n"
+        "    product_bound(1, 10, 0.5, 0.3)\n"
+        "except StochmannError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('no error')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rhs = float((2.0 / 11.0) ** (0.5 * (1.0 - 0.3)))
+    assert "2.0" in proc.stdout and repr(rhs) in proc.stdout, proc.stdout
 
 
 def test_product_bound_equality_at_empty_product():

@@ -53,11 +53,10 @@ def block_tail_grid(args):
     replicas = 10 ** 3 if args.fast else 10 ** 4
     print("== tail frequencies vs exponential bound, %d replicas ==" % replicas)
     cfg = load_config(CONFIGS / "reference.json")
-    scheme = replace(build_scheme(cfg), seed=args.seed)
-    x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
-    plan = build_plan(cfg, scheme=scheme, base_seed=args.seed,
-                      replicas=replicas)
+    plan = build_plan(cfg, base_seed=args.seed, replicas=replicas)
+    x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-14)
+    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec,
+                                x_star=x_star)
     t0 = time.perf_counter()
     cells = empirical_tail(plan, x_star, params)
     print(f"{'n':>6} {'eps':>5}  {'p_hat':>8}  {'99% CI':>21}"
@@ -77,10 +76,8 @@ def block_coverage(args):
     print("== confidence sizing and coverage, affine testbed, %d replicas =="
           % replicas)
     cfg = load_config(CONFIGS / "confidence_demo.json")
-    scheme = build_scheme(cfg)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec)
-    cert = certificate(params)
-    plan = build_plan(cfg, scheme=scheme, replicas=replicas)
+    plan = build_plan(cfg, replicas=replicas)
+    cert = certificate(build_bound_params(cfg, map_spec=plan.scheme.map_spec))
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
           f"  {'target':>7}")
     t0 = time.perf_counter()
@@ -88,7 +85,7 @@ def block_coverage(args):
         for eps in (0.1, 0.2):
             n_alpha = cert.min_iterations(eps, alpha, n_cap=10 ** 6)
             cov = coverage_experiment(plan, eps=eps, alpha=alpha,
-                                      params=params, n_cap=10 ** 6)
+                                      params=cert.params, n_cap=10 ** 6)
             slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / replicas)
             print(f"{alpha:>6.2f} {eps:>5.2f}  {n_alpha:>8d}  {cov:>9.4f}"
                   f"  {1.0 - alpha - slack:>7.4f}")

@@ -294,11 +294,12 @@ class Certificate:
     log_K1: float
     K1: float
     K2: float
+    tail_exponent: float
 
     def log_bound(self, n, eps):
         """ln of the raw bound K1 exp(-K2 n^gamma eps^2), gamma the tail
         exponent; exact even when the bound itself overflows."""
-        gamma = tail_exponent(self.params)
+        gamma = self.tail_exponent
         return self.log_K1 - self.K2 * math.exp(gamma * math.log(n)) * eps * eps
 
     def report(self, n, eps):
@@ -311,7 +312,7 @@ class Certificate:
         raw = math.exp(log_raw) if log_raw <= 709.0 else math.inf
         return BoundReport(n=int(n), eps=float(eps), S1=self.S1, S2=self.S2,
                            K1=self.K1, K2=self.K2, log_K1=self.log_K1,
-                           tail_exponent=tail_exponent(self.params),
+                           tail_exponent=self.tail_exponent,
                            rate_exponent=rate_exponent(self.params),
                            raw_bound=raw, log_raw_bound=log_raw,
                            clipped_bound=min(1.0, raw))
@@ -330,10 +331,10 @@ class Certificate:
             raise ValidationError("eps: must be a positive real")
         if not (isinstance(n_cap, (int, np.integer)) and n_cap >= 1):
             raise ValidationError("n_cap: must be an integer >= 1")
-        log_alpha = math.log(alpha)
+        log_bound, log_alpha = self.log_bound, math.log(alpha)
 
         def ok(n):
-            return self.log_bound(n, eps) <= log_alpha
+            return log_bound(n, eps) <= log_alpha
 
         if ok(1):
             return 1
@@ -372,7 +373,8 @@ def certificate(params, series_tol=1e-10, s1=None, s2=None):
     lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)
     k1 = math.exp(lk1) if lk1 <= 709.0 else math.inf
     k2 = 1.0 if s2 == 0.0 else min(1.0, 1.0 / (16.0 * s2))
-    return Certificate(params=params, S1=s1, S2=s2, log_K1=lk1, K1=k1, K2=k2)
+    return Certificate(params=params, S1=s1, S2=s2, log_K1=lk1, K1=k1, K2=k2,
+                       tail_exponent=tail_exponent(params))
 
 
 def tail_bound(n, eps, params, s1=None, s2=None):

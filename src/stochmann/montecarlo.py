@@ -167,10 +167,9 @@ def empirical_tail(plan, x_star, params):
         for eps in plan.eps_grid:
             k = int(np.sum(col > eps))
             lo, hi = clopper_pearson(k, plan.replicas)
-            bound = cert.report(n, eps).clipped_bound
-            cells.append(TailEstimate(n=n, eps=eps, p_hat=k / plan.replicas,
-                                      ci_low=lo, ci_high=hi,
-                                      bound_clipped=bound))
+            cells.append(TailEstimate(
+                n=n, eps=eps, p_hat=k / plan.replicas, ci_low=lo, ci_high=hi,
+                bound_clipped=cert.report(n, eps).clipped_bound))
     return cells
 
 

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .errors import ValidationError
 from .spaces import norm
-from .streams import derive_key, substream_uniforms
+from .streams import Workspace, derive_key, substream_uniforms
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
 
@@ -33,6 +33,7 @@ __all__ = [
     "default_cramer_params",
     "sample",
     "sample_block",
+    "sample_keyed",
     "sample_many",
     "MomentRow",
     "CramerReport",
@@ -132,19 +133,34 @@ def bounded_uniform(half_width, dim=1, sigma=None, L=None, mean_norm_bound=None)
     return _with_overrides(model, sigma, L, mean_norm_bound)
 
 
-def sample_block(model, dim, seed, indices):
+def sample_block(model, dim, seed, indices, work=None):
     """Draws of shape broadcast(seed, indices) + (dim,); the draw at
-    (seed, index) is bitwise the same in any batch shape."""
+    (seed, index) is bitwise the same in any batch shape.  With a
+    streams.Workspace the result is a view into it, overwritten by the
+    next call with the same workspace."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
-    keys = derive_key(seed)
+    return sample_keyed(model, derive_key(seed), indices, work)
+
+
+def sample_keyed(model, keys, indices, work=None):
+    """sample_block for keys already derived from the seeds, so a caller
+    drawing many tiles from the same seeds derives them once."""
+    work = Workspace() if work is None else work
     if model.family == "zero":
         shape = np.broadcast_shapes(np.shape(keys), np.shape(indices))
-        return np.zeros(shape + (dim,), dtype=np.float64)
-    u = substream_uniforms(keys, indices, dim)
+        xi = work.array("zero", shape + (model.dim,), np.float64)
+        xi.fill(0.0)
+        return xi
+    u = substream_uniforms(keys, indices, model.dim, work)
     if model.family == "gaussian":
-        return model.scale * ndtri(u)
-    return model.half_width * (2.0 * u - 1.0)
+        ndtri(u, out=u)
+        np.multiply(u, model.scale, out=u)
+        return u
+    np.multiply(u, 2.0, out=u)
+    np.subtract(u, 1.0, out=u)
+    np.multiply(u, model.half_width, out=u)
+    return u
 
 
 def sample(model, dim, stream_key):

@@ -28,6 +28,7 @@ import numpy as np
 from . import noise as noise_mod
 from .errors import DivergedError, ValidationError
 from .spaces import as_point, dimension, eval_map, map_function, norm
+from .streams import Workspace, derive_key
 
 SCHEME_KINDS = ("picard", "krasnoselskii", "mann", "ishikawa", "stochastic_mann")
 
@@ -168,23 +169,28 @@ def advance(cfg, seeds, horizon):
     yielded as Python floats: the same step() arithmetic without numpy's
     per-call overhead, bitwise equal to the array path.  Replica r draws
     from the substream (seeds[r], n), in (R x T) tiles of about
-    TILE_ELEMENTS values; cfg.seed is ignored.  All arithmetic is
-    elementwise, so row r is bitwise the run under seeds[r] for any R.  A
-    non-finite state raises DivergedError naming the offending replicas.
+    TILE_ELEMENTS values; cfg.seed is ignored.  The tiles reuse buffers
+    that this call allocates once, so an array xi is a view that the next
+    tile overwrites: copy it to keep it.  All arithmetic is elementwise,
+    so row r is bitwise the run under seeds[r] for any R.  A non-finite
+    state raises DivergedError naming the offending replicas.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
     d = dimension(cfg.map_spec)
     F = map_function(cfg.map_spec)
     kind = cfg.kind
     stochastic = kind == "stochastic_mann"
+    if stochastic:  # SchemeConfig checked that the noise has dimension d
+        keys = derive_key(seeds)
+        work = Workspace()
     scalar = seeds.shape[0] * d == 1
     X = float(cfg.x0[0]) if scalar else np.tile(cfg.x0, (seeds.shape[0], 1))
     tile_steps = max(1, TILE_ELEMENTS // (seeds.shape[0] * d))
     for start in range(1, horizon + 1, tile_steps):
         stop = min(start + tile_steps, horizon + 1)
         if stochastic:
-            tile = noise_mod.sample_block(cfg.noise, d, seeds,
-                                          np.arange(start, stop, dtype=np.uint64))
+            tile = noise_mod.sample_keyed(
+                cfg.noise, keys, np.arange(start, stop, dtype=np.uint64), work)
         if scalar:
             draws = tile.reshape(-1).tolist() if stochastic else repeat(None)
             for n, xi in zip(range(start, stop), draws):

@@ -10,6 +10,8 @@ Gaussian variates are derived from its output deterministically.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -22,7 +24,10 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+_ROUND_BUFFERS = ("x0", "x1", "hi", "lo", "t", "u")
+
 __all__ = [
+    "Workspace",
     "mix64",
     "philox2x64",
     "substream_uniforms",
@@ -36,6 +41,29 @@ def _as_u64(x):
     if isinstance(x, (int, np.integer)):
         return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
     return np.asarray(x, dtype=np.uint64)
+
+
+class Workspace:
+    """Named scratch buffers that a sequence of draws reuses.
+
+    array(name, shape, dtype) returns a C-contiguous view of the leading
+    elements of the buffer called name, allocated on first use and again
+    only when a larger shape is asked for.  A caller that draws tile after
+    tile (schemes.advance) creates one and passes it to every call, so the
+    tiles allocate no tile-sized array; each call overwrites what the
+    previous one returned.  Create one per caller: two interleaved callers
+    sharing one would overwrite each other's draws.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name, shape, dtype=np.uint64):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 def _mulhilo(b, hi, lo, t, u):
@@ -64,31 +92,49 @@ def _mulhilo(b, hi, lo, t, u):
     np.add(hi, u, out=hi)
 
 
-def philox2x64(c0, c1, key, rounds=_ROUNDS):
+def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
     """Apply the Philox-2x64 bijection to counter (c0, c1) under key.
 
     Inputs broadcast together; returns two uint64 arrays of the broadcast
     shape.  Distinct (c0, c1, key) triples give statistically independent
     outputs, which is what makes draw-by-counter streams sound.
 
-    The rounds run in place in six buffers of the broadcast shape.  A
+    The rounds run in place in six buffers of the broadcast shape, taken
+    from work (a Workspace) when one is given; the outputs are then views
+    into it that the next call with the same workspace overwrites.  A
     noise tile's temporaries are about 128 KB each; allocating and freeing
     ~20 of them per round let malloc trim the top of a small heap and
     fault the pages back in, which made batched Monte Carlo runs ~25%
-    slower.
+    slower.  Round 1 multiplies c0 on its own shape: a noise tile's block
+    counter is (1, 1, nblocks), the same for every replica and step.
     """
     c0, c1, k = _as_u64(c0), _as_u64(c1), _as_u64(key)
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(k))
-    x0, x1, hi, lo, t, u = (np.empty(shape, dtype=np.uint64) for _ in range(6))
-    x0[...] = c0
-    x1[...] = c1
+    work = Workspace() if work is None else work
+    x0, x1, hi, lo, t, u = (work.array(name, shape) for name in _ROUND_BUFFERS)
+    if rounds == 0:
+        x0[...] = c0
+        x1[...] = c1
+        return x0[()], x1[()]
+    # Round 1 in the leading elements of the same buffers: b (in x0) is
+    # spent by _mulhilo before x0 is written, and h, l are read before
+    # round 2 writes hi, lo.
+    b, h, l, s, v = (work.array(name, np.shape(c0))
+                     for name in ("x0", "hi", "lo", "t", "u"))
+    b[...] = c0
+    kr = work.array("key", np.shape(k))
     with np.errstate(over="ignore"):
-        for _ in range(rounds):
+        _mulhilo(b, h, l, s, v)
+        np.bitwise_xor(h, c1, out=x0)
+        np.bitwise_xor(x0, k, out=x0)
+        x1[...] = l
+        np.add(k, _PHILOX_W, out=kr)
+        for _ in range(rounds - 1):
             _mulhilo(x0, hi, lo, t, u)
             np.bitwise_xor(hi, x1, out=hi)
-            np.bitwise_xor(hi, k, out=hi)
+            np.bitwise_xor(hi, kr, out=hi)
             x0, x1, hi, lo = hi, lo, x0, x1
-            k = k + _PHILOX_W
+            np.add(kr, _PHILOX_W, out=kr)
     return x0[()], x1[()]
 
 
@@ -115,36 +161,41 @@ def derive_key(seed, salt=0):
     return mix64(s)
 
 
-def _u64_to_unit(x):
-    """Map uint64 to the open interval (0, 1), symmetric around 1/2."""
-    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _u64_to_unit(x0, x1, out):
+    """Uniforms on (0, 1), symmetric around 1/2, from the uint64 blocks
+    (x0, x1), interleaved x0, x1, x0, ... along out's last axis.  That axis
+    may be one shorter than two per block, so the last x1 is not converted.
+    x0 and x1 are overwritten."""
+    for x, cols in ((x0, out[..., 0::2]), (x1[..., :out.shape[-1] // 2], out[..., 1::2])):
+        np.right_shift(x, np.uint64(11), out=x)
+        cols[...] = x
+    np.add(out, 0.5, out=out)
+    np.multiply(out, 2.0**-53, out=out)
 
 
-def substream_uniforms(key, index, count):
+def substream_uniforms(key, index, count, work=None):
     """``count`` uniforms on (0,1) from substream (key, index).
 
     key and index may be scalars or arrays (they broadcast); the result has
     the broadcast shape plus a trailing axis of length ``count``.  Entry j
     depends only on (key, index, j): the counter word c1 carries the index,
-    c0 enumerates output blocks of two.
+    c0 enumerates output blocks of two.  With a Workspace the result is a
+    view into it, overwritten by the next call with the same workspace.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    key = _as_u64(key)
-    index = _as_u64(index)
-    shape = np.broadcast_shapes(np.shape(key), np.shape(index))
+    key = np.asarray(_as_u64(key))
+    index = np.asarray(_as_u64(index))
+    shape = np.broadcast_shapes(key.shape, index.shape)
     nblocks = (count + 1) // 2
     c0 = np.arange(nblocks, dtype=np.uint64).reshape((1,) * len(shape) + (nblocks,))
-    c1 = np.broadcast_to(np.asarray(index), shape)[..., None]
-    k = np.broadcast_to(np.asarray(key), shape)[..., None]
-    x0, x1 = philox2x64(c0, c1, k)
-    out = np.empty(shape + (2 * nblocks,), dtype=np.float64)
-    out[..., 0::2] = _u64_to_unit(x0)
-    out[..., 1::2] = _u64_to_unit(x1)
-    return out[..., :count]
-
-
+    work = Workspace() if work is None else work
+    x0, x1 = philox2x64(c0, index[..., None], key[..., None], work=work)
+    out = work.array("unit", shape + (count,), np.float64)
+    _u64_to_unit(x0, x1, out)
+    return out
 def substream_normals(key, index, count):
     """Standard normal variates via the inverse CDF; same stream layout
     as substream_uniforms, so the draws stay pure in (key, index, j)."""
-    return ndtri(substream_uniforms(key, index, count))
+    u = substream_uniforms(key, index, count)
+    return ndtri(u, out=u)

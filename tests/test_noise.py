@@ -8,6 +8,7 @@ from stochmann.errors import ValidationError
 from stochmann.noise import (bounded_uniform, cramer_check,
                              default_cramer_params, gaussian, sample,
                              sample_block, sample_many, zero)
+from stochmann.streams import Workspace
 
 
 def halfnormal_moment(s, m):
@@ -74,6 +75,21 @@ def test_sample_many_matches_scalar_calls():
     many = sample_many(model, 1, seeds, 42)
     for k, s in enumerate(seeds):
         assert np.array_equal(many[k], sample(model, 1, (int(s), 42)))
+
+
+def test_sample_block_same_bits_with_workspace_and_short_last_tile():
+    seeds = np.array([[3], [8], [1]], dtype=np.uint64)
+    for dim in range(1, 6):
+        for model in (gaussian(scale=0.7, dim=dim),
+                      bounded_uniform(half_width=0.2, dim=dim), zero(dim=dim)):
+            work = Workspace()
+            # two full tiles, then a short last one reusing the same buffers
+            for start, stop in ((1, 8), (8, 15), (15, 17)):
+                idx = np.arange(start, stop, dtype=np.uint64)
+                fresh = sample_block(model, dim, seeds, idx)
+                got = sample_block(model, dim, seeds, idx, work=work)
+                assert got.shape == fresh.shape == (3, stop - start, dim)
+                assert np.array_equal(got, fresh), (model.family, dim)
 
 
 def test_zero_noise_is_zero():

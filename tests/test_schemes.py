@@ -12,9 +12,9 @@ import pytest
 
 from stochmann.errors import DivergedError, ValidationError
 from stochmann.noise import gaussian, sample_block, zero
-from stochmann.schemes import (SCHEME_KINDS, SchemeConfig, StepSequences,
-                               run, step, step_sizes)
-from stochmann.spaces import inverse_quadratic, reference_fixed_point
+from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
+                               StepSequences, advance, run, step, step_sizes)
+from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
 from stochmann.streams import derive_key
 
 
@@ -167,3 +167,29 @@ def test_config_validation():
         SchemeConfig(kind="stochastic_mann", map_spec=inverse_quadratic(),
                      x0=np.array([0.5]), noise=gaussian(scale=1.0, dim=2),
                      horizon=10)  # noise dim disagrees with the map
+
+
+def test_interleaved_generators_keep_their_own_tiles():
+    # each advance call owns its tile buffers: two generators stepped in
+    # turn, across several tiles, yield the bits each yields alone
+    affine_d2 = SchemeConfig(
+        kind="stochastic_mann",
+        map_spec=affine([[0.3, 0.1], [-0.2, 0.4]], [0.5, -1.0]),
+        x0=np.array([0.0, 2.0]), noise=gaussian(0.5, dim=2), horizon=300)
+    for cfg, R in ((make_cfg("stochastic_mann", horizon=200,
+                             noise=gaussian(2.0)), 300), (affine_d2, 100)):
+        d = cfg.x0.shape[0]
+        assert TILE_ELEMENTS // (R * d) * 3 < cfg.horizon
+        seeds = [derive_key(s, np.arange(R, dtype=np.uint64)) for s in (1, 2)]
+
+        def copies(steps):
+            return [(n, X.copy(), xi.copy()) for n, X, xi in steps]
+
+        alone = [copies(advance(cfg, s, cfg.horizon)) for s in seeds]
+        pair = copies(item for items in zip(*(advance(cfg, s, cfg.horizon)
+                                              for s in seeds))
+                      for item in items)
+        for k in range(2):
+            for (n, X, xi), (m, Y, eta) in zip(pair[k::2], alone[k]):
+                assert n == m
+                assert np.array_equal(X, Y) and np.array_equal(xi, eta)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann.streams import (derive_key, mix64, philox2x64,
+from stochmann.streams import (Workspace, derive_key, mix64, philox2x64,
                                substream_normals, substream_uniforms)
 
 MASK = 2**64 - 1
@@ -125,3 +125,40 @@ def test_derive_key_vector_matches_scalar():
     salts = np.arange(100, dtype=np.uint64)
     vec = derive_key(77, salts)
     assert all(int(vec[i]) == int(derive_key(77, int(i))) for i in range(100))
+
+
+def test_philox_on_tile_shapes_matches_reference_with_and_without_workspace():
+    # a noise tile's counter layout: c0 (1, 1, nb), c1 (1, T, 1), key (R, 1, 1)
+    rng = np.random.default_rng(5)
+    work = Workspace()
+    for R, T, nb in ((3, 4, 2), (2, 3, 1), (4, 5, 3)):
+        c0 = np.arange(nb, dtype=np.uint64).reshape(1, 1, nb) + np.uint64(MASK - 1)
+        c1 = rng.integers(0, MASK, (1, T, 1), dtype=np.uint64, endpoint=True)
+        key = rng.integers(0, MASK, (R, 1, 1), dtype=np.uint64, endpoint=True)
+        for rounds in (0, 1, 2, 10):
+            expected = np.array(
+                [[[ref_philox(int(c0[0, 0, b]), int(c1[0, t, 0]),
+                              int(key[r, 0, 0]), rounds)
+                   for b in range(nb)] for t in range(T)] for r in range(R)],
+                dtype=np.uint64)
+            for w in (None, work):
+                x0, x1 = philox2x64(c0, c1, key, rounds=rounds, work=w)
+                assert x0.shape == x1.shape == (R, T, nb)
+                assert np.array_equal(x0, expected[..., 0])
+                assert np.array_equal(x1, expected[..., 1])
+        x0, x1 = philox2x64(c0, c1, key, rounds=0)
+        assert np.array_equal(x0, np.broadcast_to(c0, (R, T, nb)))
+        assert np.array_equal(x1, np.broadcast_to(c1, (R, T, nb)))
+
+
+def test_uniforms_same_bits_with_workspace_and_short_last_tile():
+    keys = derive_key(3, np.arange(4, dtype=np.uint64))[:, None]
+    for count in range(1, 6):
+        work = Workspace()
+        # two full tiles, then a short last one reusing the same buffers
+        for start, stop in ((1, 6), (6, 11), (11, 13)):
+            idx = np.arange(start, stop, dtype=np.uint64)
+            fresh = substream_uniforms(keys, idx, count)
+            got = substream_uniforms(keys, idx, count, work=work)
+            assert got.shape == fresh.shape == (4, stop - start, count)
+            assert np.array_equal(got, fresh)

@@ -85,7 +85,7 @@ def block_coverage(args):
         for eps in (0.1, 0.2):
             n_alpha = cert.min_iterations(eps, alpha, n_cap=10 ** 6)
             cov = coverage_experiment(plan, eps=eps, alpha=alpha,
-                                      params=cert.params, n_cap=10 ** 6)
+                                      params=cert, n_cap=10 ** 6)
             slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / replicas)
             print(f"{alpha:>6.2f} {eps:>5.2f}  {n_alpha:>8d}  {cov:>9.4f}"
                   f"  {1.0 - alpha - slack:>7.4f}")

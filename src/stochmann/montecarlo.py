@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .bounds import certificate, rate_envelope
+from .bounds import Certificate, certificate, rate_envelope
 from .errors import CoverageError, InfeasibleExperimentError, ValidationError
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
@@ -185,9 +185,10 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
     n_alpha + 1, and returns the fraction with ||x_{n_alpha+1} - x*|| <= eps.
     Raises InfeasibleExperimentError when no n under the cap certifies, and
     CoverageError when coverage undercuts 1 - alpha by more than three
-    binomial standard errors.
+    binomial standard errors.  params is a BoundParams, or the Certificate
+    built from it, which a caller that sizes n_alpha itself reuses.
     """
-    cert = certificate(params)
+    cert = params if isinstance(params, Certificate) else certificate(params)
     cap = plan.scheme.horizon if n_cap is None else n_cap
     n_alpha = cert.min_iterations(eps, alpha, cap)
     if n_alpha is None or n_alpha > plan.scheme.horizon:

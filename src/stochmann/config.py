@@ -1,10 +1,11 @@
 """Run configuration: one strict JSON file per experiment.
 
-Strict means unknown keys are rejected with their field path, so a typo
-fails loudly instead of silently running a default experiment.  The parsed
-structure is kept verbatim (defaults are applied by the builders, not
-written back), which makes serialize-then-parse the identity and lets the
-content hash commit to exactly what the user wrote.
+Strict means unknown keys, and keys the builders would ignore (map.lam on
+an affine map, bounds.rho_scale next to bounds.rho), are rejected with
+their field path, so a typo fails loudly instead of silently running a
+default experiment.  The parsed structure is kept verbatim (defaults are
+applied by the builders, not written back), which makes serialize-then-parse
+the identity and lets the content hash commit to exactly what the user wrote.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def validate_config(raw):
                 raise ValidationError(f"map.{key}: required for affine maps")
     if family == "scaled_cosine" and "lam" not in mp:
         raise ValidationError("map.lam: required for scaled_cosine maps")
+    for key, owner in (("matrix", "affine"), ("offset", "affine"),
+                       ("lam", "scaled_cosine")):
+        if key in mp and family != owner:
+            raise ValidationError(f"map.{key}: only {owner} maps take it")
     for key, depth in (("matrix", 2), ("offset", 1), ("domain_box", 2)):
         if key in mp:
             _numbers(mp[key], f"map.{key}", depth)
@@ -143,7 +148,9 @@ def validate_config(raw):
 
     sc = raw["scheme"]
     _object(sc, _SCHEME_KEYS, "scheme")
-    _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
+    kind = _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
+    if "ishikawa_b" in sc and kind != "ishikawa":
+        raise ValidationError("scheme.ishikawa_b: only ishikawa schemes take it")
     if "x0" not in sc:
         raise ValidationError("scheme.x0: required")
     _numbers(sc["x0"], "scheme.x0")
@@ -179,6 +186,8 @@ def validate_config(raw):
     if "bounds" in raw:
         bd = raw["bounds"]
         _object(bd, _BOUNDS_KEYS, "bounds")
+        if "rho" in bd and "rho_scale" in bd:
+            raise ValidationError("bounds.rho_scale: not allowed next to bounds.rho")
         for key in ("N", "sigma", "mean_norm_bound"):
             if key in bd:
                 _number(bd[key], f"bounds.{key}", minimum=0.0)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,7 +19,8 @@ from stochmann.config import (build_bound_params, build_plan, build_scheme,
 from stochmann.errors import InfeasibleExperimentError
 from stochmann.montecarlo import coverage_experiment
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 REFERENCE = {
     "map": {"family": "inverse_quadratic"},
@@ -196,6 +199,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
               for matrix in ([["a"]], [[0.1, 0.2], [0.3]])]
     cases += [({"map": {"family": "inverse_quadratic", "domain_box": "x"}},
                "map.domain_box")]
+    # fields that the chosen family, kind or sibling field makes inapplicable
+    cases += [({"map": {"family": "inverse_quadratic", key: value}},
+               f"map.{key}")
+              for key, value in (("matrix", [[0.5]]), ("offset", [0.1]),
+                                 ("lam", 0.5))]
+    cases += [({"map": {"family": "affine", "matrix": [[0.5]],
+                        "offset": [0.1], "lam": 0.5}}, "map.lam"),
+              ({"scheme": dict(scheme, ishikawa_b=1.0)}, "scheme.ishikawa_b"),
+              ({"bounds": {"rho": 0.1, "rho_scale": 0.5}}, "bounds.rho_scale")]
     for change, field in cases:
         cfg = dict(json.loads(json.dumps(REFERENCE)), **change)
         cfg_path = write(tmp_path, cfg)
@@ -229,26 +241,47 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
         coverage_experiment(plan, eps=0.1, alpha=0.05,
                             params=build_bound_params(REFERENCE))
     assert len(calls) == 2
+    # the coverage block sizes n_alpha and runs 4 experiments on one set
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls.clear()
+    script.block_coverage(argparse.Namespace(fast=True, seed=0))
+    assert len(calls) == 2
 
 
-# every numeric or array field of a config that names them all
+# every numeric or array field, each in a base config that takes it: the
+# second carries those that the first's family, kind or bounds.rho exclude
 FULL = {
     "map": {"family": "affine", "matrix": [[0.0]], "offset": [0.7],
             "declared_c": 0.0, "domain_box": [[-10.0, 10.0]]},
     "scheme": {"kind": "stochastic_mann", "x0": [0.0], "a": 0.9,
-               "horizon": 20, "seed": 1, "ishikawa_b": 1.0},
+               "horizon": 20, "seed": 1},
     "noise": {"family": "bounded_uniform", "half_width": 0.1, "sigma": 0.1,
               "L": 0.1, "mean_norm_bound": 0.1},
-    "bounds": {"N": 0.7, "rho": 0.9, "rho_scale": 0.5, "c": 0.0,
-               "sigma": 0.1, "L": 0.1, "mean_norm_bound": 0.1, "n_cap": 1000},
+    "bounds": {"N": 0.7, "rho": 0.9, "c": 0.0, "sigma": 0.1, "L": 0.1,
+               "mean_norm_bound": 0.1, "n_cap": 1000},
     "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
                    "alpha": 0.05, "run_cap": 100},
     "base_seed": 7,
 }
-FIELDS = [(block, key) for block in ("map", "scheme", "noise", "bounds",
-                                     "experiment")
-          for key, value in FULL[block].items()
-          if not isinstance(value, str)] + [(None, "base_seed")]
+FULL_ISHIKAWA = {
+    "map": {"family": "scaled_cosine", "lam": 0.5, "declared_c": 0.5,
+            "domain_box": [[-10.0, 10.0]]},
+    "scheme": {"kind": "ishikawa", "x0": [0.0], "a": 0.9, "horizon": 20,
+               "seed": 1, "ishikawa_b": 1.0},
+    "bounds": {"N": 0.7, "rho_scale": 0.5, "c": 0.5, "sigma": 0.1, "L": 0.1,
+               "mean_norm_bound": 0.1, "n_cap": 1000},
+    "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
+                   "alpha": 0.05, "run_cap": 100},
+    "base_seed": 7,
+}
+BASES = (FULL, FULL_ISHIKAWA)
+FIELDS = [(base, block, key) for base, cfg in enumerate(BASES)
+          for block in ("map", "scheme", "noise", "bounds", "experiment")
+          for key, value in cfg.get(block, {}).items()
+          if not isinstance(value, str)] + [(0, None, "base_seed")]
 _SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.none())
 _OBJECTS = st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)
 NON_NUMERIC = st.one_of(_SCALARS, _OBJECTS,
@@ -256,15 +289,16 @@ NON_NUMERIC = st.one_of(_SCALARS, _OBJECTS,
 
 
 def test_full_config_runs(tmp_path):
-    assert main(["iterate", "--config", write(tmp_path, FULL),
-                 "--out", str(tmp_path / "o")]) == 0
+    for cfg in BASES:
+        assert main(["iterate", "--config", write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 @given(field=st.sampled_from(FIELDS), value=NON_NUMERIC)
 @settings(max_examples=50, deadline=None)
 def test_non_numeric_field_exits_2(tmp_path_factory, field, value):
-    cfg = json.loads(json.dumps(FULL))
-    block, key = field
+    base, block, key = field
+    cfg = json.loads(json.dumps(BASES[base]))
     (cfg if block is None else cfg[block])[key] = value
     path = write(tmp_path_factory.mktemp("cfg"), cfg)
     assert main(["iterate", "--config", path]) == 2

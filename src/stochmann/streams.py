@@ -166,7 +166,8 @@ def _u64_to_unit(x0, x1, out):
     (x0, x1), interleaved x0, x1, x0, ... along out's last axis.  That axis
     may be one shorter than two per block, so the last x1 is not converted.
     x0 and x1 are overwritten."""
-    for x, cols in ((x0, out[..., 0::2]), (x1[..., :out.shape[-1] // 2], out[..., 1::2])):
+    odd = out.shape[-1] // 2
+    for x, cols in ((x0, out[..., 0::2]), (x1[..., :odd], out[..., 1::2])):
         np.right_shift(x, np.uint64(11), out=x)
         cols[...] = x
     np.add(out, 0.5, out=out)
@@ -194,6 +195,8 @@ def substream_uniforms(key, index, count, work=None):
     out = work.array("unit", shape + (count,), np.float64)
     _u64_to_unit(x0, x1, out)
     return out
+
+
 def substream_normals(key, index, count):
     """Standard normal variates via the inverse CDF; same stream layout
     as substream_uniforms, so the draws stay pure in (key, index, j)."""

@@ -24,8 +24,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_ROUND_BUFFERS = ("x0", "x1", "hi", "lo", "t", "u")
-
 __all__ = [
     "Workspace",
     "mix64",
@@ -111,7 +109,8 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
     c0, c1, k = _as_u64(c0), _as_u64(c1), _as_u64(key)
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(k))
     work = Workspace() if work is None else work
-    x0, x1, hi, lo, t, u = (work.array(name, shape) for name in _ROUND_BUFFERS)
+    x0, x1, hi, lo, t, u = (work.array(name, shape)
+                            for name in ("x0", "x1", "hi", "lo", "t", "u"))
     if rounds == 0:
         x0[...] = c0
         x1[...] = c1

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import StochmannError, ValidationError
 
@@ -169,67 +170,54 @@ class SeriesEstimate:
     half_width: float
 
 
-def _power_term(p, q, x):
-    """(x+1)^p / x^q for scalar or array x."""
-    return (x + 1.0) ** p / x ** q
-
-
-def _tail_integral(p, q, t):
-    """integral_t^inf (x+1)^p x^(-q) dx, exact to float precision.
-
-    Expand (x+1)^p = x^p (1 + 1/x)^p binomially; each term integrates in
-    closed form and the series converges geometrically at rate 1/t.
-    Requires q - p > 1 (integrability) and t >= 2.
-    """
-    total = 0.0
-    coef = 1.0  # C(p, k), k = 0
-    for k in range(0, 400):
-        term = coef * t ** (p - q - k + 1.0) / (q - p + k - 1.0)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-        coef *= (p - k) / (k + 1.0)
-        if coef == 0.0:
-            break
-    return total
+# The series sum i < SERIES_HEAD directly and the rest in closed form,
+#     sum_{i>=M} (i+1)^p i^-q = sum_k C(p,k) zeta(q-p+k, M)   (DLMF 25.11),
+# with the binomial series cut after k = SERIES_ORDER.
+SERIES_HEAD = 32
+SERIES_ORDER = 12
+# Ulps of the terms' summed magnitudes allowed for rounding in the powers,
+# the binomial products, zeta and the summation.
+SERIES_ROUNDING_ULPS = 64
 
 
 def _series_power_sum(p, q, tol):
-    """sum_{i>=1} (i+1)^p / i^q with certified absolute error <= tol.
+    """sum_{i>=1} (i+1)^p / i^q with certified relative error <= tol.
 
-    The summand is positive, decreasing and convex, so the tail past M is
-    sandwiched between the trapezoid and midpoint integral estimates:
-
-        I(M+1) + f(M+1)/2  <=  tail  <=  I(M+1/2),    I(t) = int_t^inf f.
-
-    We take M large enough that the sandwich half-width is below tol/2,
-    sum the head directly, and add the sandwich midpoint.
+    half_width adds three bounds. Truncation: for 0 <= p < 2,
+    |C(p,k)| <= 2/k <= 1 for k >= 2, and zeta(s, M) <= 2 M^(1-s) for
+    s >= 2, so the terms past k = K sum to at most 2 M^(1-(q-p)-K)/(M-1).
+    Rounding: SERIES_ROUNDING_ULPS ulps of the terms' magnitudes.
+    Arguments: q-p+k is rounded by at most one ulp, which moves zeta by at
+    most that times the bound on its slope in s,
+    sum_{i>=M} ln(i) i^-s <= ln(M) M^-s + M^(1-s) (ln M/(s-1) + 1/(s-1)^2);
+    near s = 1 this term dominates (1.1e-10 at p = 0.999, q = 2).
     """
-    if not (q - p > 1.0):
-        raise ValidationError("series: divergent parameter combination (q - p <= 1)")
-    if tol <= 0.0:
+    if not (0.0 <= p < 2.0 and q - p > 1.0):
+        raise ValidationError("series: need 0 <= p < 2 and q - p > 1")
+    if not tol > 0.0:
         raise ValidationError("tol: must be positive")
-    M = 512
-    while True:
-        ub = _tail_integral(p, q, M + 0.5)
-        lb = _tail_integral(p, q, M + 1.0) + 0.5 * _power_term(p, q, M + 1.0)
-        half_width = 0.5 * (ub - lb)
-        if half_width <= 0.5 * tol:
-            break
-        if M > 2 ** 34:
-            raise ValidationError(f"series: tol {tol:g} unattainable")
-        M *= 4
-    partial = 0.0
-    chunk = 4 * 10 ** 6
-    for start in range(1, M + 1, chunk):
-        i = np.arange(start, min(start + chunk, M + 1), dtype=np.float64)
-        partial += float(np.sum(_power_term(p, q, i)))
-    return SeriesEstimate(value=partial + 0.5 * (ub + lb), terms=M,
-                          half_width=float(half_width))
+    M, K, eps = SERIES_HEAD, SERIES_ORDER, np.finfo(np.float64).eps
+    i = np.arange(1.0, M)
+    k = np.arange(K + 1.0)
+    binom = np.cumprod(np.concatenate(([1.0], (p - k[:-1]) / k[1:])))
+    s = (q + k) - p
+    terms = np.concatenate(((i + 1.0) ** p / i ** q, binom * zeta(s, M)))
+    value = float(np.sum(terms))
+    log_m = math.log(M)
+    slope = log_m * M ** -s + M ** (1.0 - s) * (log_m / (s - 1.0)
+                                                + 1.0 / (s - 1.0) ** 2)
+    half_width = (2.0 * M ** (1.0 - (q - p) - K) / (M - 1.0)
+                  + SERIES_ROUNDING_ULPS * eps * float(np.sum(np.abs(terms)))
+                  + eps * float(np.sum(np.abs(binom) * s * slope)))
+    if half_width > tol * value:
+        raise ValidationError(
+            f"series: tol {tol:g} unattainable (relative half-width "
+            f"{half_width / value:.3g})")
+    return SeriesEstimate(value=value, terms=M + K, half_width=half_width)
 
 
 def series_S1_detail(a, c, tol=1e-10):
-    """S1 = sum_{i>=1} (i+1)^(a(1-c)) / i^2 with error <= tol; needs
+    """S1 = sum_{i>=1} (i+1)^(a(1-c)) / i^2 to relative error tol; needs
     a(1-c) < 1 for convergence."""
     if not (0.0 < a and 0.0 <= c < 1.0):
         raise ValidationError("series_S1: need a > 0 and 0 <= c < 1")
@@ -240,7 +228,8 @@ def series_S1_detail(a, c, tol=1e-10):
 
 
 def series_S2_detail(a, c, sigma, tol=1e-10):
-    """S2 = 4 a^2 sigma^2 sum_{i>=1} (i+1)^(2a(1-c)) / i^4, error <= tol."""
+    """S2 = 4 a^2 sigma^2 sum_{i>=1} (i+1)^(2a(1-c)) / i^4 to relative
+    error tol."""
     if not (0.0 < a < 1.0 and 0.0 <= c < 1.0):
         raise ValidationError("series_S2: need 0 < a < 1 and 0 <= c < 1")
     if not (np.isfinite(sigma) and sigma >= 0.0):
@@ -248,7 +237,7 @@ def series_S2_detail(a, c, sigma, tol=1e-10):
     if sigma == 0.0:
         return SeriesEstimate(value=0.0, terms=0, half_width=0.0)
     scale = 4.0 * a * a * sigma * sigma
-    inner = _series_power_sum(2.0 * a * (1.0 - c), 4.0, tol / scale)
+    inner = _series_power_sum(2.0 * a * (1.0 - c), 4.0, tol)
     return SeriesEstimate(value=scale * inner.value, terms=inner.terms,
                           half_width=scale * inner.half_width)
 
@@ -361,13 +350,13 @@ class Certificate:
         return math.sqrt((1.0 + d) / self.K2)
 
 
-def certificate(params, series_tol=1e-10, s1=None, s2=None):
-    """The Certificate of params, its series summed to series_tol unless
+def certificate(params, s1=None, s2=None):
+    """The Certificate of params, its series summed in closed form unless
     their values are passed in."""
     if s1 is None:
-        s1 = series_S1_detail(params.a, params.c, series_tol).value
+        s1 = series_S1_detail(params.a, params.c).value
     if s2 is None:
-        s2 = series_S2_detail(params.a, params.c, params.sigma, series_tol).value
+        s2 = series_S2_detail(params.a, params.c, params.sigma).value
     if s2 < 0.0:
         raise ValidationError("certificate: S2 must be >= 0")
     lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)

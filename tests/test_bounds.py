@@ -193,11 +193,21 @@ def brute_series(p, q, terms=10**6):
 
 
 def test_series_S1_matches_quadrature_oracle():
-    for a, c in ((0.5, 0.65), (0.9, 0.0), (0.1, 0.9)):
+    # a(1-c) = 0.99 and 0.999 are the slowly converging regime, where
+    # zeta(q-p, M) sits near its pole at 1
+    for a, c in ((0.5, 0.65), (0.9, 0.0), (0.1, 0.9), (0.99, 0.0),
+                 (0.999, 0.0)):
         lo, hi = brute_series(a * (1 - c), 2.0)
         est = series_S1_detail(a, c, 1e-10)
         assert lo - 1e-9 <= est.value <= hi + 1e-9
         assert est.half_width <= 0.5 * 1e-10 * max(1.0, est.value) * 1.0001
+
+
+def test_series_unattainable_tol_raises():
+    with pytest.raises(ValidationError):
+        series_S1_detail(0.5, 0.3, 1e-20)
+    with pytest.raises(ValidationError):
+        series_S2_detail(0.5, 0.3, 1.0, 1e-20)
 
 
 def test_series_S2_matches_quadrature_oracle():
@@ -399,7 +409,7 @@ def test_canonical_eps0_formula():
 def test_tail_bound_randomized_sanity(a, c, sigma, n, eps):
     p = BoundParams(N=0.5, a=a, c=c, sigma=sigma, L=max(sigma, 0.1),
                     mean_norm_bound=sigma, rho=0.5 * 2 * a * (1 - c))
-    rep = certificate(p, series_tol=1e-8).report(n, eps)
+    rep = certificate(p).report(n, eps)
     assert 0.0 <= rep.clipped_bound <= 1.0
     assert rep.raw_bound >= 0.0
     assert rep.tail_exponent > 0.0

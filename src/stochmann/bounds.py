@@ -352,11 +352,17 @@ class Certificate:
 
 def certificate(params, s1=None, s2=None):
     """The Certificate of params, its series summed in closed form unless
-    their values are passed in."""
+    their values are passed in.
+
+    K1 rises with S1 and K2 falls with S2, so a summed series enters at
+    the upper end of its bracket, value + half_width.
+    """
     if s1 is None:
-        s1 = series_S1_detail(params.a, params.c).value
+        est = series_S1_detail(params.a, params.c)
+        s1 = est.value + est.half_width
     if s2 is None:
-        s2 = series_S2_detail(params.a, params.c, params.sigma).value
+        est = series_S2_detail(params.a, params.c, params.sigma)
+        s2 = est.value + est.half_width
     if s2 < 0.0:
         raise ValidationError("certificate: S2 must be >= 0")
     lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)

@@ -247,18 +247,23 @@ def test_series_rejects_divergent_exponent():
 
 # --- constants and the tail bound -------------------------------------------
 
+def upper(est):
+    """The upper end of a series bracket, which certificates use."""
+    return est.value + est.half_width
+
+
 def test_log_K1_plug_in():
     p = params(N=0.7, a=0.9, c=0.0, mnb=0.1)
     cert = certificate(p)
-    assert cert.S1 == series_S1_detail(p.a, p.c).value
+    assert cert.S1 == upper(series_S1_detail(p.a, p.c))
     expected = 2.0 * (0.7**2 + (0.9 * cert.S1 * 0.1) ** 2)
     assert np.isclose(cert.log_K1, expected, rtol=1e-14)
 
 
 def test_constants_K_plug_in():
     p = params(N=0.7, a=0.9, c=0.0, sigma=0.1, mnb=0.1)
-    s1 = series_S1_detail(p.a, p.c).value
-    s2 = series_S2_detail(p.a, p.c, p.sigma).value
+    s1 = upper(series_S1_detail(p.a, p.c))
+    s2 = upper(series_S2_detail(p.a, p.c, p.sigma))
     cert = certificate(p)
     K1, K2 = cert.K1, cert.K2
     assert cert.S1 == s1 and cert.S2 == s2
@@ -282,8 +287,8 @@ def test_tail_bound_plug_in_arithmetic():
                sigma=4.0, L=4.0, mnb=1.5957691216057308,
                rho=0.5 * 2 * 0.5 * (1 - 0.649519052838329))
     rep = tail_bound(1000, 0.1, p)
-    s1 = series_S1_detail(p.a, p.c).value
-    s2 = series_S2_detail(p.a, p.c, p.sigma).value
+    s1 = upper(series_S1_detail(p.a, p.c))
+    s2 = upper(series_S2_detail(p.a, p.c, p.sigma))
     lk1 = 2.0 * (p.N**2 + (p.a * s1 * p.mean_norm_bound) ** 2)
     k2 = min(1.0, 1.0 / (16.0 * s2))
     gamma = 2 * p.a * (1 - p.c) - p.rho

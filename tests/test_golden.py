@@ -41,7 +41,7 @@ NORMALS_SHA256 = ("46d722affed97f887094ffea3797a303"
 GOLDEN = {
     "reference.json": {
         "bound_n1000_seed20240814_cfg721e95457faf.json":
-            "8c5857c066b9612b1cacebced126a49ab6fe09806bd7f1d384028c5f35a8958c",
+            "1be014f66ee20d791c210a818cd9b4ce9292a314ce3aa57fa09fa114de89cbeb",
         "iterate_seed20240814_cfg721e95457faf.csv":
             "87cd7e75643a9377b51cefeee0a484ead4d38d0d9612080dbe413eac17741ee8",
         "iterate_seed20240814_cfg721e95457faf.json":
@@ -53,7 +53,7 @@ GOLDEN = {
     },
     "confidence_demo.json": {
         "bound_n1000_seed7_cfg00eb6ec81404.json":
-            "41b758f0a086d4aa5ef0bece6acca3bef4c147905f713e8bc5ea139d96e9842f",
+            "a76b00dd3c262fe6513250431ecb3fa86d6e799f6293462767d56454af8d378a",
         "confidence_seed7_cfg00eb6ec81404.json":
             "d359d3c6b13cc2a30a27a8cc5c9ef28efa46993ddbfff31cbf431dc154133587",
         "iterate_seed7_cfg00eb6ec81404.csv":

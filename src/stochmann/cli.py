@@ -64,10 +64,7 @@ def _apply_overrides(settings, args):
     return settings
 
 
-def cmd_iterate(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    settings = _apply_overrides(experiment_settings(cfg), args)
+def cmd_iterate(args, cfg, digest, settings):
     scheme = build_scheme(cfg)
     d = dimension(scheme.map_spec)
     x_star = reference_fixed_point(scheme.map_spec)
@@ -110,10 +107,7 @@ def cmd_iterate(args):
     return 0
 
 
-def cmd_bound(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    settings = _apply_overrides(experiment_settings(cfg), args)
+def cmd_bound(args, cfg, digest, settings):
     params = build_bound_params(cfg)
     report = certificate(params).report(args.n, args.eps)
     payload = {
@@ -132,18 +126,13 @@ def cmd_bound(args):
     return 0
 
 
-def cmd_confidence(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    settings = _apply_overrides(experiment_settings(cfg), args)
+def cmd_confidence(args, cfg, digest, settings):
     params = build_bound_params(cfg)
     eps = args.eps if args.eps is not None else (
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
         raise ValidationError("confidence: provide --eps or experiment.eps_grid")
     alpha = args.alpha if args.alpha is not None else settings["alpha"]
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError("confidence: alpha must lie in (0, 1)")
     cert = certificate(params)
     n_alpha = cert.min_iterations(eps, alpha, settings["n_cap"])
     if n_alpha is None:
@@ -188,10 +177,7 @@ def cmd_confidence(args):
     return 0
 
 
-def cmd_montecarlo(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    settings = _apply_overrides(experiment_settings(cfg), args)
+def cmd_montecarlo(args, cfg, digest, settings):
     scheme = build_scheme(cfg)
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
@@ -233,10 +219,7 @@ def cmd_montecarlo(args):
     return 0
 
 
-def cmd_cramer_check(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    settings = _apply_overrides(experiment_settings(cfg), args)
+def cmd_cramer_check(args, cfg, digest, settings):
     map_spec = build_map(cfg)
     d = dimension(map_spec)
     model = build_noise(cfg, d)
@@ -327,7 +310,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        settings = _apply_overrides(experiment_settings(cfg), args)
+        return args.func(args, cfg, config_hash(cfg), settings)
     except InfeasibleExperimentError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -324,7 +324,9 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
 
     N defaults to the initial error against the reference fixed point, c to
     the analytic contraction constant, the moment parameters to the noise
-    family's certified values, and rho to rho_scale times 2a(1-c).
+    family's certified values, and rho to rho_scale times 2a(1-c).  The
+    one-norm at d >= 2 has no certified moment defaults, so there nonzero
+    noise needs sigma, L and mean_norm_bound given.
     """
     if map_spec is None:
         map_spec = build_map(cfg)
@@ -333,6 +335,14 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     a = float(cfg["scheme"].get("a", 0.5))
     c = float(bd["c"]) if "c" in bd else contraction_constant(map_spec, norm_kind)
     model = build_noise(cfg, dimension(map_spec))
+    if norm_kind == "one" and model is not None and model.family != "zero" \
+            and model.dim >= 2:
+        # default_cramer_params certifies the Euclidean and max norms only
+        for key in ("sigma", "L", "mean_norm_bound"):
+            if key not in cfg["noise"] and key not in bd:
+                raise ValidationError(
+                    f"noise.{key}: the one-norm at d = {model.dim} has no "
+                    "certified default; set it under noise or bounds")
     sigma = model.sigma if model is not None else 0.0
     L = model.L if model is not None else 1.0
     mnb = model.mean_norm_bound if model is not None else 0.0

@@ -122,6 +122,50 @@ def test_confidence_run_cap_exits_4(tmp_path, capsys):
     assert "run cap" in capsys.readouterr().err
 
 
+def test_confidence_alpha_outside_unit_interval_exits_2(tmp_path, capsys):
+    cfg_path = write(tmp_path, DEMO)
+    assert main(["confidence", "--config", cfg_path, "--eps", "0.1",
+                 "--alpha", "1.5"]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_one_norm_without_moment_overrides_exits_2(tmp_path, capsys):
+    # the shipped defaults undercut E||xi||_1 at d = 2: for Gaussian scale 1
+    # mean_norm_bound would be sqrt(2) = 1.414 < 2 sqrt(2/pi) = 1.596
+    base = {"map": {"family": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                    "offset": [0.1, 0.2]},
+            "norm": "one",
+            "scheme": {"kind": "stochastic_mann", "x0": [0.0, 0.0],
+                       "a": 0.5, "horizon": 20, "seed": 1},
+            "experiment": {"checkpoints": [10], "eps_grid": [0.5],
+                           "replicas": 10},
+            "base_seed": 3}
+    commands = (["bound", "--n", "10", "--eps", "0.5"],
+                ["confidence", "--out", str(tmp_path / "o")],
+                ["montecarlo", "--out", str(tmp_path / "o")])
+    for noise in ({"family": "gaussian", "scale": 1.0},
+                  {"family": "bounded_uniform", "half_width": 1.0}):
+        cfg_path = write(tmp_path, dict(base, noise=noise))
+        for argv in commands:
+            assert main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
+            assert "noise.sigma" in capsys.readouterr().err
+        assert main(["iterate", "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 0
+        given = dict(base, noise=dict(noise, sigma=3.0, L=3.0),
+                     bounds={"mean_norm_bound": 2.0})
+        assert main(["bound", "--config", write(tmp_path, given),
+                     "--n", "10", "--eps", "0.5"]) == 0
+    capsys.readouterr()
+    missing_mnb = dict(base, noise={"family": "gaussian", "scale": 1.0,
+                                    "sigma": 3.0, "L": 3.0})
+    assert main(["bound", "--config", write(tmp_path, missing_mnb),
+                 "--n", "10", "--eps", "0.5"]) == 2
+    assert "noise.mean_norm_bound" in capsys.readouterr().err
+    zero = dict(base, noise={"family": "zero"})
+    assert main(["bound", "--config", write(tmp_path, zero),
+                 "--n", "10", "--eps", "0.5"]) == 0
+
+
 def test_montecarlo_pass_and_byte_identical_outputs(tmp_path):
     cfg_path = write(tmp_path, REFERENCE)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -15,6 +15,10 @@ other:
 
     tail_exponent = 2 a (1-c) - rho   drives the per-n tail probability
     rate_exponent =   a (1-c) - rho   drives the almost-sure rate envelope
+
+The series S1 and S2 behind the constants K1 and K2 are summed in closed
+form, a short head plus Hurwitz zeta terms, with a certified half-width;
+a Certificate takes the upper end of each bracket.
 """
 
 from __future__ import annotations
@@ -175,22 +179,21 @@ class SeriesEstimate:
 # with the binomial series cut after k = SERIES_ORDER.
 SERIES_HEAD = 32
 SERIES_ORDER = 12
-# Ulps of the terms' summed magnitudes allowed for rounding in the powers,
-# the binomial products, zeta and the summation.
-SERIES_ROUNDING_ULPS = 64
 
 
 def _series_power_sum(p, q, tol):
     """sum_{i>=1} (i+1)^p / i^q with certified relative error <= tol.
 
-    half_width adds three bounds. Truncation: for 0 <= p < 2,
-    |C(p,k)| <= 2/k <= 1 for k >= 2, and zeta(s, M) <= 2 M^(1-s) for
-    s >= 2, so the terms past k = K sum to at most 2 M^(1-(q-p)-K)/(M-1).
-    Rounding: SERIES_ROUNDING_ULPS ulps of the terms' magnitudes.
-    Arguments: q-p+k is rounded by at most one ulp, which moves zeta by at
-    most that times the bound on its slope in s,
-    sum_{i>=M} ln(i) i^-s <= ln(M) M^-s + M^(1-s) (ln M/(s-1) + 1/(s-1)^2);
-    near s = 1 this term dominates (1.1e-10 at p = 0.999, q = 2).
+    half_width adds three bounds:
+      truncation: for 0 <= p < 2, |C(p,k)| <= 2/k <= 1 for k >= 2, and
+        zeta(s, M) <= 2 M^(1-s) for s >= 2, so the terms past k = K sum to
+        at most 2 M^(1-(q-p)-K) / (M-1);
+      rounding: 64 ulps of the terms' magnitudes, for the powers, the
+        binomial products, zeta and the summation;
+      arguments: q-p+k is rounded by half an ulp, which moves zeta by at
+        most an ulp times its slope in s, itself at most
+        ln(M) M^-s + M^(1-s) (ln M/(s-1) + 1/(s-1)^2).  Near s = 1 this
+        bound dominates (2.2e-10 at p = 0.999, q = 2).
     """
     if not (0.0 <= p < 2.0 and q - p > 1.0):
         raise ValidationError("series: need 0 <= p < 2 and q - p > 1")
@@ -203,16 +206,14 @@ def _series_power_sum(p, q, tol):
     s = (q + k) - p
     terms = np.concatenate(((i + 1.0) ** p / i ** q, binom * zeta(s, M)))
     value = float(np.sum(terms))
-    log_m = math.log(M)
-    slope = log_m * M ** -s + M ** (1.0 - s) * (log_m / (s - 1.0)
-                                                + 1.0 / (s - 1.0) ** 2)
+    slope = math.log(M) * (M ** -s + M ** (1.0 - s) / (s - 1.0)) \
+        + M ** (1.0 - s) / (s - 1.0) ** 2
     half_width = (2.0 * M ** (1.0 - (q - p) - K) / (M - 1.0)
-                  + SERIES_ROUNDING_ULPS * eps * float(np.sum(np.abs(terms)))
+                  + 64.0 * eps * float(np.sum(np.abs(terms)))
                   + eps * float(np.sum(np.abs(binom) * s * slope)))
     if half_width > tol * value:
-        raise ValidationError(
-            f"series: tol {tol:g} unattainable (relative half-width "
-            f"{half_width / value:.3g})")
+        raise ValidationError(f"series: tol {tol:g} unattainable (relative "
+                              f"half-width {half_width / value:.3g})")
     return SeriesEstimate(value=value, terms=M + K, half_width=half_width)
 
 

@@ -206,8 +206,8 @@ def _series_power_sum(p, q, tol):
     s = (q + k) - p
     terms = np.concatenate(((i + 1.0) ** p / i ** q, binom * zeta(s, M)))
     value = float(np.sum(terms))
-    slope = math.log(M) * (M ** -s + M ** (1.0 - s) / (s - 1.0)) \
-        + M ** (1.0 - s) / (s - 1.0) ** 2
+    slope = (math.log(M) * (M ** -s + M ** (1.0 - s) / (s - 1.0))
+             + M ** (1.0 - s) / (s - 1.0) ** 2)
     half_width = (2.0 * M ** (1.0 - (q - p) - K) / (M - 1.0)
                   + 64.0 * eps * float(np.sum(np.abs(terms)))
                   + eps * float(np.sum(np.abs(binom) * s * slope)))

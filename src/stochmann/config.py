@@ -325,8 +325,8 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     N defaults to the initial error against the reference fixed point, c to
     the analytic contraction constant, the moment parameters to the noise
     family's certified values, and rho to rho_scale times 2a(1-c).  The
-    one-norm at d >= 2 has no certified moment defaults, so there nonzero
-    noise needs sigma, L and mean_norm_bound given.
+    one-norm at d >= 2 has no certified moment defaults: with nonzero noise
+    there, sigma, L and mean_norm_bound must all be given.
     """
     if map_spec is None:
         map_spec = build_map(cfg)

@@ -3,8 +3,8 @@
 Every output file of `iterate`, `bound --out`, `confidence` and
 `montecarlo` on the shipped configs is pinned by its sha256, and so are
 fixed Philox-2x64 and normal blocks, the raw iterates of single runs on
-every map family and the raw replica errors of a batch that crosses noise
-tiles.  A change that moves any digest
+every map family and the raw replica errors of a d = 1 and a d = 8 batch
+that cross noise tiles.  A change that moves any digest
 changes output bits; regenerate the digests deliberately, in a commit of
 their own, and log it in CHANGES.md.
 """
@@ -83,6 +83,10 @@ RUN_SHA256 = {
 # sha256 of replica_errors(...) over 200 replicas, horizon 300
 REPLICA_ERRORS_SHA256 = ("1b25117b3c14eebe5b99dfe20f29835a"
                          "a37d7b19898536e7d97f9f4327747ae3")
+# the same for an affine d = 8 batch: numpy's pairwise summation starts at 8
+# elements, so only d >= 8 pins the order of the norm's reduction
+REPLICA_ERRORS_D8_SHA256 = ("ecf6613c7ddf43226070478cddbe8608"
+                            "719250f7c89a52f09030b79c01bc752c")
 
 # `confidence` on reference.json is vacuous at every n under the cap.
 CONFIDENCE_EXIT = {"reference.json": 4, "confidence_demo.json": 0}
@@ -103,6 +107,13 @@ def cli_digests(config, out):
     assert main(["montecarlo", "--config", cfg, "--replicas", "200",
                  "--out", str(out)]) == 0
     return {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def affine_nd(d):
+    """An affine contraction on R^d with no zero or repeated structure."""
+    i, j = np.indices((d, d))
+    return affine(0.3 * np.eye(d) + 0.02 * ((3 * i + 5 * j) % 7 - 3),
+                  np.linspace(-1.0, 1.0, d))
 
 
 def scheme(map_spec, x0, noise, a=0.5, horizon=RUN_HORIZON):
@@ -157,3 +168,13 @@ def test_replica_errors_digest():
     errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
                           replica_seeds(42, 200), (10, 100, 300))
     assert sha256(errs.astype("<f8").tobytes()) == REPLICA_ERRORS_SHA256
+
+
+def test_replica_errors_d8_digest():
+    # 200 replicas at d = 8 draw 10-step tiles: the 300 steps cross 29
+    cfg = scheme(affine_nd(8), np.linspace(2.0, -2.0, 8), gaussian(0.5, dim=8),
+                 horizon=300)
+    assert TILE_ELEMENTS // (200 * 8) < cfg.horizon // 3
+    errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
+                          replica_seeds(42, 200), (10, 100, 300))
+    assert sha256(errs.astype("<f8").tobytes()) == REPLICA_ERRORS_D8_SHA256

@@ -33,6 +33,12 @@ ART_PARAMS = BoundParams(N=0.7, a=0.9, c=0.0, sigma=0.1, L=0.1,
                          mean_norm_bound=0.1, rho=0.9)
 
 
+def affine_nd(d):
+    i, j = np.indices((d, d))
+    return affine(0.3 * np.eye(d) + 0.02 * ((3 * i + 5 * j) % 7 - 3),
+                  np.linspace(-1.0, 1.0, d))
+
+
 def art_cfg(horizon=10**4):
     return SchemeConfig(
         kind="stochastic_mann",
@@ -101,11 +107,16 @@ def test_batched_replicas_equal_serial_runs_bitwise():
                                  x0=np.array([1.0]))
     d1 = dataclasses.replace(art_cfg(horizon=300),
                              map_spec=affine(np.array([[0.3]]), np.array([0.7])))
+    # d >= 8 reaches numpy's pairwise summation in the norm's reduction
+    d8, d9 = (dataclasses.replace(
+        ref, map_spec=affine_nd(d), x0=np.linspace(2.0, -2.0, d),
+        noise=gaussian(scale=0.5, dim=d)) for d in (8, 9))
     # 200 replicas give noise tiles shorter than the horizon, so the batch
     # crosses tile boundaries that the serial runs place elsewhere.
     assert TILE_ELEMENTS // 200 < ref.horizon
     cases = [(ref, 6, range(6)), (ref, 200, (0, 117, 199)), (d2, 6, range(6)),
-             (cosine, 6, range(6)), (d1, 6, range(6)), (ref, 1, (0,))]
+             (cosine, 6, range(6)), (d1, 6, range(6)), (ref, 1, (0,)),
+             (d8, 200, (0, 117, 199)), (d9, 7, range(7))]
     cps = (10, 100, 300)
     for cfg, replicas, rows in cases:
         x_star = reference_fixed_point(cfg.map_spec)

@@ -52,8 +52,13 @@ def as_point(x, dim=None, name="x"):
 
 
 def norm(v, kind="euclidean"):
-    """Norm of v along its last axis. kind in {euclidean, max, one}."""
-    v = np.asarray(v, dtype=np.float64)
+    """Norm of v along its last axis. kind in {euclidean, max, one}.
+
+    v is reduced in C order, so the bits do not depend on its memory
+    layout: numpy sums 8 or more elements pairwise along the contiguous
+    axis, and a Fortran-ordered v would be summed in another order.
+    """
+    v = np.asarray(v, dtype=np.float64, order="C")
     if kind == "euclidean":
         return np.sqrt(np.sum(v * v, axis=-1))
     if kind == "max":

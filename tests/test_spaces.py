@@ -119,6 +119,16 @@ def test_norms_match_numpy():
     assert np.allclose(norm(V, "one"), np.linalg.norm(V, 1, axis=1))
 
 
+@pytest.mark.parametrize("d", [2, 8, 9, 16])
+@pytest.mark.parametrize("kind", ["euclidean", "max", "one"])
+def test_norm_bits_independent_of_memory_layout(d, kind):
+    # (d, R) storage viewed as (R, d), as the batched replica state is held
+    V = np.random.default_rng(d).standard_normal((2000, d))
+    F = np.asfortranarray(V)
+    assert F.strides[0] == 8
+    assert np.array_equal(norm(F, kind), norm(V, kind))
+
+
 finite_vec = arrays(np.float64, st.integers(1, 6),
                     elements=st.floats(-1e8, 1e8, allow_nan=False))
 

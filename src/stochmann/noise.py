@@ -135,9 +135,11 @@ def bounded_uniform(half_width, dim=1, sigma=None, L=None, mean_norm_bound=None)
 
 def sample_block(model, dim, seed, indices, work=None):
     """Draws of shape broadcast(seed, indices) + (dim,); the draw at
-    (seed, index) is bitwise the same in any batch shape.  With a
-    streams.Workspace the result is a view into it, overwritten by the
-    next call with the same workspace."""
+    (seed, index) is bitwise the same in any batch shape.  As with
+    streams.substream_uniforms, the result is a view of a (dim,) + shape
+    array, so the last axis of the broadcast shape is the contiguous one.
+    With a streams.Workspace that array is in it, overwritten by the next
+    call with the same workspace."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
     return sample_keyed(model, derive_key(seed), indices, work)
@@ -149,9 +151,9 @@ def sample_keyed(model, keys, indices, work=None):
     work = Workspace() if work is None else work
     if model.family == "zero":
         shape = np.broadcast_shapes(np.shape(keys), np.shape(indices))
-        xi = work.array("zero", shape + (model.dim,), np.float64)
+        xi = work.array("zero", (model.dim,) + shape, np.float64)
         xi.fill(0.0)
-        return xi
+        return np.moveaxis(xi, 0, -1)
     u = substream_uniforms(keys, indices, model.dim, work)
     if model.family == "gaussian":
         ndtri(u, out=u)

@@ -167,15 +167,18 @@ def advance(cfg, seeds, horizon):
     of step n, None for deterministic schemes.  Both are (R, d) arrays,
     except for one replica on the line (R*d == 1), which is stepped and
     yielded as Python floats: the same step() arithmetic without numpy's
-    per-call overhead, bitwise equal to the array path.  Replica r draws
-    from the substream (seeds[r], n), in (R x T) tiles of about
-    TILE_ELEMENTS values; cfg.seed is ignored.  The tiles reuse buffers
-    that this call allocates once, so an array xi is a view that the next
-    tile overwrites: copy it to keep it.  All arithmetic is elementwise,
-    so row r is bitwise the run under seeds[r] for any R.  A non-finite
-    state raises DivergedError naming the offending replicas.
+    per-call overhead, bitwise equal to the array path.  The arrays are
+    stored replica-innermost, as views of (d, R) memory, so every ufunc
+    pass loops over the replicas; they are not C-contiguous.  Replica r
+    draws from the substream (seeds[r], n), in (T x R) tiles of about
+    TILE_ELEMENTS values, stored (d, T, R); cfg.seed is ignored.  The tiles
+    reuse buffers that this call allocates once, so an array xi is a view
+    that the next tile overwrites: copy it to keep it.  All arithmetic is
+    elementwise, so row r is bitwise the run under seeds[r] for any R and
+    any layout.  A non-finite state raises DivergedError naming the
+    offending replicas.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    seeds = np.asarray(seeds, dtype=np.uint64)
     d = dimension(cfg.map_spec)
     F = map_function(cfg.map_spec)
     kind = cfg.kind
@@ -184,13 +187,15 @@ def advance(cfg, seeds, horizon):
         keys = derive_key(seeds)
         work = Workspace()
     scalar = seeds.shape[0] * d == 1
-    X = float(cfg.x0[0]) if scalar else np.tile(cfg.x0, (seeds.shape[0], 1))
+    X = float(cfg.x0[0]) if scalar else np.repeat(
+        cfg.x0[:, None], seeds.shape[0], axis=1).T
     tile_steps = max(1, TILE_ELEMENTS // (seeds.shape[0] * d))
     for start in range(1, horizon + 1, tile_steps):
         stop = min(start + tile_steps, horizon + 1)
-        if stochastic:
+        if stochastic:  # logically (T, R, d)
             tile = noise_mod.sample_keyed(
-                cfg.noise, keys, np.arange(start, stop, dtype=np.uint64), work)
+                cfg.noise, keys, np.arange(start, stop, dtype=np.uint64)[:, None],
+                work)
         if scalar:
             draws = tile.reshape(-1).tolist() if stochastic else repeat(None)
             for n, xi in zip(range(start, stop), draws):
@@ -201,7 +206,7 @@ def advance(cfg, seeds, horizon):
                 yield n, X, xi
             continue
         for n in range(start, stop):
-            xi = tile[:, n - start] if stochastic else None
+            xi = tile[n - start] if stochastic else None
             X = step(kind, X, n, cfg, xi, F)
             if not np.isfinite(X).all():
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))

@@ -163,7 +163,9 @@ def map_function(m):
     It does no validation: resolve it once, then call it every step.  The
     affine branch accumulates A[:, j] * x[..., j] in fixed column order,
     which keeps batched evaluation bitwise equal to the point-by-point one;
-    at d = 1 it is b0 + a00 * x, the same two operations on a float.
+    at d = 1 it is b0 + a00 * x, the same two operations on a float.  It
+    works on the coordinate-first view of x, so each pass loops over the
+    batch, and its result has x's memory order.
     """
     if m.family == "inverse_quadratic":
         return lambda x: 1.0 / (1.0 + x * x)
@@ -178,10 +180,13 @@ def map_function(m):
         return lambda x: b0 + a00 * x
 
     def affine_map(x):
-        out = b + A[:, 0] * x[..., 0, None]
+        cols = np.moveaxis(x, -1, 0)
+        shape = (d,) + (1,) * (cols.ndim - 1)
+        Ac = A.reshape((d,) + shape)
+        out = b.reshape(shape) + Ac[:, 0] * cols[0]
         for j in range(1, d):
-            out += A[:, j] * x[..., j, None]
-        return out
+            out += Ac[:, j] * cols[j]
+        return np.moveaxis(out, 0, -1)
 
     return affine_map
 

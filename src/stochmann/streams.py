@@ -104,7 +104,7 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
     ~20 of them per round let malloc trim the top of a small heap and
     fault the pages back in, which made batched Monte Carlo runs ~25%
     slower.  Round 1 multiplies c0 on its own shape: a noise tile's block
-    counter is (1, 1, nblocks), the same for every replica and step.
+    counter is (nblocks, 1, 1), the same for every step and replica.
     """
     c0, c1, k = _as_u64(c0), _as_u64(c1), _as_u64(key)
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(k))
@@ -162,13 +162,13 @@ def derive_key(seed, salt=0):
 
 def _u64_to_unit(x0, x1, out):
     """Uniforms on (0, 1), symmetric around 1/2, from the uint64 blocks
-    (x0, x1), interleaved x0, x1, x0, ... along out's last axis.  That axis
+    (x0, x1), interleaved x0, x1, x0, ... along out's first axis.  That axis
     may be one shorter than two per block, so the last x1 is not converted.
     x0 and x1 are overwritten."""
-    odd = out.shape[-1] // 2
-    for x, cols in ((x0, out[..., 0::2]), (x1[..., :odd], out[..., 1::2])):
+    odd = out.shape[0] // 2
+    for x, rows in ((x0, out[0::2]), (x1[:odd], out[1::2])):
         np.right_shift(x, np.uint64(11), out=x)
-        cols[...] = x
+        rows[...] = x
     np.add(out, 0.5, out=out)
     np.multiply(out, 2.0**-53, out=out)
 
@@ -179,8 +179,11 @@ def substream_uniforms(key, index, count, work=None):
     key and index may be scalars or arrays (they broadcast); the result has
     the broadcast shape plus a trailing axis of length ``count``.  Entry j
     depends only on (key, index, j): the counter word c1 carries the index,
-    c0 enumerates output blocks of two.  With a Workspace the result is a
-    view into it, overwritten by the next call with the same workspace.
+    c0 enumerates output blocks of two.  The result is a view of a
+    (count,) + shape array, not C-contiguous: the last axis of the broadcast
+    shape is the contiguous one, so it is the inner loop of every pass.
+    With a Workspace that array is in it, overwritten by the next call with
+    the same workspace.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -188,12 +191,12 @@ def substream_uniforms(key, index, count, work=None):
     index = np.asarray(_as_u64(index))
     shape = np.broadcast_shapes(key.shape, index.shape)
     nblocks = (count + 1) // 2
-    c0 = np.arange(nblocks, dtype=np.uint64).reshape((1,) * len(shape) + (nblocks,))
+    c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
     work = Workspace() if work is None else work
-    x0, x1 = philox2x64(c0, index[..., None], key[..., None], work=work)
-    out = work.array("unit", shape + (count,), np.float64)
+    x0, x1 = philox2x64(c0, index, key, work=work)
+    out = work.array("unit", (count,) + shape, np.float64)
     _u64_to_unit(x0, x1, out)
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def substream_normals(key, index, count):

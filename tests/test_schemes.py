@@ -193,3 +193,21 @@ def test_interleaved_generators_keep_their_own_tiles():
             for (n, X, xi), (m, Y, eta) in zip(pair[k::2], alone[k]):
                 assert n == m
                 assert np.array_equal(X, Y) and np.array_equal(xi, eta)
+
+
+def test_advance_keeps_replicas_innermost():
+    # a (R, d) state stored (d, R) makes every ufunc pass loop over the R
+    # replicas; stored (R, d), the inner loops are d = 8 elements long
+    d, R = 8, 2000
+    i, j = np.indices((d, d))
+    cfg = SchemeConfig(
+        kind="stochastic_mann",
+        map_spec=affine(0.3 * np.eye(d) + 0.02 * ((3 * i + 5 * j) % 7 - 3),
+                        np.linspace(-1.0, 1.0, d)),
+        x0=np.zeros(d), noise=gaussian(0.5, dim=d), horizon=5)
+    assert TILE_ELEMENTS // (R * d) < cfg.horizon
+    steps = list(advance(cfg, np.arange(R), cfg.horizon))
+    assert len(steps) == cfg.horizon
+    for n, X, xi in steps:
+        assert X.shape == xi.shape == (R, d)
+        assert X.strides[0] == xi.strides[0] == 8, n

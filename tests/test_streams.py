@@ -128,27 +128,34 @@ def test_derive_key_vector_matches_scalar():
 
 
 def test_philox_on_tile_shapes_matches_reference_with_and_without_workspace():
-    # a noise tile's counter layout: c0 (1, 1, nb), c1 (1, T, 1), key (R, 1, 1)
+    # a noise tile's counters: c0 (nb, 1, 1), c1 (T, 1), key (R,); also the
+    # replica-outermost layout c0 (1, 1, nb), c1 (1, T, 1), key (R, 1, 1)
     rng = np.random.default_rng(5)
     work = Workspace()
     for R, T, nb in ((3, 4, 2), (2, 3, 1), (4, 5, 3)):
-        c0 = np.arange(nb, dtype=np.uint64).reshape(1, 1, nb) + np.uint64(MASK - 1)
-        c1 = rng.integers(0, MASK, (1, T, 1), dtype=np.uint64, endpoint=True)
-        key = rng.integers(0, MASK, (R, 1, 1), dtype=np.uint64, endpoint=True)
-        for rounds in (0, 1, 2, 10):
-            expected = np.array(
-                [[[ref_philox(int(c0[0, 0, b]), int(c1[0, t, 0]),
-                              int(key[r, 0, 0]), rounds)
-                   for b in range(nb)] for t in range(T)] for r in range(R)],
-                dtype=np.uint64)
-            for w in (None, work):
-                x0, x1 = philox2x64(c0, c1, key, rounds=rounds, work=w)
-                assert x0.shape == x1.shape == (R, T, nb)
-                assert np.array_equal(x0, expected[..., 0])
-                assert np.array_equal(x1, expected[..., 1])
-        x0, x1 = philox2x64(c0, c1, key, rounds=0)
-        assert np.array_equal(x0, np.broadcast_to(c0, (R, T, nb)))
-        assert np.array_equal(x1, np.broadcast_to(c1, (R, T, nb)))
+        blocks = np.arange(nb, dtype=np.uint64) + np.uint64(MASK - 1)
+        steps = rng.integers(0, MASK, T, dtype=np.uint64, endpoint=True)
+        keys = rng.integers(0, MASK, R, dtype=np.uint64, endpoint=True)
+        expected = np.array(
+            [[[[ref_philox(int(blocks[b]), int(steps[t]), int(keys[r]), rounds)
+                for r in range(R)] for t in range(T)] for b in range(nb)]
+             for rounds in (0, 1, 2, 10)], dtype=np.uint64)
+        layouts = (((nb, 1, 1), (T, 1), (R,), (0, 1, 2)),
+                   ((1, 1, nb), (1, T, 1), (R, 1, 1), (2, 1, 0)))
+        for c0_shape, c1_shape, key_shape, axes in layouts:
+            c0, c1, key = (v.reshape(shape) for v, shape in (
+                (blocks, c0_shape), (steps, c1_shape), (keys, key_shape)))
+            shape = np.broadcast_shapes(c0_shape, c1_shape, key_shape)
+            for k, rounds in enumerate((0, 1, 2, 10)):
+                want = expected[k].transpose(axes + (3,))
+                for w in (None, work):
+                    x0, x1 = philox2x64(c0, c1, key, rounds=rounds, work=w)
+                    assert x0.shape == x1.shape == shape
+                    assert np.array_equal(x0, want[..., 0])
+                    assert np.array_equal(x1, want[..., 1])
+            x0, x1 = philox2x64(c0, c1, key, rounds=0)
+            assert np.array_equal(x0, np.broadcast_to(c0, shape))
+            assert np.array_equal(x1, np.broadcast_to(c1, shape))
 
 
 def test_uniforms_same_bits_with_workspace_and_short_last_tile():

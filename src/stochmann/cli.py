@@ -230,7 +230,8 @@ def cmd_cramer_check(args, cfg, digest, settings):
                           norm_kind=cfg.get("norm", "euclidean"))
     print(f"family={report.family} dim={report.dim} draws={report.draws} "
           f"sigma={report.sigma:.6g} L={report.L:.6g}")
-    for label, rows in (("raw", report.raw), ("centered", report.centered)):
+    for label, rows in (("mean", (report.mean,)), ("raw", report.raw),
+                        ("centered", report.centered)):
         for row in rows:
             mark = "ok" if row.ok else "FLAG"
             print(f"  {label:8s} m={row.m:2d} empirical={row.empirical:.6e} "
@@ -248,6 +249,7 @@ def cmd_cramer_check(args, cfg, digest, settings):
             "sigma": report.sigma,
             "L": report.L,
             "certified": report.certified,
+            "mean": dataclasses.asdict(report.mean),
             "raw": [dataclasses.asdict(r) for r in report.raw],
             "centered": [dataclasses.asdict(r) for r in report.centered],
             "ok": report.ok,

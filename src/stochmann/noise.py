@@ -188,8 +188,9 @@ class MomentRow:
 class CramerReport:
     """Empirical audit of the moment certificates.
 
-    raw rows check E||xi||^m against (m!/2) sigma^2 L^(m-2); centered rows
-    check the recentred variable zeta = ||xi|| - E||xi|| against
+    The mean row (m = 1) checks E||xi|| against mean_norm_bound; raw rows
+    check E||xi||^m against (m!/2) sigma^2 L^(m-2); centered rows check the
+    recentred variable zeta = ||xi|| - E||xi|| against
     2 m! sigma^2 (2L)^(m-2).  A row fails only when the empirical moment
     exceeds its bound by more than three standard errors.
     """
@@ -200,12 +201,15 @@ class CramerReport:
     sigma: float
     L: float
     certified: bool
+    mean: MomentRow
     raw: tuple
     centered: tuple
 
     @property
     def flags(self):
         out = []
+        if not self.mean.ok:
+            out.append(f"mean norm: {self.mean.empirical:.6g} > {self.mean.bound:.6g}")
         for row in self.raw:
             if not row.ok:
                 out.append(f"raw moment m={row.m}: {row.empirical:.6g} > {row.bound:.6g}")
@@ -234,7 +238,11 @@ def cramer_check(model, dim=None, m_max=10, draws=10**5, seed=0, norm_kind="eucl
         raise ValidationError("draws: must be >= 2")
     xi = sample_block(model, dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
-    zeta = norms - norms.mean()
+    mean = float(norms.mean())
+    mean_se = float(norms.std() / math.sqrt(draws))
+    mean_row = MomentRow(1, mean, model.mean_norm_bound, mean_se,
+                         mean <= model.mean_norm_bound + 3.0 * mean_se)
+    zeta = norms - mean
     raw_rows, centered_rows = [], []
     for m in range(2, m_max + 1):
         fact = math.factorial(m)
@@ -250,4 +258,5 @@ def cramer_check(model, dim=None, m_max=10, draws=10**5, seed=0, norm_kind="eucl
         centered_rows.append(MomentRow(m, cemp, cbound, cse, cemp <= cbound + 3.0 * cse))
     return CramerReport(family=model.family, dim=dim, draws=draws,
                         sigma=model.sigma, L=model.L, certified=model.certified,
-                        raw=tuple(raw_rows), centered=tuple(centered_rows))
+                        mean=mean_row, raw=tuple(raw_rows),
+                        centered=tuple(centered_rows))

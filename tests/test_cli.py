@@ -229,6 +229,25 @@ def test_cramer_check_pass_and_flag(tmp_path, capsys):
     assert "flagged" in capsys.readouterr().err
 
 
+def test_cramer_check_audits_the_mean_norm_bound(tmp_path, capsys):
+    # E|xi| = 0.798 for N(0, 1): a declared mean norm bound of 0.5 is refuted
+    low = json.loads(json.dumps(REFERENCE))
+    low["noise"] = {"family": "gaussian", "scale": 1.0, "mean_norm_bound": 0.5}
+    out = tmp_path / "o"
+    assert main(["cramer-check", "--config", write(tmp_path, low),
+                 "--draws", "5000", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "mean     m= 1" in captured.out and "flagged" in captured.err
+    (path,) = out.iterdir()
+    payload = json.loads(path.read_text())
+    assert payload["mean"]["bound"] == 0.5 and not payload["mean"]["ok"]
+    assert not payload["ok"]
+    # the shipped defaults pass the mean row at the default draw count
+    for config in ("reference.json", "confidence_demo.json"):
+        assert main(["cramer-check", "--config", str(CONFIGS / config),
+                     "--out", str(tmp_path / config)]) == 0, config
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [({"typo": 1}, "typo")]
     # zero noise has no moment parameters to override

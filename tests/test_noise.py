@@ -134,9 +134,21 @@ def test_cramer_check_flags_dishonest_parameters():
     assert any(not row.ok for row in report.raw)
 
 
+def test_cramer_check_flags_a_mean_norm_bound_below_the_mean():
+    # E|xi| = sqrt(2/pi) = 0.798 for N(0, 1); only the mean row can see it
+    model = gaussian(scale=1.0, mean_norm_bound=0.5)
+    report = cramer_check(model, m_max=6, draws=2 * 10**4, seed=4)
+    assert not report.mean.ok and report.mean.m == 1
+    assert abs(report.mean.empirical - math.sqrt(2.0 / math.pi)) \
+        < 5.0 * report.mean.stderr
+    assert all(row.ok for row in report.raw + report.centered)
+    assert report.flags == [f"mean norm: {report.mean.empirical:.6g} > 0.5"]
+
+
 def test_cramer_report_rows_have_expected_bounds():
     model = bounded_uniform(half_width=0.5)
     report = cramer_check(model, m_max=5, draws=5000, seed=0)
+    assert report.mean.bound == model.mean_norm_bound
     for row in report.raw:
         expected = 0.5 * math.factorial(row.m) * model.sigma**2 \
             * model.L ** (row.m - 2)

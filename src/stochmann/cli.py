@@ -211,6 +211,9 @@ def cmd_montecarlo(args, cfg, digest, settings):
     print(f"{len(cells)} cells, {vacuous} vacuous, {len(failures)} dominance "
           f"failures")
     print(f"wrote {csv_path}")
+    if vacuous == len(cells):
+        print(f"warning: all {vacuous} cells are vacuous (bound clipped to 1), "
+              "so the dominance check could not fail", file=sys.stderr)
     if failures:
         worst = failures[0]
         raise DominanceError(

@@ -196,6 +196,23 @@ def test_montecarlo_seed_and_replicas_flags(tmp_path):
     assert json.loads(named[0].read_text())["replicas"] == 20
 
 
+def test_montecarlo_warns_when_every_cell_is_vacuous(tmp_path, capsys):
+    # honest constants clip every REFERENCE cell to 1: the gate cannot fail
+    assert main(["montecarlo", "--config", write(tmp_path, REFERENCE),
+                 "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: all 6 cells are vacuous (bound clipped to 1), "
+                   "so the dominance check could not fail\n")
+    # at n = 5000 the DEMO bound is informative, so no warning
+    informative = dict(DEMO, scheme=dict(DEMO["scheme"], horizon=5000),
+                       experiment={"checkpoints": [100, 5000],
+                                   "eps_grid": [0.1], "replicas": 50})
+    assert main(["montecarlo", "--config", write(tmp_path, informative, "d.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert "1 vacuous" in captured.out and captured.err == ""
+
+
 def test_montecarlo_dominance_failure_exits_3(tmp_path, capsys):
     # claimed moment parameters far below the real noise force a refutation
     cfg = {

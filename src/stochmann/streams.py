@@ -50,7 +50,10 @@ class Workspace:
     tile (schemes.advance) creates one and passes it to every call, so the
     tiles allocate no tile-sized array; each call overwrites what the
     previous one returned.  Create one per caller: two interleaved callers
-    sharing one would overwrite each other's draws.
+    sharing one would overwrite each other's draws.  The buffers are
+    C-contiguous, but substream_uniforms stores its (count,) + shape array
+    in one and returns it with the count axis moved last, so the draws a
+    tile hands back are strided views, contiguous along the replicas.
     """
 
     def __init__(self):

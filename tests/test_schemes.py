@@ -199,11 +199,8 @@ def test_advance_keeps_replicas_innermost():
     # a (R, d) state stored (d, R) makes every ufunc pass loop over the R
     # replicas; stored (R, d), the inner loops are d = 8 elements long
     d, R = 8, 2000
-    i, j = np.indices((d, d))
     cfg = SchemeConfig(
-        kind="stochastic_mann",
-        map_spec=affine(0.3 * np.eye(d) + 0.02 * ((3 * i + 5 * j) % 7 - 3),
-                        np.linspace(-1.0, 1.0, d)),
+        kind="stochastic_mann", map_spec=affine(0.5 * np.eye(d), np.ones(d)),
         x0=np.zeros(d), noise=gaussian(0.5, dim=d), horizon=5)
     assert TILE_ELEMENTS // (R * d) < cfg.horizon
     steps = list(advance(cfg, np.arange(R), cfg.horizon))

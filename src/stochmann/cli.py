@@ -228,6 +228,12 @@ def cmd_cramer_check(args, cfg, digest, settings):
     model = build_noise(cfg, d)
     if model is None:
         raise ValidationError("cramer-check: config has no noise block")
+    # audit the constants the certificate uses: build_bound_params takes
+    # these bounds overrides over the noise model's
+    bd = cfg.get("bounds", {})
+    over = {k: float(bd[k]) for k in ("sigma", "L", "mean_norm_bound") if k in bd}
+    if over:
+        model = dataclasses.replace(model, certified=False, **over)
     report = cramer_check(model, dim=d, m_max=args.m_max, draws=args.draws,
                           seed=settings["base_seed"],
                           norm_kind=cfg.get("norm", "euclidean"))

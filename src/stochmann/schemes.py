@@ -131,6 +131,33 @@ class Trajectory:
         return self.iterates.shape[0]
 
 
+def _update(kind, cfg, F):
+    """The update rule of kind as a function (x, n, xi) -> x_{n+1}, with
+    cfg's gains and the map F bound once; the one copy of each rule."""
+    a, g = cfg.steps.a, cfg.ishikawa_b
+    if kind == "picard":
+        return lambda x, n, xi: F(x)
+    if kind == "krasnoselskii":
+        return lambda x, n, xi: 0.5 * (F(x) + x)
+    if kind == "mann":
+        def mann(x, n, xi):
+            a_n = a / n
+            return (1.0 - a_n) * x + a_n * F(x)
+        return mann
+    if kind == "stochastic_mann":
+        def stochastic_mann(x, n, xi):
+            a_n = a / n
+            return (1.0 - a_n) * x + a_n * F(x) + a / (n * n) * xi
+        return stochastic_mann
+    if kind == "ishikawa":
+        def ishikawa(x, n, xi):
+            b_n = g / (n + 1)
+            y = (1.0 - b_n) * x + b_n * F(x)
+            return (1.0 - a) * x + a * F(y)
+        return ishikawa
+    raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
+
+
 def step(kind, x, n, cfg, noise_draw=None, F=None):
     """One update x_{n+1} from x_n = x at 1-based step index n.
 
@@ -139,25 +166,11 @@ def step(kind, x, n, cfg, noise_draw=None, F=None):
     F is the map as spaces.map_function returns it; without it, each
     evaluation goes through the validating eval_map.
     """
+    if n < 1:
+        raise ValidationError("n: step index is 1-based")
     if F is None:
         F = partial(eval_map, cfg.map_spec)
-    fx = F(x)
-    if kind == "picard":
-        return fx
-    if kind == "krasnoselskii":
-        return 0.5 * (fx + x)
-    if kind == "mann":
-        a_n, _ = step_sizes(cfg.steps, n)
-        return (1.0 - a_n) * x + a_n * fx
-    if kind == "stochastic_mann":
-        a_n, b_n = step_sizes(cfg.steps, n)
-        return (1.0 - a_n) * x + a_n * fx + b_n * noise_draw
-    if kind == "ishikawa":
-        b_n = cfg.ishikawa_b / (n + 1)
-        a_n = cfg.steps.a
-        y = (1.0 - b_n) * x + b_n * fx
-        return (1.0 - a_n) * x + a_n * F(y)
-    raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
+    return _update(kind, cfg, F)(x, n, noise_draw)
 
 
 def advance(cfg, seeds, horizon):
@@ -166,8 +179,9 @@ def advance(cfg, seeds, horizon):
     Yields (n, X, xi) after step n: X is the state x_{n+1} and xi the noise
     of step n, None for deterministic schemes.  Both are (R, d) arrays,
     except for one replica on the line (R*d == 1), which is stepped and
-    yielded as Python floats: the same step() arithmetic without numpy's
-    per-call overhead, bitwise equal to the array path.  The arrays are
+    yielded as Python floats: the same arithmetic without numpy's per-call
+    overhead, bitwise equal to the array path.  Both bodies call the update
+    rule that step() uses, resolved once per call.  The arrays are
     stored replica-innermost, as views of (d, R) memory, so every ufunc
     pass loops over the replicas; they are not C-contiguous.  Replica r
     draws from the substream (seeds[r], n), in (T x R) tiles of about
@@ -180,9 +194,8 @@ def advance(cfg, seeds, horizon):
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     d = dimension(cfg.map_spec)
-    F = map_function(cfg.map_spec)
-    kind = cfg.kind
-    stochastic = kind == "stochastic_mann"
+    update = _update(cfg.kind, cfg, map_function(cfg.map_spec))
+    stochastic = cfg.kind == "stochastic_mann"
     if stochastic:  # SchemeConfig checked that the noise has dimension d
         keys = derive_key(seeds)
         work = Workspace()
@@ -199,7 +212,7 @@ def advance(cfg, seeds, horizon):
         if scalar:
             draws = tile.reshape(-1).tolist() if stochastic else repeat(None)
             for n, xi in zip(range(start, stop), draws):
-                X = step(kind, X, n, cfg, xi, F)
+                X = update(X, n, xi)
                 if not math.isfinite(X):
                     raise DivergedError(f"1 replica(s) diverged at step {n}",
                                         last_finite_index=n, replicas=[0])
@@ -207,7 +220,7 @@ def advance(cfg, seeds, horizon):
             continue
         for n in range(start, stop):
             xi = tile[n - start] if stochastic else None
-            X = step(kind, X, n, cfg, xi, F)
+            X = update(X, n, xi)
             if not np.isfinite(X).all():
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
                 raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
@@ -227,8 +240,10 @@ def run(cfg, x_star=None):
     iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
     iterates[0] = cfg.x0
     draws = np.empty((cfg.horizon if cfg.noise else 0, d), dtype=np.float64)
-    # one replica: advance yields floats at d = 1 and (1, d) rows otherwise
-    rows, draw_rows = (iterates[:, 0], draws[:, 0]) if d == 1 else (iterates, draws)
+    # one replica: advance yields floats at d = 1, written through memoryviews
+    # (cheaper than numpy item assignment), and (1, d) rows otherwise
+    rows, draw_rows = ((memoryview(iterates[:, 0]), memoryview(draws[:, 0]))
+                       if d == 1 else (iterates, draws))
     # a Python int seed is reduced mod 2**64, as derive_key does
     for n, X, xi in advance(cfg, [int(cfg.seed) % 2**64], cfg.horizon):
         rows[n] = X

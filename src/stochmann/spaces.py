@@ -180,13 +180,16 @@ def map_function(m):
         return lambda x: b0 + a00 * x
 
     def affine_map(x):
-        cols = np.moveaxis(x, -1, 0)
-        shape = (d,) + (1,) * (cols.ndim - 1)
+        # np.moveaxis there and back, as plain transposes: moveaxis spends
+        # ~5 us a call normalising axes, twice per step
+        k = x.ndim - 1
+        cols = x.transpose((k,) + tuple(range(k)))
+        shape = (d,) + (1,) * k
         Ac = A.reshape((d,) + shape)
         out = b.reshape(shape) + Ac[:, 0] * cols[0]
         for j in range(1, d):
             out += Ac[:, j] * cols[j]
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(tuple(range(1, k + 1)) + (0,))
 
     return affine_map
 

@@ -199,7 +199,8 @@ def substream_uniforms(key, index, count, work=None):
     x0, x1 = philox2x64(c0, index, key, work=work)
     out = work.array("unit", (count,) + shape, np.float64)
     _u64_to_unit(x0, x1, out)
-    return np.moveaxis(out, 0, -1)
+    # np.moveaxis(out, 0, -1) without its ~5 us of axis normalisation
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 def substream_normals(key, index, count):

@@ -265,6 +265,36 @@ def test_cramer_check_audits_the_mean_norm_bound(tmp_path, capsys):
                      "--out", str(tmp_path / config)]) == 0, config
 
 
+def test_cramer_check_audits_the_bounds_overrides(tmp_path, capsys):
+    # build_bound_params certifies with bounds.mean_norm_bound = 0.1 here,
+    # against E|xi| = 1.596 for N(0, 4): cramer-check must audit that value
+    low = json.loads((CONFIGS / "reference.json").read_text())
+    low["bounds"]["mean_norm_bound"] = 0.1
+    out = tmp_path / "o"
+    assert main(["cramer-check", "--config", write(tmp_path, low),
+                 "--draws", "10000", "--out", str(out)]) == 3
+    assert "flagged" in capsys.readouterr().err
+    (path,) = out.iterdir()
+    payload = json.loads(path.read_text())
+    assert payload["mean"]["bound"] == 0.1 and not payload["mean"]["ok"]
+    assert payload["certified"] is False
+    # sigma and L overrides are audited too
+    small = json.loads(json.dumps(REFERENCE))
+    small.setdefault("bounds", {}).update(sigma=0.01, L=0.01)
+    assert main(["cramer-check", "--config", write(tmp_path, small, "s.json"),
+                 "--draws", "5000", "--m-max", "6"]) == 3
+
+
+def test_cramer_check_does_not_flag_the_exact_default_mean(tmp_path, capsys):
+    # at d = 1 the certified Gaussian mean_norm_bound is E|xi| exactly; on
+    # seed 780 the sample mean lies 3.7 standard errors above it
+    assert main(["cramer-check", "--config", str(CONFIGS / "reference.json"),
+                 "--seed", "780", "--draws", "10000",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "mean     m= 1 empirical=1.640176e+00 bound=1.595769e+00 ok" \
+        in capsys.readouterr().out
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [({"typo": 1}, "typo")]
     # zero noise has no moment parameters to override

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +144,24 @@ def test_cramer_check_flags_a_mean_norm_bound_below_the_mean():
         < 5.0 * report.mean.stderr
     assert all(row.ok for row in report.raw + report.centered)
     assert report.flags == [f"mean norm: {report.mean.empirical:.6g} > 0.5"]
+
+
+def test_cramer_check_mean_row_rule_for_the_exact_default():
+    # seed 780 puts the mean of 10**4 draws 3.7 standard errors above
+    # E|xi| = 2 sqrt(2/pi), the certified bound: reported, never flagged
+    exact = gaussian(scale=2.0)
+    report = cramer_check(exact, m_max=2, draws=10**4, seed=780)
+    assert report.mean.bound == 2.0 * math.sqrt(2.0 / math.pi)
+    assert report.mean.empirical > report.mean.bound + 3.0 * report.mean.stderr
+    assert report.mean.ok and report.ok
+    # the same value declared by the user keeps the three-standard-error rule
+    declared = gaussian(scale=2.0, mean_norm_bound=exact.mean_norm_bound)
+    assert not cramer_check(declared, m_max=2, draws=10**4, seed=780).mean.ok
+    # as does every other family and dimension
+    for model in (bounded_uniform(half_width=0.5), gaussian(scale=1.0, dim=2)):
+        model = dataclasses.replace(model, mean_norm_bound=0.1)
+        assert model.certified
+        assert not cramer_check(model, m_max=2, draws=1000, seed=0).mean.ok
 
 
 def test_cramer_report_rows_have_expected_bounds():

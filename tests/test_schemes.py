@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stochmann import schemes
 from stochmann.errors import DivergedError, ValidationError
 from stochmann.noise import gaussian, sample_block, zero
 from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
                                StepSequences, advance, run, step, step_sizes)
-from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
+from stochmann.spaces import (affine, inverse_quadratic, map_function,
+                              reference_fixed_point)
 from stochmann.streams import derive_key
 
 
@@ -208,3 +210,64 @@ def test_advance_keeps_replicas_innermost():
     for n, X, xi in steps:
         assert X.shape == xi.shape == (R, d)
         assert X.strides[0] == xi.strides[0] == 8, n
+
+
+def written_out(kind, x, n, cfg, xi, F):
+    """Each update rule in its documented operation order."""
+    a, g = cfg.steps.a, cfg.ishikawa_b
+    if kind == "picard":
+        return F(x)
+    if kind == "krasnoselskii":
+        return 0.5 * (F(x) + x)
+    if kind == "mann":
+        return (1.0 - a / n) * x + (a / n) * F(x)
+    if kind == "stochastic_mann":
+        return (1.0 - a / n) * x + (a / n) * F(x) + a / (n * n) * xi
+    y = (1.0 - g / (n + 1)) * x + (g / (n + 1)) * F(x)
+    return (1.0 - a) * x + a * F(y)
+
+
+def test_resolved_update_rule_matches_step_bitwise():
+    # n = 10**8 + 1: n * n exceeds 2**53, so b_n = a/(n*n) is rounded; the
+    # zero rows of X under the linear maps step to b_n * xi exactly, so that
+    # rounding shows in the result
+    rng = np.random.default_rng(3)
+    maps = [(inverse_quadratic(), 1), (affine([[0.6]], [0.0]), 1),
+            (affine([[0.3, -0.2], [0.1, 0.4]], [0.0, 0.0]), 2)]
+    for kind in SCHEME_KINDS:
+        for m, d in maps:
+            noise = gaussian(2.0, dim=d) if kind == "stochastic_mann" else None
+            cfg = SchemeConfig(kind=kind, map_spec=m, x0=np.zeros(d), noise=noise,
+                               steps=StepSequences(a=0.3), ishikawa_b=0.7)
+            F = map_function(m)
+            update = schemes._update(kind, cfg, F)
+            X = rng.normal(size=(d, 64)).T  # (R, d), replica-innermost
+            X[::2] = 0.0
+            XI = rng.normal(size=(64, d))
+            for n in (1, 2, 10**8 + 1):
+                got = update(X, n, XI)
+                assert np.array_equal(got, step(kind, X, n, cfg, XI)), (kind, d, n)
+                assert np.array_equal(got, written_out(kind, X, n, cfg, XI, F))
+                if d == 1:
+                    for r in range(X.shape[0]):
+                        x, xi = float(X[r, 0]), float(XI[r, 0])
+                        y = update(x, n, xi)
+                        assert isinstance(y, float)
+                        assert y == step(kind, x, n, cfg, xi, F) == got[r, 0]
+                        assert y == written_out(kind, x, n, cfg, xi, F)
+            with pytest.raises(ValidationError):
+                step(kind, X, 0, cfg, XI)
+
+
+def test_advance_resolves_the_rule_once(monkeypatch):
+    # the time loop must not go back through step() or step_sizes per step
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-step call")
+
+    monkeypatch.setattr(schemes, "step", refuse)
+    monkeypatch.setattr(schemes, "step_sizes", refuse)
+    for kind in SCHEME_KINDS:
+        noise = gaussian(scale=1.0) if kind == "stochastic_mann" else None
+        cfg = make_cfg(kind, horizon=20, noise=noise)
+        assert np.all(np.isfinite(run(cfg).iterates))
+        assert len(list(advance(cfg, [1, 2], 20))) == 20

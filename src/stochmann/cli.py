@@ -5,6 +5,10 @@ the base seed and a content hash of the config, floats are written with 17
 significant digits, and nothing records wall-clock state, so rerunning a
 command produces byte-identical files.
 
+main builds the scheme (map, noise, steps) once, right after loading the
+config, and hands it to the command, so every command applies the same
+checks to the same fields.
+
 Exit codes: 0 success, 2 invalid config or arguments, 3 a verification
 failed (dominance, coverage, moment check, divergence), 4 experiment
 infeasible at the requested scale.
@@ -19,9 +23,8 @@ import sys
 from pathlib import Path
 
 from .bounds import certificate
-from .config import (build_bound_params, build_map, build_noise, build_plan,
-                     build_scheme, config_hash, dumps17, experiment_settings,
-                     load_config)
+from .config import (build_bound_params, build_plan, build_scheme,
+                     config_hash, dumps17, experiment_settings, load_config)
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, StochmannError,
                      ValidationError)
@@ -64,8 +67,7 @@ def _apply_overrides(settings, args):
     return settings
 
 
-def cmd_iterate(args, cfg, digest, settings):
-    scheme = build_scheme(cfg)
+def cmd_iterate(args, cfg, scheme, digest, settings):
     d = dimension(scheme.map_spec)
     x_star = reference_fixed_point(scheme.map_spec)
     traj = run(scheme, x_star)
@@ -107,8 +109,8 @@ def cmd_iterate(args, cfg, digest, settings):
     return 0
 
 
-def cmd_bound(args, cfg, digest, settings):
-    params = build_bound_params(cfg)
+def cmd_bound(args, cfg, scheme, digest, settings):
+    params = build_bound_params(cfg, map_spec=scheme.map_spec)
     report = certificate(params).report(args.n, args.eps)
     payload = {
         "command": "bound",
@@ -126,8 +128,9 @@ def cmd_bound(args, cfg, digest, settings):
     return 0
 
 
-def cmd_confidence(args, cfg, digest, settings):
-    params = build_bound_params(cfg)
+def cmd_confidence(args, cfg, scheme, digest, settings):
+    x_star = reference_fixed_point(scheme.map_spec)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
     eps = args.eps if args.eps is not None else (
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
@@ -144,8 +147,7 @@ def cmd_confidence(args, cfg, digest, settings):
         raise InfeasibleExperimentError(
             f"certified n_alpha = {n_alpha} exceeds run cap "
             f"{settings['run_cap']}; raise experiment.run_cap to execute")
-    scheme = dataclasses.replace(build_scheme(cfg), horizon=int(n_alpha))
-    x_star = reference_fixed_point(scheme.map_spec)
+    scheme = dataclasses.replace(scheme, horizon=int(n_alpha))
     traj = run(scheme, x_star)
     center = traj.iterate(n_alpha + 1)
     contains = bool(traj.error(n_alpha + 1) <= eps)
@@ -177,12 +179,11 @@ def cmd_confidence(args, cfg, digest, settings):
     return 0
 
 
-def cmd_montecarlo(args, cfg, digest, settings):
-    scheme = build_scheme(cfg)
+def cmd_montecarlo(args, cfg, scheme, digest, settings):
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
-    params = build_bound_params(cfg, map_spec=scheme.map_spec)
     x_star = reference_fixed_point(scheme.map_spec)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
     vacuous = sum(1 for c in cells if c.vacuous)
@@ -222,21 +223,12 @@ def cmd_montecarlo(args, cfg, digest, settings):
     return 0
 
 
-def cmd_cramer_check(args, cfg, digest, settings):
-    map_spec = build_map(cfg)
-    d = dimension(map_spec)
-    model = build_noise(cfg, d)
-    if model is None:
+def cmd_cramer_check(args, cfg, scheme, digest, settings):
+    if scheme.noise is None:
         raise ValidationError("cramer-check: config has no noise block")
-    # audit the constants the certificate uses: build_bound_params takes
-    # these bounds overrides over the noise model's
-    bd = cfg.get("bounds", {})
-    over = {k: float(bd[k]) for k in ("sigma", "L", "mean_norm_bound") if k in bd}
-    if over:
-        model = dataclasses.replace(model, certified=False, **over)
-    report = cramer_check(model, dim=d, m_max=args.m_max, draws=args.draws,
+    report = cramer_check(scheme.noise, m_max=args.m_max, draws=args.draws,
                           seed=settings["base_seed"],
-                          norm_kind=cfg.get("norm", "euclidean"))
+                          norm_kind=scheme.norm_kind)
     print(f"family={report.family} dim={report.dim} draws={report.draws} "
           f"sigma={report.sigma:.6g} L={report.L:.6g}")
     for label, rows in (("mean", (report.mean,)), ("raw", report.raw),
@@ -322,8 +314,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        scheme = build_scheme(cfg)
         settings = _apply_overrides(experiment_settings(cfg), args)
-        return args.func(args, cfg, config_hash(cfg), settings)
+        return args.func(args, cfg, scheme, config_hash(cfg), settings)
     except InfeasibleExperimentError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -1,11 +1,19 @@
 """Run configuration: one strict JSON file per experiment.
 
 Strict means unknown keys, and keys the builders would ignore (map.lam on
-an affine map, bounds.rho_scale next to bounds.rho), are rejected with
-their field path, so a typo fails loudly instead of silently running a
-default experiment.  The parsed structure is kept verbatim (defaults are
-applied by the builders, not written back), which makes serialize-then-parse
-the identity and lets the content hash commit to exactly what the user wrote.
+an affine map, noise.scale on uniform noise, bounds.rho_scale next to
+bounds.rho), are rejected with their field path, so a typo fails loudly
+instead of silently running a default experiment.  The parsed structure is
+kept verbatim (defaults are applied by the builders, not written back), which
+makes serialize-then-parse the identity and lets the content hash commit to
+exactly what the user wrote.
+
+Each value has one owner.  validate_config checks the JSON type of every
+field and the ranges of the fields no object takes (seeds, bounds.*,
+experiment.*).  The ranges of map, noise and scheme fields are checked by
+MapSpec, the noise builders, StepSequences and SchemeConfig, which
+build_scheme constructs.  The certificate's c comes from map.declared_c (or
+the map family) and its moment parameters from noise.*.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from .bounds import BoundParams
 from .errors import ValidationError
 from .montecarlo import ExperimentPlan
-from .noise import NoiseModel, bounded_uniform, gaussian, zero
+from .noise import bounded_uniform, gaussian, zero
 from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
 from .spaces import (MAP_FAMILIES, NORM_KINDS, affine, as_point,
                      contraction_constant, dimension, inverse_quadratic, norm,
@@ -40,11 +48,10 @@ __all__ = [
 
 _TOP_KEYS = {"map", "norm", "scheme", "noise", "bounds", "experiment",
              "out_dir", "base_seed"}
-_MAP_KEYS = {"family", "matrix", "offset", "lam", "declared_c", "domain_box"}
+_MAP_KEYS = {"family", "matrix", "offset", "lam", "declared_c"}
 _SCHEME_KEYS = {"kind", "x0", "a", "horizon", "seed", "ishikawa_b"}
 _NOISE_KEYS = {"family", "scale", "half_width", "sigma", "L", "mean_norm_bound"}
-_BOUNDS_KEYS = {"N", "rho", "rho_scale", "c", "sigma", "L",
-                "mean_norm_bound", "n_cap"}
+_BOUNDS_KEYS = {"N", "rho", "rho_scale", "n_cap"}
 _EXPERIMENT_KEYS = {"checkpoints", "eps_grid", "replicas", "alpha", "run_cap"}
 
 DEFAULT_ALPHA = 0.05
@@ -111,11 +118,12 @@ def load_config(path):
 
 
 def validate_config(raw):
-    """Validate structure and value ranges; returns the config unchanged.
+    """Validate structure and the ranges no object owns; returns the config
+    unchanged.
 
-    Cross-field constraints that depend on constructed objects (dimension
-    agreement, contractivity, rho feasibility) surface from the builders,
-    with the same exception type.
+    The ranges of map, noise and scheme fields, and cross-field constraints
+    (dimension agreement, contractivity, rho feasibility), surface from
+    build_scheme and build_bound_params, with the same exception type.
     """
     _object(raw, _TOP_KEYS, "config")
     for key in ("map", "scheme"):
@@ -135,13 +143,12 @@ def validate_config(raw):
                        ("lam", "scaled_cosine")):
         if key in mp and family != owner:
             raise ValidationError(f"map.{key}: only {owner} maps take it")
-    for key, depth in (("matrix", 2), ("offset", 1), ("domain_box", 2)):
+    for key, depth in (("matrix", 2), ("offset", 1)):
         if key in mp:
             _numbers(mp[key], f"map.{key}", depth)
-    if "declared_c" in mp:
-        _number(mp["declared_c"], "map.declared_c", minimum=0.0)
-    if "lam" in mp:
-        _number(mp["lam"], "map.lam")
+    for key in ("declared_c", "lam"):
+        if key in mp:
+            _number(mp[key], f"map.{key}")
 
     if "norm" in raw:
         _choice(raw["norm"], NORM_KINDS, "norm")
@@ -154,51 +161,43 @@ def validate_config(raw):
     if "x0" not in sc:
         raise ValidationError("scheme.x0: required")
     _numbers(sc["x0"], "scheme.x0")
-    if "a" in sc:
-        _number(sc["a"], "scheme.a", exclusive_min=0.0)
+    for key in ("a", "ishikawa_b"):
+        if key in sc:
+            _number(sc[key], f"scheme.{key}")
     if "horizon" in sc:
-        _number(sc["horizon"], "scheme.horizon", integer=True, minimum=1)
+        # integral here: build_scheme's int() would truncate 2.5
+        _number(sc["horizon"], "scheme.horizon", integer=True)
     if "seed" in sc:
         _number(sc["seed"], "scheme.seed", integer=True, minimum=0)
-    if "ishikawa_b" in sc:
-        _number(sc["ishikawa_b"], "scheme.ishikawa_b", exclusive_min=0.0,
-                maximum=1.0)
 
     if "noise" in raw:
         nz = raw["noise"]
         _object(nz, _NOISE_KEYS, "noise")
         fam = _choice(nz.get("family"), ("zero", "gaussian", "bounded_uniform"),
                       "noise.family")
-        if fam == "gaussian" and "scale" not in nz:
-            raise ValidationError("noise.scale: required for gaussian noise")
-        if fam == "bounded_uniform" and "half_width" not in nz:
-            raise ValidationError("noise.half_width: required for bounded_uniform")
-        for key in ("scale", "half_width"):
+        param = {"gaussian": "scale", "bounded_uniform": "half_width"}.get(fam)
+        if param is not None and param not in nz:
+            raise ValidationError(f"noise.{param}: required for {fam} noise")
+        for key in ("scale", "half_width", "sigma", "L", "mean_norm_bound"):
             if key in nz:
-                _number(nz[key], f"noise.{key}", minimum=0.0)
-        for key in ("sigma", "L", "mean_norm_bound"):
-            if key in nz:
-                if fam == "zero":
+                if fam == "zero" or key in ("scale", "half_width") \
+                        and key != param:
                     raise ValidationError(
-                        f"noise.{key}: not allowed for zero noise")
-                _number(nz[key], f"noise.{key}", minimum=0.0)
+                        f"noise.{key}: not allowed for {fam} noise")
+                _number(nz[key], f"noise.{key}")
 
     if "bounds" in raw:
         bd = raw["bounds"]
         _object(bd, _BOUNDS_KEYS, "bounds")
         if "rho" in bd and "rho_scale" in bd:
             raise ValidationError("bounds.rho_scale: not allowed next to bounds.rho")
-        for key in ("N", "sigma", "mean_norm_bound"):
-            if key in bd:
-                _number(bd[key], f"bounds.{key}", minimum=0.0)
-        for key in ("rho", "rho_scale", "L"):
-            if key in bd:
-                _number(bd[key], f"bounds.{key}", exclusive_min=0.0)
+        if "N" in bd:
+            _number(bd["N"], "bounds.N", minimum=0.0)
+        if "rho" in bd:
+            _number(bd["rho"], "bounds.rho", exclusive_min=0.0)
         if "rho_scale" in bd:
             _number(bd["rho_scale"], "bounds.rho_scale", exclusive_min=0.0,
                     maximum=1.0 - 1e-12)
-        if "c" in bd:
-            _number(bd["c"], "bounds.c", minimum=0.0)
         if "n_cap" in bd:
             _number(bd["n_cap"], "bounds.n_cap", integer=True, minimum=1)
 
@@ -274,18 +273,14 @@ def dumps17(obj, indent=0):
 def build_map(cfg):
     mp = cfg["map"]
     declared_c = mp.get("declared_c")
-    box = None
-    if "domain_box" in mp:
-        box = np.asarray(mp["domain_box"], dtype=np.float64)
     family = mp["family"]
     if family == "inverse_quadratic":
-        return inverse_quadratic(declared_c=declared_c, domain_box=box)
+        return inverse_quadratic(declared_c=declared_c)
     if family == "affine":
         return affine(np.asarray(mp["matrix"], dtype=np.float64),
                       np.asarray(mp["offset"], dtype=np.float64),
-                      declared_c=declared_c, domain_box=box)
-    return scaled_cosine(float(mp["lam"]), declared_c=declared_c,
-                         domain_box=box)
+                      declared_c=declared_c)
+    return scaled_cosine(float(mp["lam"]), declared_c=declared_c)
 
 
 def build_noise(cfg, dim):
@@ -322,46 +317,42 @@ def build_scheme(cfg):
 def build_bound_params(cfg, map_spec=None, x_star=None):
     """Assemble the analytic parameter set, filling gaps from the run.
 
-    N defaults to the initial error against the reference fixed point, c to
-    the analytic contraction constant, the moment parameters to the noise
-    family's certified values, and rho to rho_scale times 2a(1-c).  The
-    one-norm at d >= 2 has no certified moment defaults: with nonzero noise
-    there, sigma, L and mean_norm_bound must all be given.
+    Each constant has one source.  c is map.declared_c, else the analytic
+    contraction constant; sigma, L and mean_norm_bound are the noise model's
+    (noise.* where given, else the family's certified values).  N defaults
+    to the initial error against the reference fixed point x_star (computed
+    here unless passed), and rho to rho_scale times 2a(1-c).  The one-norm
+    at d >= 2 has no certified moment defaults: with nonzero noise there,
+    noise.sigma, noise.L and noise.mean_norm_bound must all be given.
     """
     if map_spec is None:
         map_spec = build_map(cfg)
+    d = dimension(map_spec)
     bd = cfg.get("bounds", {})
     norm_kind = cfg.get("norm", "euclidean")
     a = float(cfg["scheme"].get("a", 0.5))
-    c = float(bd["c"]) if "c" in bd else contraction_constant(map_spec, norm_kind)
-    model = build_noise(cfg, dimension(map_spec))
-    if norm_kind == "one" and model is not None and model.family != "zero" \
-            and model.dim >= 2:
+    c = contraction_constant(map_spec, norm_kind)
+    model = build_noise(cfg, d) or zero(dim=d)
+    if norm_kind == "one" and model.family != "zero" and d >= 2:
         # default_cramer_params certifies the Euclidean and max norms only
         for key in ("sigma", "L", "mean_norm_bound"):
-            if key not in cfg["noise"] and key not in bd:
+            if key not in cfg["noise"]:
                 raise ValidationError(
-                    f"noise.{key}: the one-norm at d = {model.dim} has no "
-                    "certified default; set it under noise or bounds")
-    sigma = model.sigma if model is not None else 0.0
-    L = model.L if model is not None else 1.0
-    mnb = model.mean_norm_bound if model is not None else 0.0
-    sigma = float(bd.get("sigma", sigma))
-    L = float(bd.get("L", L))
-    mnb = float(bd.get("mean_norm_bound", mnb))
+                    f"noise.{key}: the one-norm at d = {d} has no "
+                    "certified default; set it under noise")
     if "N" in bd:
         N = float(bd["N"])
     else:
         if x_star is None:
             x_star = reference_fixed_point(map_spec)
-        x0 = as_point(cfg["scheme"]["x0"], dimension(map_spec), name="scheme.x0")
+        x0 = as_point(cfg["scheme"]["x0"], d, name="scheme.x0")
         N = float(norm(x0 - x_star, norm_kind))
     if "rho" in bd:
         rho = float(bd["rho"])
     else:
         rho = float(bd.get("rho_scale", DEFAULT_RHO_SCALE)) * 2.0 * a * (1.0 - c)
-    return BoundParams(N=N, a=a, c=c, sigma=sigma, L=L, mean_norm_bound=mnb,
-                       rho=rho)
+    return BoundParams(N=N, a=a, c=c, sigma=model.sigma, L=model.L,
+                       mean_norm_bound=model.mean_norm_bound, rho=rho)
 
 
 def experiment_settings(cfg):

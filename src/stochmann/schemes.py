@@ -53,7 +53,7 @@ class StepSequences:
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and 0.0 < self.a < 1.0):
-            raise ValidationError("steps.a: must satisfy 0 < a < 1")
+            raise ValidationError("scheme.a: must satisfy 0 < a < 1")
 
 
 def step_sizes(steps, n):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann import bounds
+from stochmann import bounds, cli, config
 from stochmann.bounds import tail_bound
-from stochmann.cli import main
+from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
                               config_hash)
 from stochmann.errors import InfeasibleExperimentError
@@ -151,8 +151,8 @@ def test_one_norm_without_moment_overrides_exits_2(tmp_path, capsys):
             assert "noise.sigma" in capsys.readouterr().err
         assert main(["iterate", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 0
-        given = dict(base, noise=dict(noise, sigma=3.0, L=3.0),
-                     bounds={"mean_norm_bound": 2.0})
+        given = dict(base, noise=dict(noise, sigma=3.0, L=3.0,
+                                      mean_norm_bound=2.0))
         assert main(["bound", "--config", write(tmp_path, given),
                      "--n", "10", "--eps", "0.5"]) == 0
     capsys.readouterr()
@@ -220,9 +220,9 @@ def test_montecarlo_dominance_failure_exits_3(tmp_path, capsys):
                 "declared_c": 0.0},
         "scheme": {"kind": "stochastic_mann", "x0": [0.0], "a": 0.9,
                    "horizon": 10, "seed": 0},
-        "noise": {"family": "bounded_uniform", "half_width": 5.0},
-        "bounds": {"N": 0.0, "sigma": 1e-12, "L": 1e-12,
-                   "mean_norm_bound": 0.0, "rho": 0.9},
+        "noise": {"family": "bounded_uniform", "half_width": 5.0,
+                  "sigma": 1e-12, "L": 1e-12, "mean_norm_bound": 0.0},
+        "bounds": {"N": 0.0, "rho": 0.9},
         "experiment": {"checkpoints": [1], "eps_grid": [1.0],
                        "replicas": 100},
         "base_seed": 3,
@@ -258,31 +258,11 @@ def test_cramer_check_audits_the_mean_norm_bound(tmp_path, capsys):
     (path,) = out.iterdir()
     payload = json.loads(path.read_text())
     assert payload["mean"]["bound"] == 0.5 and not payload["mean"]["ok"]
-    assert not payload["ok"]
+    assert not payload["ok"] and payload["certified"] is False
     # the shipped defaults pass the mean row at the default draw count
-    for config in ("reference.json", "confidence_demo.json"):
-        assert main(["cramer-check", "--config", str(CONFIGS / config),
-                     "--out", str(tmp_path / config)]) == 0, config
-
-
-def test_cramer_check_audits_the_bounds_overrides(tmp_path, capsys):
-    # build_bound_params certifies with bounds.mean_norm_bound = 0.1 here,
-    # against E|xi| = 1.596 for N(0, 4): cramer-check must audit that value
-    low = json.loads((CONFIGS / "reference.json").read_text())
-    low["bounds"]["mean_norm_bound"] = 0.1
-    out = tmp_path / "o"
-    assert main(["cramer-check", "--config", write(tmp_path, low),
-                 "--draws", "10000", "--out", str(out)]) == 3
-    assert "flagged" in capsys.readouterr().err
-    (path,) = out.iterdir()
-    payload = json.loads(path.read_text())
-    assert payload["mean"]["bound"] == 0.1 and not payload["mean"]["ok"]
-    assert payload["certified"] is False
-    # sigma and L overrides are audited too
-    small = json.loads(json.dumps(REFERENCE))
-    small.setdefault("bounds", {}).update(sigma=0.01, L=0.01)
-    assert main(["cramer-check", "--config", write(tmp_path, small, "s.json"),
-                 "--draws", "5000", "--m-max", "6"]) == 3
+    for name in ("reference.json", "confidence_demo.json"):
+        assert main(["cramer-check", "--config", str(CONFIGS / name),
+                     "--out", str(tmp_path / name)]) == 0, name
 
 
 def test_cramer_check_does_not_flag_the_exact_default_mean(tmp_path, capsys):
@@ -297,18 +277,29 @@ def test_cramer_check_does_not_flag_the_exact_default_mean(tmp_path, capsys):
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [({"typo": 1}, "typo")]
-    # zero noise has no moment parameters to override
+    # zero noise takes no parameters, and each other family only its own
     cases += [({"noise": {"family": "zero", key: 1.0}}, f"noise.{key}")
-              for key in ("sigma", "L", "mean_norm_bound")]
-    # malformed array fields, each named by its path
+              for key in ("scale", "half_width", "sigma", "L",
+                          "mean_norm_bound")]
+    cases += [({"noise": {"family": "gaussian", "scale": 2.0,
+                          "half_width": 1.0}}, "noise.half_width"),
+              ({"noise": {"family": "bounded_uniform", "half_width": 1.0,
+                          "scale": 2.0}}, "noise.scale")]
+    # ranges and combinations that the scheme's own objects check
     scheme = REFERENCE["scheme"]
+    cases += [({"scheme": dict(scheme, a=1.5)}, "scheme.a"),
+              ({"scheme": dict(scheme, kind="mann")}, "scheme.noise")]
+    # removed knobs: c and the moment parameters are set under map and noise
+    cases += [({"bounds": {key: 0.1}}, f"bounds.{key}")
+              for key in ("c", "sigma", "L", "mean_norm_bound")]
+    cases += [({"map": {"family": "inverse_quadratic",
+                        "domain_box": [[-10.0, 10.0]]}}, "map.domain_box")]
+    # malformed array fields, each named by its path
     cases += [({"scheme": dict(scheme, x0=x0)}, "scheme.x0")
               for x0 in ("abc", ["a"])]
     cases += [({"map": {"family": "affine", "matrix": matrix,
                         "offset": [0.0, 0.0]}}, "map.matrix")
               for matrix in ([["a"]], [[0.1, 0.2], [0.3]])]
-    cases += [({"map": {"family": "inverse_quadratic", "domain_box": "x"}},
-               "map.domain_box")]
     # fields that the chosen family, kind or sibling field makes inapplicable
     cases += [({"map": {"family": "inverse_quadratic", key: value}},
                f"map.{key}")
@@ -318,11 +309,18 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         "offset": [0.1], "lam": 0.5}}, "map.lam"),
               ({"scheme": dict(scheme, ishikawa_b=1.0)}, "scheme.ishikawa_b"),
               ({"bounds": {"rho": 0.1, "rho_scale": 0.5}}, "bounds.rho_scale")]
+    # every subcommand builds the same scheme, so each refuses each case
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    extra = {"bound": ["--n", "10", "--eps", "0.1"]}
     for change, field in cases:
         cfg = dict(json.loads(json.dumps(REFERENCE)), **change)
         cfg_path = write(tmp_path, cfg)
-        assert main(["iterate", "--config", cfg_path]) == 2
-        assert field in capsys.readouterr().err
+        for command in commands:
+            argv = [command, "--config", cfg_path,
+                    "--out", str(tmp_path / "o")] + extra.get(command, [])
+            assert main(argv) == 2, (command, field)
+            assert field in capsys.readouterr().err, (command, field)
 
 
 def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
@@ -361,28 +359,55 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
+                                                          monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config, "build_map", counted("map", config.build_map))
+    for module in (cli, config):
+        monkeypatch.setattr(module, "reference_fixed_point",
+                            counted("x_star", module.reference_fixed_point))
+    demo, out = str(CONFIGS / "confidence_demo.json"), ["--out", str(tmp_path)]
+    for argv, x_stars in ((["iterate", "--config", demo] + out, 1),
+                          (["bound", "--config", demo, "--n", "1000",
+                            "--eps", "0.1"], 1),
+                          (["confidence", "--config", demo, "--eps", "0.1"]
+                           + out, 1),
+                          (["montecarlo", "--config", demo, "--replicas", "50"]
+                           + out, 1),
+                          (["cramer-check", "--config", demo,
+                            "--draws", "1000"], 0)):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls.count("map") == 1, argv
+        assert calls.count("x_star") == x_stars, argv
+
+
 # every numeric or array field, each in a base config that takes it: the
 # second carries those that the first's family, kind or bounds.rho exclude
 FULL = {
     "map": {"family": "affine", "matrix": [[0.0]], "offset": [0.7],
-            "declared_c": 0.0, "domain_box": [[-10.0, 10.0]]},
+            "declared_c": 0.0},
     "scheme": {"kind": "stochastic_mann", "x0": [0.0], "a": 0.9,
                "horizon": 20, "seed": 1},
     "noise": {"family": "bounded_uniform", "half_width": 0.1, "sigma": 0.1,
               "L": 0.1, "mean_norm_bound": 0.1},
-    "bounds": {"N": 0.7, "rho": 0.9, "c": 0.0, "sigma": 0.1, "L": 0.1,
-               "mean_norm_bound": 0.1, "n_cap": 1000},
+    "bounds": {"N": 0.7, "rho": 0.9, "n_cap": 1000},
     "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
                    "alpha": 0.05, "run_cap": 100},
     "base_seed": 7,
 }
 FULL_ISHIKAWA = {
-    "map": {"family": "scaled_cosine", "lam": 0.5, "declared_c": 0.5,
-            "domain_box": [[-10.0, 10.0]]},
+    "map": {"family": "scaled_cosine", "lam": 0.5, "declared_c": 0.5},
     "scheme": {"kind": "ishikawa", "x0": [0.0], "a": 0.9, "horizon": 20,
                "seed": 1, "ishikawa_b": 1.0},
-    "bounds": {"N": 0.7, "rho_scale": 0.5, "c": 0.5, "sigma": 0.1, "L": 0.1,
-               "mean_norm_bound": 0.1, "n_cap": 1000},
+    "bounds": {"N": 0.7, "rho_scale": 0.5, "n_cap": 1000},
     "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
                    "alpha": 0.05, "run_cap": 100},
     "base_seed": 7,

@@ -89,11 +89,13 @@ def test_value_range_checks():
         (lambda c: c.update(base_seed=-1), "base_seed"),
         (lambda c: c.update(norm="l7"), "norm"),
     ]
+    # validate_config owns the experiment, seed and type checks; the objects
+    # build_scheme constructs own the scheme's ranges (scheme.a, horizon >= 1)
     for mutate, path in bad:
         cfg = copy.deepcopy(BASE)
         mutate(cfg)
-        with pytest.raises(ValidationError):
-            validate_config(cfg)
+        with pytest.raises(ValidationError, match=path):
+            build_scheme(validate_config(cfg))
 
 
 def test_config_hash_properties():
@@ -165,8 +167,9 @@ def test_build_bound_params_honours_declared_c():
 
 def test_build_bound_params_overrides_win():
     cfg = copy.deepcopy(BASE)
-    cfg["bounds"] = {"N": 0.25, "c": 0.1, "sigma": 0.5, "L": 0.5,
-                     "mean_norm_bound": 0.0, "rho": 0.3}
+    cfg["map"]["declared_c"] = 0.1
+    cfg["noise"].update(sigma=0.5, L=0.5, mean_norm_bound=0.0)
+    cfg["bounds"] = {"N": 0.25, "rho": 0.3}
     p = build_bound_params(cfg)
     assert (p.N, p.c, p.sigma, p.L, p.mean_norm_bound, p.rho) \
         == (0.25, 0.1, 0.5, 0.5, 0.0, 0.3)

@@ -265,6 +265,34 @@ def test_cramer_check_audits_the_mean_norm_bound(tmp_path, capsys):
                      "--out", str(tmp_path / name)]) == 0, name
 
 
+def test_cramer_check_audits_the_bounds_overrides(tmp_path, capsys):
+    # the bound is certified with the moment constants declared under noise;
+    # against E|xi| = 1.596 for N(0, 4), a declared 0.1 must be refuted
+    low = json.loads((CONFIGS / "reference.json").read_text())
+    low["noise"]["mean_norm_bound"] = 0.1
+    out = tmp_path / "o"
+    assert main(["cramer-check", "--config", write(tmp_path, low),
+                 "--draws", "10000", "--out", str(out)]) == 3
+    assert "flagged" in capsys.readouterr().err
+    (path,) = out.iterdir()
+    payload = json.loads(path.read_text())
+    assert payload["mean"]["bound"] == 0.1 and not payload["mean"]["ok"]
+    assert payload["certified"] is False
+    # sigma and L declared under noise are audited too
+    small = json.loads((CONFIGS / "reference.json").read_text())
+    small["noise"].update(sigma=0.01, L=0.01)
+    assert main(["cramer-check", "--config", write(tmp_path, small, "s.json"),
+                 "--draws", "5000", "--m-max", "6"]) == 3
+    # the removed bounds.* spelling is refused, not silently left unaudited
+    for key in ("sigma", "L", "mean_norm_bound"):
+        old = json.loads((CONFIGS / "reference.json").read_text())
+        old["bounds"][key] = 0.1
+        assert main(["cramer-check", "--config",
+                     write(tmp_path, old, f"{key}.json"),
+                     "--draws", "5000"]) == 2, key
+        assert f"bounds.{key}" in capsys.readouterr().err, key
+
+
 def test_cramer_check_does_not_flag_the_exact_default_mean(tmp_path, capsys):
     # at d = 1 the certified Gaussian mean_norm_bound is E|xi| exactly; on
     # seed 780 the sample mean lies 3.7 standard errors above it

@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .bounds import certificate
 from .config import (build_bound_params, build_plan, build_scheme,
-                     config_hash, dumps17, experiment_settings, load_config)
+                     check_seed, config_hash, dumps17, experiment_settings,
+                     load_config)
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, StochmannError,
                      ValidationError)
@@ -61,17 +62,21 @@ def _write_csv(path, header, rows):
 
 def _apply_overrides(settings, args):
     if getattr(args, "seed", None) is not None:
-        settings["base_seed"] = int(args.seed)
+        settings["base_seed"] = check_seed(args.seed, "--seed")
     if getattr(args, "replicas", None) is not None:
         settings["replicas"] = int(args.replicas)
     return settings
 
 
 def cmd_iterate(args, cfg, scheme, digest, settings):
+    horizon = scheme.horizon
+    if horizon > settings["run_cap"]:
+        raise InfeasibleExperimentError(
+            f"scheme.horizon = {horizon} exceeds run cap {settings['run_cap']}; "
+            "raise experiment.run_cap to execute")
     d = dimension(scheme.map_spec)
     x_star = reference_fixed_point(scheme.map_spec)
     traj = run(scheme, x_star)
-    horizon = scheme.horizon
     if settings["checkpoints"]:
         cps = settings["checkpoints"]
         if cps[-1] > horizon + 1:

@@ -9,11 +9,14 @@ makes serialize-then-parse the identity and lets the content hash commit to
 exactly what the user wrote.
 
 Each value has one owner.  validate_config checks the JSON type of every
-field and the ranges of the fields no object takes (seeds, bounds.*,
-experiment.*).  The ranges of map, noise and scheme fields are checked by
-MapSpec, the noise builders, StepSequences and SchemeConfig, which
-build_scheme constructs.  The certificate's c comes from map.declared_c (or
-the map family) and its moment parameters from noise.*.
+field, the family and kind choices, and the ranges of the fields no object
+takes (seeds, bounds.*, experiment.*); a seed lies in [0, 2**64), the
+range its 64-bit stream key can tell apart.  The objects that
+build_scheme constructs own everything else: MapSpec the map fields,
+NoiseModel the noise fields (each family's required and refused keys, and
+the certified constants it fills in), StepSequences and SchemeConfig the
+scheme fields.  The certificate's c comes from map.declared_c (or the map
+family) and its moment parameters from the noise model.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .bounds import BoundParams
 from .errors import ValidationError
 from .montecarlo import ExperimentPlan
-from .noise import bounded_uniform, gaussian, zero
+from .noise import NOISE_FAMILIES, NoiseModel, zero
 from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
 from .spaces import (MAP_FAMILIES, NORM_KINDS, affine, as_point,
                      contraction_constant, dimension, inverse_quadratic, norm,
@@ -43,6 +46,7 @@ __all__ = [
     "build_scheme",
     "build_bound_params",
     "build_plan",
+    "check_seed",
     "experiment_settings",
 ]
 
@@ -72,17 +76,27 @@ def _number(value, path, integer=False, minimum=None, maximum=None,
             exclusive_min=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: must be a number")
-    if integer and not (isinstance(value, int) or float(value).is_integer()):
-        raise ValidationError(f"{path}: must be an integer")
-    if not math.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:
+        # an integer literal beyond the float64 range
+        raise ValidationError(f"{path}: must be finite") from None
+    if not math.isfinite(x):
         raise ValidationError(f"{path}: must be finite")
+    if integer and not x.is_integer():
+        raise ValidationError(f"{path}: must be an integer")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}")
     if exclusive_min is not None and value <= exclusive_min:
         raise ValidationError(f"{path}: must be > {exclusive_min}")
     if maximum is not None and value > maximum:
         raise ValidationError(f"{path}: must be <= {maximum}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else x
+
+
+def check_seed(value, path):
+    """A seed in [0, 2**64); stream keys reduce larger ones mod 2**64."""
+    return _number(value, path, integer=True, minimum=0, maximum=2**64 - 1)
 
 
 def _numbers(value, path, depth=1, **limits):
@@ -121,9 +135,10 @@ def validate_config(raw):
     """Validate structure and the ranges no object owns; returns the config
     unchanged.
 
-    The ranges of map, noise and scheme fields, and cross-field constraints
-    (dimension agreement, contractivity, rho feasibility), surface from
-    build_scheme and build_bound_params, with the same exception type.
+    The ranges of map, noise and scheme fields, the noise family's required
+    and refused keys, and cross-field constraints (dimension agreement,
+    contractivity, rho feasibility), surface from build_scheme and
+    build_bound_params, with the same exception type.
     """
     _object(raw, _TOP_KEYS, "config")
     for key in ("map", "scheme"):
@@ -168,23 +183,15 @@ def validate_config(raw):
         # integral here: build_scheme's int() would truncate 2.5
         _number(sc["horizon"], "scheme.horizon", integer=True)
     if "seed" in sc:
-        _number(sc["seed"], "scheme.seed", integer=True, minimum=0)
+        check_seed(sc["seed"], "scheme.seed")
 
     if "noise" in raw:
         nz = raw["noise"]
         _object(nz, _NOISE_KEYS, "noise")
-        fam = _choice(nz.get("family"), ("zero", "gaussian", "bounded_uniform"),
-                      "noise.family")
-        param = {"gaussian": "scale", "bounded_uniform": "half_width"}.get(fam)
-        if param is not None and param not in nz:
-            raise ValidationError(f"noise.{param}: required for {fam} noise")
-        for key in ("scale", "half_width", "sigma", "L", "mean_norm_bound"):
-            if key in nz:
-                if fam == "zero" or key in ("scale", "half_width") \
-                        and key != param:
-                    raise ValidationError(
-                        f"noise.{key}: not allowed for {fam} noise")
-                _number(nz[key], f"noise.{key}")
+        _choice(nz.get("family"), NOISE_FAMILIES, "noise.family")
+        for key, value in nz.items():
+            if key != "family":
+                _number(value, f"noise.{key}")
 
     if "bounds" in raw:
         bd = raw["bounds"]
@@ -205,8 +212,11 @@ def validate_config(raw):
         ex = raw["experiment"]
         _object(ex, _EXPERIMENT_KEYS, "experiment")
         if "checkpoints" in ex:
-            _numbers(ex["checkpoints"], "experiment.checkpoints", integer=True,
-                     minimum=1)
+            cps = ex["checkpoints"]
+            _numbers(cps, "experiment.checkpoints", integer=True, minimum=1)
+            if any(b <= a for a, b in zip(cps, cps[1:])):
+                raise ValidationError(
+                    "experiment.checkpoints: must be strictly increasing")
         if "eps_grid" in ex:
             _numbers(ex["eps_grid"], "experiment.eps_grid", exclusive_min=0.0)
         if "replicas" in ex:
@@ -220,7 +230,7 @@ def validate_config(raw):
     if "out_dir" in raw and not isinstance(raw["out_dir"], str):
         raise ValidationError("out_dir: must be a string")
     if "base_seed" in raw:
-        _number(raw["base_seed"], "base_seed", integer=True, minimum=0)
+        check_seed(raw["base_seed"], "base_seed")
     return raw
 
 
@@ -285,15 +295,7 @@ def build_map(cfg):
 
 def build_noise(cfg, dim):
     nz = cfg.get("noise")
-    if nz is None:
-        return None
-    over = {k: float(nz[k]) for k in ("sigma", "L", "mean_norm_bound") if k in nz}
-    family = nz["family"]
-    if family == "zero":
-        return zero(dim=dim, **over)
-    if family == "gaussian":
-        return gaussian(scale=float(nz["scale"]), dim=dim, **over)
-    return bounded_uniform(half_width=float(nz["half_width"]), dim=dim, **over)
+    return None if nz is None else NoiseModel(dim=dim, **nz)
 
 
 def build_scheme(cfg):

@@ -13,7 +13,9 @@ independent of batching or call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,20 +45,65 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise family plus its certified Cramér parameters.
+    """Noise family plus its Cramér parameters, valid by construction.
 
-    certified is True while (sigma, L, mean_norm_bound) are the shipped
-    defaults; overriding any of them clears it, and reports say so.
+    gaussian needs scale (the per-coordinate std) and bounded_uniform
+    half_width (the support half-width); zero noise takes neither, nor any
+    constant.  Missing constants are default_cramer_params'; certified is
+    True when none was given, so a dataclasses.replace copy is uncertified.
+    A bad field raises ValidationError naming noise.<field>.
     """
 
     family: str
     dim: int = 1
-    scale: float | None = None       # gaussian: per-coordinate std
-    half_width: float | None = None  # bounded_uniform: support half-width
-    sigma: float = 0.0
-    L: float = 1.0
-    mean_norm_bound: float = 0.0
-    certified: bool = True
+    scale: float | None = None
+    half_width: float | None = None
+    sigma: float | None = None
+    L: float | None = None
+    mean_norm_bound: float | None = None
+    certified: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.family not in NOISE_FAMILIES:
+            raise ValidationError(f"noise.family: unknown family {self.family!r}")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise ValidationError("noise.dim: must be an integer >= 1")
+        param = _PARAM.get(self.family)
+        allowed = (param,) + _CONSTANTS if param else ()
+        given = {}
+        for key in ("scale", "half_width") + _CONSTANTS:
+            value = getattr(self, key)
+            if value is None:
+                if key == param:
+                    raise ValidationError(f"noise.{key}: required for {self.family} noise")
+            elif key not in allowed:
+                raise ValidationError(f"noise.{key}: not allowed for {self.family} noise")
+            else:
+                strict = key not in ("sigma", "mean_norm_bound")
+                if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                        and abs(value) <= sys.float_info.max
+                        and (value > 0 if strict else value >= 0)):
+                    raise ValidationError(
+                        f"noise.{key}: must be a finite real {'>' if strict else '>='} 0")
+                given[key] = float(value)
+        # the shipped constants, as default_cramer_params documents them
+        if param is None:
+            defaults = (0.0, 1.0, 0.0)
+        else:
+            p, root_d = given.pop(param), math.sqrt(self.dim)
+            object.__setattr__(self, param, p)
+            if self.family == "bounded_uniform":
+                defaults = (p * root_d,) * 3
+            else:
+                mnb = p * math.sqrt(2.0 / math.pi) if self.dim == 1 else p * root_d
+                defaults = (2.0 * p * root_d, 2.0 * p * root_d, mnb)
+        for key, default in zip(_CONSTANTS, defaults):
+            object.__setattr__(self, key, given.get(key, default))
+        object.__setattr__(self, "certified", not given)
+
+
+_PARAM = {"gaussian": "scale", "bounded_uniform": "half_width"}
+_CONSTANTS = ("sigma", "L", "mean_norm_bound")
 
 
 def default_cramer_params(family, param=None, dim=1):
@@ -70,67 +117,28 @@ def default_cramer_params(family, param=None, dim=1):
                        the Euclidean norm.
 
     The triples certify the moment condition for the Euclidean and max
-    norms; the one-norm in dimension >= 2 needs a user override.
+    norms; the one-norm in dimension >= 2 needs a user override.  They are
+    the constants of NoiseModel(family, dim, ...), which checks the inputs.
     """
-    if dim < 1:
-        raise ValidationError("dim: must be >= 1")
-    if family == "zero":
-        return 0.0, 1.0, 0.0
-    if family == "gaussian":
-        s = float(param)
-        if not (np.isfinite(s) and s > 0):
-            raise ValidationError("noise.scale: must be a positive finite real")
-        root_d = math.sqrt(dim)
-        mnb = s * math.sqrt(2.0 / math.pi) if dim == 1 else s * root_d
-        return 2.0 * s * root_d, 2.0 * s * root_d, mnb
-    if family == "bounded_uniform":
-        h = float(param)
-        if not (np.isfinite(h) and h > 0):
-            raise ValidationError("noise.half_width: must be a positive finite real")
-        B = h * math.sqrt(dim)
-        return B, B, B
-    raise ValidationError(f"noise.family: unknown family {family!r}")
-
-
-def _with_overrides(model, sigma, L, mean_norm_bound):
-    fields = {}
-    if sigma is not None:
-        fields["sigma"] = float(sigma)
-    if L is not None:
-        fields["L"] = float(L)
-    if mean_norm_bound is not None:
-        fields["mean_norm_bound"] = float(mean_norm_bound)
-    if not fields:
-        return model
-    if "sigma" in fields and fields["sigma"] < 0:
-        raise ValidationError("noise.sigma: must be >= 0")
-    if "L" in fields and fields["L"] <= 0:
-        raise ValidationError("noise.L: must be > 0")
-    if "mean_norm_bound" in fields and fields["mean_norm_bound"] < 0:
-        raise ValidationError("noise.mean_norm_bound: must be >= 0")
-    return replace(model, certified=False, **fields)
+    model = NoiseModel(family, dim, **({_PARAM[family]: param} if family in _PARAM else {}))
+    return model.sigma, model.L, model.mean_norm_bound
 
 
 def zero(dim=1):
     """The deterministic zero error; stochastic Mann degenerates to Mann."""
-    s, L, mnb = default_cramer_params("zero", dim=dim)
-    return NoiseModel(family="zero", dim=dim, sigma=s, L=L, mean_norm_bound=mnb)
+    return NoiseModel(family="zero", dim=dim)
 
 
 def gaussian(scale, dim=1, sigma=None, L=None, mean_norm_bound=None):
     """Centered Gaussian with independent N(0, scale^2) coordinates."""
-    s0, L0, mnb0 = default_cramer_params("gaussian", scale, dim)
-    model = NoiseModel(family="gaussian", dim=dim, scale=float(scale),
-                       sigma=s0, L=L0, mean_norm_bound=mnb0)
-    return _with_overrides(model, sigma, L, mean_norm_bound)
+    return NoiseModel(family="gaussian", dim=dim, scale=scale, sigma=sigma, L=L,
+                      mean_norm_bound=mean_norm_bound)
 
 
 def bounded_uniform(half_width, dim=1, sigma=None, L=None, mean_norm_bound=None):
     """Independent Uniform(-h, h) coordinates."""
-    s0, L0, mnb0 = default_cramer_params("bounded_uniform", half_width, dim)
-    model = NoiseModel(family="bounded_uniform", dim=dim, half_width=float(half_width),
-                       sigma=s0, L=L0, mean_norm_bound=mnb0)
-    return _with_overrides(model, sigma, L, mean_norm_bound)
+    return NoiseModel(family="bounded_uniform", dim=dim, half_width=half_width,
+                      sigma=sigma, L=L, mean_norm_bound=mean_norm_bound)
 
 
 def sample_block(model, dim, seed, indices, work=None):
@@ -225,26 +233,24 @@ class CramerReport:
         return not self.flags
 
 
-def cramer_check(model, dim=None, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
+def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
     """Estimate moments of ||xi|| and compare against the certificates.
 
     Standard errors are the plug-in ones, std(||xi||^m)/sqrt(draws); with
     heavy powers these are themselves noisy, which is why the flag
     threshold sits at three standard errors rather than one.
     """
-    if dim is None:
-        dim = model.dim
     if m_max < 2:
         raise ValidationError("m_max: must be >= 2")
     if draws < 2:
         raise ValidationError("draws: must be >= 2")
-    xi = sample_block(model, dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
+    xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())
     mean_se = float(norms.std() / math.sqrt(draws))
     # the certified Gaussian default on the line, s*sqrt(2/pi), is E|xi|
     # itself: a one-sided test would refute it by chance (1 seed in ~740)
-    exact = model.certified and model.family == "gaussian" and dim == 1
+    exact = model.certified and model.family == "gaussian" and model.dim == 1
     mean_row = MomentRow(1, mean, model.mean_norm_bound, mean_se,
                          exact or mean <= model.mean_norm_bound + 3.0 * mean_se)
     zeta = norms - mean
@@ -261,7 +267,7 @@ def cramer_check(model, dim=None, m_max=10, draws=10**5, seed=0, norm_kind="eucl
         cse = float(cen_pow.std() / math.sqrt(draws))
         cbound = 2.0 * fact * model.sigma ** 2 * (2.0 * model.L) ** (m - 2)
         centered_rows.append(MomentRow(m, cemp, cbound, cse, cemp <= cbound + 3.0 * cse))
-    return CramerReport(family=model.family, dim=dim, draws=draws,
+    return CramerReport(family=model.family, dim=model.dim, draws=draws,
                         sigma=model.sigma, L=model.L, certified=model.certified,
                         mean=mean_row, raw=tuple(raw_rows),
                         centered=tuple(centered_rows))

@@ -7,7 +7,7 @@ point case, so batched replica runs reproduce serial arithmetic bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class MapSpec:
     offset: np.ndarray | None = None
     lam: float | None = None
     declared_c: float | None = None
-    domain_box: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.family not in MAP_FAMILIES:
@@ -109,46 +108,23 @@ class MapSpec:
                 raise ValidationError("map: scaled_cosine family requires lam")
             if not (np.isfinite(self.lam) and abs(self.lam) < 1.0):
                 raise ValidationError("map.lam: |lam| must be < 1")
-        if self.domain_box is None:
-            object.__setattr__(self, "domain_box", _default_box(self))
-        else:
-            object.__setattr__(self, "domain_box",
-                               _validate_box(self.domain_box, dimension(self)))
 
 
-def _default_box(m):
-    d = dimension(m)
-    return np.tile(np.array([-10.0, 10.0]), (d, 1))
-
-
-def _validate_box(box, d):
-    box = np.asarray(box, dtype=np.float64)
-    if box.shape != (d, 2):
-        raise ValidationError(f"domain_box: expected shape ({d}, 2)")
-    if not np.all(np.isfinite(box)):
-        raise ValidationError("domain_box: bounds must be finite")
-    if np.any(box[:, 0] >= box[:, 1]):
-        raise ValidationError("domain_box: degenerate (zero or negative volume)")
-    return box
-
-
-def inverse_quadratic(declared_c=None, domain_box=None):
+def inverse_quadratic(declared_c=None):
     """F(x) = 1/(1+x^2) on the line; contraction with c = 9/(8*sqrt(3))."""
-    return MapSpec(family="inverse_quadratic", declared_c=declared_c,
-                   domain_box=domain_box)
+    return MapSpec(family="inverse_quadratic", declared_c=declared_c)
 
 
-def affine(matrix, offset, declared_c=None, domain_box=None):
+def affine(matrix, offset, declared_c=None):
     """F(x) = A x + b with operator-norm(A) < 1."""
     return MapSpec(family="affine", matrix=np.asarray(matrix, dtype=np.float64),
                    offset=np.asarray(offset, dtype=np.float64),
-                   declared_c=declared_c, domain_box=domain_box)
+                   declared_c=declared_c)
 
 
-def scaled_cosine(lam, declared_c=None, domain_box=None):
+def scaled_cosine(lam, declared_c=None):
     """F(x) = lam*cos(x) on the line, |lam| < 1."""
-    return MapSpec(family="scaled_cosine", lam=float(lam), declared_c=declared_c,
-                   domain_box=domain_box)
+    return MapSpec(family="scaled_cosine", lam=float(lam), declared_c=declared_c)
 
 
 def dimension(m):
@@ -233,7 +209,8 @@ def contraction_constant(m, norm_kind="euclidean"):
 
 def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="euclidean"):
     """Empirical contraction constant: max of ||F(x)-F(y)|| / ||x-y|| over
-    sampled pairs in the box.
+    sampled pairs in domain_box, a (d, 2) array of [low, high] rows that
+    defaults to [-10, 10]^d.
 
     Pair i is a pure function of (seed, i), so enlarging `samples` extends
     the sample rather than reshuffling it; the estimate is therefore
@@ -242,7 +219,14 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     if samples < 1:
         raise ValidationError("samples: must be >= 1")
     d = dimension(m)
-    box = _validate_box(domain_box, d) if domain_box is not None else m.domain_box
+    box = np.asarray([[-10.0, 10.0]] * d if domain_box is None else domain_box,
+                     dtype=np.float64)
+    if box.shape != (d, 2):
+        raise ValidationError(f"domain_box: expected shape ({d}, 2)")
+    if not np.all(np.isfinite(box)):
+        raise ValidationError("domain_box: bounds must be finite")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise ValidationError("domain_box: degenerate (zero or negative volume)")
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
     u = substream_uniforms(seed, np.arange(samples, dtype=np.uint64), 2 * d)
     x = lo + span * u[:, :d]

@@ -120,6 +120,15 @@ def test_confidence_run_cap_exits_4(tmp_path, capsys):
     assert main(["confidence", "--config", cfg_path, "--eps", "0.1",
                  "--alpha", "0.05"]) == 4
     assert "run cap" in capsys.readouterr().err
+    # iterate caps its horizon the same way, before it allocates the path
+    assert main(["iterate", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "scheme.horizon = 10000 exceeds run cap 100" \
+        in capsys.readouterr().err
+    cfg = dict(DEMO, scheme=dict(DEMO["scheme"], horizon=10**13))
+    assert main(["iterate", "--config", write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "run cap 10000000" in capsys.readouterr().err
 
 
 def test_confidence_alpha_outside_unit_interval_exits_2(tmp_path, capsys):
@@ -337,6 +346,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         "offset": [0.1], "lam": 0.5}}, "map.lam"),
               ({"scheme": dict(scheme, ishikawa_b=1.0)}, "scheme.ishikawa_b"),
               ({"bounds": {"rho": 0.1, "rho_scale": 0.5}}, "bounds.rho_scale")]
+    # a noise block names its family; seeds lie in [0, 2**64), which the
+    # 64-bit stream keys tell apart; integers beyond float64 are refused
+    cases += [({"noise": {"scale": 2.0}}, "noise.family"),
+              ({"base_seed": 2**64}, "base_seed"),
+              ({"scheme": dict(scheme, seed=2**64)}, "scheme.seed"),
+              ({"base_seed": 10**400}, "base_seed"),
+              ({"scheme": dict(scheme, horizon=10**400)}, "scheme.horizon")]
+    # checkpoints strictly increase, as every command that reads them needs
+    experiment = REFERENCE["experiment"]
+    cases += [({"experiment": dict(experiment, checkpoints=cps)},
+               "experiment.checkpoints") for cps in ([10, 10], [20000, 5])]
     # every subcommand builds the same scheme, so each refuses each case
     (commands,) = [action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
@@ -349,6 +369,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                     "--out", str(tmp_path / "o")] + extra.get(command, [])
             assert main(argv) == 2, (command, field)
             assert field in capsys.readouterr().err, (command, field)
+    # --seed goes through the same check as base_seed
+    cfg_path = write(tmp_path, REFERENCE)
+    for seed in ("-1", str(2**64)):
+        for command in commands:
+            argv = [command, "--config", cfg_path, "--seed", seed,
+                    "--out", str(tmp_path / "o")] + extra.get(command, [])
+            assert main(argv) == 2, (command, seed)
+            assert "--seed" in capsys.readouterr().err, (command, seed)
 
 
 def test_each_command_sums_each_series_once(tmp_path, monkeypatch):

@@ -71,10 +71,11 @@ def test_missing_required_pieces():
     cfg["map"] = {"family": "affine", "matrix": [[0.5]]}  # offset missing
     with pytest.raises(ValidationError):
         validate_config(cfg)
+    # the noise model owns its family's required parameter
     cfg = copy.deepcopy(BASE)
     cfg["noise"] = {"family": "gaussian"}  # scale missing
-    with pytest.raises(ValidationError):
-        validate_config(cfg)
+    with pytest.raises(ValidationError, match="noise.scale"):
+        build_scheme(validate_config(cfg))
 
 
 def test_value_range_checks():

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gamma
 
 from stochmann.errors import ValidationError
-from stochmann.noise import (bounded_uniform, cramer_check,
+from stochmann.noise import (NoiseModel, bounded_uniform, cramer_check,
                              default_cramer_params, gaussian, sample,
                              sample_block, sample_many, zero)
 from stochmann.streams import Workspace
@@ -157,10 +157,14 @@ def test_cramer_check_mean_row_rule_for_the_exact_default():
     # the same value declared by the user keeps the three-standard-error rule
     declared = gaussian(scale=2.0, mean_norm_bound=exact.mean_norm_bound)
     assert not cramer_check(declared, m_max=2, draws=10**4, seed=780).mean.ok
+    # a replaced copy is no longer certified, so it keeps that rule too
+    replaced = dataclasses.replace(exact, mean_norm_bound=exact.mean_norm_bound)
+    assert replaced == declared and not replaced.certified
+    assert not cramer_check(replaced, m_max=2, draws=10**4, seed=780).mean.ok
     # as does every other family and dimension
     for model in (bounded_uniform(half_width=0.5), gaussian(scale=1.0, dim=2)):
         model = dataclasses.replace(model, mean_norm_bound=0.1)
-        assert model.certified
+        assert not model.certified
         assert not cramer_check(model, m_max=2, draws=1000, seed=0).mean.ok
 
 
@@ -188,3 +192,31 @@ def test_validation_errors():
     model = gaussian(scale=1.0, dim=2)
     with pytest.raises(ValidationError):
         sample(model, 3, (0, 1))  # dim disagrees with the model
+    # the class itself checks and fills in the constants, as the builders do
+    assert NoiseModel(family="gaussian", scale=2.0) == gaussian(2.0)
+    assert NoiseModel(family="gaussian", scale=2.0).sigma == 4.0
+    assert NoiseModel(family="zero", dim=3) == zero(dim=3)
+    with pytest.raises(TypeError):
+        NoiseModel(family="gaussian", scale=2.0, certified=True)
+    # a replaced parameter does not carry the old constants as certified
+    model = dataclasses.replace(gaussian(1.0), scale=10.0)
+    assert model.sigma == 2.0 and not model.certified
+    for kwargs, path in [
+        (dict(family="nope"), "noise.family"),
+        (dict(family="gaussian", scale=-3.0), "noise.scale"),
+        (dict(family="gaussian", scale=float("nan")), "noise.scale"),
+        (dict(family="gaussian", scale=10**400), "noise.scale"),
+        (dict(family="gaussian", scale="2"), "noise.scale"),
+        (dict(family="gaussian"), "noise.scale"),
+        (dict(family="bounded_uniform", half_width=0.0), "noise.half_width"),
+        (dict(family="gaussian", scale=1.0, half_width=1.0), "noise.half_width"),
+        (dict(family="zero", scale=1.0), "noise.scale"),
+        (dict(family="zero", sigma=0.0), "noise.sigma"),
+        (dict(family="gaussian", scale=1.0, sigma=-1.0), "noise.sigma"),
+        (dict(family="gaussian", scale=1.0, L=0.0), "noise.L"),
+        (dict(family="gaussian", scale=1.0, mean_norm_bound=float("inf")),
+         "noise.mean_norm_bound"),
+        (dict(family="gaussian", scale=1.0, dim=0), "noise.dim"),
+    ]:
+        with pytest.raises(ValidationError, match=path):
+            NoiseModel(**kwargs)

@@ -170,7 +170,7 @@ def test_validation_rejects_bad_specs():
     with pytest.raises(ValidationError):
         inverse_quadratic(declared_c=1.0)
     with pytest.raises(ValidationError):
-        inverse_quadratic(domain_box=[[1.0, 1.0]])  # degenerate box
+        estimate_contraction(inverse_quadratic(), domain_box=[[1.0, 1.0]])
     with pytest.raises(ValidationError):
         affine(np.array([[0.5, 0.0]]), np.array([0.0]))  # not square
 

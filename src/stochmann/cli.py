@@ -91,8 +91,7 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
     rows = []
     for n in cps:
         point = traj.iterate(n)
-        applied = float(traj.noise_norms[n - 1]) \
-            if n <= traj.noise_norms.shape[0] else ""
+        applied = float(traj.noise_norms[n - 1]) if n <= horizon else ""
         rows.append([n] + [float(v) for v in point] + [applied, traj.error(n)])
     stem = _stem("iterate", settings, digest)
     csv_path = out / f"{stem}.csv"
@@ -229,8 +228,6 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
 
 
 def cmd_cramer_check(args, cfg, scheme, digest, settings):
-    if scheme.noise is None:
-        raise ValidationError("cramer-check: config has no noise block")
     report = cramer_check(scheme.noise, m_max=args.m_max, draws=args.draws,
                           seed=settings["base_seed"],
                           norm_kind=scheme.norm_kind)

@@ -6,17 +6,18 @@ bounds.rho), are rejected with their field path, so a typo fails loudly
 instead of silently running a default experiment.  The parsed structure is
 kept verbatim (defaults are applied by the builders, not written back), which
 makes serialize-then-parse the identity and lets the content hash commit to
-exactly what the user wrote.
+exactly what the user wrote.  The map, scheme and noise blocks are
+required; zero noise ({"family": "zero"}) runs the plain Mann iteration.
 
 Each value has one owner.  validate_config checks the JSON type of every
 field, the family and kind choices, and the ranges of the fields no object
-takes (seeds, bounds.*, experiment.*); a seed lies in [0, 2**64), the
-range its 64-bit stream key can tell apart.  The objects that
-build_scheme constructs own everything else: MapSpec the map fields,
-NoiseModel the noise fields (each family's required and refused keys, and
-the certified constants it fills in), StepSequences and SchemeConfig the
-scheme fields.  The certificate's c comes from map.declared_c (or the map
-family) and its moment parameters from the noise model.
+takes (seeds, in streams.check_seed's range; bounds.*; experiment.*).  The
+objects that build_scheme constructs own everything else: MapSpec the map
+fields, NoiseModel the noise fields (each family's required and refused
+keys, and the certified constants it fills in), StepSequences and
+SchemeConfig the scheme fields.  The certificate's c comes from
+map.declared_c (or the map family) and its moment parameters from the
+noise model.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import math
 
 import numpy as np
 
+from . import streams
 from .bounds import BoundParams
 from .errors import ValidationError
 from .montecarlo import ExperimentPlan
-from .noise import NOISE_FAMILIES, NoiseModel, zero
+from .noise import NOISE_FAMILIES, NoiseModel
 from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
 from .spaces import (MAP_FAMILIES, NORM_KINDS, affine, as_point,
                      contraction_constant, dimension, inverse_quadratic, norm,
@@ -53,7 +55,7 @@ __all__ = [
 _TOP_KEYS = {"map", "norm", "scheme", "noise", "bounds", "experiment",
              "out_dir", "base_seed"}
 _MAP_KEYS = {"family", "matrix", "offset", "lam", "declared_c"}
-_SCHEME_KEYS = {"kind", "x0", "a", "horizon", "seed", "ishikawa_b"}
+_SCHEME_KEYS = {"kind", "x0", "a", "horizon", "seed"}
 _NOISE_KEYS = {"family", "scale", "half_width", "sigma", "L", "mean_norm_bound"}
 _BOUNDS_KEYS = {"N", "rho", "rho_scale", "n_cap"}
 _EXPERIMENT_KEYS = {"checkpoints", "eps_grid", "replicas", "alpha", "run_cap"}
@@ -95,8 +97,8 @@ def _number(value, path, integer=False, minimum=None, maximum=None,
 
 
 def check_seed(value, path):
-    """A seed in [0, 2**64); stream keys reduce larger ones mod 2**64."""
-    return _number(value, path, integer=True, minimum=0, maximum=2**64 - 1)
+    """An integral JSON number in streams.check_seed's range [0, 2**64)."""
+    return streams.check_seed(_number(value, path, integer=True), path)
 
 
 def _numbers(value, path, depth=1, **limits):
@@ -141,7 +143,7 @@ def validate_config(raw):
     build_bound_params, with the same exception type.
     """
     _object(raw, _TOP_KEYS, "config")
-    for key in ("map", "scheme"):
+    for key in ("map", "scheme", "noise"):
         if key not in raw:
             raise ValidationError(f"config.{key}: required block is missing")
 
@@ -170,28 +172,24 @@ def validate_config(raw):
 
     sc = raw["scheme"]
     _object(sc, _SCHEME_KEYS, "scheme")
-    kind = _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
-    if "ishikawa_b" in sc and kind != "ishikawa":
-        raise ValidationError("scheme.ishikawa_b: only ishikawa schemes take it")
+    _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
     if "x0" not in sc:
         raise ValidationError("scheme.x0: required")
     _numbers(sc["x0"], "scheme.x0")
-    for key in ("a", "ishikawa_b"):
-        if key in sc:
-            _number(sc[key], f"scheme.{key}")
+    if "a" in sc:
+        _number(sc["a"], "scheme.a")
     if "horizon" in sc:
         # integral here: build_scheme's int() would truncate 2.5
         _number(sc["horizon"], "scheme.horizon", integer=True)
     if "seed" in sc:
         check_seed(sc["seed"], "scheme.seed")
 
-    if "noise" in raw:
-        nz = raw["noise"]
-        _object(nz, _NOISE_KEYS, "noise")
-        _choice(nz.get("family"), NOISE_FAMILIES, "noise.family")
-        for key, value in nz.items():
-            if key != "family":
-                _number(value, f"noise.{key}")
+    nz = raw["noise"]
+    _object(nz, _NOISE_KEYS, "noise")
+    _choice(nz.get("family"), NOISE_FAMILIES, "noise.family")
+    for key, value in nz.items():
+        if key != "family":
+            _number(value, f"noise.{key}")
 
     if "bounds" in raw:
         bd = raw["bounds"]
@@ -294,8 +292,7 @@ def build_map(cfg):
 
 
 def build_noise(cfg, dim):
-    nz = cfg.get("noise")
-    return None if nz is None else NoiseModel(dim=dim, **nz)
+    return NoiseModel(dim=dim, **cfg["noise"])
 
 
 def build_scheme(cfg):
@@ -312,7 +309,6 @@ def build_scheme(cfg):
         horizon=int(sc.get("horizon", 1000)),
         seed=int(sc.get("seed", 0)),
         norm_kind=cfg.get("norm", "euclidean"),
-        ishikawa_b=float(sc.get("ishikawa_b", 1.0)),
     )
 
 
@@ -334,7 +330,7 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     norm_kind = cfg.get("norm", "euclidean")
     a = float(cfg["scheme"].get("a", 0.5))
     c = contraction_constant(map_spec, norm_kind)
-    model = build_noise(cfg, d) or zero(dim=d)
+    model = build_noise(cfg, d)
     if norm_kind == "one" and model.family != "zero" and d >= 2:
         # default_cramer_params certifies the Euclidean and max norms only
         for key in ("sigma", "L", "mean_norm_bound"):

@@ -19,7 +19,7 @@ from .bounds import Certificate, certificate, rate_envelope
 from .errors import CoverageError, InfeasibleExperimentError, ValidationError
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
-from .streams import derive_key
+from .streams import check_seed, derive_key
 
 __all__ = [
     "ExperimentPlan",
@@ -110,7 +110,8 @@ class RateDiagnostic:
 
 def replica_seeds(base_seed, replicas):
     """Injective per-replica seeds; row r is derive_key(base_seed, r)."""
-    return derive_key(base_seed, np.arange(replicas, dtype=np.uint64))
+    return derive_key(check_seed(base_seed, "base_seed"),
+                      np.arange(replicas, dtype=np.uint64))
 
 
 def clopper_pearson(successes, trials, confidence=0.99):

@@ -33,7 +33,6 @@ __all__ = [
     "gaussian",
     "bounded_uniform",
     "default_cramer_params",
-    "sample",
     "sample_block",
     "sample_keyed",
     "sample_many",
@@ -171,11 +170,6 @@ def sample_keyed(model, keys, indices, work=None):
     np.subtract(u, 1.0, out=u)
     np.multiply(u, model.half_width, out=u)
     return u
-
-
-def sample(model, dim, stream_key):
-    """One draw from the substream stream_key = (seed, index)."""
-    return sample_block(model, dim, stream_key[0], int(stream_key[1]))
 
 
 def sample_many(model, dim, seeds, index):

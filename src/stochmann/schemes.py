@@ -1,14 +1,10 @@
-"""Fixed-point iteration schemes.
+"""Mann's iteration with functional random errors.
 
-Five update rules on a common interface:
+The package's one update rule, the scheme kind "stochastic_mann":
 
-    picard          x' = F(x)
-    krasnoselskii   x' = (F(x) + x)/2
-    mann            x' = (1 - a_n) x + a_n F(x),          a_n = a/n
-    ishikawa        y  = (1 - b_n) x + b_n F(x)
-                    x' = (1 - a_n) x + a_n F(y),          a_n = a, b_n = g/(n+1)
-    stochastic_mann x' = (1 - a_n) x + a_n F(x) + b_n xi_n,
-                    a_n = a/n, b_n = a/n^2
+    x' = (1 - a_n) x + a_n F(x) + b_n xi_n,     a_n = a/n, b_n = a/n^2
+
+With zero noise (noise.zero()) it is the plain Mann iteration.
 
 Iterates are indexed from 1 with x_1 the user's initial point, so the step
 counter n in the update rule and in the error bounds line up index for
@@ -21,23 +17,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from . import noise as noise_mod
 from .errors import DivergedError, ValidationError
 from .spaces import as_point, dimension, eval_map, map_function, norm
-from .streams import Workspace, derive_key
+from .streams import Workspace, check_seed, derive_key
 
-SCHEME_KINDS = ("picard", "krasnoselskii", "mann", "ishikawa", "stochastic_mann")
+SCHEME_KINDS = ("stochastic_mann",)
 
 # Noise elements (replicas x steps x d) that advance() draws per tile:
 # large enough to amortize a Philox call, small enough to stay in cache.
 TILE_ELEMENTS = 2**14
 
 __all__ = ["SCHEME_KINDS", "TILE_ELEMENTS", "StepSequences", "SchemeConfig",
-           "Trajectory", "step_sizes", "step", "advance", "run"]
+           "Trajectory", "step", "advance", "run"]
 
 
 @dataclass(frozen=True)
@@ -56,24 +51,16 @@ class StepSequences:
             raise ValidationError("scheme.a: must satisfy 0 < a < 1")
 
 
-def step_sizes(steps, n):
-    """(a_n, b_n) = (a/n, a/n^2) for 1-based step index n."""
-    if n < 1:
-        raise ValidationError("n: step index is 1-based")
-    return steps.a / n, steps.a / (n * n)
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     kind: str
     map_spec: object
     x0: np.ndarray
+    noise: noise_mod.NoiseModel  # zero() for the plain Mann iteration
     steps: StepSequences = field(default_factory=StepSequences)
-    noise: object | None = None
     horizon: int = 1000
     seed: int = 0
     norm_kind: str = "euclidean"
-    ishikawa_b: float = 1.0  # b_n = ishikawa_b/(n+1), keeps b_1 < 1
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -82,17 +69,12 @@ class SchemeConfig:
         object.__setattr__(self, "x0", as_point(self.x0, d, name="scheme.x0"))
         if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
             raise ValidationError("scheme.horizon: must be an integer >= 1")
-        if self.kind == "stochastic_mann":
-            if self.noise is None:
-                raise ValidationError(
-                    "scheme.noise: required when scheme.kind == 'stochastic_mann'")
-            if self.noise.dim != d:
-                raise ValidationError(
-                    f"scheme.noise: model dimension {self.noise.dim} != map dimension {d}")
-        elif self.noise is not None:
-            raise ValidationError("scheme.noise: only stochastic_mann takes a noise model")
-        if self.kind == "ishikawa" and not (0.0 < self.ishikawa_b <= 1.0):
-            raise ValidationError("scheme.ishikawa_b: must lie in (0, 1]")
+        object.__setattr__(self, "seed", check_seed(self.seed, "scheme.seed"))
+        if not isinstance(self.noise, noise_mod.NoiseModel):
+            raise ValidationError("scheme.noise: must be a NoiseModel")
+        if self.noise.dim != d:
+            raise ValidationError(
+                f"scheme.noise: model dimension {self.noise.dim} != map dimension {d}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +83,7 @@ class Trajectory:
 
     iterates      (horizon+1, d); row k holds x_{k+1}, i.e. row 0 is the
                   initial point x_1 and row `horizon` is x_{horizon+1}
-    noise_norms   (horizon,); ||xi_n|| for n = 1..horizon, empty for
-                  deterministic schemes
+    noise_norms   (horizon,); ||xi_n|| for n = 1..horizon
     errors_to_ref (horizon+1,) distances ||x_n - x*|| when a reference
                   point was supplied, else None
     """
@@ -131,31 +112,15 @@ class Trajectory:
         return self.iterates.shape[0]
 
 
-def _update(kind, cfg, F):
-    """The update rule of kind as a function (x, n, xi) -> x_{n+1}, with
-    cfg's gains and the map F bound once; the one copy of each rule."""
-    a, g = cfg.steps.a, cfg.ishikawa_b
-    if kind == "picard":
-        return lambda x, n, xi: F(x)
-    if kind == "krasnoselskii":
-        return lambda x, n, xi: 0.5 * (F(x) + x)
-    if kind == "mann":
-        def mann(x, n, xi):
-            a_n = a / n
-            return (1.0 - a_n) * x + a_n * F(x)
-        return mann
-    if kind == "stochastic_mann":
-        def stochastic_mann(x, n, xi):
-            a_n = a / n
-            return (1.0 - a_n) * x + a_n * F(x) + a / (n * n) * xi
-        return stochastic_mann
-    if kind == "ishikawa":
-        def ishikawa(x, n, xi):
-            b_n = g / (n + 1)
-            y = (1.0 - b_n) * x + b_n * F(x)
-            return (1.0 - a) * x + a * F(y)
-        return ishikawa
-    raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
+def _update(cfg, F):
+    """The update rule as a function (x, n, xi) -> x_{n+1}, with cfg's gain
+    and the map F bound once; the one copy of the rule."""
+    a = cfg.steps.a
+
+    def stochastic_mann(x, n, xi):
+        a_n = a / n
+        return (1.0 - a_n) * x + a_n * F(x) + a / (n * n) * xi
+    return stochastic_mann
 
 
 def step(kind, x, n, cfg, noise_draw=None, F=None):
@@ -163,26 +128,27 @@ def step(kind, x, n, cfg, noise_draw=None, F=None):
 
     x may carry leading batch axes, or be a float when d = 1; all arithmetic
     is elementwise, so a batched call agrees bitwise with per-element calls.
-    F is the map as spaces.map_function returns it; without it, each
-    evaluation goes through the validating eval_map.
+    noise_draw is xi_n, shaped like x.  F is the map as map_function returns
+    it; without it, each evaluation goes through the validating eval_map.
     """
+    if kind not in SCHEME_KINDS:
+        raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
     if n < 1:
         raise ValidationError("n: step index is 1-based")
     if F is None:
         F = partial(eval_map, cfg.map_spec)
-    return _update(kind, cfg, F)(x, n, noise_draw)
+    return _update(cfg, F)(x, n, noise_draw)
 
 
 def advance(cfg, seeds, horizon):
     """The package's only time loop: one replica per seed, from x_1 = cfg.x0.
 
     Yields (n, X, xi) after step n: X is the state x_{n+1} and xi the noise
-    of step n, None for deterministic schemes.  Both are (R, d) arrays,
-    except for one replica on the line (R*d == 1), which is stepped and
-    yielded as Python floats: the same arithmetic without numpy's per-call
-    overhead, bitwise equal to the array path.  Both bodies call the update
-    rule that step() uses, resolved once per call.  The arrays are
-    stored replica-innermost, as views of (d, R) memory, so every ufunc
+    of step n.  Both are (R, d) arrays, except for one replica on the line
+    (R*d == 1), which is stepped and yielded as Python floats: the same
+    arithmetic without numpy's per-call overhead, bitwise equal to the array
+    path.  Both bodies call the update rule that step() uses, resolved once
+    per call.  The arrays are stored replica-innermost, as views of (d, R) memory, so every ufunc
     pass loops over the replicas; they are not C-contiguous.  Replica r
     draws from the substream (seeds[r], n), in (T x R) tiles of about
     TILE_ELEMENTS values, stored (d, T, R); cfg.seed is ignored.  The tiles
@@ -194,24 +160,20 @@ def advance(cfg, seeds, horizon):
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     d = dimension(cfg.map_spec)
-    update = _update(cfg.kind, cfg, map_function(cfg.map_spec))
-    stochastic = cfg.kind == "stochastic_mann"
-    if stochastic:  # SchemeConfig checked that the noise has dimension d
-        keys = derive_key(seeds)
-        work = Workspace()
+    update = _update(cfg, map_function(cfg.map_spec))
+    keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
+    work = Workspace()
     scalar = seeds.shape[0] * d == 1
     X = float(cfg.x0[0]) if scalar else np.repeat(
         cfg.x0[:, None], seeds.shape[0], axis=1).T
     tile_steps = max(1, TILE_ELEMENTS // (seeds.shape[0] * d))
     for start in range(1, horizon + 1, tile_steps):
         stop = min(start + tile_steps, horizon + 1)
-        if stochastic:  # logically (T, R, d)
-            tile = noise_mod.sample_keyed(
-                cfg.noise, keys, np.arange(start, stop, dtype=np.uint64)[:, None],
-                work)
+        tile = noise_mod.sample_keyed(  # logically (T, R, d)
+            cfg.noise, keys, np.arange(start, stop, dtype=np.uint64)[:, None],
+            work)
         if scalar:
-            draws = tile.reshape(-1).tolist() if stochastic else repeat(None)
-            for n, xi in zip(range(start, stop), draws):
+            for n, xi in zip(range(start, stop), tile.reshape(-1).tolist()):
                 X = update(X, n, xi)
                 if not math.isfinite(X):
                     raise DivergedError(f"1 replica(s) diverged at step {n}",
@@ -219,7 +181,7 @@ def advance(cfg, seeds, horizon):
                 yield n, X, xi
             continue
         for n in range(start, stop):
-            xi = tile[n - start] if stochastic else None
+            xi = tile[n - start]
             X = update(X, n, xi)
             if not np.isfinite(X).all():
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
@@ -239,16 +201,14 @@ def run(cfg, x_star=None):
     d = dimension(cfg.map_spec)
     iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
     iterates[0] = cfg.x0
-    draws = np.empty((cfg.horizon if cfg.noise else 0, d), dtype=np.float64)
+    draws = np.empty((cfg.horizon, d), dtype=np.float64)
     # one replica: advance yields floats at d = 1, written through memoryviews
     # (cheaper than numpy item assignment), and (1, d) rows otherwise
     rows, draw_rows = ((memoryview(iterates[:, 0]), memoryview(draws[:, 0]))
                        if d == 1 else (iterates, draws))
-    # a Python int seed is reduced mod 2**64, as derive_key does
-    for n, X, xi in advance(cfg, [int(cfg.seed) % 2**64], cfg.horizon):
+    for n, X, xi in advance(cfg, [cfg.seed], cfg.horizon):
         rows[n] = X
-        if xi is not None:
-            draw_rows[n - 1] = xi
+        draw_rows[n - 1] = xi
     errors = None
     if x_star is not None:
         x_star = as_point(x_star, d, name="x_star")

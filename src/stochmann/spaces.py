@@ -240,7 +240,7 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
 
 
 def reference_fixed_point(m, tol=1e-13, max_iter=100000, x0=None):
-    """High-accuracy fixed point via Picard iteration.
+    """High-accuracy fixed point via the iteration x <- F(x).
 
     Terminates when the residual ||F(x)-x|| is <= tol; the Banach estimate
     ||x - x*|| <= residual/(1-c) then bounds the true error.
@@ -257,4 +257,4 @@ def reference_fixed_point(m, tol=1e-13, max_iter=100000, x0=None):
             return fx
         x = fx
     raise NonContractiveError(
-        f"Picard iteration did not reach residual {tol:g} in {max_iter} steps")
+        f"iteration x <- F(x) did not reach residual {tol:g} in {max_iter} steps")

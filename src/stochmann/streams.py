@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ValidationError
+
 # Philox-2x64 round constants (multiplier and Weyl key increment).
 _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
 _PHILOX_W = np.uint64(0x9E3779B97F4A7C15)
@@ -31,6 +33,7 @@ __all__ = [
     "substream_uniforms",
     "substream_normals",
     "derive_key",
+    "check_seed",
 ]
 
 
@@ -150,6 +153,15 @@ def mix64(x):
         z = z * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return z
+
+
+def check_seed(seed, path):
+    """seed as an int in [0, 2**64), the seeds derive_key tells apart (it
+    reduces mod 2**64); anything else raises ValidationError naming path."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"{path}: must be an integer in [0, 2**64)")
+    return int(seed)
 
 
 def derive_key(seed, salt=0):

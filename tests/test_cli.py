@@ -324,27 +324,30 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                           "scale": 2.0}}, "noise.scale")]
     # ranges and combinations that the scheme's own objects check
     scheme = REFERENCE["scheme"]
-    cases += [({"scheme": dict(scheme, a=1.5)}, "scheme.a"),
-              ({"scheme": dict(scheme, kind="mann")}, "scheme.noise")]
+    cases += [({"scheme": dict(scheme, a=1.5)}, "scheme.a")]
+    # stochastic Mann is the one kind, and the noise block is required (a
+    # None value drops the block); zero noise runs plain Mann
+    cases += [({"scheme": dict(scheme, kind="mann")}, "scheme.kind"),
+              ({"noise": None}, "config.noise")]
     # removed knobs: c and the moment parameters are set under map and noise
     cases += [({"bounds": {key: 0.1}}, f"bounds.{key}")
               for key in ("c", "sigma", "L", "mean_norm_bound")]
     cases += [({"map": {"family": "inverse_quadratic",
-                        "domain_box": [[-10.0, 10.0]]}}, "map.domain_box")]
+                        "domain_box": [[-10.0, 10.0]]}}, "map.domain_box"),
+              ({"scheme": dict(scheme, ishikawa_b=1.0)}, "scheme.ishikawa_b")]
     # malformed array fields, each named by its path
     cases += [({"scheme": dict(scheme, x0=x0)}, "scheme.x0")
               for x0 in ("abc", ["a"])]
     cases += [({"map": {"family": "affine", "matrix": matrix,
                         "offset": [0.0, 0.0]}}, "map.matrix")
               for matrix in ([["a"]], [[0.1, 0.2], [0.3]])]
-    # fields that the chosen family, kind or sibling field makes inapplicable
+    # fields that the chosen family or a sibling field makes inapplicable
     cases += [({"map": {"family": "inverse_quadratic", key: value}},
                f"map.{key}")
               for key, value in (("matrix", [[0.5]]), ("offset", [0.1]),
                                  ("lam", 0.5))]
     cases += [({"map": {"family": "affine", "matrix": [[0.5]],
                         "offset": [0.1], "lam": 0.5}}, "map.lam"),
-              ({"scheme": dict(scheme, ishikawa_b=1.0)}, "scheme.ishikawa_b"),
               ({"bounds": {"rho": 0.1, "rho_scale": 0.5}}, "bounds.rho_scale")]
     # a noise block names its family; seeds lie in [0, 2**64), which the
     # 64-bit stream keys tell apart; integers beyond float64 are refused
@@ -363,7 +366,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     extra = {"bound": ["--n", "10", "--eps", "0.1"]}
     for change, field in cases:
         cfg = dict(json.loads(json.dumps(REFERENCE)), **change)
-        cfg_path = write(tmp_path, cfg)
+        cfg_path = write(tmp_path, {k: v for k, v in cfg.items()
+                                    if v is not None})
         for command in commands:
             argv = [command, "--config", cfg_path,
                     "--out", str(tmp_path / "o")] + extra.get(command, [])
@@ -446,7 +450,7 @@ def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
 
 
 # every numeric or array field, each in a base config that takes it: the
-# second carries those that the first's family, kind or bounds.rho exclude
+# second carries those that the first's families or bounds.rho exclude
 FULL = {
     "map": {"family": "affine", "matrix": [[0.0]], "offset": [0.7],
             "declared_c": 0.0},
@@ -459,16 +463,17 @@ FULL = {
                    "alpha": 0.05, "run_cap": 100},
     "base_seed": 7,
 }
-FULL_ISHIKAWA = {
+FULL_COSINE = {
     "map": {"family": "scaled_cosine", "lam": 0.5, "declared_c": 0.5},
-    "scheme": {"kind": "ishikawa", "x0": [0.0], "a": 0.9, "horizon": 20,
-               "seed": 1, "ishikawa_b": 1.0},
+    "scheme": {"kind": "stochastic_mann", "x0": [0.0], "a": 0.9,
+               "horizon": 20, "seed": 1},
+    "noise": {"family": "zero"},
     "bounds": {"N": 0.7, "rho_scale": 0.5, "n_cap": 1000},
     "experiment": {"checkpoints": [10], "eps_grid": [0.1], "replicas": 10,
                    "alpha": 0.05, "run_cap": 100},
     "base_seed": 7,
 }
-BASES = (FULL, FULL_ISHIKAWA)
+BASES = (FULL, FULL_COSINE)
 FIELDS = [(base, block, key) for base, cfg in enumerate(BASES)
           for block in ("map", "scheme", "noise", "bounds", "experiment")
           for key, value in cfg.get(block, {}).items()

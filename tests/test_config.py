@@ -12,6 +12,7 @@ from stochmann.config import (build_bound_params, build_map, build_noise,
                               experiment_settings, load_config,
                               validate_config)
 from stochmann.errors import ValidationError
+from stochmann.noise import zero
 from stochmann.spaces import INVERSE_QUADRATIC_C, reference_fixed_point
 
 BASE = {
@@ -59,10 +60,11 @@ def test_unknown_keys_rejected_with_paths():
 
 
 def test_missing_required_pieces():
-    cfg = copy.deepcopy(BASE)
-    del cfg["map"]
-    with pytest.raises(ValidationError):
-        validate_config(cfg)
+    for block in ("map", "scheme", "noise"):
+        cfg = copy.deepcopy(BASE)
+        del cfg[block]
+        with pytest.raises(ValidationError, match=f"config.{block}"):
+            validate_config(cfg)
     cfg = copy.deepcopy(BASE)
     del cfg["scheme"]["x0"]
     with pytest.raises(ValidationError):
@@ -136,15 +138,15 @@ def test_build_noise_defaults_and_overrides():
     cfg["noise"]["sigma"] = 1.0
     model = build_noise(cfg, 1)
     assert model.sigma == 1.0 and not model.certified
-    assert build_noise({"map": {}}, 1) is None
 
 
 def test_build_scheme_defaults():
     cfg = {"map": {"family": "inverse_quadratic"},
-           "scheme": {"kind": "mann", "x0": [0.3]}}
+           "scheme": {"kind": "stochastic_mann", "x0": [0.3]},
+           "noise": {"family": "zero"}}
     sc = build_scheme(cfg)
     assert sc.steps.a == 0.5 and sc.horizon == 1000 and sc.seed == 0
-    assert sc.norm_kind == "euclidean" and sc.noise is None
+    assert sc.norm_kind == "euclidean" and sc.noise == zero()
 
 
 def test_build_bound_params_fills_gaps_from_run():

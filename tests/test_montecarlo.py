@@ -14,7 +14,7 @@ from stochmann.montecarlo import (ExperimentPlan, TailEstimate,
                                   dominance_failures, empirical_tail,
                                   error_table, rate_diagnostic,
                                   replica_errors, replica_seeds)
-from stochmann.noise import bounded_uniform, gaussian
+from stochmann.noise import bounded_uniform, gaussian, zero
 from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences,
                                advance, run)
 from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
@@ -96,6 +96,21 @@ def test_replica_seeds_are_derived_keys():
     assert np.unique(seeds).size == 100
 
 
+def test_seeds_outside_the_key_range_are_refused():
+    # derive_key reduces seeds mod 2**64, so each of these would rerun the
+    # streams of a seed inside the range
+    for seed in (2**64 + 5, -1, 1.5, True):
+        with pytest.raises(ValidationError, match="scheme.seed"):
+            ref_cfg(seed=seed)
+    for seed, replicas in ((2**64 + 3, 4), (-1, 2)):
+        with pytest.raises(ValidationError, match="base_seed"):
+            replica_seeds(seed, replicas)
+    top = 2**64 - 1
+    assert ref_cfg(seed=np.uint64(top)).seed == top
+    assert np.array_equal(replica_seeds(top, 2),
+                          derive_key(top, np.arange(2, dtype=np.uint64)))
+
+
 def test_batched_replicas_equal_serial_runs_bitwise():
     # a serial run has R = d = 1 and steps floats; a batch steps arrays
     ref = ref_cfg(horizon=300)
@@ -127,14 +142,15 @@ def test_batched_replicas_equal_serial_runs_bitwise():
             for j, n in enumerate(cps):
                 # checkpoint n records the error of x_{n+1}
                 assert batch[r, j] == traj.error(n + 1)
-    # deterministic kinds: one replica steps floats, two step arrays
-    for kind in ("picard", "krasnoselskii", "mann", "ishikawa"):
-        cfg = dataclasses.replace(ref, kind=kind, noise=None)
+    # zero noise (plain Mann): one replica steps floats, two step arrays,
+    # and every replica runs the same path
+    for cfg in (ref, cosine, d1):
+        cfg = dataclasses.replace(cfg, noise=zero())
         single = [X for _, X, _ in advance(cfg, [0], 50)]
         pair = [X.copy() for _, X, _ in advance(cfg, [0, 1], 50)]
-        assert all(isinstance(x, float) for x in single), kind
+        assert all(isinstance(x, float) for x in single), cfg.map_spec
         assert np.array_equal(np.array(pair), np.tile(
-            np.array(single)[:, None, None], (1, 2, 1))), kind
+            np.array(single)[:, None, None], (1, 2, 1))), cfg.map_spec
 
 
 def test_replica_divergence_reported_with_indices():
@@ -261,7 +277,8 @@ def test_error_table_sizes_run_to_last_checkpoint():
 
 def test_error_table_rejects_vector_maps():
     m = affine(np.eye(2) * 0.5, np.zeros(2))
-    cfg = SchemeConfig(kind="picard", map_spec=m, x0=np.zeros(2), horizon=10)
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=m, x0=np.zeros(2),
+                       noise=zero(dim=2), horizon=10)
     with pytest.raises(ValidationError):
         error_table(cfg, (1, 5), np.zeros(2))
 

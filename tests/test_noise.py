@@ -7,8 +7,8 @@ from scipy.special import gamma
 
 from stochmann.errors import ValidationError
 from stochmann.noise import (NoiseModel, bounded_uniform, cramer_check,
-                             default_cramer_params, gaussian, sample,
-                             sample_block, sample_many, zero)
+                             default_cramer_params, gaussian, sample_block,
+                             sample_many, zero)
 from stochmann.streams import Workspace
 
 
@@ -52,10 +52,11 @@ def test_bounded_uniform_moments_satisfy_raw_bound_analytically():
 
 def test_sample_pure_in_seed_and_index():
     model = gaussian(scale=1.5, dim=3)
-    a = sample(model, 3, (123, 9))
-    b = sample(model, 3, (123, 9))
-    c = sample(model, 3, (123, 10))
-    d = sample(model, 3, (124, 9))
+    a = sample_block(model, 3, 123, 9)
+    b = sample_block(model, 3, 123, 9)
+    c = sample_block(model, 3, 123, 10)
+    d = sample_block(model, 3, 124, 9)
+    assert a.shape == (3,)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -67,7 +68,7 @@ def test_sample_block_matches_scalar_calls():
     block = sample_block(model, 2, 77, idx)
     assert block.shape == (4, 2)
     for k, i in enumerate(idx):
-        assert np.array_equal(block[k], sample(model, 2, (77, int(i))))
+        assert np.array_equal(block[k], sample_block(model, 2, 77, int(i)))
 
 
 def test_sample_many_matches_scalar_calls():
@@ -75,7 +76,7 @@ def test_sample_many_matches_scalar_calls():
     seeds = np.array([3, 8, 1], dtype=np.uint64)
     many = sample_many(model, 1, seeds, 42)
     for k, s in enumerate(seeds):
-        assert np.array_equal(many[k], sample(model, 1, (int(s), 42)))
+        assert np.array_equal(many[k], sample_block(model, 1, int(s), 42))
 
 
 def test_sample_block_same_bits_with_workspace_and_short_last_tile():
@@ -191,7 +192,7 @@ def test_validation_errors():
         gaussian(scale=1.0, dim=0)
     model = gaussian(scale=1.0, dim=2)
     with pytest.raises(ValidationError):
-        sample(model, 3, (0, 1))  # dim disagrees with the model
+        sample_block(model, 3, 0, 1)  # dim disagrees with the model
     # the class itself checks and fills in the constants, as the builders do
     assert NoiseModel(family="gaussian", scale=2.0) == gaussian(2.0)
     assert NoiseModel(family="gaussian", scale=2.0).sigma == 4.0

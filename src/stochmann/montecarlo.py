@@ -10,13 +10,15 @@ whole experiment is a pure function of (plan, base_seed).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import Certificate, certificate, rate_envelope
-from .errors import CoverageError, InfeasibleExperimentError, ValidationError
+from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
+                     ValidationError)
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_seed, derive_key
@@ -35,6 +37,11 @@ __all__ = [
     "error_table",
     "rate_diagnostic",
 ]
+
+# Replica-steps times d that each process of replica_errors gets at least:
+# a forked worker costs its parent ~5 ms to start, and 2**19 replica-steps
+# are ~70 ms of serial work at d = 1.
+SPLIT_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -133,23 +140,97 @@ def clopper_pearson(successes, trials, confidence=0.99):
     return lo, hi
 
 
-def replica_errors(scheme, x_star, seeds, checkpoints):
-    """Errors ||x_{n+1} - x*|| for each replica at each checkpoint n.
-
-    Runs all replicas as one batched state through schemes.advance, so row
-    r equals a serial run under seeds[r] bit for bit.  Raises DivergedError
-    (with offending replica indices) on any non-finite iterate; a
-    contraction map cannot trigger this.
-    """
-    d = dimension(scheme.map_spec)
-    x_star = as_point(x_star, d, name="x_star")
-    cps = {int(n): j for j, n in enumerate(checkpoints)}
+def _errors(scheme, x_star, seeds, cps):
+    """The serial pass: all replicas as one batched state through advance."""
     out = np.empty((len(seeds), len(cps)), dtype=np.float64)
     for n, X, _ in advance(scheme, seeds, max(cps)):
         j = cps.get(n)
         if j is not None:
             out[:, j] = norm(X - x_star, scheme.norm_kind)
     return out
+
+
+def _bind(cores):
+    """Run this process on `cores` only, where the kernel allows it."""
+    try:
+        os.sched_setaffinity(0, cores)
+    except OSError:
+        pass
+
+
+def _chunk_errors(cores, scheme, x_star, seeds, cps, offset):
+    """_errors on `cores` for the seeds of one chunk, whose first replica is
+    replica `offset`; on divergence, its step and the global replica indices."""
+    _bind(cores)
+    try:
+        return _errors(scheme, x_star, seeds, cps)
+    except DivergedError as exc:
+        return exc.last_finite_index, [offset + r for r in exc.replicas]
+
+
+def _pool(processes):
+    """A pool of forked workers; multiprocessing loads only when one is asked
+    for.  None in a daemonic process, which may not have children, and while
+    other threads run: a fork copies the locks they hold, held."""
+    import multiprocessing
+    import threading
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork").Pool(processes)
+
+
+def replica_errors(scheme, x_star, seeds, checkpoints):
+    """Errors ||x_{n+1} - x*|| for each replica at each checkpoint n.
+
+    Row r depends on seeds[r] alone and equals a serial run under it bit for
+    bit, so the output bytes do not depend on how the replicas are split.
+    The seeds are cut into K contiguous chunks, K the largest number of
+    processes that exceeds neither the available cores (`taskset` limits
+    them) nor the replicas, and that gives each process at least
+    SPLIT_ELEMENTS replica-steps times d.  This process runs the first chunk
+    and K - 1 forked workers run the others, each chunk as one batched state
+    through schemes.advance; the rows are concatenated in chunk order.  When
+    the K processes fill the affinity set, each binds itself to one of its
+    cores while its chunk runs: a scheduler may otherwise leave a forked
+    worker on its parent's core.  K is 1 (one pass in this process) without
+    os.fork or os.sched_getaffinity, in a daemonic process such as a pool
+    worker, and while other Python threads run.
+
+    Raises DivergedError on any non-finite iterate, at the earliest such
+    step and naming, in order, every replica that diverged there; a
+    contraction map cannot trigger this.
+    """
+    d = dimension(scheme.map_spec)
+    x_star = as_point(x_star, d, name="x_star")
+    cps = {int(n): j for j, n in enumerate(checkpoints)}
+    R, K = len(seeds), 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        K = min(len(allowed), R, R * max(cps) * d // SPLIT_ELEMENTS)
+    pool = _pool(K - 1) if K > 1 else None
+    if pool is None:
+        return _errors(scheme, x_star, seeds, cps)
+    # one core per process when they fill the affinity set
+    cores = [{c} for c in allowed] if K == len(allowed) else [allowed] * K
+    chunks = np.array_split(np.asarray(seeds, dtype=np.uint64), K)
+    offsets = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+    jobs = [(cores[k], scheme, x_star, chunks[k], cps, offsets[k])
+            for k in range(K)]
+    with pool:
+        rest = pool.starmap_async(_chunk_errors, jobs[1:])
+        try:
+            parts = [_chunk_errors(*jobs[0])]
+        finally:
+            _bind(allowed)
+        parts += rest.get()
+    diverged = [p for p in parts if isinstance(p, tuple)]
+    if diverged:
+        n = min(step for step, _ in diverged)
+        # chunk order keeps the replicas sorted, as the serial pass lists them
+        bad = [r for step, rows in diverged if step == n for r in rows]
+        raise DivergedError(f"{len(bad)} replica(s) diverged at step {n}",
+                            last_finite_index=n, replicas=bad)
+    return np.concatenate(parts)
 
 
 def empirical_tail(plan, x_star, params):

@@ -123,13 +123,15 @@ def _update(cfg, F):
     return stochastic_mann
 
 
-def step(kind, x, n, cfg, noise_draw=None, F=None):
+def step(kind, x, n, cfg, noise_draw, F=None):
     """One update x_{n+1} from x_n = x at 1-based step index n.
 
     x may carry leading batch axes, or be a float when d = 1; all arithmetic
     is elementwise, so a batched call agrees bitwise with per-element calls.
-    noise_draw is xi_n, shaped like x.  F is the map as map_function returns
-    it; without it, each evaluation goes through the validating eval_map.
+    noise_draw is xi_n, shaped like x, and required: every step adds
+    b_n * xi_n (pass zeros for the plain Mann step).  F is the map as
+    map_function returns it; without it, each evaluation goes through the
+    validating eval_map.
     """
     if kind not in SCHEME_KINDS:
         raise ValidationError(f"scheme.kind: unknown kind {kind!r}")

@@ -2,6 +2,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann import bounds, cli, config
+from stochmann import bounds, cli, config, montecarlo
 from stochmann.bounds import tail_bound
 from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
@@ -104,6 +105,22 @@ def test_confidence_feasible(tmp_path):
     # the reported interval is a real 95% set; this realization covers
     assert abs(payload["center"][0] - 0.7) <= 0.1
     assert payload["contains_reference"] is True
+
+
+def test_single_replica_commands_never_fork(tmp_path, monkeypatch, cores):
+    # even with the split allowed from one replica-step on, the R = 1 paths
+    # start no process and build no pool
+    def refuse(*args):
+        raise AssertionError("a process was started")
+
+    cores(2)
+    monkeypatch.setattr(montecarlo, "_pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    demo, out = str(CONFIGS / "confidence_demo.json"), str(tmp_path)
+    assert main(["confidence", "--config", demo, "--out", out]) == 0
+    for name in ("confidence_demo.json", "reference.json"):
+        assert main(["iterate", "--config", str(CONFIGS / name),
+                     "--out", out]) == 0
 
 
 def test_confidence_infeasible_exits_4(tmp_path, capsys):
@@ -512,6 +529,16 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, stochmann.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # replica_errors imports it only when it splits the replicas
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stochmann.cli; print('multiprocessing' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

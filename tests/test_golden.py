@@ -4,9 +4,11 @@ Every output file of `iterate`, `bound --out`, `confidence` and
 `montecarlo` on the shipped configs is pinned by its sha256, and so are
 fixed Philox-2x64 and normal blocks, the raw iterates of single runs on
 every map family and the raw replica errors of a d = 1 and a d = 8 batch
-that cross noise tiles.  A change that moves any digest
-changes output bits; regenerate the digests deliberately, in a commit of
-their own, and log it in CHANGES.md.
+that cross noise tiles.  The `montecarlo` outputs and the replica errors
+are checked on both paths of `replica_errors`, the serial pass and the
+split over processes, whatever the machine's core count.  A change that
+moves any digest changes output bits; regenerate the digests deliberately,
+in a commit of their own, and log it in CHANGES.md.
 """
 
 import hashlib
@@ -96,6 +98,16 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def digests(out):
+    return {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def montecarlo_digests(config, out):
+    assert main(["montecarlo", "--config", str(CONFIGS / config),
+                 "--replicas", "200", "--out", str(out)]) == 0
+    return digests(out)
+
+
 def cli_digests(config, out):
     """Run the four writing commands on config; {file name: sha256}."""
     cfg = str(CONFIGS / config)
@@ -104,9 +116,8 @@ def cli_digests(config, out):
                  "--out", str(out)]) == 0
     assert main(["confidence", "--config", cfg, "--out", str(out)]) \
         == CONFIDENCE_EXIT[config]
-    assert main(["montecarlo", "--config", cfg, "--replicas", "200",
-                 "--out", str(out)]) == 0
-    return {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+    montecarlo_digests(config, out)
+    return digests(out)
 
 
 def affine_nd(d):
@@ -149,8 +160,15 @@ def test_substream_normals_block_digest():
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN))
-def test_cli_output_digests(config, tmp_path):
+def test_cli_output_digests(config, tmp_path, cores):
     assert cli_digests(config, tmp_path) == GOLDEN[config]
+    golden = {name: digest for name, digest in GOLDEN[config].items()
+              if name.startswith("montecarlo_")}
+    for k in (1, 2):  # the serial pass, then the split over 2 processes
+        pools = cores(k)
+        out = tmp_path / f"cores{k}"
+        assert montecarlo_digests(config, out) == golden, k
+        assert pools == ([1] if k == 2 else []), k
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
@@ -161,20 +179,31 @@ def test_run_iterates_digest(case):
     assert sha256(iterates.astype("<f8").tobytes()) == RUN_SHA256[case]
 
 
-def test_replica_errors_digest():
-    # 200 replicas draw 81-step tiles, so the 300 steps cross 3 boundaries
+def replica_errors_digests(cfg, cores):
+    """sha256 of 200 replicas' errors on the serial pass and on the split
+    over 2 processes."""
+    out = []
+    for k in (1, 2):
+        pools = cores(k)
+        errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
+                              replica_seeds(42, 200), (10, 100, 300))
+        assert pools == ([1] if k == 2 else []), k
+        out.append(sha256(errs.astype("<f8").tobytes()))
+    return out
+
+
+def test_replica_errors_digest(cores):
+    # 200 replicas draw 81-step tiles, so the 300 steps cross 3 boundaries;
+    # a chunk of 100 draws 163-step tiles and crosses 1
     cfg = scheme(inverse_quadratic(), [0.5], gaussian(2.0), horizon=300)
     assert TILE_ELEMENTS // 200 < cfg.horizon
-    errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
-                          replica_seeds(42, 200), (10, 100, 300))
-    assert sha256(errs.astype("<f8").tobytes()) == REPLICA_ERRORS_SHA256
+    assert replica_errors_digests(cfg, cores) == [REPLICA_ERRORS_SHA256] * 2
 
 
-def test_replica_errors_d8_digest():
+def test_replica_errors_d8_digest(cores):
     # 200 replicas at d = 8 draw 10-step tiles: the 300 steps cross 29
     cfg = scheme(affine_nd(8), np.linspace(2.0, -2.0, 8), gaussian(0.5, dim=8),
                  horizon=300)
     assert TILE_ELEMENTS // (200 * 8) < cfg.horizon // 3
-    errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
-                          replica_seeds(42, 200), (10, 100, 300))
-    assert sha256(errs.astype("<f8").tobytes()) == REPLICA_ERRORS_D8_SHA256
+    assert replica_errors_digests(cfg, cores) \
+        == [REPLICA_ERRORS_D8_SHA256] * 2

@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binomtest
 
+from stochmann import config
 from stochmann.bounds import BoundParams, certificate
 from stochmann.errors import (CoverageError, DivergedError,
                               InfeasibleExperimentError, ValidationError)
@@ -20,6 +24,8 @@ from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences,
 from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
                               reference_fixed_point, scaled_cosine)
 from stochmann.streams import derive_key
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ref_cfg(horizon=1000, seed=0, a=0.5, scale=2.0):
@@ -179,6 +185,132 @@ def test_late_divergence_reported_at_its_step():
             replica_errors(cfg, x_star, seeds[[2, 0]], (20,))
         assert info.value.last_finite_index == k
         assert info.value.replicas == [1]
+
+
+def test_split_replicas_equal_serial_pass_bitwise(cores):
+    # 7 replicas give uneven chunks: 4 + 3 on 2 cores, 3 + 2 + 2 on 3
+    shipped = config.build_scheme(config.load_config(CONFIGS / "reference.json"))
+    cases = {
+        "reference.json": dataclasses.replace(shipped, horizon=300),
+        "affine d=8": dataclasses.replace(
+            ref_cfg(horizon=300), map_spec=affine_nd(8),
+            x0=np.linspace(2.0, -2.0, 8), noise=gaussian(scale=0.5, dim=8)),
+        "zero noise": dataclasses.replace(ref_cfg(horizon=300), noise=zero()),
+    }
+    seeds = replica_seeds(42, 7)
+    cps = (10, 100, 300)
+    for name, cfg in cases.items():
+        x_star = reference_fixed_point(cfg.map_spec)
+        pools = cores(1)
+        serial = replica_errors(cfg, x_star, seeds, cps)
+        assert pools == [], name
+        for k in (2, 3):
+            pools = cores(k)
+            split = replica_errors(cfg, x_star, seeds, cps)
+            assert pools == [k - 1], (name, k)
+            assert split.dtype == serial.dtype and split.shape == serial.shape
+            assert split.tobytes() == serial.tobytes(), (name, k)
+
+
+def test_split_stays_within_the_cores_and_the_replicas(cores):
+    cfg = ref_cfg(horizon=50)
+    x_star = reference_fixed_point(cfg.map_spec)
+    pools = cores(3)
+    split = [replica_errors(cfg, x_star, replica_seeds(1, R), (50,))
+             for R in (1, 2)]
+    assert pools == [1]  # one replica never forks; two fill two processes
+    cores(1)
+    assert [replica_errors(cfg, x_star, replica_seeds(1, R), (50,)).tobytes()
+            for R in (1, 2)] == [e.tobytes() for e in split]
+
+
+def test_daemonic_process_runs_the_serial_pass(cores):
+    # a pool's worker may not have children, so replica_errors stays in it
+    cfg = ref_cfg(horizon=50)
+    x_star = reference_fixed_point(cfg.map_spec)
+    seeds = replica_seeds(1, 4)
+    cores(1)
+    serial = replica_errors(cfg, x_star, seeds, (50,))
+    cores(2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.SimpleQueue()
+
+    def target():
+        try:
+            queue.put(replica_errors(cfg, x_star, seeds, (50,)).tobytes())
+        except BaseException as exc:
+            queue.put(repr(exc))
+
+    child = ctx.Process(target=target, daemon=True)
+    child.start()
+    got = queue.get()
+    child.join()
+    assert got == serial.tobytes()
+
+
+def test_serial_pass_while_other_threads_run(cores):
+    # a forked worker would inherit the locks the other thread holds
+    cfg = ref_cfg(horizon=50)
+    x_star = reference_fixed_point(cfg.map_spec)
+    seeds = replica_seeds(1, 4)
+    cores(1)
+    serial = replica_errors(cfg, x_star, seeds, (50,))
+    pools = cores(2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        got = replica_errors(cfg, x_star, seeds, (50,))
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert pools == [] and got.tobytes() == serial.tobytes()
+
+
+def test_experiments_agree_on_both_paths(cores):
+    coverage = ExperimentPlan(scheme=art_cfg(), checkpoints=(10,),
+                              eps_grid=(0.1,), replicas=400, base_seed=7)
+    rate = ExperimentPlan(scheme=ref_cfg(horizon=1000),
+                          checkpoints=(10, 100, 1000), eps_grid=(0.1,),
+                          replicas=100, base_seed=5)
+    params = BoundParams(N=0.18232780382804766, a=0.5, c=INVERSE_QUADRATIC_C,
+                         sigma=4.0, L=4.0, mean_norm_bound=1.5957691216057308,
+                         rho=0.5 * 0.5 * (1 - INVERSE_QUADRATIC_C))
+    results = {}
+    for k in (1, 2):
+        pools = cores(k)
+        results[k] = (
+            coverage_experiment(coverage, eps=0.1, alpha=0.05,
+                                params=ART_PARAMS, n_cap=10**6),
+            rate_diagnostic(rate, params, eps0=1.0))
+        assert pools == ([1, 1] if k == 2 else [])
+    assert results[1] == results[2]
+
+
+def test_divergence_under_the_split(cores):
+    # the late divergence of test_late_divergence_reported_at_its_step, with
+    # each replica in its own process
+    cfg = ref_cfg(horizon=20, scale=1e308)
+    x_star = reference_fixed_point(inverse_quadratic())
+    seeds = replica_seeds(0, 14)
+    # serial runs of base seed 0 leave the floats at step 14 (replica 0),
+    # 5 (replicas 1 and 13) and 1 (replica 5); replica 2 stays finite
+    cases = {(2, 0): (14, [1]), (0, 2, 1): (5, [2]), (1, 2, 13): (5, [0, 2]),
+             (0, 2, 1, 5): (1, [3])}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, (step, bad) in cases.items():
+            errors = []
+            for k in (1, 2):
+                pools = cores(k)
+                with pytest.raises(DivergedError) as info:
+                    replica_errors(cfg, x_star, seeds[list(rows)], (20,))
+                assert pools == ([1] if k == 2 else []), rows
+                assert info.value.last_finite_index == step, (rows, k)
+                assert info.value.replicas == bad, (rows, k)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1] \
+                == f"{len(bad)} replica(s) diverged at step {step}"
 
 
 def test_empirical_tail_cells_and_bounds():

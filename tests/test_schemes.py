@@ -228,6 +228,19 @@ def test_resolved_update_rule_matches_step_bitwise():
                 step("mann", X, 1, cfg, XI)
 
 
+def test_step_requires_the_noise_draw():
+    # every step adds b_n * xi_n; a missing draw fails at the call, where it
+    # used to fail inside the update rule on a None operand
+    cfg = make_cfg()
+    with pytest.raises(TypeError, match="missing 1 required positional "
+                                        "argument: 'noise_draw'"):
+        step("stochastic_mann", np.array([0.5]), 1, cfg)
+    x, xi = np.array([0.5]), np.zeros(1)
+    assert step("stochastic_mann", x, 1, cfg, xi) \
+        == step("stochastic_mann", x, 1, cfg, noise_draw=xi) \
+        == 0.5 * 0.5 + 0.5 * (1 / 1.25)
+
+
 def test_advance_resolves_the_rule_once(monkeypatch):
     # the time loop must not go back through step() or _update per step
     calls = []

@@ -18,11 +18,17 @@ other:
 
 The series S1 and S2 behind the constants K1 and K2 are summed in closed
 form, a short head plus Hurwitz zeta terms, with a certified half-width;
-a Certificate takes the upper end of each bracket.
+a Certificate takes the upper end of each bracket.  Each sum is cached per
+(p, q, tol) for the life of the process: N, L, mean_norm_bound and rho do
+not enter it and sigma only scales S2 outside it, so calling tail_bound or
+min_iterations_for_confidence in a loop sums no series after the first
+call.  min_iterations starts its search for n_alpha from the closed-form
+threshold of the tail bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +89,11 @@ class BoundParams:
         return self.a * (1.0 - self.c)
 
 
+def _is_count(n):
+    """True for a Python or numpy integer; bool is refused, though an int."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def tail_exponent(params):
     """Exponent of n inside the tail bound: 2a(1-c) - rho (> 0)."""
     return 2.0 * params.a * (1.0 - params.c) - params.rho
@@ -104,7 +115,7 @@ def product_bound(i, n, a, c):
 
     Returns (lhs, rhs) evaluated exactly as written, for 1 <= i <= n.
     """
-    if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer))):
+    if not (_is_count(i) and _is_count(n)):
         raise ValidationError("product_bound: i and n must be integers")
     if not (1 <= i <= n):
         raise ValidationError("product_bound: need 1 <= i <= n")
@@ -137,7 +148,7 @@ def deterministic_envelope(n, params, noise_norms):
 
     noise_norms[i-1] is ||xi_i||; only the first n entries are read.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_count(n) and n >= 1):
         raise ValidationError("n: must be an integer >= 1")
     norms = _checked_norms(noise_norms, n)
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -179,10 +190,17 @@ class SeriesEstimate:
 # with the binomial series cut after k = SERIES_ORDER.
 SERIES_HEAD = 32
 SERIES_ORDER = 12
+# Distinct (p, q, tol) sums kept per process; a sweep needs two per (a, c).
+SERIES_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE, typed=True)
 def _series_power_sum(p, q, tol):
     """sum_{i>=1} (i+1)^p / i^q with certified relative error <= tol.
+
+    The result is cached per exact (p, q, tol) and shared by every caller,
+    which a frozen SeriesEstimate allows; a refused input is not cached and
+    raises on every call.
 
     half_width adds three bounds:
       truncation: for 0 <= p < 2, |C(p,k)| <= 2/k <= 1 for k >= 2, and
@@ -294,7 +312,7 @@ class Certificate:
 
     def report(self, n, eps):
         """Certified bound on P{ ||x_{n+1} - x*|| > eps }."""
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if not (_is_count(n) and n >= 1):
             raise ValidationError("n: must be an integer >= 1")
         if not (np.isfinite(eps) and eps > 0.0):
             raise ValidationError("eps: must be a positive real")
@@ -311,16 +329,27 @@ class Certificate:
         """Smallest n with clipped tail bound <= alpha, or None if no n
         under n_cap qualifies.
 
-        The raw bound is strictly decreasing in n (K2 > 0, tail exponent
-        > 0), so exponential growth followed by bisection finds the exact
-        threshold with O(log n_cap) bound evaluations.
+        The raw bound is non-increasing in n in floating point (K2 > 0,
+        tail exponent gamma > 0, and every operation of log_bound is
+        monotone), so the threshold is unique.  In exact arithmetic it is
+        the least n with
+
+            gamma ln n >= ln(log_K1 - ln alpha) - ln K2 - 2 ln eps,
+
+        which is evaluated in the log domain, so a tiny eps or K2 neither
+        underflows nor divides by zero.  The search starts from that n,
+        clamped into [1, n_cap], gallops outward to a bracket and bisects
+        it: a handful of bound evaluations, and the same n as a search
+        from 1.  The series behind the constants are cached per (p, q,
+        tol), so a certificate rebuilt from equal params sums none.
         """
         if not (0.0 < alpha < 1.0):
             raise ValidationError("alpha: must lie in (0, 1)")
         if not (np.isfinite(eps) and eps > 0.0):
             raise ValidationError("eps: must be a positive real")
-        if not (isinstance(n_cap, (int, np.integer)) and n_cap >= 1):
+        if not (_is_count(n_cap) and n_cap >= 1):
             raise ValidationError("n_cap: must be an integer >= 1")
+        n_cap = int(n_cap)
         log_bound, log_alpha = self.log_bound, math.log(alpha)
 
         def ok(n):
@@ -330,11 +359,30 @@ class Certificate:
             return 1
         if not ok(n_cap):
             return None
-        lo = 1  # invariant: not ok(lo), ok(hi)
-        hi = 2
-        while not ok(min(hi, n_cap)):
-            lo, hi = hi, hi * 2
-        hi = min(hi, n_cap)
+        log_k2 = math.log(self.K2) if self.K2 > 0.0 else -math.inf
+        log_n = (math.log(self.log_K1 - log_alpha) - log_k2
+                 - 2.0 * math.log(eps)) / self.tail_exponent
+        if log_n >= min(math.log(n_cap), 709.0):
+            seed = n_cap
+        else:
+            seed = min(n_cap, max(1, math.ceil(math.exp(log_n))))
+        # gallop from the seed to not ok(lo), ok(hi); ok(1) is false and
+        # ok(n_cap) true, so neither end is evaluated again
+        step = 1
+        if seed == n_cap or (seed > 1 and ok(seed)):
+            hi = seed
+            while True:
+                lo = max(1, hi - step)
+                if lo == 1 or not ok(lo):
+                    break
+                hi, step = lo, 2 * step
+        else:
+            lo = seed
+            while True:
+                hi = min(n_cap, lo + step)
+                if hi == n_cap or ok(hi):
+                    break
+                lo, step = hi, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):
@@ -389,7 +437,7 @@ def rate_envelope(n, eps0, params):
     Defined for n >= 2 and requires rho < a(1-c) (positive rate exponent);
     this is the *rate* exponent, deliberately distinct from the tail one.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
+    if not (_is_count(n) and n >= 2):
         raise ValidationError("n: rate envelope needs an integer n >= 2")
     if not (np.isfinite(eps0) and eps0 >= 0.0):
         raise ValidationError("eps0: must be >= 0")

@@ -34,9 +34,10 @@ from .errors import ValidationError
 from .montecarlo import ExperimentPlan
 from .noise import NOISE_FAMILIES, NoiseModel
 from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
-from .spaces import (MAP_FAMILIES, NORM_KINDS, affine, as_point,
-                     contraction_constant, dimension, inverse_quadratic, norm,
-                     reference_fixed_point, scaled_cosine)
+from .spaces import (FIXED_POINT_TOL, MAP_FAMILIES, NORM_KINDS, affine,
+                     as_point, contraction_constant, dimension,
+                     inverse_quadratic, norm, reference_fixed_point,
+                     scaled_cosine)
 
 __all__ = [
     "load_config",
@@ -318,10 +319,17 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     Each constant has one source.  c is map.declared_c, else the analytic
     contraction constant; sigma, L and mean_norm_bound are the noise model's
     (noise.* where given, else the family's certified values).  N defaults
-    to the initial error against the reference fixed point x_star (computed
-    here unless passed), and rho to rho_scale times 2a(1-c).  The one-norm
-    at d >= 2 has no certified moment defaults: with nonzero noise there,
-    noise.sigma, noise.L and noise.mean_norm_bound must all be given.
+    to the initial distance ||x0 - x_star|| in the config's norm, against
+    the reference fixed point x_star (computed here unless passed), and rho
+    to rho_scale times 2a(1-c).  The one-norm at d >= 2 has no certified
+    moment defaults: with nonzero noise there, noise.sigma, noise.L and
+    noise.mean_norm_bound must all be given.
+
+    A bounds.N below that distance is refuted and refused.  x_star is off
+    the true fixed point by at most FIXED_POINT_TOL / (1 - c) in the
+    Euclidean norm (the Banach estimate at reference_fixed_point's
+    residual), so by sqrt(d) times that in any of the three norms; N may
+    fall short of the distance by this much, plus the distance's rounding.
     """
     if map_spec is None:
         map_spec = build_map(cfg)
@@ -338,19 +346,24 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
                 raise ValidationError(
                     f"noise.{key}: the one-norm at d = {d} has no "
                     "certified default; set it under noise")
-    if "N" in bd:
-        N = float(bd["N"])
-    else:
-        if x_star is None:
-            x_star = reference_fixed_point(map_spec)
-        x0 = as_point(cfg["scheme"]["x0"], d, name="scheme.x0")
-        N = float(norm(x0 - x_star, norm_kind))
+    if x_star is None:
+        x_star = reference_fixed_point(map_spec)
+    x0 = as_point(cfg["scheme"]["x0"], d, name="scheme.x0")
+    distance = float(norm(x0 - x_star, norm_kind))
+    N = float(bd["N"]) if "N" in bd else distance
     if "rho" in bd:
         rho = float(bd["rho"])
     else:
         rho = float(bd.get("rho_scale", DEFAULT_RHO_SCALE)) * 2.0 * a * (1.0 - c)
-    return BoundParams(N=N, a=a, c=c, sigma=model.sigma, L=model.L,
-                       mean_norm_bound=model.mean_norm_bound, rho=rho)
+    params = BoundParams(N=N, a=a, c=c, sigma=model.sigma, L=model.L,
+                         mean_norm_bound=model.mean_norm_bound, rho=rho)
+    slack = (math.sqrt(d) * FIXED_POINT_TOL / (1.0 - contraction_constant(map_spec))
+             + 4.0 * d * np.finfo(np.float64).eps * distance)
+    if N < distance - slack:
+        raise ValidationError(
+            f"bounds.N: {N!r} is below the initial distance "
+            f"||x0 - x*|| = {distance!r} in the {norm_kind} norm")
+    return params
 
 
 def experiment_settings(cfg):

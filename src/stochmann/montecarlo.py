@@ -278,7 +278,7 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
             f"no iteration count <= {min(cap, plan.scheme.horizon)} certifies "
             f"P(error > {eps:g}) <= {alpha:g}",
             report=cert.report(int(min(cap, plan.scheme.horizon)), eps))
-    x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-13)
+    x_star = reference_fixed_point(plan.scheme.map_spec)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, (n_alpha,))
     coverage = float(np.mean(errs[:, 0] <= eps))
@@ -328,7 +328,7 @@ def rate_diagnostic(plan, params, eps0):
         raise ValidationError("experiment.checkpoints: rate diagnostic needs >= 3")
     if any(n < 2 for n in plan.checkpoints):
         raise ValidationError("experiment.checkpoints: rate diagnostic needs n >= 2")
-    x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-13)
+    x_star = reference_fixed_point(plan.scheme.map_spec)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, plan.checkpoints)
     env = np.array([rate_envelope(n, 1.0, params) for n in plan.checkpoints])

@@ -20,10 +20,14 @@ MAP_FAMILIES = ("inverse_quadratic", "affine", "scaled_cosine")
 # Global Lipschitz constant of x -> 1/(1+x^2): sup|F'| attained at 1/sqrt(3).
 INVERSE_QUADRATIC_C = 9.0 / (8.0 * np.sqrt(3.0))
 
+# Default Euclidean residual ||F(x) - x|| at which reference_fixed_point stops.
+FIXED_POINT_TOL = 1e-13
+
 __all__ = [
     "NORM_KINDS",
     "MAP_FAMILIES",
     "INVERSE_QUADRATIC_C",
+    "FIXED_POINT_TOL",
     "MapSpec",
     "inverse_quadratic",
     "affine",
@@ -239,7 +243,7 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     return float(np.max(ratios))
 
 
-def reference_fixed_point(m, tol=1e-13, max_iter=100000, x0=None):
+def reference_fixed_point(m, tol=FIXED_POINT_TOL, max_iter=100000, x0=None):
     """High-accuracy fixed point via the iteration x <- F(x).
 
     Terminates when the residual ||F(x)-x|| is <= tol; the Banach estimate

@@ -15,15 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stochmann.bounds import (BoundParams, canonical_eps0, certificate,
-                              deterministic_envelope, envelope_sequence,
-                              min_iterations_for_confidence, product_bound,
-                              rate_envelope, rate_exponent, series_S1_detail,
-                              series_S2_detail, tail_bound, tail_exponent)
+from stochmann import bounds
+from stochmann.bounds import (BoundParams, Certificate, canonical_eps0,
+                              certificate, deterministic_envelope,
+                              envelope_sequence, min_iterations_for_confidence,
+                              product_bound, rate_envelope, rate_exponent,
+                              series_S1_detail, series_S2_detail, tail_bound,
+                              tail_exponent)
 from stochmann.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -366,6 +368,192 @@ def test_min_iterations_monotone_in_alpha():
     ns = [min_iterations_for_confidence(0.1, alpha, p, n_cap=10**6)
           for alpha in (0.2, 0.1, 0.05, 0.01)]
     assert all(x <= y for x, y in zip(ns, ns[1:]))
+
+
+def search_from_one(cert, eps, alpha, n_cap):
+    """min_iterations as it searched before its closed-form seed:
+    exponential growth from n = 1, then bisection."""
+    log_alpha = math.log(alpha)
+
+    def ok(n):
+        return cert.log_bound(n, eps) <= log_alpha
+
+    if ok(1):
+        return 1
+    if not ok(n_cap):
+        return None
+    lo = 1
+    hi = 2
+    while not ok(min(hi, n_cap)):
+        lo, hi = hi, hi * 2
+    hi = min(hi, n_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+N_CAPS = (1, 2, 3, 10**6, 10**18)
+
+
+def search_case(a, c, tail_decades, sigma, N, mnb, alpha, n_cap, log10_eps,
+                log10_target):
+    """A certificate and an (eps, alpha, n_cap) to size it at.  The tail
+    exponent is 2a(1-c) times 10^-tail_decades.  eps is 10^log10_eps, or,
+    when log10_target is given, the eps whose closed-form n_alpha is
+    10^log10_target."""
+    kappa2 = 2.0 * a * (1.0 - c)
+    cert = certificate(params(N=N, a=a, c=c, sigma=sigma, mnb=mnb,
+                              rho=kappa2 * (1.0 - 10.0 ** -tail_decades)))
+    if log10_target is None:
+        eps = 10.0 ** log10_eps
+    else:
+        eps = math.exp(0.5 * (math.log(cert.log_K1 - math.log(alpha))
+                              - math.log(cert.K2) - cert.tail_exponent
+                              * log10_target * math.log(10.0)))
+    return cert, eps, alpha, n_cap
+
+
+SEARCH_CASES = st.builds(
+    search_case, st.floats(0.01, 0.99), st.floats(0.0, 0.99),
+    st.floats(0.0005, 6.0), st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(1e-9, 0.999),
+    st.sampled_from(N_CAPS), st.floats(-170.0, 0.5),
+    st.one_of(st.none(), st.floats(-1.0, 19.0)))
+
+
+@given(SEARCH_CASES)
+@settings(max_examples=300, deadline=None)
+def test_min_iterations_equals_search_from_one(case):
+    cert, eps, alpha, n_cap = case
+    assume(np.isfinite(eps) and eps > 0.0)
+    assert cert.min_iterations(eps, alpha, n_cap) \
+        == search_from_one(cert, eps, alpha, n_cap)
+
+
+def searched_sample(rng, tail_decades, size=400):
+    """Certificates sized at eps whose n_alpha lies 10^0.5..10^17.5, under a
+    cap of 10^18, so every case runs the search."""
+    cases = []
+    while len(cases) < size:
+        case = search_case(
+            rng.uniform(0.01, 0.99), rng.uniform(0.0, 0.99), tail_decades(),
+            (0.0, rng.uniform(1e-3, 5.0))[rng.integers(2)],
+            rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0),
+            rng.uniform(1e-9, 0.999), 10**18, None, rng.uniform(0.5, 17.5))
+        if np.isfinite(case[1]) and case[1] > 0.0:
+            cases.append(case)
+    return cases
+
+
+def test_min_iterations_needs_few_bound_evaluations(monkeypatch):
+    calls = []
+    log_bound = Certificate.log_bound
+
+    def counted(self, n, eps):
+        calls.append(n)
+        return log_bound(self, n, eps)
+
+    def mean_counts(cases):
+        seeded, from_one = [], []
+        for case in cases:
+            calls.clear()
+            n_alpha = case[0].min_iterations(*case[1:])
+            seeded.append(len(calls))
+            calls.clear()
+            assert search_from_one(*case) == n_alpha
+            from_one.append(len(calls))
+            assert 1 < n_alpha < case[3]
+        return np.mean(seeded), np.mean(from_one)
+
+    monkeypatch.setattr(Certificate, "log_bound", counted)
+    rng = np.random.default_rng(13)
+    # rho uniform over its range (0, 2a(1-c))
+    seeded, from_one = mean_counts(searched_sample(
+        rng, lambda: -math.log10(rng.uniform(0.001, 0.998))))
+    assert from_one > 40.0
+    assert seeded <= 8.0
+    # tail exponents log-uniform down to 1e-6 of 2a(1-c): the float bound
+    # pins its threshold only to a relative 1e-16/gamma, so the gallop
+    # from the seed runs longer, still under half the search from 1
+    seeded, from_one = mean_counts(searched_sample(
+        rng, lambda: rng.uniform(0.0005, 6.0)))
+    assert seeded <= 0.5 * from_one
+
+
+def test_min_iterations_closed_form_seed_survives_extremes():
+    p = params(**ART)
+    cert = certificate(p)
+    # eps^2 underflows to zero: no n qualifies, and no log of zero is taken
+    assert cert.min_iterations(1e-170, 0.05, 10**18) is None
+    # a tail exponent of ~1e-6 puts the closed-form n far past any cap
+    slow = certificate(params(**dict(ART, rho=1.8 * (1.0 - 1e-6))))
+    assert slow.min_iterations(0.1, 0.05, 10**18) is None
+    assert slow.min_iterations(10.0, 0.05, 10**18) \
+        == search_from_one(slow, 10.0, 0.05, 10**18)
+    # no noise: K2 = 1
+    quiet = certificate(params(**dict(ART, sigma=0.0)))
+    assert quiet.K2 == 1.0
+    assert quiet.min_iterations(0.1, 0.05, 10**6) \
+        == search_from_one(quiet, 0.1, 0.05, 10**6)
+    assert cert.min_iterations(0.1, 0.05, np.int64(10**6)) == 3154
+
+
+def test_counts_refuse_bool():
+    p = params(**ART)
+    cert = certificate(p)
+    for call in (lambda: tail_bound(True, 0.1, p),
+                 lambda: cert.report(True, 0.1),
+                 lambda: cert.report(np.bool_(True), 0.1),
+                 lambda: cert.min_iterations(0.1, 0.05, n_cap=True),
+                 lambda: min_iterations_for_confidence(0.1, 0.05, p,
+                                                       n_cap=True),
+                 lambda: rate_envelope(True, 1.0, p),
+                 lambda: product_bound(True, 2, 0.5, 0.3),
+                 lambda: deterministic_envelope(True, p, [0.1])):
+        with pytest.raises(ValidationError, match="integer"):
+            call()
+    assert cert.report(1, 0.1).n == 1
+    assert cert.min_iterations(0.1, 0.05, n_cap=1) is None
+
+
+# --- series cache ------------------------------------------------------------
+
+def test_series_summed_once_per_key():
+    bounds._series_power_sum.cache_clear()
+    for _ in range(3):
+        # fresh, equal objects, and sets that differ only off the series
+        for p in (params(a=0.61, c=0.17, sigma=0.4),
+                  params(N=1.5, a=0.61, c=0.17, sigma=2.0, L=3.0, mnb=0.1,
+                         rho=0.05),
+                  params(a=0.61, c=0.17, sigma=0.0)):
+            tail_bound(10, 0.1, p)
+            min_iterations_for_confidence(0.1, 0.05, p)
+            canonical_eps0(p)
+    info = bounds._series_power_sum.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # S1 and S2's inner sum
+    for p, q in ((0.61 * (1.0 - 0.17), 2.0), (2.0 * 0.61 * (1.0 - 0.17), 4.0)):
+        cached = bounds._series_power_sum(p, q, 1e-10)
+        fresh = bounds._series_power_sum.__wrapped__(p, q, 1e-10)
+        assert cached is bounds._series_power_sum(p, q, 1e-10)
+        assert (cached.value.hex(), cached.half_width.hex(), cached.terms) \
+            == (fresh.value.hex(), fresh.half_width.hex(), fresh.terms)
+    assert bounds._series_power_sum.cache_info().misses == 2
+
+
+def test_series_refusals_raise_every_call():
+    bounds._series_power_sum.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="unattainable"):
+            series_S1_detail(0.5, 0.3, tol=1e-20)
+        with pytest.raises(ValidationError, match="need 0 <= p < 2"):
+            bounds._series_power_sum(2.5, 4.0, 1e-10)
+        with pytest.raises(ValidationError, match="tol"):
+            bounds._series_power_sum(0.5, 2.0, 0.0)
+    assert bounds._series_power_sum.cache_info().currsize == 0
 
 
 # --- rate envelope -----------------------------------------------------------

@@ -259,6 +259,20 @@ def test_montecarlo_dominance_failure_exits_3(tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_refuted_N_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "reference.json").read_text())
+    cfg["bounds"]["N"] = 0
+    path = write(tmp_path, cfg)
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["bound", "--config", path, "--n", "1000", "--eps", "0.1"],
+                 ["confidence", "--config", path, "--eps", "0.1"] + out,
+                 ["montecarlo", "--config", path, "--replicas", "10"] + out):
+        assert main(argv) == 2, argv
+        assert "bounds.N: 0.0 is below the initial distance" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cramer_check_pass_and_flag(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
     assert main(["cramer-check", "--config", cfg_path,

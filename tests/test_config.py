@@ -178,6 +178,38 @@ def test_build_bound_params_overrides_win():
         == (0.25, 0.1, 0.5, 0.5, 0.0, 0.3)
 
 
+def test_build_bound_params_refuses_a_refuted_N():
+    distance = build_bound_params(BASE).N
+    for norm_kind, x0, offset in (("euclidean", [0.5], [0.7]),
+                                  ("one", [0.0, 0.0], [0.3, 0.4]),
+                                  ("max", [1.0, -1.0], [0.3, 0.4])):
+        cfg = copy.deepcopy(BASE)
+        cfg["norm"] = norm_kind
+        d = len(x0)
+        cfg["map"] = {"family": "affine", "offset": offset,
+                      "matrix": np.diag([0.5] * d).tolist()}
+        cfg["scheme"]["x0"] = x0
+        cfg["noise"] = {"family": "zero"}
+        exact = build_bound_params(cfg).N
+        # N equal to the distance, or short of it by the fixed point's own
+        # error, still passes; any further short is refused
+        for N in (exact, exact * (1.0 - 1e-15), exact - 1e-14, exact + 1.0):
+            cfg["bounds"] = {"N": N, "rho_scale": 0.5}
+            assert build_bound_params(cfg).N == N
+        for N in (0.0, exact * 0.99, exact - 1e-9):
+            cfg["bounds"] = {"N": N, "rho_scale": 0.5}
+            with pytest.raises(ValidationError, match=r"^bounds\.N: .*below"):
+                build_bound_params(cfg)
+    cfg = copy.deepcopy(BASE)
+    cfg["bounds"] = {"N": 0.5 * distance}
+    with pytest.raises(ValidationError, match=r"^bounds\.N"):
+        build_bound_params(cfg)
+    # out of range is reported as before, not as a refutation
+    cfg["bounds"] = {"N": -1.0}
+    with pytest.raises(ValidationError, match="finite real >= 0"):
+        build_bound_params(cfg)
+
+
 def test_build_plan_and_overrides():
     plan = build_plan(BASE)
     assert plan.checkpoints == (10, 100) and plan.replicas == 50

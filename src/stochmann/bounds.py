@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import StochmannError, ValidationError
+from .errors import StochmannError, ValidationError, check_number
 
 __all__ = [
     "BoundParams",
@@ -68,30 +68,19 @@ class BoundParams:
     rho: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.N) and self.N >= 0.0):
-            raise ValidationError("bounds.N: must be a finite real >= 0")
-        if not (np.isfinite(self.a) and 0.0 < self.a < 1.0):
-            raise ValidationError("bounds.a: must satisfy 0 < a < 1")
-        if not (np.isfinite(self.c) and 0.0 <= self.c < 1.0):
-            raise ValidationError("bounds.c: must satisfy 0 <= c < 1")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError("bounds.sigma: must be >= 0")
-        if not (np.isfinite(self.L) and self.L > 0.0):
-            raise ValidationError("bounds.L: must be > 0")
-        if not (np.isfinite(self.mean_norm_bound) and self.mean_norm_bound >= 0.0):
-            raise ValidationError("bounds.mean_norm_bound: must be >= 0")
-        if not (np.isfinite(self.rho) and 0.0 < self.rho < 2.0 * self.a * (1.0 - self.c)):
-            raise ValidationError("bounds.rho: must satisfy 0 < rho < 2a(1-c)")
+        check_number(self.N, "bounds.N", minimum=0)
+        check_number(self.a, "bounds.a", exclusive_min=0, exclusive_max=1)
+        check_number(self.c, "bounds.c", minimum=0, exclusive_max=1)
+        check_number(self.sigma, "bounds.sigma", minimum=0)
+        check_number(self.L, "bounds.L", exclusive_min=0)
+        check_number(self.mean_norm_bound, "bounds.mean_norm_bound", minimum=0)
+        check_number(self.rho, "bounds.rho", exclusive_min=0,
+                     exclusive_max=2.0 * self.a * (1.0 - self.c))
 
     @property
     def kappa(self):
         """The damping rate a(1-c) of the deterministic envelope."""
         return self.a * (1.0 - self.c)
-
-
-def _is_count(n):
-    """True for a Python or numpy integer; bool is refused, though an int."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def tail_exponent(params):
@@ -115,12 +104,10 @@ def product_bound(i, n, a, c):
 
     Returns (lhs, rhs) evaluated exactly as written, for 1 <= i <= n.
     """
-    if not (_is_count(i) and _is_count(n)):
-        raise ValidationError("product_bound: i and n must be integers")
-    if not (1 <= i <= n):
-        raise ValidationError("product_bound: need 1 <= i <= n")
-    if not (0.0 < a < 1.0 and 0.0 <= c < 1.0):
-        raise ValidationError("product_bound: need 0 < a < 1 and 0 <= c < 1")
+    i = check_number(i, "i", integer=True, minimum=1)
+    n = check_number(n, "n", integer=True, minimum=i)
+    a = check_number(a, "a", exclusive_min=0, exclusive_max=1)
+    c = check_number(c, "c", minimum=0, exclusive_max=1)
     kappa = a * (1.0 - c)
     j = np.arange(i + 1, n + 1, dtype=np.float64)
     lhs = float(np.prod(1.0 - kappa / j)) if j.size else 1.0
@@ -148,8 +135,7 @@ def deterministic_envelope(n, params, noise_norms):
 
     noise_norms[i-1] is ||xi_i||; only the first n entries are read.
     """
-    if not (_is_count(n) and n >= 1):
-        raise ValidationError("n: must be an integer >= 1")
+    n = check_number(n, "n", integer=True, minimum=1)
     norms = _checked_norms(noise_norms, n)
     i = np.arange(1, n + 1, dtype=np.float64)
     prefix = np.cumprod(1.0 - params.kappa / i)  # prefix[k-1] = prod_{j<=k}
@@ -192,6 +178,8 @@ SERIES_HEAD = 32
 SERIES_ORDER = 12
 # Distinct (p, q, tol) sums kept per process; a sweep needs two per (a, c).
 SERIES_CACHE_SIZE = 256
+# The relative error to which a certificate sums S1 and S2.
+SERIES_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE, typed=True)
@@ -215,8 +203,7 @@ def _series_power_sum(p, q, tol):
     """
     if not (0.0 <= p < 2.0 and q - p > 1.0):
         raise ValidationError("series: need 0 <= p < 2 and q - p > 1")
-    if not tol > 0.0:
-        raise ValidationError("tol: must be positive")
+    check_number(tol, "tol", exclusive_min=0)
     M, K, eps = SERIES_HEAD, SERIES_ORDER, np.finfo(np.float64).eps
     i = np.arange(1.0, M)
     k = np.arange(K + 1.0)
@@ -235,24 +222,27 @@ def _series_power_sum(p, q, tol):
     return SeriesEstimate(value=value, terms=M + K, half_width=half_width)
 
 
-def series_S1_detail(a, c, tol=1e-10):
+def series_S1_detail(a, c, tol=SERIES_TOL):
     """S1 = sum_{i>=1} (i+1)^(a(1-c)) / i^2 to relative error tol; needs
     a(1-c) < 1 for convergence."""
-    if not (0.0 < a and 0.0 <= c < 1.0):
-        raise ValidationError("series_S1: need a > 0 and 0 <= c < 1")
+    a = check_number(a, "a", exclusive_min=0)
+    c = check_number(c, "c", minimum=0, exclusive_max=1)
     p = a * (1.0 - c)
     if p >= 1.0:
         raise ValidationError("series_S1: divergent parameter combination (a(1-c) >= 1)")
     return _series_power_sum(p, 2.0, tol)
 
 
-def series_S2_detail(a, c, sigma, tol=1e-10):
+def series_S2_detail(a, c, sigma, tol=SERIES_TOL):
     """S2 = 4 a^2 sigma^2 sum_{i>=1} (i+1)^(2a(1-c)) / i^4 to relative
     error tol."""
-    if not (0.0 < a < 1.0 and 0.0 <= c < 1.0):
-        raise ValidationError("series_S2: need 0 < a < 1 and 0 <= c < 1")
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError("series_S2: sigma must be >= 0")
+    return _series_S2(check_number(a, "a", exclusive_min=0, exclusive_max=1),
+                      check_number(c, "c", minimum=0, exclusive_max=1),
+                      check_number(sigma, "sigma", minimum=0), tol)
+
+
+def _series_S2(a, c, sigma, tol):
+    """series_S2_detail of arguments already checked."""
     if sigma == 0.0:
         return SeriesEstimate(value=0.0, terms=0, half_width=0.0)
     scale = 4.0 * a * a * sigma * sigma
@@ -312,13 +302,11 @@ class Certificate:
 
     def report(self, n, eps):
         """Certified bound on P{ ||x_{n+1} - x*|| > eps }."""
-        if not (_is_count(n) and n >= 1):
-            raise ValidationError("n: must be an integer >= 1")
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValidationError("eps: must be a positive real")
+        n = check_number(n, "n", integer=True, minimum=1)
+        eps = check_number(eps, "eps", exclusive_min=0)
         log_raw = self.log_bound(n, eps)
         raw = math.exp(log_raw) if log_raw <= 709.0 else math.inf
-        return BoundReport(n=int(n), eps=float(eps), S1=self.S1, S2=self.S2,
+        return BoundReport(n=n, eps=eps, S1=self.S1, S2=self.S2,
                            K1=self.K1, K2=self.K2, log_K1=self.log_K1,
                            tail_exponent=self.tail_exponent,
                            rate_exponent=rate_exponent(self.params),
@@ -343,13 +331,9 @@ class Certificate:
         from 1.  The series behind the constants are cached per (p, q,
         tol), so a certificate rebuilt from equal params sums none.
         """
-        if not (0.0 < alpha < 1.0):
-            raise ValidationError("alpha: must lie in (0, 1)")
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValidationError("eps: must be a positive real")
-        if not (_is_count(n_cap) and n_cap >= 1):
-            raise ValidationError("n_cap: must be an integer >= 1")
-        n_cap = int(n_cap)
+        alpha = check_number(alpha, "alpha", exclusive_min=0, exclusive_max=1)
+        eps = check_number(eps, "eps", exclusive_min=0)
+        n_cap = check_number(n_cap, "n_cap", integer=True, minimum=1)
         log_bound, log_alpha = self.log_bound, math.log(alpha)
 
         def ok(n):
@@ -394,8 +378,7 @@ class Certificate:
     def eps0(self, d=1):
         """The scale sqrt((1+d)/K2) that turns the rate envelope into the
         almost-sure convergence certificate in dimension d."""
-        if d < 1:
-            raise ValidationError("d: must be >= 1")
+        d = check_number(d, "d", integer=True, minimum=1)
         return math.sqrt((1.0 + d) / self.K2)
 
 
@@ -406,14 +389,15 @@ def certificate(params, s1=None, s2=None):
     K1 rises with S1 and K2 falls with S2, so a summed series enters at
     the upper end of its bracket, value + half_width.
     """
+    # params is valid by construction (so a(1-c) < 1): no check repeated
     if s1 is None:
-        est = series_S1_detail(params.a, params.c)
+        est = _series_power_sum(params.kappa, 2.0, SERIES_TOL)
         s1 = est.value + est.half_width
     if s2 is None:
-        est = series_S2_detail(params.a, params.c, params.sigma)
+        est = _series_S2(params.a, params.c, params.sigma, SERIES_TOL)
         s2 = est.value + est.half_width
-    if s2 < 0.0:
-        raise ValidationError("certificate: S2 must be >= 0")
+    else:
+        check_number(s2, "s2", minimum=0)
     lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)
     k1 = math.exp(lk1) if lk1 <= 709.0 else math.inf
     k2 = 1.0 if s2 == 0.0 else min(1.0, 1.0 / (16.0 * s2))
@@ -437,10 +421,8 @@ def rate_envelope(n, eps0, params):
     Defined for n >= 2 and requires rho < a(1-c) (positive rate exponent);
     this is the *rate* exponent, deliberately distinct from the tail one.
     """
-    if not (_is_count(n) and n >= 2):
-        raise ValidationError("n: rate envelope needs an integer n >= 2")
-    if not (np.isfinite(eps0) and eps0 >= 0.0):
-        raise ValidationError("eps0: must be >= 0")
+    n = check_number(n, "n", integer=True, minimum=2)
+    eps0 = check_number(eps0, "eps0", minimum=0)
     gamma_r = rate_exponent(params)
     if gamma_r <= 0.0:
         raise ValidationError(

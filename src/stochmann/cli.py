@@ -23,16 +23,16 @@ import sys
 from pathlib import Path
 
 from .bounds import certificate
-from .config import (build_bound_params, build_plan, build_scheme,
-                     check_seed, config_hash, dumps17, experiment_settings,
-                     load_config)
+from .config import (RANGES, build_bound_params, build_plan, build_scheme,
+                     config_hash, dumps17, experiment_settings, load_config)
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, StochmannError,
-                     ValidationError)
+                     ValidationError, check_number)
 from .montecarlo import dominance_failures, empirical_tail
 from .noise import cramer_check
 from .schemes import run
 from .spaces import dimension, reference_fixed_point
+from .streams import check_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -64,7 +64,10 @@ def _apply_overrides(settings, args):
     if getattr(args, "seed", None) is not None:
         settings["base_seed"] = check_seed(args.seed, "--seed")
     if getattr(args, "replicas", None) is not None:
-        settings["replicas"] = int(args.replicas)
+        settings["replicas"] = args.replicas
+    if getattr(args, "alpha", None) is not None:
+        settings["alpha"] = check_number(args.alpha, "--alpha",
+                                         **RANGES["experiment.alpha"])
     return settings
 
 
@@ -139,7 +142,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
         raise ValidationError("confidence: provide --eps or experiment.eps_grid")
-    alpha = args.alpha if args.alpha is not None else settings["alpha"]
+    alpha = settings["alpha"]
     cert = certificate(params)
     n_alpha = cert.min_iterations(eps, alpha, settings["n_cap"])
     if n_alpha is None:

@@ -9,15 +9,16 @@ makes serialize-then-parse the identity and lets the content hash commit to
 exactly what the user wrote.  The map, scheme and noise blocks are
 required; zero noise ({"family": "zero"}) runs the plain Mann iteration.
 
-Each value has one owner.  validate_config checks the JSON type of every
-field, the family and kind choices, and the ranges of the fields no object
-takes (seeds, in streams.check_seed's range; bounds.*; experiment.*).  The
-objects that build_scheme constructs own everything else: MapSpec the map
-fields, NoiseModel the noise fields (each family's required and refused
-keys, and the certified constants it fills in), StepSequences and
-SchemeConfig the scheme fields.  The certificate's c comes from
-map.declared_c (or the map family) and its moment parameters from the
-noise model.
+Each value has one owner, and every number meets one rule,
+errors.check_number.  validate_config checks what no object sees: key
+sets, required blocks and keys, the map and noise families and the keys
+only one map family takes, list shapes, the ranges of bounds.*,
+experiment.* and base_seed, and JSON null under noise and map.declared_c,
+which the objects would read as "not given".  build_scheme hands the raw
+values to the objects that own the rest: MapSpec the map fields,
+NoiseModel the noise fields, StepSequences and SchemeConfig the scheme
+fields.  The certificate's c comes from map.declared_c (or the map
+family) and its moment parameters from the noise model.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ import math
 
 import numpy as np
 
-from . import streams
 from .bounds import BoundParams
-from .errors import ValidationError
-from .montecarlo import ExperimentPlan
+from .errors import ValidationError, check_number, check_numbers
+from .montecarlo import ExperimentPlan, check_checkpoints
 from .noise import NOISE_FAMILIES, NoiseModel
-from .schemes import SCHEME_KINDS, SchemeConfig, StepSequences
+from .schemes import SchemeConfig, StepSequences
 from .spaces import (FIXED_POINT_TOL, MAP_FAMILIES, NORM_KINDS, affine,
                      as_point, contraction_constant, dimension,
                      inverse_quadratic, norm, reference_fixed_point,
                      scaled_cosine)
+from .streams import check_seed
 
 __all__ = [
     "load_config",
@@ -49,7 +50,7 @@ __all__ = [
     "build_scheme",
     "build_bound_params",
     "build_plan",
-    "check_seed",
+    "RANGES",
     "experiment_settings",
 ]
 
@@ -60,6 +61,17 @@ _SCHEME_KEYS = {"kind", "x0", "a", "horizon", "seed"}
 _NOISE_KEYS = {"family", "scale", "half_width", "sigma", "L", "mean_norm_bound"}
 _BOUNDS_KEYS = {"N", "rho", "rho_scale", "n_cap"}
 _EXPERIMENT_KEYS = {"checkpoints", "eps_grid", "replicas", "alpha", "run_cap"}
+
+# The ranges of the scalars that no object takes; --alpha has alpha's.
+RANGES = {
+    "bounds.N": {"minimum": 0},
+    "bounds.rho": {"exclusive_min": 0},
+    "bounds.rho_scale": {"exclusive_min": 0, "maximum": 1.0 - 1e-12},
+    "bounds.n_cap": {"integer": True, "minimum": 1},
+    "experiment.replicas": {"integer": True, "minimum": 1},
+    "experiment.alpha": {"exclusive_min": 0, "maximum": 0.5},
+    "experiment.run_cap": {"integer": True, "minimum": 1},
+}
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_RHO_SCALE = 0.5
@@ -75,46 +87,13 @@ def _object(block, allowed, path):
             raise ValidationError(f"{path}.{key}: unknown key")
 
 
-def _number(value, path, integer=False, minimum=None, maximum=None,
-            exclusive_min=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: must be a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        # an integer literal beyond the float64 range
-        raise ValidationError(f"{path}: must be finite") from None
-    if not math.isfinite(x):
-        raise ValidationError(f"{path}: must be finite")
-    if integer and not x.is_integer():
-        raise ValidationError(f"{path}: must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}")
-    if exclusive_min is not None and value <= exclusive_min:
-        raise ValidationError(f"{path}: must be > {exclusive_min}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{path}: must be <= {maximum}")
-    return int(value) if integer else x
-
-
-def check_seed(value, path):
-    """An integral JSON number in streams.check_seed's range [0, 2**64)."""
-    return streams.check_seed(_number(value, path, integer=True), path)
-
-
-def _numbers(value, path, depth=1, **limits):
-    """A nonempty list (depth 1) or rectangular list of lists (depth 2) of
-    numbers, each checked by _number; a bad entry is named by its indexed
-    path."""
+def _matrix(value, path):
+    """A nonempty list of equally long, nonempty lists of numbers."""
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{path}: must be a nonempty list")
-    for i, v in enumerate(value):
-        if depth == 1:
-            _number(v, f"{path}[{i}]", **limits)
-        else:
-            _numbers(v, f"{path}[{i}]", depth - 1, **limits)
-            if len(v) != len(value[0]):
-                raise ValidationError(f"{path}[{i}]: rows must have equal length")
+    for i, row in enumerate(value):
+        if len(check_numbers(row, f"{path}[{i}]")) != len(value[0]):
+            raise ValidationError(f"{path}[{i}]: rows must have equal length")
 
 
 def _choice(value, options, path):
@@ -135,14 +114,10 @@ def load_config(path):
 
 
 def validate_config(raw):
-    """Validate structure and the ranges no object owns; returns the config
-    unchanged.
-
-    The ranges of map, noise and scheme fields, the noise family's required
-    and refused keys, and cross-field constraints (dimension agreement,
-    contractivity, rho feasibility), surface from build_scheme and
-    build_bound_params, with the same exception type.
-    """
+    """Check what no object owns, as the module docstring lists it; returns
+    the config unchanged.  The rest, and cross-field constraints (dimension
+    agreement, contractivity, rho feasibility), surface from build_scheme
+    and build_bound_params, with the same exception type."""
     _object(raw, _TOP_KEYS, "config")
     for key in ("map", "scheme", "noise"):
         if key not in raw:
@@ -161,70 +136,45 @@ def validate_config(raw):
                        ("lam", "scaled_cosine")):
         if key in mp and family != owner:
             raise ValidationError(f"map.{key}: only {owner} maps take it")
-    for key, depth in (("matrix", 2), ("offset", 1)):
+    for key, check in (("matrix", _matrix), ("offset", check_numbers)):
         if key in mp:
-            _numbers(mp[key], f"map.{key}", depth)
-    for key in ("declared_c", "lam"):
-        if key in mp:
-            _number(mp[key], f"map.{key}")
+            check(mp[key], f"map.{key}")
+    if "declared_c" in mp and mp["declared_c"] is None:
+        raise ValidationError("map.declared_c: must be a number")
 
     if "norm" in raw:
         _choice(raw["norm"], NORM_KINDS, "norm")
 
     sc = raw["scheme"]
     _object(sc, _SCHEME_KEYS, "scheme")
-    _choice(sc.get("kind"), SCHEME_KINDS, "scheme.kind")
     if "x0" not in sc:
         raise ValidationError("scheme.x0: required")
-    _numbers(sc["x0"], "scheme.x0")
-    if "a" in sc:
-        _number(sc["a"], "scheme.a")
-    if "horizon" in sc:
-        # integral here: build_scheme's int() would truncate 2.5
-        _number(sc["horizon"], "scheme.horizon", integer=True)
-    if "seed" in sc:
-        check_seed(sc["seed"], "scheme.seed")
+    check_numbers(sc["x0"], "scheme.x0")
 
     nz = raw["noise"]
     _object(nz, _NOISE_KEYS, "noise")
     _choice(nz.get("family"), NOISE_FAMILIES, "noise.family")
     for key, value in nz.items():
-        if key != "family":
-            _number(value, f"noise.{key}")
+        if value is None:
+            raise ValidationError(f"noise.{key}: must be a number")
 
     if "bounds" in raw:
         bd = raw["bounds"]
         _object(bd, _BOUNDS_KEYS, "bounds")
         if "rho" in bd and "rho_scale" in bd:
             raise ValidationError("bounds.rho_scale: not allowed next to bounds.rho")
-        if "N" in bd:
-            _number(bd["N"], "bounds.N", minimum=0.0)
-        if "rho" in bd:
-            _number(bd["rho"], "bounds.rho", exclusive_min=0.0)
-        if "rho_scale" in bd:
-            _number(bd["rho_scale"], "bounds.rho_scale", exclusive_min=0.0,
-                    maximum=1.0 - 1e-12)
-        if "n_cap" in bd:
-            _number(bd["n_cap"], "bounds.n_cap", integer=True, minimum=1)
 
     if "experiment" in raw:
         ex = raw["experiment"]
         _object(ex, _EXPERIMENT_KEYS, "experiment")
         if "checkpoints" in ex:
-            cps = ex["checkpoints"]
-            _numbers(cps, "experiment.checkpoints", integer=True, minimum=1)
-            if any(b <= a for a, b in zip(cps, cps[1:])):
-                raise ValidationError(
-                    "experiment.checkpoints: must be strictly increasing")
+            check_checkpoints(ex["checkpoints"], "experiment.checkpoints")
         if "eps_grid" in ex:
-            _numbers(ex["eps_grid"], "experiment.eps_grid", exclusive_min=0.0)
-        if "replicas" in ex:
-            _number(ex["replicas"], "experiment.replicas", integer=True, minimum=1)
-        if "alpha" in ex:
-            _number(ex["alpha"], "experiment.alpha", exclusive_min=0.0,
-                    maximum=0.5)
-        if "run_cap" in ex:
-            _number(ex["run_cap"], "experiment.run_cap", integer=True, minimum=1)
+            check_numbers(ex["eps_grid"], "experiment.eps_grid", exclusive_min=0)
+    for path, limits in RANGES.items():
+        block, key = path.split(".")
+        if key in raw.get(block, {}):
+            check_number(raw[block][key], path, **limits)
 
     if "out_dir" in raw and not isinstance(raw["out_dir"], str):
         raise ValidationError("out_dir: must be a string")
@@ -289,7 +239,7 @@ def build_map(cfg):
         return affine(np.asarray(mp["matrix"], dtype=np.float64),
                       np.asarray(mp["offset"], dtype=np.float64),
                       declared_c=declared_c)
-    return scaled_cosine(float(mp["lam"]), declared_c=declared_c)
+    return scaled_cosine(mp["lam"], declared_c=declared_c)
 
 
 def build_noise(cfg, dim):
@@ -300,15 +250,14 @@ def build_scheme(cfg):
     map_spec = build_map(cfg)
     d = dimension(map_spec)
     sc = cfg["scheme"]
-    x0 = as_point(sc["x0"], d, name="scheme.x0")
     return SchemeConfig(
-        kind=sc["kind"],
+        kind=sc.get("kind"),
         map_spec=map_spec,
-        x0=x0,
-        steps=StepSequences(a=float(sc.get("a", 0.5))),
+        x0=sc["x0"],
+        steps=StepSequences(a=sc.get("a", 0.5)),
         noise=build_noise(cfg, d),
-        horizon=int(sc.get("horizon", 1000)),
-        seed=int(sc.get("seed", 0)),
+        horizon=sc.get("horizon", 1000),
+        seed=sc.get("seed", 0),
         norm_kind=cfg.get("norm", "euclidean"),
     )
 
@@ -336,7 +285,7 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     d = dimension(map_spec)
     bd = cfg.get("bounds", {})
     norm_kind = cfg.get("norm", "euclidean")
-    a = float(cfg["scheme"].get("a", 0.5))
+    a = StepSequences(a=cfg["scheme"].get("a", 0.5)).a
     c = contraction_constant(map_spec, norm_kind)
     model = build_noise(cfg, d)
     if norm_kind == "one" and model.family != "zero" and d >= 2:
@@ -350,11 +299,8 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
         x_star = reference_fixed_point(map_spec)
     x0 = as_point(cfg["scheme"]["x0"], d, name="scheme.x0")
     distance = float(norm(x0 - x_star, norm_kind))
-    N = float(bd["N"]) if "N" in bd else distance
-    if "rho" in bd:
-        rho = float(bd["rho"])
-    else:
-        rho = float(bd.get("rho_scale", DEFAULT_RHO_SCALE)) * 2.0 * a * (1.0 - c)
+    N = float(bd.get("N", distance))
+    rho = bd.get("rho", bd.get("rho_scale", DEFAULT_RHO_SCALE) * 2.0 * a * (1.0 - c))
     params = BoundParams(N=N, a=a, c=c, sigma=model.sigma, L=model.L,
                          mean_norm_bound=model.mean_norm_bound, rho=rho)
     slack = (math.sqrt(d) * FIXED_POINT_TOL / (1.0 - contraction_constant(map_spec))
@@ -384,14 +330,13 @@ def build_plan(cfg, scheme=None, base_seed=None, replicas=None):
     if scheme is None:
         scheme = build_scheme(cfg)
     ex = experiment_settings(cfg)
-    if not ex["checkpoints"]:
-        raise ValidationError("experiment.checkpoints: required for this command")
-    if not ex["eps_grid"]:
-        raise ValidationError("experiment.eps_grid: required for this command")
+    for key in ("checkpoints", "eps_grid"):
+        if not ex[key]:
+            raise ValidationError(f"experiment.{key}: required for this command")
     return ExperimentPlan(
         scheme=scheme,
         checkpoints=ex["checkpoints"],
         eps_grid=ex["eps_grid"],
-        replicas=int(replicas if replicas is not None else ex["replicas"]),
-        base_seed=int(base_seed if base_seed is not None else ex["base_seed"]),
+        replicas=replicas if replicas is not None else ex["replicas"],
+        base_seed=base_seed if base_seed is not None else ex["base_seed"],
     )

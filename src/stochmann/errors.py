@@ -1,4 +1,5 @@
-"""Typed errors shared across the package.
+"""Typed errors shared across the package, and check_number, the one rule
+for a valid scalar number or count.
 
 The CLI maps these onto exit codes: ValidationError -> 2, the verification
 failures (DominanceError, CoverageError, DivergedError) -> 3, and
@@ -6,6 +7,9 @@ InfeasibleExperimentError -> 4.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class StochmannError(Exception):
@@ -51,3 +55,41 @@ class CoverageError(StochmannError):
 
 class DominanceError(StochmannError):
     """An empirical tail estimate exceeded the certified bound."""
+
+
+def check_number(value, path, integer=False, minimum=None, maximum=None,
+                 exclusive_min=None, exclusive_max=None):
+    """value as a float, or as an int when integer is set; anything else
+    raises ValidationError naming path.  A number is a real, not a bool,
+    whose float is finite (an int past the float64 range is not); integer
+    takes 3.0 as 3 and refuses 2.5.  The bounds are compared with value
+    itself, so a seed near 2**64 is not rounded first.
+    """
+    # exact float and int skip the numbers.Real ABC check, which is slow
+    if type(value) not in (float, int) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        x = math.nan
+    else:
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    if (math.isfinite(x) and (not integer or x.is_integer())
+            and (minimum is None or value >= minimum)
+            and (exclusive_min is None or value > exclusive_min)
+            and (maximum is None or value <= maximum)
+            and (exclusive_max is None or value < exclusive_max)):
+        return int(value) if integer else x
+    limits = " and ".join(f"{op} {bound}" for op, bound in (
+        (">=", minimum), (">", exclusive_min), ("<=", maximum),
+        ("<", exclusive_max)) if bound is not None)
+    kind = "integer" if integer else "real"
+    raise ValidationError(f"{path}: must be a finite {kind} {limits}".rstrip())
+
+
+def check_numbers(values, path, **limits):
+    """values, a nonempty list or tuple, as a tuple of check_number's results."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValidationError(f"{path}: must be a nonempty list")
+    return tuple(check_number(v, f"{path}[{i}]", **limits)
+                 for i, v in enumerate(values))

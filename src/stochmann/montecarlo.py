@@ -18,13 +18,14 @@ from scipy.special import betaincinv
 
 from .bounds import Certificate, certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
-                     ValidationError)
+                     ValidationError, check_number, check_numbers)
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_seed, derive_key
 
 __all__ = [
     "ExperimentPlan",
+    "check_checkpoints",
     "TailEstimate",
     "ErrorRow",
     "RateDiagnostic",
@@ -59,21 +60,26 @@ class ExperimentPlan:
     base_seed: int
 
     def __post_init__(self):
-        cps = tuple(int(n) for n in self.checkpoints)
-        if not cps:
-            raise ValidationError("experiment.checkpoints: must be nonempty")
-        if any(n < 1 for n in cps) or list(cps) != sorted(set(cps)):
-            raise ValidationError(
-                "experiment.checkpoints: must be strictly increasing indices >= 1")
+        cps = check_checkpoints(self.checkpoints, "experiment.checkpoints")
         if cps[-1] > self.scheme.horizon:
             raise ValidationError("experiment.checkpoints: exceed scheme horizon")
-        eps = tuple(float(e) for e in self.eps_grid)
-        if any(not (np.isfinite(e) and e > 0.0) for e in eps):
-            raise ValidationError("experiment.eps_grid: entries must be positive reals")
-        if not (isinstance(self.replicas, (int, np.integer)) and self.replicas >= 1):
-            raise ValidationError("experiment.replicas: must be an integer >= 1")
+        eps = check_numbers(self.eps_grid, "experiment.eps_grid", exclusive_min=0)
+        replicas = check_number(self.replicas, "experiment.replicas",
+                                integer=True, minimum=1)
         object.__setattr__(self, "checkpoints", cps)
         object.__setattr__(self, "eps_grid", eps)
+        object.__setattr__(self, "replicas", replicas)
+        object.__setattr__(self, "base_seed",
+                           check_seed(self.base_seed, "base_seed"))
+
+
+def check_checkpoints(value, path):
+    """value, a nonempty list or tuple of strictly increasing iterate
+    indices >= 1, as a tuple of ints; else ValidationError naming path."""
+    cps = check_numbers(value, path, integer=True, minimum=1)
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError(f"{path}: must be strictly increasing")
+    return cps
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,7 @@ class RateDiagnostic:
 
 def replica_seeds(base_seed, replicas):
     """Injective per-replica seeds; row r is derive_key(base_seed, r)."""
+    replicas = check_number(replicas, "replicas", integer=True, minimum=0)
     return derive_key(check_seed(base_seed, "base_seed"),
                       np.arange(replicas, dtype=np.uint64))
 
@@ -128,10 +135,11 @@ def clopper_pearson(successes, trials, confidence=0.99):
     betaincinv(a, b, q), the same bits as scipy.stats.beta.ppf(q, a, b)
     without importing scipy.stats.
     """
-    if not (0 <= successes <= trials and trials >= 1):
-        raise ValidationError("clopper_pearson: need 0 <= successes <= trials")
-    if not (0.0 < confidence < 1.0):
-        raise ValidationError("clopper_pearson: confidence must lie in (0, 1)")
+    trials = check_number(trials, "trials", integer=True, minimum=1)
+    successes = check_number(successes, "successes", integer=True, minimum=0,
+                             maximum=trials)
+    confidence = check_number(confidence, "confidence", exclusive_min=0,
+                              exclusive_max=1)
     tail = 0.5 * (1.0 - confidence)
     lo = 0.0 if successes == 0 else float(
         betaincinv(successes, trials - successes + 1, tail))
@@ -299,9 +307,7 @@ def error_table(scheme, checkpoints, x_star):
     """
     if dimension(scheme.map_spec) != 1:
         raise ValidationError("error_table: requires a scalar (d=1) map")
-    cps = tuple(int(n) for n in checkpoints)
-    if not cps or any(n < 1 for n in cps) or list(cps) != sorted(set(cps)):
-        raise ValidationError("checkpoints: must be strictly increasing indices >= 1")
+    cps = check_checkpoints(checkpoints, "checkpoints")
     x_star = as_point(x_star, 1, name="x_star")
     needed = max(cps[-1] - 1, 1)
     if scheme.horizon != needed:

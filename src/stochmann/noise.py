@@ -13,14 +13,12 @@ independent of batching or call order.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .spaces import norm
 from .streams import Workspace, derive_key, substream_uniforms
 
@@ -65,8 +63,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValidationError(f"noise.family: unknown family {self.family!r}")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise ValidationError("noise.dim: must be an integer >= 1")
+        object.__setattr__(self, "dim", check_number(
+            self.dim, "noise.dim", integer=True, minimum=1))
         param = _PARAM.get(self.family)
         allowed = (param,) + _CONSTANTS if param else ()
         given = {}
@@ -77,14 +75,10 @@ class NoiseModel:
                     raise ValidationError(f"noise.{key}: required for {self.family} noise")
             elif key not in allowed:
                 raise ValidationError(f"noise.{key}: not allowed for {self.family} noise")
+            elif key in ("sigma", "mean_norm_bound"):
+                given[key] = check_number(value, f"noise.{key}", minimum=0)
             else:
-                strict = key not in ("sigma", "mean_norm_bound")
-                if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                        and abs(value) <= sys.float_info.max
-                        and (value > 0 if strict else value >= 0)):
-                    raise ValidationError(
-                        f"noise.{key}: must be a finite real {'>' if strict else '>='} 0")
-                given[key] = float(value)
+                given[key] = check_number(value, f"noise.{key}", exclusive_min=0)
         # the shipped constants, as default_cramer_params documents them
         if param is None:
             defaults = (0.0, 1.0, 0.0)
@@ -234,10 +228,8 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
     heavy powers these are themselves noisy, which is why the flag
     threshold sits at three standard errors rather than one.
     """
-    if m_max < 2:
-        raise ValidationError("m_max: must be >= 2")
-    if draws < 2:
-        raise ValidationError("draws: must be >= 2")
+    m_max = check_number(m_max, "m_max", integer=True, minimum=2)
+    draws = check_number(draws, "draws", integer=True, minimum=2)
     xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())

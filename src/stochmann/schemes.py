@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import noise as noise_mod
-from .errors import DivergedError, ValidationError
+from .errors import DivergedError, ValidationError, check_number
 from .spaces import as_point, dimension, eval_map, map_function, norm
 from .streams import Workspace, check_seed, derive_key
 
@@ -47,8 +47,7 @@ class StepSequences:
     a: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and 0.0 < self.a < 1.0):
-            raise ValidationError("scheme.a: must satisfy 0 < a < 1")
+        check_number(self.a, "scheme.a", exclusive_min=0, exclusive_max=1)
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,8 @@ class SchemeConfig:
             raise ValidationError(f"scheme.kind: unknown kind {self.kind!r}")
         d = dimension(self.map_spec)
         object.__setattr__(self, "x0", as_point(self.x0, d, name="scheme.x0"))
-        if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
-            raise ValidationError("scheme.horizon: must be an integer >= 1")
+        object.__setattr__(self, "horizon", check_number(
+            self.horizon, "scheme.horizon", integer=True, minimum=1))
         object.__setattr__(self, "seed", check_seed(self.seed, "scheme.seed"))
         if not isinstance(self.noise, noise_mod.NoiseModel):
             raise ValidationError("scheme.noise: must be a NoiseModel")
@@ -94,10 +93,8 @@ class Trajectory:
     norm_kind: str
 
     def _index(self, n):
-        if not 1 <= n <= self.iterates.shape[0]:
-            raise ValidationError(
-                f"iterate index {n} outside 1..{self.iterates.shape[0]}")
-        return n - 1
+        return check_number(n, "iterate index", integer=True, minimum=1,
+                            maximum=self.iterates.shape[0]) - 1
 
     def iterate(self, n):
         """x_n with the 1-based indexing of the analysis (x_1 = initial)."""
@@ -135,8 +132,7 @@ def step(kind, x, n, cfg, noise_draw, F=None):
     """
     if kind not in SCHEME_KINDS:
         raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
-    if n < 1:
-        raise ValidationError("n: step index is 1-based")
+    n = check_number(n, "n", integer=True, minimum=1)
     if F is None:
         F = partial(eval_map, cfg.map_spec)
     return _update(cfg, F)(x, n, noise_draw)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonContractiveError, ValidationError
+from .errors import NonContractiveError, ValidationError, check_number
 from .streams import substream_uniforms
 
 NORM_KINDS = ("euclidean", "max", "one")
@@ -92,8 +92,8 @@ class MapSpec:
     def __post_init__(self):
         if self.family not in MAP_FAMILIES:
             raise ValidationError(f"map.family: unknown family {self.family!r}")
-        if self.declared_c is not None and not (0.0 <= self.declared_c < 1.0):
-            raise ValidationError("map.declared_c: must lie in [0, 1)")
+        if self.declared_c is not None:
+            check_number(self.declared_c, "map.declared_c", minimum=0, exclusive_max=1)
         if self.family == "affine":
             if self.matrix is None or self.offset is None:
                 raise ValidationError("map: affine family requires matrix and offset")
@@ -108,10 +108,8 @@ class MapSpec:
             object.__setattr__(self, "matrix", A)
             object.__setattr__(self, "offset", b)
         elif self.family == "scaled_cosine":
-            if self.lam is None:
-                raise ValidationError("map: scaled_cosine family requires lam")
-            if not (np.isfinite(self.lam) and abs(self.lam) < 1.0):
-                raise ValidationError("map.lam: |lam| must be < 1")
+            object.__setattr__(self, "lam", check_number(
+                self.lam, "map.lam", exclusive_min=-1, exclusive_max=1))
 
 
 def inverse_quadratic(declared_c=None):
@@ -128,7 +126,7 @@ def affine(matrix, offset, declared_c=None):
 
 def scaled_cosine(lam, declared_c=None):
     """F(x) = lam*cos(x) on the line, |lam| < 1."""
-    return MapSpec(family="scaled_cosine", lam=float(lam), declared_c=declared_c)
+    return MapSpec(family="scaled_cosine", lam=lam, declared_c=declared_c)
 
 
 def dimension(m):
@@ -220,8 +218,7 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     the sample rather than reshuffling it; the estimate is therefore
     monotone nondecreasing in `samples` for a fixed seed.
     """
-    if samples < 1:
-        raise ValidationError("samples: must be >= 1")
+    samples = check_number(samples, "samples", integer=True, minimum=1)
     d = dimension(m)
     box = np.asarray([[-10.0, 10.0]] * d if domain_box is None else domain_box,
                      dtype=np.float64)
@@ -249,8 +246,7 @@ def reference_fixed_point(m, tol=FIXED_POINT_TOL, max_iter=100000, x0=None):
     Terminates when the residual ||F(x)-x|| is <= tol; the Banach estimate
     ||x - x*|| <= residual/(1-c) then bounds the true error.
     """
-    if tol <= 0:
-        raise ValidationError("tol: must be positive")
+    check_number(tol, "tol", exclusive_min=0)
     c = contraction_constant(m)
     if c >= 1.0:
         raise NonContractiveError("reference_fixed_point requires a contraction")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 # Philox-2x64 round constants (multiplier and Weyl key increment).
 _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
@@ -158,10 +158,11 @@ def mix64(x):
 def check_seed(seed, path):
     """seed as an int in [0, 2**64), the seeds derive_key tells apart (it
     reduces mod 2**64); anything else raises ValidationError naming path."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or not 0 <= int(seed) < 2**64:
-        raise ValidationError(f"{path}: must be an integer in [0, 2**64)")
-    return int(seed)
+    try:
+        return check_number(seed, path, integer=True, minimum=0,
+                            exclusive_max=2**64)
+    except ValidationError:
+        raise ValidationError(f"{path}: must be an integer in [0, 2**64)") from None
 
 
 def derive_key(seed, salt=0):
@@ -200,8 +201,7 @@ def substream_uniforms(key, index, count, work=None):
     With a Workspace that array is in it, overwritten by the next call with
     the same workspace.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = check_number(count, "count", integer=True, minimum=0)
     key = np.asarray(_as_u64(key))
     index = np.asarray(_as_u64(index))
     shape = np.broadcast_shapes(key.shape, index.shape)

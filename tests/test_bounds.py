@@ -57,6 +57,9 @@ def test_boundparams_validation():
         params(a=0.5, c=0.5, rho=0.5)  # rho must stay below 2a(1-c)
     p = params(N=0.0)  # starting at the fixed point is legal
     assert p.N == 0.0
+    # a non-numeric field is a ValidationError naming it, not a TypeError
+    with pytest.raises(ValidationError, match="bounds.N"):
+        params(N="1")
 
 
 def test_exponent_definitions():
@@ -516,6 +519,9 @@ def test_counts_refuse_bool():
                  lambda: deterministic_envelope(True, p, [0.1])):
         with pytest.raises(ValidationError, match="integer"):
             call()
+    # nor is a bool a real
+    with pytest.raises(ValidationError, match="bounds.N"):
+        params(N=True)
     assert cert.report(1, 0.1).n == 1
     assert cert.min_iterations(0.1, 0.05, n_cap=1) is None
 

@@ -153,6 +153,11 @@ def test_confidence_alpha_outside_unit_interval_exits_2(tmp_path, capsys):
     assert main(["confidence", "--config", cfg_path, "--eps", "0.1",
                  "--alpha", "1.5"]) == 2
     assert "alpha" in capsys.readouterr().err
+    # --alpha takes experiment.alpha's range, 0 < alpha <= 0.5
+    assert main(["confidence", "--config", cfg_path, "--eps", "0.1",
+                 "--alpha", "0.7", "--out", str(tmp_path / "o")]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_one_norm_without_moment_overrides_exits_2(tmp_path, capsys):
@@ -529,6 +534,17 @@ def test_non_numeric_field_exits_2(tmp_path_factory, field, value):
     (cfg if block is None else cfg[block])[key] = value
     path = write(tmp_path_factory.mktemp("cfg"), cfg)
     assert main(["iterate", "--config", path]) == 2
+
+
+def test_null_field_exits_2(tmp_path):
+    # the objects read None as "not given" for noise.* and map.declared_c,
+    # so validate_config must refuse JSON null there; every field, pinned
+    for base, block, key in FIELDS:
+        cfg = json.loads(json.dumps(BASES[base]))
+        (cfg if block is None else cfg[block])[key] = None
+        path = write(tmp_path, cfg)
+        assert main(["iterate", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2, (block, key)
 
 
 def test_module_entry_point_runs():

@@ -93,6 +93,8 @@ def test_clopper_pearson_validation():
         clopper_pearson(-1, 4)
     with pytest.raises(ValidationError):
         clopper_pearson(1, 4, confidence=1.0)
+    with pytest.raises(ValidationError, match="successes"):
+        clopper_pearson(2.5, 10)  # not rounded to an interval
 
 
 def test_replica_seeds_are_derived_keys():
@@ -471,3 +473,15 @@ def test_experiment_plan_validation():
     with pytest.raises(ValidationError):
         ExperimentPlan(scheme=cfg, checkpoints=(10,), eps_grid=(0.1,),
                        replicas=0, base_seed=0)
+    # counts are refused, not truncated: 1.9 is not iterate 1, 2.5 not 3
+    # replicas; and the plan checks its seed when it is made
+    with pytest.raises(ValidationError, match=r"experiment\.checkpoints\[0\]"):
+        ExperimentPlan(scheme=cfg, checkpoints=(1.9, 50.5), eps_grid=(0.1,),
+                       replicas=10, base_seed=0)
+    with pytest.raises(ValidationError, match=r"^checkpoints\[0\]"):
+        error_table(cfg, (1.5, 3), reference_fixed_point(cfg.map_spec))
+    with pytest.raises(ValidationError, match="replicas"):
+        replica_seeds(0, 2.5)
+    with pytest.raises(ValidationError, match="base_seed"):
+        ExperimentPlan(scheme=cfg, checkpoints=(10,), eps_grid=(0.1,),
+                       replicas=10, base_seed="x")

@@ -218,6 +218,7 @@ def test_validation_errors():
         (dict(family="gaussian", scale=1.0, mean_norm_bound=float("inf")),
          "noise.mean_norm_bound"),
         (dict(family="gaussian", scale=1.0, dim=0), "noise.dim"),
+        (dict(family="gaussian", scale=1.0, dim=True), "noise.dim"),
     ]:
         with pytest.raises(ValidationError, match=path):
             NoiseModel(**kwargs)

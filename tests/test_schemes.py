@@ -46,6 +46,8 @@ def test_step_sizes_validation():
         StepSequences(a=0.0)
     with pytest.raises(ValidationError):
         StepSequences(a=1.0)
+    with pytest.raises(ValidationError, match="scheme.a"):
+        StepSequences(a=None)  # not a numpy TypeError
 
 
 def exact_inverse_quadratic(x):
@@ -141,6 +143,8 @@ def test_config_validation():
             make_cfg(kind)
     with pytest.raises(ValidationError):
         make_cfg(horizon=0)
+    with pytest.raises(ValidationError, match="scheme.horizon"):
+        make_cfg(horizon=True)
     with pytest.raises(ValidationError):
         SchemeConfig(kind="stochastic_mann", map_spec=inverse_quadratic(),
                      x0=np.array([0.5]), noise=gaussian(scale=1.0, dim=2),

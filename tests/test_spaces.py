@@ -173,6 +173,12 @@ def test_validation_rejects_bad_specs():
         estimate_contraction(inverse_quadratic(), domain_box=[[1.0, 1.0]])
     with pytest.raises(ValidationError):
         affine(np.array([[0.5, 0.0]]), np.array([0.0]))  # not square
+    # a bool is not a constant, and a string is a ValidationError naming
+    # its field, not a ValueError
+    with pytest.raises(ValidationError, match="map.declared_c"):
+        inverse_quadratic(declared_c=False)
+    with pytest.raises(ValidationError, match="map.lam"):
+        scaled_cosine("x")
 
 
 def test_as_point_shapes_and_dim_check():

@@ -1,12 +1,15 @@
 """pytest-benchmark timings of the noise and stepping kernels.
 
 Shapes follow the mc_reference workload: 2000 replicas on the line, so a
-noise tile is 2000 replicas x 8 steps x 1 Philox block.  This directory is
-outside the tier-1 testpaths; run it with
+noise tile is 2000 replicas x 8 steps x 1 Philox block.  test_run_line
+follows confidence_long instead: one replica on the line stepped as
+floats, over three whole tiles.  This directory is outside the tier-1
+testpaths; run it with
 
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +17,12 @@ import numpy as np
 from stochmann.config import build_scheme, load_config
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import sample_block
-from stochmann.schemes import TILE_ELEMENTS
+from stochmann.schemes import TILE_ELEMENTS, run
 from stochmann.spaces import reference_fixed_point
 from stochmann.streams import Workspace, derive_key, philox2x64
 
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE = CONFIGS / "reference.json"
 R = 2000
 T = TILE_ELEMENTS // R  # steps per tile at d = 1
 
@@ -48,3 +52,12 @@ def test_replica_errors_2000x100(benchmark):
     x_star = reference_fixed_point(SCHEME.map_spec, tol=1e-13)
     errs = benchmark(replica_errors, SCHEME, x_star, SEEDS[:, 0], (10, 100))
     assert errs.shape == (R, 2) and np.isfinite(errs).all()
+
+
+def test_run_line(benchmark):
+    scheme = build_scheme(load_config(CONFIGS / "confidence_demo.json"))
+    scheme = replace(scheme, horizon=3 * TILE_ELEMENTS)
+    x_star = reference_fixed_point(scheme.map_spec)
+    traj = benchmark(run, scheme, x_star)
+    assert traj.iterates.shape == (3 * TILE_ELEMENTS + 1, 1)
+    assert np.isfinite(traj.errors_to_ref).all()

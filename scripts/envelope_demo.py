@@ -44,9 +44,11 @@ def block_envelope(args):
     errs = np.empty((args.replicas, args.horizon))
     norms = np.empty((args.replicas, args.horizon))
     t0 = time.perf_counter()
-    for n, X, xi in advance(scheme, seeds, args.horizon):
-        norms[:, n - 1] = norm(xi)
-        errs[:, n - 1] = norm(X - x_star)
+    for start, X, xi in advance(scheme, seeds, args.horizon):
+        # one norm() per tile; its (T, R) result fills T columns
+        steps = slice(start - 1, start - 1 + X.shape[0])
+        norms[:, steps] = norm(xi).T
+        errs[:, steps] = norm(X - x_star).T
     env = envelope_sequence(params, norms)
     margin = np.min(env - errs)
     worst = np.unravel_index(np.argmin(env - errs), errs.shape)

@@ -151,10 +151,10 @@ def clopper_pearson(successes, trials, confidence=0.99):
 def _errors(scheme, x_star, seeds, cps):
     """The serial pass: all replicas as one batched state through advance."""
     out = np.empty((len(seeds), len(cps)), dtype=np.float64)
-    for n, X, _ in advance(scheme, seeds, max(cps)):
-        j = cps.get(n)
-        if j is not None:
-            out[:, j] = norm(X - x_star, scheme.norm_kind)
+    for start, X, _ in advance(scheme, seeds, max(cps)):
+        for n, j in cps.items():
+            if start <= n < start + X.shape[0]:
+                out[:, j] = norm(X[n - start] - x_star, scheme.norm_kind)
     return out
 
 
@@ -330,6 +330,7 @@ def rate_diagnostic(plan, params, eps0):
     stays bounded as the horizon grows; exceedance fractions at scale eps0
     should be summable-small across checkpoints.
     """
+    eps0 = check_number(eps0, "eps0", exclusive_min=0)
     if len(plan.checkpoints) < 3:
         raise ValidationError("experiment.checkpoints: rate diagnostic needs >= 3")
     if any(n < 2 for n in plan.checkpoints):

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .errors import ValidationError, check_number
 from .spaces import norm
-from .streams import Workspace, derive_key, substream_uniforms
+from .streams import Workspace, check_seed, derive_key, substream_uniforms
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
 
@@ -230,6 +230,7 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
     """
     m_max = check_number(m_max, "m_max", integer=True, minimum=2)
     draws = check_number(draws, "draws", integer=True, minimum=2)
+    seed = check_seed(seed, "seed")
     xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())

@@ -82,7 +82,8 @@ class Trajectory:
 
     iterates      (horizon+1, d); row k holds x_{k+1}, i.e. row 0 is the
                   initial point x_1 and row `horizon` is x_{horizon+1}
-    noise_norms   (horizon,); ||xi_n|| for n = 1..horizon
+    noise_norms   (horizon,); ||xi_n|| for n = 1..horizon, the draws
+                  themselves are not kept
     errors_to_ref (horizon+1,) distances ||x_n - x*|| when a reference
                   point was supplied, else None
     """
@@ -141,51 +142,57 @@ def step(kind, x, n, cfg, noise_draw, F=None):
 def advance(cfg, seeds, horizon):
     """The package's only time loop: one replica per seed, from x_1 = cfg.x0.
 
-    Yields (n, X, xi) after step n: X is the state x_{n+1} and xi the noise
-    of step n.  Both are (R, d) arrays, except for one replica on the line
-    (R*d == 1), which is stepped and yielded as Python floats: the same
-    arithmetic without numpy's per-call overhead, bitwise equal to the array
-    path.  Both bodies call the update rule that step() uses, resolved once
-    per call.  The arrays are stored replica-innermost, as views of (d, R) memory, so every ufunc
-    pass loops over the replicas; they are not C-contiguous.  Replica r
-    draws from the substream (seeds[r], n), in (T x R) tiles of about
-    TILE_ELEMENTS values, stored (d, T, R); cfg.seed is ignored.  The tiles
-    reuse buffers that this call allocates once, so an array xi is a view
-    that the next tile overwrites: copy it to keep it.  All arithmetic is
-    elementwise, so row r is bitwise the run under seeds[r] for any R and
-    any layout.  A non-finite state raises DivergedError naming the
-    offending replicas.
+    Yields one (start, X, xi) per noise tile of T = max(1, TILE_ELEMENTS //
+    (R*d)) steps, only the last tile shorter: X[k] is the state x_{n+1} after
+    step n = start + k and xi[k] that step's noise, both (T, R, d).  They are
+    replica-innermost views of (d, T, R) buffers, not C-contiguous, that this
+    call allocates once and the next tile overwrites: copy them to keep them.
+    Replica r draws from the substream (seeds[r], n); cfg.seed is ignored.
+    Both bodies call the update rule that step() uses, resolved once per call.
+    One replica on the line (R*d == 1) steps as Python floats, the same
+    arithmetic without numpy's per-call overhead, and is written to its tile
+    once; a batch writes each step's (R, d) state into the tile.  All
+    arithmetic is elementwise, so row r is bitwise the run under seeds[r] for
+    any R and any layout.  A non-finite state raises DivergedError at its
+    step, naming the offending replicas.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    d = dimension(cfg.map_spec)
+    R, d = seeds.shape[0], dimension(cfg.map_spec)
     update = _update(cfg, map_function(cfg.map_spec))
     keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
     work = Workspace()
-    scalar = seeds.shape[0] * d == 1
+    scalar = R * d == 1
     X = float(cfg.x0[0]) if scalar else np.repeat(
-        cfg.x0[:, None], seeds.shape[0], axis=1).T
-    tile_steps = max(1, TILE_ELEMENTS // (seeds.shape[0] * d))
+        cfg.x0[:, None], R, axis=1).T
+    tile_steps = max(1, TILE_ELEMENTS // (R * d))
+    states = np.empty((d, tile_steps, R), dtype=np.float64)
     for start in range(1, horizon + 1, tile_steps):
-        stop = min(start + tile_steps, horizon + 1)
-        tile = noise_mod.sample_keyed(  # logically (T, R, d)
-            cfg.noise, keys, np.arange(start, stop, dtype=np.uint64)[:, None],
-            work)
+        T = min(tile_steps, horizon + 1 - start)
+        steps = np.arange(start, start + T, dtype=np.uint64)
+        xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None], work)
+        tile = states[:, :T].transpose(1, 2, 0)
         if scalar:
-            for n, xi in zip(range(start, stop), tile.reshape(-1).tolist()):
-                X = update(X, n, xi)
+            # the noise list is overwritten with the states as they come
+            xs = xi.reshape(-1).tolist()
+            for k in range(T):
+                X = update(X, start + k, xs[k])
                 if not math.isfinite(X):
+                    n = start + k
                     raise DivergedError(f"1 replica(s) diverged at step {n}",
                                         last_finite_index=n, replicas=[0])
-                yield n, X, xi
-            continue
-        for n in range(start, stop):
-            xi = tile[n - start]
-            X = update(X, n, xi)
-            if not np.isfinite(X).all():
-                bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
-                raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
-                                    last_finite_index=n, replicas=bad.tolist())
-            yield n, X, xi
+                xs[k] = X
+            tile[:, 0, 0] = xs
+            del xs  # free its floats before the next tile builds its list
+        else:
+            for k in range(T):
+                X = update(X, start + k, xi[k])
+                if not np.isfinite(X).all():
+                    n = start + k
+                    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+                    raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
+                                        last_finite_index=n, replicas=bad.tolist())
+                tile[k] = X
+        yield start, tile, xi
 
 
 def run(cfg, x_star=None):
@@ -193,23 +200,26 @@ def run(cfg, x_star=None):
 
     Noise draws come from the substream (cfg.seed, n), so the trajectory is
     a pure function of the config; identical configs give bitwise identical
-    trajectories.  A non-finite iterate raises DivergedError carrying the
-    last finite 1-based iterate index.
+    trajectories.  It is advance() with one replica: each tile's states are
+    stored into `iterates` as one slice, and the norms of its noise and of
+    its errors are taken in one norm() call each, so no draw outlives its
+    tile and no path-sized temporary is made.  A non-finite iterate raises
+    DivergedError carrying the last finite 1-based iterate index.
     """
     d = dimension(cfg.map_spec)
     iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
     iterates[0] = cfg.x0
-    draws = np.empty((cfg.horizon, d), dtype=np.float64)
-    # one replica: advance yields floats at d = 1, written through memoryviews
-    # (cheaper than numpy item assignment), and (1, d) rows otherwise
-    rows, draw_rows = ((memoryview(iterates[:, 0]), memoryview(draws[:, 0]))
-                       if d == 1 else (iterates, draws))
-    for n, X, xi in advance(cfg, [cfg.seed], cfg.horizon):
-        rows[n] = X
-        draw_rows[n - 1] = xi
+    noise_norms = np.empty(cfg.horizon, dtype=np.float64)
     errors = None
     if x_star is not None:
         x_star = as_point(x_star, d, name="x_star")
-        errors = norm(iterates - x_star, cfg.norm_kind)
-    return Trajectory(iterates=iterates, noise_norms=norm(draws, cfg.norm_kind),
+        errors = np.empty(cfg.horizon + 1, dtype=np.float64)
+        errors[0] = norm(cfg.x0 - x_star, cfg.norm_kind)
+    for start, X, xi in advance(cfg, [cfg.seed], cfg.horizon):
+        stop = start + X.shape[0]
+        iterates[start:stop] = X[:, 0]
+        noise_norms[start - 1:stop - 1] = norm(xi[:, 0], cfg.norm_kind)
+        if errors is not None:
+            errors[start:stop] = norm(X[:, 0] - x_star, cfg.norm_kind)
+    return Trajectory(iterates=iterates, noise_norms=noise_norms,
                       errors_to_ref=errors, norm_kind=cfg.norm_kind)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonContractiveError, ValidationError, check_number
-from .streams import substream_uniforms
+from .streams import check_seed, substream_uniforms
 
 NORM_KINDS = ("euclidean", "max", "one")
 MAP_FAMILIES = ("inverse_quadratic", "affine", "scaled_cosine")
@@ -219,6 +219,7 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     monotone nondecreasing in `samples` for a fixed seed.
     """
     samples = check_number(samples, "samples", integer=True, minimum=1)
+    seed = check_seed(seed, "seed")
     d = dimension(m)
     box = np.asarray([[-10.0, 10.0]] * d if domain_box is None else domain_box,
                      dtype=np.float64)
@@ -247,6 +248,7 @@ def reference_fixed_point(m, tol=FIXED_POINT_TOL, max_iter=100000, x0=None):
     ||x - x*|| <= residual/(1-c) then bounds the true error.
     """
     check_number(tol, "tol", exclusive_min=0)
+    max_iter = check_number(max_iter, "max_iter", integer=True, minimum=1)
     c = contraction_constant(m)
     if c >= 1.0:
         raise NonContractiveError("reference_fixed_point requires a contraction")

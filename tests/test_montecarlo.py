@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binomtest
 
-from stochmann import config
+from stochmann import config, schemes
 from stochmann.bounds import BoundParams, certificate
 from stochmann.errors import (CoverageError, DivergedError,
                               InfeasibleExperimentError, ValidationError)
@@ -119,7 +119,7 @@ def test_seeds_outside_the_key_range_are_refused():
                           derive_key(top, np.arange(2, dtype=np.uint64)))
 
 
-def test_batched_replicas_equal_serial_runs_bitwise():
+def test_batched_replicas_equal_serial_runs_bitwise(monkeypatch):
     # a serial run has R = d = 1 and steps floats; a batch steps arrays
     ref = ref_cfg(horizon=300)
     d2 = dataclasses.replace(
@@ -151,14 +151,34 @@ def test_batched_replicas_equal_serial_runs_bitwise():
                 # checkpoint n records the error of x_{n+1}
                 assert batch[r, j] == traj.error(n + 1)
     # zero noise (plain Mann): one replica steps floats, two step arrays,
-    # and every replica runs the same path
+    # and every replica runs the same path; advance yields tiles, so the
+    # states as stepped are read from the update rule it resolves
+    resolve = schemes._update
+    stepped = []  # per advance call, the states its update rule returned
+
+    def recording(cfg, F):
+        rule, states = resolve(cfg, F), []
+        stepped.append(states)
+
+        def step_and_record(x, n, xi):
+            states.append(rule(x, n, xi))
+            return states[-1]
+        return step_and_record
+
+    monkeypatch.setattr(schemes, "_update", recording)
     for cfg in (ref, cosine, d1):
         cfg = dataclasses.replace(cfg, noise=zero())
-        single = [X for _, X, _ in advance(cfg, [0], 50)]
-        pair = [X.copy() for _, X, _ in advance(cfg, [0, 1], 50)]
-        assert all(isinstance(x, float) for x in single), cfg.map_spec
+        stepped.clear()
+        single = [X[k].copy() for _, X, _ in advance(cfg, [0], 50)
+                  for k in range(X.shape[0])]
+        pair = [X[k].copy() for _, X, _ in advance(cfg, [0, 1], 50)
+                for k in range(X.shape[0])]
+        assert len(single) == len(pair) == 50, cfg.map_spec
+        assert all(isinstance(x, float) for x in stepped[0]), cfg.map_spec
+        assert stepped[0] == [X[0, 0] for X in single], cfg.map_spec
+        assert all(isinstance(X, np.ndarray) for X in stepped[1])
         assert np.array_equal(np.array(pair), np.tile(
-            np.array(single)[:, None, None], (1, 2, 1))), cfg.map_spec
+            np.array(single), (1, 2, 1))), cfg.map_spec
 
 
 def test_replica_divergence_reported_with_indices():
@@ -454,6 +474,11 @@ def test_rate_diagnostic_validation():
                               eps_grid=(0.1,), replicas=10, base_seed=0)
     with pytest.raises(ValidationError):
         rate_diagnostic(plan_low, params, eps0=1.0)
+    plan = ExperimentPlan(scheme=cfg, checkpoints=(10, 50, 100),
+                          eps_grid=(0.1,), replicas=10, base_seed=0)
+    for eps0 in (0.0, -1.0, "x", None, float("nan"), True):
+        with pytest.raises(ValidationError, match="eps0"):
+            rate_diagnostic(plan, params, eps0=eps0)
 
 
 def test_experiment_plan_validation():

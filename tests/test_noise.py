@@ -222,3 +222,7 @@ def test_validation_errors():
     ]:
         with pytest.raises(ValidationError, match=path):
             NoiseModel(**kwargs)
+    # derive_key would alias -1 to 2**64 - 1
+    for seed in (-1, 2**64, 1.5, "0", True):
+        with pytest.raises(ValidationError, match="seed"):
+            cramer_check(gaussian(1.0), m_max=2, draws=10, seed=seed)

@@ -15,8 +15,8 @@ from stochmann.errors import DivergedError, ValidationError
 from stochmann.noise import gaussian, sample_block, zero
 from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
                                StepSequences, advance, run, step)
-from stochmann.spaces import (affine, inverse_quadratic, map_function,
-                              reference_fixed_point)
+from stochmann.spaces import (affine, inverse_quadratic, map_function, norm,
+                              reference_fixed_point, scaled_cosine)
 from stochmann.streams import derive_key
 
 
@@ -151,6 +151,73 @@ def test_config_validation():
                      horizon=10)  # noise dim disagrees with the map
 
 
+def steps(tiles):
+    """advance's tiles as (n, x_{n+1}, xi_n) per step, views of the tiles."""
+    return [(start + k, X[k], xi[k]) for start, X, xi in tiles
+            for k in range(X.shape[0])]
+
+
+def test_tiles_cover_every_step_once():
+    # T = max(1, TILE_ELEMENTS // (R*d)) steps per tile, only the last shorter
+    d8 = SchemeConfig(kind="stochastic_mann",
+                      map_spec=affine(0.5 * np.eye(8), np.ones(8)),
+                      x0=np.zeros(8), noise=gaussian(0.5, dim=8))
+    line = make_cfg(noise=gaussian(1.0))
+    for cfg, R, horizon in ((line, 1, 2 * TILE_ELEMENTS + 3),
+                            (line, 3, TILE_ELEMENTS), (line, 3, 5),
+                            (d8, 2000, 7), (d8, 5000, 3), (d8, 100, 61)):
+        d = cfg.x0.shape[0]
+        T = max(1, TILE_ELEMENTS // (R * d))
+        tiles = [(start, X.shape, xi.shape)
+                 for start, X, xi in advance(cfg, np.arange(R), horizon)]
+        starts = [start for start, _, _ in tiles]
+        assert starts == list(range(1, horizon + 1, T)), (R, d)
+        lengths = [shape[0] for _, shape, _ in tiles]
+        assert sum(lengths) == horizon
+        assert all(t == T for t in lengths[:-1]) and 1 <= lengths[-1] <= T
+        for _, X_shape, xi_shape in tiles:
+            assert X_shape == xi_shape == (X_shape[0], R, d)
+
+
+def test_run_matches_the_written_out_rule_across_tiles():
+    # one replica on the line steps floats tile by tile; every iterate and
+    # noise norm over three tiles is the documented rule applied in turn
+    horizon = 2 * TILE_ELEMENTS + 3
+    maps = (inverse_quadratic(), scaled_cosine(0.8), affine([[0.3]], [0.7]))
+    for m in maps:
+        for noise in (gaussian(2.0), zero()):
+            cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                               x0=np.array([0.5]), noise=noise,
+                               steps=StepSequences(a=0.7), horizon=horizon,
+                               seed=11)
+            traj = run(cfg)
+            F = map_function(m)
+            draws = sample_block(noise, 1, cfg.seed,
+                                 np.arange(1, horizon + 1, dtype=np.uint64))
+            xs, x = [0.5], 0.5
+            for n, xi in enumerate(draws[:, 0].tolist(), start=1):
+                x = written_out(x, n, cfg, xi, F)
+                xs.append(x)
+            assert traj.iterates[:, 0].tolist() == xs, (m.family, noise.family)
+            assert traj.noise_norms.tolist() == np.abs(draws[:, 0]).tolist()
+
+
+def test_noise_norms_per_tile_equal_the_whole_draw_array():
+    # norm() of each tile's draws, stored by slice, equals norm() of every
+    # draw at once; d = 9 reaches numpy's pairwise summation
+    for d in (1, 9):
+        T = TILE_ELEMENTS // d
+        for kind in ("euclidean", "max", "one"):
+            cfg = SchemeConfig(kind="stochastic_mann",
+                               map_spec=affine(0.5 * np.eye(d), np.ones(d)),
+                               x0=np.zeros(d), noise=gaussian(0.5, dim=d),
+                               horizon=2 * T + 3, seed=5, norm_kind=kind)
+            draws = sample_block(cfg.noise, d, cfg.seed,
+                                 np.arange(1, cfg.horizon + 1, dtype=np.uint64))
+            expected = norm(draws, kind)
+            assert run(cfg).noise_norms.tobytes() == expected.tobytes(), (d, kind)
+
+
 def test_interleaved_generators_keep_their_own_tiles():
     # each advance call owns its tile buffers: two generators stepped in
     # turn, across several tiles, yield the bits each yields alone
@@ -164,15 +231,17 @@ def test_interleaved_generators_keep_their_own_tiles():
         assert TILE_ELEMENTS // (R * d) * 3 < cfg.horizon
         seeds = [derive_key(s, np.arange(R, dtype=np.uint64)) for s in (1, 2)]
 
-        def copies(steps):
-            return [(n, X.copy(), xi.copy()) for n, X, xi in steps]
+        def copies(tiles):
+            return [(start, X.copy(), xi.copy()) for start, X, xi in tiles]
 
-        alone = [copies(advance(cfg, s, cfg.horizon)) for s in seeds]
+        alone = [steps(copies(advance(cfg, s, cfg.horizon))) for s in seeds]
         pair = copies(item for items in zip(*(advance(cfg, s, cfg.horizon)
                                               for s in seeds))
                       for item in items)
         for k in range(2):
-            for (n, X, xi), (m, Y, eta) in zip(pair[k::2], alone[k]):
+            mine = steps(pair[k::2])
+            assert len(mine) == len(alone[k]) == cfg.horizon
+            for (n, X, xi), (m, Y, eta) in zip(mine, alone[k]):
                 assert n == m
                 assert np.array_equal(X, Y) and np.array_equal(xi, eta)
 
@@ -185,9 +254,9 @@ def test_advance_keeps_replicas_innermost():
         kind="stochastic_mann", map_spec=affine(0.5 * np.eye(d), np.ones(d)),
         x0=np.zeros(d), noise=gaussian(0.5, dim=d), horizon=5)
     assert TILE_ELEMENTS // (R * d) < cfg.horizon
-    steps = list(advance(cfg, np.arange(R), cfg.horizon))
-    assert len(steps) == cfg.horizon
-    for n, X, xi in steps:
+    stepped = steps(advance(cfg, np.arange(R), cfg.horizon))
+    assert len(stepped) == cfg.horizon
+    for n, X, xi in stepped:
         assert X.shape == xi.shape == (R, d)
         assert X.strides[0] == xi.strides[0] == 8, n
 
@@ -262,5 +331,5 @@ def test_advance_resolves_the_rule_once(monkeypatch):
     for noise in (gaussian(scale=1.0), zero()):
         cfg = make_cfg(horizon=20, noise=noise)
         assert np.all(np.isfinite(run(cfg).iterates))
-        assert len(list(advance(cfg, [1, 2], 20))) == 20
+        assert len(steps(advance(cfg, [1, 2], 20))) == 20
     assert len(calls) == 4

@@ -179,6 +179,13 @@ def test_validation_rejects_bad_specs():
         inverse_quadratic(declared_c=False)
     with pytest.raises(ValidationError, match="map.lam"):
         scaled_cosine("x")
+    # derive_key would alias -1 to 2**64 - 1
+    for seed in (-1, 2**64, 1.5, "0", True):
+        with pytest.raises(ValidationError, match="seed"):
+            estimate_contraction(inverse_quadratic(), samples=10, seed=seed)
+    for max_iter in (2.5, 0, -1, "10", True):
+        with pytest.raises(ValidationError, match="max_iter"):
+            reference_fixed_point(inverse_quadratic(), max_iter=max_iter)
 
 
 def test_as_point_shapes_and_dim_check():

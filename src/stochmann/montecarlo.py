@@ -21,7 +21,7 @@ from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)
 from .schemes import advance, run
 from .spaces import as_point, dimension, norm, reference_fixed_point
-from .streams import check_seed, derive_key
+from .streams import check_seed, derive_key, uniform_kernel
 
 __all__ = [
     "ExperimentPlan",
@@ -41,7 +41,8 @@ __all__ = [
 
 # Replica-steps times d that each process of replica_errors gets at least:
 # a forked worker costs its parent ~5 ms to start, and 2**19 replica-steps
-# are ~70 ms of serial work at d = 1.
+# are 25-50 ms of serial work at d = 1 with the compiled noise kernel
+# (65-95 ms on the numpy path), on a 2-core x86-64 VM.
 SPLIT_ELEMENTS = 2**19
 
 
@@ -215,6 +216,9 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         allowed = sorted(os.sched_getaffinity(0))
         K = min(len(allowed), R, R * max(cps) * d // SPLIT_ELEMENTS)
+    # resolved before the fork, so that the workers inherit the loaded
+    # kernel rather than each compiling it on a cold cache
+    uniform_kernel()
     pool = _pool(K - 1) if K > 1 else None
     if pool is None:
         return _errors(scheme, x_star, seeds, cps)

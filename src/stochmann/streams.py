@@ -6,11 +6,29 @@ on any number of workers, and still be bitwise identical to a serial run.
 The core primitive is the Philox-2x64 block cipher (10 rounds) applied to
 the counter pair ``(block, index)`` under a per-stream key; uniform and
 Gaussian variates are derived from its output deterministically.
+
+Two paths compute the uniforms, bit for bit the same.  philox2x64 in numpy
+is the reference, checked against Random123's known answers.  The draws
+themselves go through philox.c, a C loop that does each round's 64x64-bit
+multiply in one instruction where numpy needs ~13 passes over the array.
+uniform_kernel compiles it with the system's C compiler on the first draw in
+a process (not on import), into __pycache__/ beside this file, and loads it
+through ctypes.  Where it cannot be compiled or loaded, the draws go through
+the numpy path.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import struct
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,6 +43,14 @@ _ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+# The kernel's source and build: a library file per (source, compiler,
+# flags, platform), so a stale build is never loaded.
+_SOURCE = Path(__file__).with_name("philox.c")
+_CACHE = _SOURCE.parent / "__pycache__"
+_CC = "cc"
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILE_SECONDS = 60
 
 __all__ = [
     "Workspace",
@@ -101,7 +127,9 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
 
     Inputs broadcast together; returns two uint64 arrays of the broadcast
     shape.  Distinct (c0, c1, key) triples give statistically independent
-    outputs, which is what makes draw-by-counter streams sound.
+    outputs, which is what makes draw-by-counter streams sound.  This numpy
+    version is the reference for the compiled kernel (see uniform_kernel),
+    and substream_uniforms runs it where the kernel cannot be built.
 
     The rounds run in place in six buffers of the broadcast shape, taken
     from work (a Workspace) when one is given; the outputs are then views
@@ -189,6 +217,102 @@ def _u64_to_unit(x0, x1, out):
     np.multiply(out, 2.0**-53, out=out)
 
 
+def _truncated(lib):
+    """True when lib is a 64-bit ELF file (the kernel's __int128 needs a
+    64-bit target) that ends before its section header table, which the
+    linker writes last.  dlopen would map such a file and die of SIGBUS on
+    the missing pages instead of failing.  Other files are left to the
+    loader, which refuses them."""
+    with open(lib, "rb") as f:
+        head = f.read(64)
+        size = os.fstat(f.fileno()).st_size
+    if len(head) < 64 or head[:5] != b"\x7fELF\x02":
+        return False
+    order = "<" if head[5] == 1 else ">"
+    shoff, = struct.unpack_from(order + "Q", head, 0x28)
+    entsize, count = struct.unpack_from(order + "HH", head, 0x3A)
+    return size < shoff + entsize * count
+
+
+def _build(source, cache):
+    """The kernel compiled from source, loaded from cache or compiled into it
+    first; None when any step fails.  The compiler writes a temporary file
+    that os.replace then moves into place, so a concurrent process never
+    loads a half-written library, and no temporary file is left behind."""
+    try:
+        text = source.read_bytes()
+        recipe = "\0".join((_CC, *_FLAGS, sysconfig.get_platform()))
+        digest = hashlib.sha256(text + b"\0" + recipe.encode()).hexdigest()
+        lib = cache / f"philox.{digest[:16]}.so"
+        if not lib.exists():
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=lib.name + ".", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, *_FLAGS, str(source), "-o", tmp],
+                               stdin=subprocess.DEVNULL, capture_output=True,
+                               check=True, timeout=_COMPILE_SECONDS)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        if _truncated(lib):
+            return None
+        kernel = ctypes.CDLL(str(lib)).philox_uniforms
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    kernel.argtypes = (ptr, size, size, ptr, size, size, size, size, size, ptr)
+    kernel.restype = None
+    return kernel
+
+
+@functools.cache
+def uniform_kernel():
+    """The compiled uniform kernel of philox.c, or None where it cannot be
+    compiled or loaded; resolved once per process, on the first call.
+
+    A process that forks workers calls it first, so that they inherit the
+    loaded kernel.  A kernel whose draws differ from the numpy reference on
+    a few fixed counters is not used.
+    """
+    kernel = _build(_SOURCE, _CACHE)
+    if kernel is None:
+        return None
+    key = np.array([0, 2**64 - 1, 0x243F6A8885A308D3], dtype=np.uint64)
+    index = key[::-1, None]
+    want, got = (_uniforms(key, index, 3, Workspace(), k) for k in (None, kernel))
+    return kernel if want.tobytes() == got.tobytes() else None
+
+
+def _uniforms(key, index, count, work, kernel):
+    """The (count,) + shape array of substream_uniforms, through kernel or,
+    when it is None, through philox2x64."""
+    shape = np.broadcast_shapes(key.shape, index.shape)
+    if kernel is None:
+        nblocks = (count + 1) // 2
+        c0 = np.arange(nblocks, dtype=np.uint64).reshape(
+            (nblocks,) + (1,) * len(shape))
+        x0, x1 = philox2x64(c0, index, key, work=work)
+        out = work.array("unit", (count,) + shape, np.float64)
+        _u64_to_unit(x0, x1, out)
+        return out
+    out = work.array("unit", (count,) + shape, np.float64)
+    if out.size == 0:
+        return out
+    # key and index as strided (rows, cols) grids, without broadcast copies:
+    # the axes of length 1 go, and more than two axes fold into rows
+    grid = tuple(n for n in shape if n != 1)
+    k, i = (np.broadcast_to(a, shape).reshape(grid) for a in (key, index))
+    if len(grid) > 2:
+        k, i = k.reshape(-1, grid[-1]), i.reshape(-1, grid[-1])
+    k, i = (a.reshape((1,) * (2 - a.ndim) + a.shape) for a in (k, i))
+    kernel(k.ctypes.data, k.strides[0] // 8, k.strides[1] // 8,
+           i.ctypes.data, i.strides[0] // 8, i.strides[1] // 8,
+           k.shape[0], k.shape[1], count, out.ctypes.data)
+    return out
+
+
 def substream_uniforms(key, index, count, work=None):
     """``count`` uniforms on (0,1) from substream (key, index).
 
@@ -199,18 +323,16 @@ def substream_uniforms(key, index, count, work=None):
     (count,) + shape array, not C-contiguous: the last axis of the broadcast
     shape is the contiguous one, so it is the inner loop of every pass.
     With a Workspace that array is in it, overwritten by the next call with
-    the same workspace.
+    the same workspace.  The draws go through the compiled kernel where
+    uniform_kernel() provides one and through philox2x64 otherwise, with
+    the same bits.
     """
     count = check_number(count, "count", integer=True, minimum=0)
-    key = np.asarray(_as_u64(key))
-    index = np.asarray(_as_u64(index))
-    shape = np.broadcast_shapes(key.shape, index.shape)
-    nblocks = (count + 1) // 2
-    c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
+    # uint64 in native byte order and aligned, as the kernel reads them
+    key = np.require(_as_u64(key), np.uint64, "A")
+    index = np.require(_as_u64(index), np.uint64, "A")
     work = Workspace() if work is None else work
-    x0, x1 = philox2x64(c0, index, key, work=work)
-    out = work.array("unit", (count,) + shape, np.float64)
-    _u64_to_unit(x0, x1, out)
+    out = _uniforms(key, index, count, work, uniform_kernel())
     # np.moveaxis(out, 0, -1) without its ~5 us of axis normalisation
     return out.transpose(tuple(range(1, out.ndim)) + (0,))
 

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from stochmann import montecarlo
+from stochmann import montecarlo, streams
 
 
 @pytest.fixture
@@ -31,3 +31,11 @@ def cores(monkeypatch):
     yield force
     # replica_errors restores the affinity it read, which here was patched
     os.sched_setaffinity(0, real)
+
+
+@pytest.fixture
+def numpy_streams(monkeypatch):
+    """Draw every uniform through the numpy reference path (philox2x64), in
+    this process and in the workers it forks, as on a machine where the
+    compiled kernel cannot be built."""
+    monkeypatch.setattr(streams, "uniform_kernel", lambda: None)

@@ -2,15 +2,27 @@
 
 The references below redo the bit manipulation with Python ints, so any
 numpy wraparound or casting mistake in the library shows up as a mismatch.
+The compiled uniform kernel is checked bit for bit against the numpy path,
+the golden digests are rerun on the numpy path, and every way the kernel's
+build can fail must fall back to that path.
 """
+
+import os
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import test_golden as golden
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochmann.streams import (Workspace, derive_key, mix64, philox2x64,
-                               substream_normals, substream_uniforms)
+from stochmann import streams
+from stochmann.montecarlo import replica_errors, replica_seeds
+from stochmann.noise import gaussian
+from stochmann.spaces import inverse_quadratic, reference_fixed_point
+from stochmann.streams import (Workspace, _u64_to_unit, derive_key, mix64,
+                               philox2x64, substream_normals,
+                               substream_uniforms, uniform_kernel)
 
 MASK = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -169,3 +181,222 @@ def test_uniforms_same_bits_with_workspace_and_short_last_tile():
             got = substream_uniforms(keys, idx, count, work=work)
             assert got.shape == fresh.shape == (4, stop - start, count)
             assert np.array_equal(got, fresh)
+
+
+def numpy_uniforms(key, index, count):
+    """substream_uniforms written out on the numpy path: philox2x64, then
+    _u64_to_unit."""
+    key, index = np.asarray(key, np.uint64), np.asarray(index, np.uint64)
+    shape = np.broadcast_shapes(key.shape, index.shape)
+    nblocks = (count + 1) // 2
+    c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
+    x0, x1 = philox2x64(c0, index, key)
+    out = np.empty((count,) + shape)
+    _u64_to_unit(x0, x1, out)
+    return np.moveaxis(out, 0, -1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled kernel, which must build wherever the compiler exists."""
+    if shutil.which(streams._CC) is None:
+        pytest.skip(f"no C compiler {streams._CC!r}")
+    assert uniform_kernel() is not None
+    return uniform_kernel()
+
+
+U64 = st.integers(min_value=0, max_value=MASK)
+
+
+@given(st.lists(U64, min_size=1, max_size=5), st.lists(U64, min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=9))
+@example([MASK, 0], [MASK], 1)
+@example([MASK], [MASK - 1, MASK], 9)
+@settings(max_examples=200)
+def test_kernel_equals_numpy_path_on_noise_tiles(kernel, keys, steps, count):
+    # a noise tile: (R,) replica keys x (T, 1) steps
+    keys = np.array(keys, dtype=np.uint64)
+    steps = np.array(steps, dtype=np.uint64)[:, None]
+    assert same_bits(substream_uniforms(keys, steps, count),
+                     numpy_uniforms(keys, steps, count))
+
+
+@given(U64, st.lists(U64, max_size=7), st.integers(min_value=0, max_value=9))
+@example(MASK, [MASK, 0, 1], 7)
+@settings(max_examples=200)
+def test_kernel_equals_numpy_path_on_index_vectors(kernel, key, index, count):
+    # one key, many indices: cramer_check and substream_normals
+    index = np.array(index, dtype=np.uint64)
+    assert same_bits(substream_uniforms(np.uint64(key), index, count),
+                     numpy_uniforms(np.uint64(key), index, count))
+
+
+def test_kernel_equals_numpy_path_on_other_layouts(kernel):
+    keys = derive_key(11, np.arange(6, dtype=np.uint64))
+    steps = np.arange(2**64 - 8, 2**64, dtype=np.uint64)
+    work = Workspace()
+    for key, index in ((keys[:, None], steps),            # sample_block's
+                       (keys, steps[3]),                  # sample_many's
+                       (keys[:4, None, None], steps.reshape(2, 4)),
+                       (keys[::-2, None], steps[::3]),
+                       (keys[:, None], steps[:0]),
+                       (np.uint64(3), np.uint64(MASK))):
+        for count in range(6):
+            want = numpy_uniforms(key, index, count)
+            assert same_bits(substream_uniforms(key, index, count), want)
+            assert same_bits(substream_uniforms(key, index, count, work), want)
+
+
+def test_numpy_streams_fixture_forces_the_numpy_path(numpy_streams, monkeypatch):
+    calls = []
+    monkeypatch.setattr(streams, "philox2x64",
+                        lambda *a, **k: calls.append(1) or philox2x64(*a, **k))
+    key, index = derive_key(1), np.arange(5, dtype=np.uint64)
+    assert same_bits(substream_uniforms(key, index, 3),
+                     numpy_uniforms(key, index, 3))
+    assert calls == [1]
+
+
+# tests/test_golden.py checks its digests on the kernel path wherever the
+# kernel builds; these rerun them on the numpy path.
+
+@pytest.mark.parametrize("config", sorted(golden.GOLDEN))
+def test_cli_output_digests_on_the_numpy_path(numpy_streams, config, tmp_path,
+                                              cores):
+    golden.test_cli_output_digests(config, tmp_path, cores)
+
+
+@pytest.mark.parametrize("case", sorted(golden.RUN_CASES))
+def test_run_iterates_digest_on_the_numpy_path(numpy_streams, case):
+    golden.test_run_iterates_digest(case)
+
+
+def test_replica_errors_digests_on_the_numpy_path(numpy_streams, cores):
+    golden.test_replica_errors_digest(cores)
+    golden.test_replica_errors_d8_digest(cores)
+
+
+# The kernel's build, on a cold cache of its own.
+
+TILE = (derive_key(5, np.arange(4, dtype=np.uint64)),
+        np.arange(1, 4, dtype=np.uint64)[:, None], 3)
+
+
+@pytest.fixture
+def cold(tmp_path, monkeypatch):
+    """uniform_kernel resolved afresh, with its cache in tmp_path/cache."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(streams, "_CACHE", cache)
+    uniform_kernel.cache_clear()
+    yield cache
+    uniform_kernel.cache_clear()
+
+
+def check_fallback(cache, capfd):
+    """The numpy path's bits, nothing printed, no temporary file left."""
+    assert uniform_kernel() is None
+    assert same_bits(substream_uniforms(*TILE), numpy_uniforms(*TILE))
+    assert capfd.readouterr() == ("", "")
+    if cache.is_dir():
+        assert all(p.suffix == ".so" for p in cache.iterdir())
+
+
+def test_missing_compiler_falls_back(cold, tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(streams, "_CC", str(tmp_path / "no-such-cc"))
+    check_fallback(cold, capfd)
+    assert list(cold.iterdir()) == []
+
+
+def test_source_that_does_not_compile_falls_back(cold, tmp_path, monkeypatch,
+                                                 capfd):
+    source = tmp_path / "philox.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(streams, "_SOURCE", source)
+    check_fallback(cold, capfd)
+    assert list(cold.iterdir()) == []
+
+
+def test_unwritable_cache_falls_back(tmp_path, monkeypatch, capfd):
+    # a regular file where the cache directory should be: no mkdir or
+    # mkstemp can write there, whatever the user (root ignores mode bits)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(streams, "_CACHE", blocker)
+    uniform_kernel.cache_clear()
+    try:
+        check_fallback(blocker, capfd)
+        monkeypatch.setattr(streams, "_CACHE", blocker / "cache")
+        uniform_kernel.cache_clear()
+        check_fallback(blocker, capfd)
+    finally:
+        uniform_kernel.cache_clear()
+    assert blocker.read_text() == ""
+
+
+def test_truncated_library_falls_back(kernel, cold, tmp_path, monkeypatch,
+                                      capfd):
+    assert streams._build(streams._SOURCE, tmp_path / "built") is not None
+    lib, = (tmp_path / "built").iterdir()
+    data = lib.read_bytes()
+    for size in (len(data) - 1, len(data) // 2, 200, 10, 0):
+        # past its headers a truncated library would crash dlopen (SIGBUS);
+        # each goes to a new path, because dlopen hands back a library that
+        # is already loaded from the same path without reading the file
+        cache = tmp_path / f"cache{size}"
+        cache.mkdir()
+        (cache / lib.name).write_bytes(data[:size])
+        monkeypatch.setattr(streams, "_CACHE", cache)
+        uniform_kernel.cache_clear()
+        check_fallback(cache, capfd)
+        assert list(cache.iterdir()) == [cache / lib.name]
+
+
+def test_compile_timeout_falls_back_and_kills_the_compiler(cold, tmp_path,
+                                                          monkeypatch, capfd):
+    pid_file = tmp_path / "pid"
+    cc = tmp_path / "cc"
+    cc.write_text(f'#!/bin/sh\necho $$ > "{pid_file}"\nexec sleep 60\n')
+    cc.chmod(0o755)
+    monkeypatch.setattr(streams, "_CC", str(cc))
+    monkeypatch.setattr(streams, "_COMPILE_SECONDS", 0.5)
+    check_fallback(cold, capfd)
+    assert list(cold.iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_changed_source_gets_its_own_build(kernel, tmp_path):
+    source = tmp_path / "philox.c"
+    text = streams._SOURCE.read_text()
+    built = []
+    for version in (text, text, text + "/* changed */\n"):
+        source.write_text(version)
+        assert streams._build(source, tmp_path / "cache") is not None
+        built.append(sorted(p.name for p in (tmp_path / "cache").iterdir()))
+    assert len(built[0]) == 1 and built[1] == built[0]  # loaded, not rebuilt
+    assert len(built[2]) == 2 and built[0][0] in built[2]
+
+
+def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
+                                                       monkeypatch, cores):
+    log = tmp_path / "compiles"
+    cc = tmp_path / "cc"
+    cc.write_text(f'#!/bin/sh\necho >> "{log}"\n'
+                  f'exec {shutil.which(streams._CC)} "$@"\n')
+    cc.chmod(0o755)
+    monkeypatch.setattr(streams, "_CC", str(cc))
+    cfg = golden.scheme(inverse_quadratic(), [0.5], gaussian(2.0), horizon=50)
+    x_star = reference_fixed_point(cfg.map_spec)
+    pools = cores(2)
+    errs = replica_errors(cfg, x_star, replica_seeds(3, 20), (10, 50))
+    assert pools == [1]
+    assert len(log.read_text().splitlines()) == 1
+    assert uniform_kernel() is not None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams, "uniform_kernel", lambda: None)
+        assert same_bits(replica_errors(cfg, x_star, replica_seeds(3, 20),
+                                        (10, 50)), errs)

@@ -19,9 +19,9 @@ from scipy.special import betaincinv
 from .bounds import Certificate, certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)
-from .schemes import advance, run
+from .schemes import advance, run, tile_kernel
 from .spaces import as_point, dimension, norm, reference_fixed_point
-from .streams import check_seed, derive_key, uniform_kernel
+from .streams import check_seed, derive_key
 
 __all__ = [
     "ExperimentPlan",
@@ -217,8 +217,8 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
         allowed = sorted(os.sched_getaffinity(0))
         K = min(len(allowed), R, R * max(cps) * d // SPLIT_ELEMENTS)
     # resolved before the fork, so that the workers inherit the loaded
-    # kernel rather than each compiling it on a cold cache
-    uniform_kernel()
+    # kernel rather than each compiling and checking it on a cold cache
+    tile_kernel(scheme)
     pool = _pool(K - 1) if K > 1 else None
     if pool is None:
         return _errors(scheme, x_star, seeds, cps)

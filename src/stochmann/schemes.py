@@ -10,10 +10,19 @@ Iterates are indexed from 1 with x_1 the user's initial point, so the step
 counter n in the update rule and in the error bounds line up index for
 index.  step() accepts batched states of shape (..., d), or a float for a
 single state on the line, and is bitwise consistent between them.
+
+advance(), the one time loop, steps a whole noise tile per call of
+mann_tile in philox.c: draws, noise transform and update in one C call,
+rounding as numpy does.  Its numpy body, which goes through the update rule
+above, is the reference that the compiled tile is checked against on first
+use, and the path for the scaled cosine map and wherever the library cannot
+be built or fails that check.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -21,8 +30,10 @@ from functools import partial
 import numpy as np
 
 from . import noise as noise_mod
+from . import streams
 from .errors import DivergedError, ValidationError, check_number
-from .spaces import as_point, dimension, eval_map, map_function, norm
+from .spaces import (affine, as_point, dimension, eval_map, inverse_quadratic,
+                     map_function, norm)
 from .streams import Workspace, check_seed, derive_key
 
 SCHEME_KINDS = ("stochastic_mann",)
@@ -148,26 +159,46 @@ def advance(cfg, seeds, horizon):
     replica-innermost views of (d, T, R) buffers, not C-contiguous, that this
     call allocates once and the next tile overwrites: copy them to keep them.
     Replica r draws from the substream (seeds[r], n); cfg.seed is ignored.
-    Both bodies call the update rule that step() uses, resolved once per call.
-    One replica on the line (R*d == 1) steps as Python floats, the same
-    arithmetic without numpy's per-call overhead, and is written to its tile
-    once; a batch writes each step's (R, d) state into the tile.  All
-    arithmetic is elementwise, so row r is bitwise the run under seeds[r] for
-    any R and any layout.  A non-finite state raises DivergedError at its
-    step, naming the offending replicas.
+    Each tile is one call of the compiled mann_tile where tile_kernel(cfg)
+    provides it, and goes through the update rule that step() uses
+    otherwise, with the same bits.  All arithmetic is elementwise, so row r
+    is bitwise the run under seeds[r] for any R and any layout.  A
+    non-finite state raises DivergedError at its step, naming the offending
+    replicas.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     R, d = seeds.shape[0], dimension(cfg.map_spec)
-    update = _update(cfg, map_function(cfg.map_spec))
     keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
-    work = Workspace()
-    scalar = R * d == 1
-    X = float(cfg.x0[0]) if scalar else np.repeat(
-        cfg.x0[:, None], R, axis=1).T
     tile_steps = max(1, TILE_ELEMENTS // (R * d))
     states = np.empty((d, tile_steps, R), dtype=np.float64)
+    kernel = tile_kernel(cfg)
+    step_tile = (_numpy_tiles(cfg, keys, states) if kernel is None
+                 else _kernel_tiles(cfg, keys, states, *kernel))
     for start in range(1, horizon + 1, tile_steps):
         T = min(tile_steps, horizon + 1 - start)
+        xi = step_tile(start, T)
+        yield start, states[:, :T].transpose(1, 2, 0), xi
+
+
+def _diverged(n, replicas):
+    return DivergedError(f"{len(replicas)} replica(s) diverged at step {n}",
+                         last_finite_index=n, replicas=replicas)
+
+
+def _numpy_tiles(cfg, keys, states):
+    """advance's numpy body, the reference for mann_tile: step_tile(start, T)
+    fills states[:, :T] and returns the tile's noise.  One replica on the
+    line (R*d == 1) steps as Python floats, the same arithmetic without
+    numpy's per-call overhead, and is written to its tile once; a batch
+    writes each step's (R, d) state into the tile."""
+    d, _, R = states.shape
+    update = _update(cfg, map_function(cfg.map_spec))
+    work = Workspace()
+    scalar = R * d == 1
+    X = float(cfg.x0[0]) if scalar else np.repeat(cfg.x0[:, None], R, axis=1).T
+
+    def step_tile(start, T):
+        nonlocal X
         steps = np.arange(start, start + T, dtype=np.uint64)
         xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None], work)
         tile = states[:, :T].transpose(1, 2, 0)
@@ -177,9 +208,7 @@ def advance(cfg, seeds, horizon):
             for k in range(T):
                 X = update(X, start + k, xs[k])
                 if not math.isfinite(X):
-                    n = start + k
-                    raise DivergedError(f"1 replica(s) diverged at step {n}",
-                                        last_finite_index=n, replicas=[0])
+                    raise _diverged(start + k, [0])
                 xs[k] = X
             tile[:, 0, 0] = xs
             del xs  # free its floats before the next tile builds its list
@@ -187,12 +216,88 @@ def advance(cfg, seeds, horizon):
             for k in range(T):
                 X = update(X, start + k, xi[k])
                 if not np.isfinite(X).all():
-                    n = start + k
                     bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
-                    raise DivergedError(f"{bad.size} replica(s) diverged at step {n}",
-                                        last_finite_index=n, replicas=bad.tolist())
+                    raise _diverged(start + k, bad.tolist())
                 tile[k] = X
-        yield start, tile, xi
+        return xi
+    return step_tile
+
+
+# mann_tile's codes for the maps and noise families it steps
+_MAP_CODES = {"inverse_quadratic": 0, "affine": 1}
+_NOISE_CODES = {"zero": 0, "gaussian": 1, "bounded_uniform": 2}
+
+
+def _kernel_tiles(cfg, keys, states, kernel, ndtri):
+    """step_tile(start, T) of _numpy_tiles as one mann_tile call, with every
+    pointer resolved once."""
+    d, tile_steps, R = states.shape
+    m, noise = cfg.map_spec, cfg.noise
+    x = np.repeat(cfg.x0[:, None], R, axis=1)  # (d, R), C-ordered
+    xis = np.empty_like(states)
+    A, b = ((np.ascontiguousarray(m.matrix), np.ascontiguousarray(m.offset))
+            if m.family == "affine" else (None, None))
+    param = {"gaussian": noise.scale,
+             "bounded_uniform": noise.half_width}.get(noise.family, 0.0)
+    # data_as pointers keep their arrays alive as long as the closure lives
+    keys_p, x_p, X_p, xi_p, A_p, b_p = (
+        None if v is None else v.ctypes.data_as(ctypes.c_void_p)
+        for v in (np.ascontiguousarray(keys), x, states, xis, A, b))
+    args = (keys_p, R, d, tile_steps * R, _NOISE_CODES[noise.family], param,
+            ndtri, _MAP_CODES[m.family], A_p, b_p, cfg.steps.a, x_p, X_p, xi_p)
+
+    def step_tile(start, T):
+        k = kernel(*args, start, T)
+        if k < T:
+            bad = np.flatnonzero(~np.isfinite(states[:, k]).all(axis=0))
+            raise _diverged(start + k, bad.tolist())
+        return xis[:, :T].transpose(1, 2, 0)
+    return step_tile
+
+
+def tile_kernel(cfg):
+    """(mann_tile, ndtri address) for cfg's map and noise family, or None
+    where advance steps in numpy: a scaled cosine map (numpy's cos may not
+    round like libm's), no compiled library, no ndtri address for Gaussian
+    noise, or a kernel whose tile differs from the numpy body's.  The last
+    three are resolved once per process and family; a process that forks
+    workers calls this first, so that they inherit what it resolved."""
+    lib = streams.uniform_kernel()
+    if lib is None or cfg.map_spec.family not in _MAP_CODES:
+        return None
+    return _checked_kernel(lib, cfg.map_spec.family, cfg.noise.family)
+
+
+@functools.cache
+def _checked_kernel(lib, map_family, noise_family):
+    """tile_kernel after its known-answer check: one small tile of the
+    family, 8 replicas x 8 steps (in dimension 3 for the affine map), must
+    equal the numpy body's bit for bit.  Zero noise keeps the replicas
+    together, so the steps are what catch a contracted multiply-add: 4
+    steps already catch an FMA build in every family."""
+    ndtri = streams.ndtri_function() if noise_family == "gaussian" else None
+    if noise_family == "gaussian" and ndtri is None:
+        return None
+    if map_family == "affine":
+        m = affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
+                   [0.5, -1.0, 0.25])
+    else:
+        m = inverse_quadratic()
+    d = dimension(m)
+    param = {"gaussian": {"scale": 2.0},
+             "bounded_uniform": {"half_width": 1.5}}.get(noise_family, {})
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                       x0=np.linspace(-0.5, 1.0, d),
+                       noise=noise_mod.NoiseModel(noise_family, d, **param),
+                       steps=StepSequences(a=0.7))
+    keys = derive_key(np.arange(2**64 - 8, 2**64, dtype=np.uint64))
+    tiles = []
+    for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile,
+                                       ndtri=ndtri)):
+        states = np.empty((d, 8, 8))
+        xi = body(cfg, keys, states)(1, 8)
+        tiles.append(states.tobytes() + xi.tobytes())
+    return (lib.mann_tile, ndtri) if tiles[0] == tiles[1] else None
 
 
 def run(cfg, x_star=None):

@@ -14,7 +14,9 @@ multiply in one instruction where numpy needs ~13 passes over the array.
 uniform_kernel compiles it with the system's C compiler on the first draw in
 a process (not on import), into __pycache__/ beside this file, and loads it
 through ctypes.  Where it cannot be compiled or loaded, the draws go through
-the numpy path.
+the numpy path.  The same library's mann_tile steps whole noise tiles for
+schemes.advance; ndtri_function gives it scipy's own ndtri as a C function,
+so its Gaussian draws keep the ndtri ufunc's bits.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SOURCE = Path(__file__).with_name("philox.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _CC = "cc"
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FLAGS = ("-O1", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILE_SECONDS = 60
 
 __all__ = [
@@ -235,7 +237,8 @@ def _truncated(lib):
 
 
 def _build(source, cache):
-    """The kernel compiled from source, loaded from cache or compiled into it
+    """The library compiled from source, with the argument types of its
+    philox_uniforms and mann_tile set, loaded from cache or compiled into it
     first; None when any step fails.  The compiler writes a temporary file
     that os.replace then moves into place, so a concurrent process never
     loads a half-written library, and no temporary file is left behind."""
@@ -258,58 +261,100 @@ def _build(source, cache):
                     os.unlink(tmp)
         if _truncated(lib):
             return None
-        kernel = ctypes.CDLL(str(lib)).philox_uniforms
+        lib = ctypes.CDLL(str(lib))
+        uniforms, tile = lib.philox_uniforms, lib.mann_tile
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-    kernel.argtypes = (ptr, size, size, ptr, size, size, size, size, size, ptr)
-    kernel.restype = None
-    return kernel
+    size, ptr, f64 = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    uniforms.argtypes = (ptr, size, size, ptr, size, size, size, size, size, ptr)
+    uniforms.restype = None
+    tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ptr, ctypes.c_int,
+                     ptr, ptr, f64, ptr, ptr, ptr, ctypes.c_uint64, size)
+    tile.restype = size
+    return lib
 
 
 @functools.cache
 def uniform_kernel():
-    """The compiled uniform kernel of philox.c, or None where it cannot be
-    compiled or loaded; resolved once per process, on the first call.
+    """The compiled library of philox.c, or None where it cannot be compiled
+    or loaded; resolved once per process, on the first call.
 
-    A process that forks workers calls it first, so that they inherit the
-    loaded kernel.  A kernel whose draws differ from the numpy reference on
-    a few fixed counters is not used.
+    Its philox_uniforms draws the uniforms of substream_uniforms, and its
+    mann_tile steps whole noise tiles for schemes.advance, which checks it
+    per map and noise family before it uses it.  A process that forks
+    workers calls this first, so that they inherit the loaded library.  A
+    library whose uniforms differ from the numpy reference on a few fixed
+    counters is not used.
     """
-    kernel = _build(_SOURCE, _CACHE)
-    if kernel is None:
+    lib = _build(_SOURCE, _CACHE)
+    if lib is None:
         return None
     key = np.array([0, 2**64 - 1, 0x243F6A8885A308D3], dtype=np.uint64)
     index = key[::-1, None]
-    want, got = (_uniforms(key, index, 3, Workspace(), k) for k in (None, kernel))
-    return kernel if want.tobytes() == got.tobytes() else None
+    want, got = (_uniforms(key, index, 3, Workspace(), k) for k in (None, lib))
+    return lib if want.tobytes() == got.tobytes() else None
+
+
+_NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
+
+
+@functools.cache
+def ndtri_function():
+    """The address of scipy's own ndtri as a C function double (double,
+    int), called with 0 for its dispatch flag, or None where
+    scipy.special.cython_special does not export it so; resolved once per
+    process, on the first call.  Only Gaussian noise tiles need it, so only
+    they load cython_special."""
+    try:
+        from scipy.special import cython_special
+        capsule = cython_special.__pyx_capi__["ndtri"]
+    except (ImportError, AttributeError, KeyError):
+        return None
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    if name(capsule) != _NDTRI_SIGNATURE:
+        return None
+    return pointer(capsule, _NDTRI_SIGNATURE)
+
+
+def _grid_strides(a, shape):
+    """a's strides in elements along the axes of shape that are not 1, and 0
+    along those where a broadcasts."""
+    pad = len(shape) - a.ndim
+    return [0 if i < pad or a.shape[i - pad] == 1 else a.strides[i - pad] // 8
+            for i, n in enumerate(shape) if n != 1]
 
 
 def _uniforms(key, index, count, work, kernel):
-    """The (count,) + shape array of substream_uniforms, through kernel or,
-    when it is None, through philox2x64."""
-    shape = np.broadcast_shapes(key.shape, index.shape)
+    """The (count,) + shape array of substream_uniforms, through the library
+    kernel or, when it is None, through philox2x64."""
+    shape = np.broadcast(key, index).shape
+    out = work.array("unit", (count,) + shape, np.float64)
     if kernel is None:
         nblocks = (count + 1) // 2
         c0 = np.arange(nblocks, dtype=np.uint64).reshape(
             (nblocks,) + (1,) * len(shape))
         x0, x1 = philox2x64(c0, index, key, work=work)
-        out = work.array("unit", (count,) + shape, np.float64)
         _u64_to_unit(x0, x1, out)
         return out
-    out = work.array("unit", (count,) + shape, np.float64)
     if out.size == 0:
         return out
-    # key and index as strided (rows, cols) grids, without broadcast copies:
-    # the axes of length 1 go, and more than two axes fold into rows
-    grid = tuple(n for n in shape if n != 1)
-    k, i = (np.broadcast_to(a, shape).reshape(grid) for a in (key, index))
+    # key and index as strided (rows, cols) grids over the axes of shape
+    # that are not 1, read in place; more than two axes fold into rows,
+    # through C-ordered copies
+    grid = [n for n in shape if n != 1]
     if len(grid) > 2:
-        k, i = k.reshape(-1, grid[-1]), i.reshape(-1, grid[-1])
-    k, i = (a.reshape((1,) * (2 - a.ndim) + a.shape) for a in (k, i))
-    kernel(k.ctypes.data, k.strides[0] // 8, k.strides[1] // 8,
-           i.ctypes.data, i.strides[0] // 8, i.strides[1] // 8,
-           k.shape[0], k.shape[1], count, out.ctypes.data)
+        key, index = (np.ascontiguousarray(np.broadcast_to(a, shape)).reshape(
+            -1, grid[-1]) for a in (key, index))
+        shape = grid = list(key.shape)
+    (k_row, k_col), (i_row, i_col) = (
+        ([0, 0] + _grid_strides(a, shape))[-2:] for a in (key, index))
+    rows, cols = ([1, 1] + grid)[-2:]
+    kernel.philox_uniforms(key.ctypes.data, k_row, k_col, index.ctypes.data,
+                           i_row, i_col, rows, cols, count, out.ctypes.data)
     return out
 
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -39,3 +40,12 @@ def numpy_streams(monkeypatch):
     this process and in the workers it forks, as on a machine where the
     compiled kernel cannot be built."""
     monkeypatch.setattr(streams, "uniform_kernel", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled library, which must build wherever the compiler exists."""
+    if shutil.which(streams._CC) is None:
+        pytest.skip(f"no C compiler {streams._CC!r}")
+    assert streams.uniform_kernel() is not None
+    return streams.uniform_kernel()

@@ -119,8 +119,9 @@ def test_seeds_outside_the_key_range_are_refused():
                           derive_key(top, np.arange(2, dtype=np.uint64)))
 
 
-def test_batched_replicas_equal_serial_runs_bitwise(monkeypatch):
-    # a serial run has R = d = 1 and steps floats; a batch steps arrays
+def test_batched_replicas_equal_serial_runs_bitwise():
+    # a serial run has R = d = 1 (on the numpy path it steps floats); a
+    # batch steps arrays
     ref = ref_cfg(horizon=300)
     d2 = dataclasses.replace(
         ref, map_spec=affine(np.array([[0.3, 0.1], [-0.2, 0.4]]),
@@ -150,9 +151,36 @@ def test_batched_replicas_equal_serial_runs_bitwise(monkeypatch):
             for j, n in enumerate(cps):
                 # checkpoint n records the error of x_{n+1}
                 assert batch[r, j] == traj.error(n + 1)
-    # zero noise (plain Mann): one replica steps floats, two step arrays,
-    # and every replica runs the same path; advance yields tiles, so the
-    # states as stepped are read from the update rule it resolves
+
+
+def test_batched_replicas_equal_serial_runs_bitwise_on_the_numpy_path(
+        numpy_streams):
+    test_batched_replicas_equal_serial_runs_bitwise()
+
+
+def zero_noise_cases():
+    ref = ref_cfg(horizon=300, scale=2.0)
+    return [dataclasses.replace(cfg, noise=zero()) for cfg in (
+        ref, dataclasses.replace(ref, map_spec=scaled_cosine(0.8),
+                                 x0=np.array([1.0])),
+        dataclasses.replace(art_cfg(horizon=300),
+                            map_spec=affine(np.array([[0.3]]), np.array([0.7]))))]
+
+
+def single_and_pair(cfg):
+    """x_{n+1} for n = 1..50 under seed 0 alone and under seeds 0 and 1."""
+    single, pair = ([X[k].copy() for _, X, _ in advance(cfg, seeds, 50)
+                     for k in range(X.shape[0])] for seeds in ([0], [0, 1]))
+    assert len(single) == len(pair) == 50, cfg.map_spec
+    return single, pair
+
+
+def test_zero_noise_single_replica_and_pair_step_the_same_rule(numpy_streams,
+                                                               monkeypatch):
+    # zero noise (plain Mann) on the numpy path: one replica steps floats,
+    # two step arrays, and every replica runs the same path; advance yields
+    # tiles, so the states as stepped are read from the update rule it
+    # resolves
     resolve = schemes._update
     stepped = []  # per advance call, the states its update rule returned
 
@@ -166,17 +194,32 @@ def test_batched_replicas_equal_serial_runs_bitwise(monkeypatch):
         return step_and_record
 
     monkeypatch.setattr(schemes, "_update", recording)
-    for cfg in (ref, cosine, d1):
-        cfg = dataclasses.replace(cfg, noise=zero())
+    for cfg in zero_noise_cases():
         stepped.clear()
-        single = [X[k].copy() for _, X, _ in advance(cfg, [0], 50)
-                  for k in range(X.shape[0])]
-        pair = [X[k].copy() for _, X, _ in advance(cfg, [0, 1], 50)
-                for k in range(X.shape[0])]
-        assert len(single) == len(pair) == 50, cfg.map_spec
+        single, pair = single_and_pair(cfg)
         assert all(isinstance(x, float) for x in stepped[0]), cfg.map_spec
         assert stepped[0] == [X[0, 0] for X in single], cfg.map_spec
         assert all(isinstance(X, np.ndarray) for X in stepped[1])
+        assert np.array_equal(np.array(pair), np.tile(
+            np.array(single), (1, 2, 1))), cfg.map_spec
+
+
+def test_zero_noise_single_replica_and_pair_agree_on_the_kernel_path(
+        kernel, monkeypatch):
+    # the same check where mann_tile steps both: every replica runs the one
+    # path, and the numpy body's rule is never resolved; the scaled cosine
+    # map still steps in numpy, through that rule
+    calls = []
+    resolve = schemes._update
+    monkeypatch.setattr(schemes, "_update",
+                        lambda *args: calls.append(args) or resolve(*args))
+    for cfg in zero_noise_cases():
+        compiled = cfg.map_spec.family != "scaled_cosine"
+        # resolved first: the load-time check runs the numpy body once
+        assert (schemes.tile_kernel(cfg) is not None) == compiled
+        calls.clear()
+        single, pair = single_and_pair(cfg)
+        assert len(calls) == (0 if compiled else 2), cfg.map_spec
         assert np.array_equal(np.array(pair), np.tile(
             np.array(single), (1, 2, 1))), cfg.map_spec
 
@@ -207,6 +250,11 @@ def test_late_divergence_reported_at_its_step():
             replica_errors(cfg, x_star, seeds[[2, 0]], (20,))
         assert info.value.last_finite_index == k
         assert info.value.replicas == [1]
+
+
+def test_divergence_reported_on_the_numpy_path(numpy_streams):
+    test_replica_divergence_reported_with_indices()
+    test_late_divergence_reported_at_its_step()
 
 
 def test_split_replicas_equal_serial_pass_bitwise(cores):

@@ -2,7 +2,8 @@
 
 The map x -> 1/(1+x^2) keeps rationals rational, so a Fraction-based
 replica of the recursion is an exact oracle; the float path must track it
-to a few ulp per step.
+to a few ulp per step.  advance's compiled tiles must equal its numpy body
+bit for bit, and the numpy body is what the Python update rule runs in.
 """
 
 from fractions import Fraction
@@ -10,13 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochmann import schemes
+from stochmann import schemes, streams
 from stochmann.errors import DivergedError, ValidationError
-from stochmann.noise import gaussian, sample_block, zero
+from stochmann.noise import (bounded_uniform, gaussian, sample_block,
+                             sample_keyed, zero)
 from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
                                StepSequences, advance, run, step)
-from stochmann.spaces import (affine, inverse_quadratic, map_function, norm,
-                              reference_fixed_point, scaled_cosine)
+from stochmann.spaces import (affine, dimension, inverse_quadratic,
+                              map_function, norm, reference_fixed_point,
+                              scaled_cosine)
 from stochmann.streams import derive_key
 
 
@@ -133,6 +136,10 @@ def test_run_detects_divergence():
     with np.errstate(over="ignore"), pytest.raises(DivergedError) as exc_info:
         run(cfg)
     assert exc_info.value.last_finite_index == 1
+
+
+def test_run_detects_divergence_on_the_numpy_path(numpy_streams):
+    test_run_detects_divergence()
 
 
 def test_config_validation():
@@ -314,8 +321,9 @@ def test_step_requires_the_noise_draw():
         == 0.5 * 0.5 + 0.5 * (1 / 1.25)
 
 
-def test_advance_resolves_the_rule_once(monkeypatch):
-    # the time loop must not go back through step() or _update per step
+def test_advance_resolves_the_rule_once(numpy_streams, monkeypatch):
+    # advance's numpy body must not go back through step() or _update per
+    # step
     calls = []
     resolve = schemes._update
 
@@ -333,3 +341,80 @@ def test_advance_resolves_the_rule_once(monkeypatch):
         assert np.all(np.isfinite(run(cfg).iterates))
         assert len(steps(advance(cfg, [1, 2], 20))) == 20
     assert len(calls) == 4
+
+
+# The compiled tile kernel against advance's numpy body.
+
+def affine_nd(d):
+    i, j = np.indices((d, d))
+    return affine(0.4 * np.eye(d) + 0.3 / d * np.sin(i + 2 * j),
+                  np.linspace(-1.0, 1.0, d))
+
+
+def tiles(cfg, seeds, horizon):
+    return [(start, X.copy(), xi.copy())
+            for start, X, xi in advance(cfg, seeds, horizon)]
+
+
+def tiles_on_both_paths(cfg, seeds, horizon):
+    """advance's tiles on the kernel path and on the numpy path, copied."""
+    compiled = tiles(cfg, seeds, horizon)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams, "uniform_kernel", lambda: None)
+        return compiled, tiles(cfg, seeds, horizon)
+
+
+def assert_same_tiles(got, want):
+    assert [start for start, _, _ in got] == [start for start, _, _ in want]
+    for (_, X, xi), (_, Y, eta) in zip(got, want):
+        assert X.shape == Y.shape and X.tobytes() == Y.tobytes()
+        assert xi.shape == eta.shape and xi.tobytes() == eta.tobytes()
+
+
+@pytest.mark.parametrize("R", [1, 7, 200])
+def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
+    # over two tiles, the second one short; R = 200 at d = 9 gives tiles of
+    # 9 steps, d = 8 and 9 reach the affine map's longest column sums
+    seeds = derive_key(3, np.arange(R, dtype=np.uint64))
+    for m in [inverse_quadratic()] + [affine_nd(d) for d in (1, 2, 8, 9)]:
+        d = dimension(m)
+        T = max(1, TILE_ELEMENTS // (R * d))
+        for noise in (zero(d), gaussian(2.0, dim=d), bounded_uniform(1.5, dim=d)):
+            cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                               x0=np.linspace(-1.0, 2.0, d), noise=noise,
+                               steps=StepSequences(a=0.7))
+            assert schemes.tile_kernel(cfg) is not None
+            got, want = tiles_on_both_paths(cfg, seeds, T + 3)
+            assert len(got) == 2 and got[1][1].shape[0] == 3
+            assert_same_tiles(got, want)
+
+
+def test_scaled_cosine_steps_in_numpy(kernel):
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=scaled_cosine(0.8),
+                       x0=np.array([0.5]), noise=gaussian(2.0))
+    assert schemes.tile_kernel(cfg) is None
+    assert_same_tiles(*tiles_on_both_paths(cfg, np.arange(7), 5000))
+
+
+def test_mann_tile_steps_past_two_to_the_32(kernel):
+    # a uint64 n*n wraps to 0 at n = 2**32, and n*n >= 2**53 is rounded: the
+    # kernel's b_n must round n*n once, as a/(n*n) does in Python.  From
+    # x = 0 the linear map's first step is b_n * xi exactly.
+    start, T, R = 2**32 - 2, 4, 3
+    keys = derive_key(np.arange(R, dtype=np.uint64))
+    steps = np.arange(start, start + T, dtype=np.uint64)
+    for m in (inverse_quadratic(), affine([[0.3, -0.2], [0.1, 0.4]], [0.0, 0.0])):
+        d = dimension(m)
+        cfg = SchemeConfig(kind="stochastic_mann", map_spec=m, x0=np.zeros(d),
+                           noise=gaussian(2.0, dim=d), steps=StepSequences(a=0.3))
+        states = np.empty((d, T, R))
+        step_tile = schemes._kernel_tiles(cfg, keys, states,
+                                          *schemes.tile_kernel(cfg))
+        xi = step_tile(start, T)
+        draws = sample_keyed(cfg.noise, keys, steps[:, None])
+        assert xi.tobytes() == draws.tobytes()
+        update = schemes._update(cfg, map_function(m))
+        x = np.zeros((R, d))
+        for k in range(T):
+            x = update(x, start + k, draws[k])
+            assert states[:, k].T.tobytes() == x.tobytes(), (m.family, k)

@@ -4,9 +4,12 @@ The references below redo the bit manipulation with Python ints, so any
 numpy wraparound or casting mistake in the library shows up as a mismatch.
 The compiled uniform kernel is checked bit for bit against the numpy path,
 the golden digests are rerun on the numpy path, and every way the kernel's
-build can fail must fall back to that path.
+build can fail must fall back to that path.  So must a library whose tiles
+fail the load-time check, and Gaussian tiles where scipy does not export
+its ndtri to C.
 """
 
+import ctypes
 import os
 import shutil
 
@@ -15,11 +18,12 @@ import pytest
 import test_golden as golden
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import cython_special, ndtri
 
-from stochmann import streams
+from stochmann import schemes, streams
 from stochmann.montecarlo import replica_errors, replica_seeds
-from stochmann.noise import gaussian
-from stochmann.spaces import inverse_quadratic, reference_fixed_point
+from stochmann.noise import bounded_uniform, gaussian, zero
+from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
 from stochmann.streams import (Workspace, _u64_to_unit, derive_key, mix64,
                                philox2x64, substream_normals,
                                substream_uniforms, uniform_kernel)
@@ -198,15 +202,6 @@ def numpy_uniforms(key, index, count):
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@pytest.fixture(scope="module")
-def kernel():
-    """The compiled kernel, which must build wherever the compiler exists."""
-    if shutil.which(streams._CC) is None:
-        pytest.skip(f"no C compiler {streams._CC!r}")
-    assert uniform_kernel() is not None
-    return uniform_kernel()
 
 
 U64 = st.integers(min_value=0, max_value=MASK)
@@ -400,3 +395,65 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
         m.setattr(streams, "uniform_kernel", lambda: None)
         assert same_bits(replica_errors(cfg, x_star, replica_seeds(3, 20),
                                         (10, 50)), errs)
+
+
+# The tile kernel's load-time check and its fallbacks.
+
+TILE_CASES = [golden.scheme(inverse_quadratic(), [0.5], noise, horizon=50)
+              for noise in (gaussian(2.0), bounded_uniform(1.5), zero())] + [
+    golden.scheme(affine([[0.3, 0.1], [-0.2, 0.4]], [0.5, -1.0]), [0.0, 2.0],
+                  noise, horizon=50)
+    for noise in (gaussian(0.5, dim=2), bounded_uniform(0.5, dim=2))]
+
+
+def advance_bytes(cfg):
+    return [(start, X.tobytes(), xi.tobytes())
+            for start, X, xi in schemes.advance(cfg, np.arange(7), 50)]
+
+
+@pytest.fixture
+def fresh_tile_checks():
+    """ndtri_function and the tile kernel's checks resolved afresh."""
+    streams.ndtri_function.cache_clear()
+    schemes._checked_kernel.cache_clear()
+    yield
+    streams.ndtri_function.cache_clear()
+    schemes._checked_kernel.cache_clear()
+
+
+def numpy_path_bytes(cfg):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams, "uniform_kernel", lambda: None)
+        return advance_bytes(cfg)
+
+
+def test_wrong_tile_kernel_falls_back(kernel, cold, tmp_path, monkeypatch):
+    # right uniforms, wrong tiles: a_n = a/(n + 1) in place of a/n
+    text = streams._SOURCE.read_text()
+    wrong = text.replace("a_n = a / (double)n,", "a_n = a / ((double)n + 1.0),")
+    assert wrong != text
+    source = tmp_path / "philox.c"
+    source.write_text(wrong)
+    monkeypatch.setattr(streams, "_SOURCE", source)
+    assert uniform_kernel() is not None
+    for cfg in TILE_CASES:
+        assert schemes.tile_kernel(cfg) is None
+        assert advance_bytes(cfg) == numpy_path_bytes(cfg)
+
+
+def test_missing_ndtri_capsule_steps_gaussian_tiles_in_numpy(
+        kernel, fresh_tile_checks, monkeypatch):
+    monkeypatch.delitem(cython_special.__pyx_capi__, "ndtri")
+    assert streams.ndtri_function() is None
+    for cfg in TILE_CASES:
+        compiled = cfg.noise.family != "gaussian"
+        assert (schemes.tile_kernel(cfg) is not None) == compiled
+        assert advance_bytes(cfg) == numpy_path_bytes(cfg)
+
+
+def test_ndtri_function_is_scipys_ndtri(kernel, fresh_tile_checks):
+    f = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_int)(
+        streams.ndtri_function())
+    u = np.concatenate([substream_uniforms(5, np.arange(2000), 1)[:, 0],
+                        [2.0**-53, 0.5, 1.0 - 2.0**-53, 1e-300]])
+    assert np.array([f(v, 0) for v in u.tolist()]).tobytes() == ndtri(u).tobytes()

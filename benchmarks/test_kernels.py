@@ -1,12 +1,12 @@
 """pytest-benchmark timings of the noise and stepping kernels.
 
 Shapes follow the mc_reference workload: 2000 replicas on the line, so a
-noise tile is 2000 replicas x 8 steps x 1 Philox block.  Its uniforms
-are timed on both paths of streams.substream_uniforms, the compiled kernel
-and the numpy reference, and the kernel's cold compile has a row of its
-own.  test_advance_tile times one whole tile of schemes.advance on both of
-its paths, the compiled mann_tile and the numpy body, for that shape and
-for the affine d = 8 map of mc_affine_d8 (1 step x 2000 replicas).
+noise tile is 2000 replicas x 8 steps x 1 Philox block.  Its uniforms are
+timed through streams.substream_uniforms, which draws in numpy, and the
+compiled library's cold compile has a row of its own.  test_advance_tile
+times one whole tile of schemes.advance on both of its paths, the compiled
+mann_tile and the numpy body, for that shape and for the affine d = 8 map
+of mc_affine_d8 (1 step x 2000 replicas).
 test_run_line follows confidence_long instead: one replica on the line
 over three whole tiles, on both paths.  This directory is outside the
 tier-1 testpaths; run it with
@@ -47,24 +47,22 @@ def test_philox2x64_tile(benchmark):
     assert x0.shape == (R, T, 1)
 
 
+def test_uniforms_tile(benchmark):
+    keys = derive_key(SEEDS[:, 0])
+    u = benchmark(substream_uniforms, keys, STEPS[:, None], 1, Workspace())
+    assert u.shape == (T, R, 1)
+
+
 PATHS = ["kernel", "numpy"]
 
 
 def use_path(monkeypatch, path):
-    """Draw through the compiled library, which must build, or as where it
-    cannot be built."""
+    """Step noise tiles through the compiled mann_tile, which must build, or
+    through the numpy body, as where it cannot be built."""
     if path == "kernel":
-        assert streams.uniform_kernel() is not None
+        assert streams.tile_library() is not None
     else:
-        monkeypatch.setattr(streams, "uniform_kernel", lambda: None)
-
-
-@pytest.mark.parametrize("path", PATHS)
-def test_uniforms_tile(benchmark, monkeypatch, path):
-    use_path(monkeypatch, path)
-    keys = derive_key(SEEDS[:, 0])
-    u = benchmark(substream_uniforms, keys, STEPS[:, None], 1, Workspace())
-    assert u.shape == (T, R, 1)
+        monkeypatch.setattr(streams, "tile_library", lambda: None)
 
 
 D8 = 8

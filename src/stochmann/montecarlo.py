@@ -19,7 +19,7 @@ from scipy.special import betaincinv
 from .bounds import Certificate, certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)
-from .schemes import advance, run, tile_kernel
+from .schemes import advance, check_replica_seeds, run, tile_kernel
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_seed, derive_key
 
@@ -211,6 +211,7 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     """
     d = dimension(scheme.map_spec)
     x_star = as_point(x_star, d, name="x_star")
+    seeds = check_replica_seeds(seeds)
     cps = {int(n): j for j, n in enumerate(checkpoints)}
     R, K = len(seeds), 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -224,7 +225,7 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
         return _errors(scheme, x_star, seeds, cps)
     # one core per process when they fill the affinity set
     cores = [{c} for c in allowed] if K == len(allowed) else [allowed] * K
-    chunks = np.array_split(np.asarray(seeds, dtype=np.uint64), K)
+    chunks = np.array_split(seeds, K)
     offsets = np.cumsum([0] + [len(c) for c in chunks]).tolist()
     jobs = [(cores[k], scheme, x_star, chunks[k], cps, offsets[k])
             for k in range(K)]

@@ -20,7 +20,8 @@ from scipy.special import ndtri
 
 from .errors import ValidationError, check_number
 from .spaces import norm
-from .streams import Workspace, check_seed, derive_key, substream_uniforms
+from .streams import (Workspace, check_seed, check_seeds, derive_key,
+                      substream_uniforms)
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
 
@@ -140,10 +141,12 @@ def sample_block(model, dim, seed, indices, work=None):
     streams.substream_uniforms, the result is a view of a (dim,) + shape
     array, so the last axis of the broadcast shape is the contiguous one.
     With a streams.Workspace that array is in it, overwritten by the next
-    call with the same workspace."""
+    call with the same workspace.  Seeds and indices are integers in
+    [0, 2**64) (streams.check_seeds)."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
-    return sample_keyed(model, derive_key(seed), indices, work)
+    return sample_keyed(model, derive_key(check_seeds(seed, "seeds")),
+                        check_seeds(indices, "indices"), work)
 
 
 def sample_keyed(model, keys, indices, work=None):
@@ -168,7 +171,7 @@ def sample_keyed(model, keys, indices, work=None):
 
 def sample_many(model, dim, seeds, index):
     """One common index across many seeds (replica batch)."""
-    return sample_block(model, dim, seeds, int(index))
+    return sample_block(model, dim, seeds, index)
 
 
 @dataclass(frozen=True)

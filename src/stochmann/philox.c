@@ -1,5 +1,7 @@
-/* Philox-2x64-10 uniforms, bit for bit those of streams.substream_uniforms,
- * and whole noise tiles of schemes.advance, bit for bit its numpy body's.
+/* Whole noise tiles of schemes.advance, bit for bit its numpy body's: the
+ * Philox-2x64-10 uniforms of streams.substream_uniforms, the noise drawn
+ * from them and the Mann update, in one call of mann_tile, the library's
+ * only export.
  *
  * Built without -ffast-math and with -ffp-contract=off, so every double
  * operation rounds as numpy's does.  With the rounds unrolled, -O1 code
@@ -7,52 +9,34 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Position (r, c) of a rows x cols grid has key key[r*key_row + c*key_col]
- * and index index[r*index_row + c*index_col] + r*index_step (strides in
- * elements, 0 for a broadcast axis).  Block b of that position is
- * Philox-2x64-10 of the counter (b, index) under the key; its words x0, x1
+/* Uniform j of replica r at step start + k: block b of Philox-2x64-10 under
+ * key key[r] at the counter (b, start + k) gives the words x0, x1, which
  * become the uniforms j = 2b and 2b + 1, ((x >> 11) + 0.5) * 2**-53, stored
- * at out[j*plane + r*cols + c].  When count is odd the last x1 is unused.
- * Not inlined, so the unrolled rounds are compiled once. */
-static __attribute__((noinline)) void uniform_grid(
-    const uint64_t *key, ptrdiff_t key_row, ptrdiff_t key_col,
-    const uint64_t *index, ptrdiff_t index_row, ptrdiff_t index_col,
-    uint64_t index_step, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t count,
-    ptrdiff_t plane, double *out)
+ * at out[j*plane + k*R + r].  When count is odd the last x1 is unused. */
+static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
+                         ptrdiff_t R, ptrdiff_t count, ptrdiff_t plane,
+                         double *out)
 {
     for (ptrdiff_t j = 0; j < count; j += 2) {
         double *even = out + j * plane, *odd = even + plane;
-        for (ptrdiff_t r = 0; r < rows; r++) {
-            for (ptrdiff_t c = 0; c < cols; c++) {
-                uint64_t k = key[r * key_row + c * key_col];
-                uint64_t x0 = (uint64_t)(j / 2);
-                uint64_t x1 = index[r * index_row + c * index_col]
-                              + (uint64_t)r * index_step;
+        for (ptrdiff_t k = 0; k < T; k++) {
+            for (ptrdiff_t r = 0; r < R; r++) {
+                uint64_t key_r = key[r];
+                uint64_t x0 = (uint64_t)(j / 2), x1 = start + (uint64_t)k;
 #pragma GCC unroll 10
                 for (int round = 0; round < 10; round++) {
                     unsigned __int128 p =
                         (unsigned __int128)x0 * 0xD2B74407B1CE6E93u;
-                    x0 = (uint64_t)(p >> 64) ^ k ^ x1;
+                    x0 = (uint64_t)(p >> 64) ^ key_r ^ x1;
                     x1 = (uint64_t)p;
-                    k += 0x9E3779B97F4A7C15u;
+                    key_r += 0x9E3779B97F4A7C15u;
                 }
-                even[r * cols + c] = ((double)(x0 >> 11) + 0.5) * 0x1p-53;
+                even[k * R + r] = ((double)(x0 >> 11) + 0.5) * 0x1p-53;
                 if (j + 1 < count)
-                    odd[r * cols + c] = ((double)(x1 >> 11) + 0.5) * 0x1p-53;
+                    odd[k * R + r] = ((double)(x1 >> 11) + 0.5) * 0x1p-53;
             }
         }
     }
-}
-
-/* The uniforms of a rows x cols grid, uniform j of position (r, c) at
- * out[j*rows*cols + r*cols + c]. */
-void philox_uniforms(const uint64_t *key, ptrdiff_t key_row, ptrdiff_t key_col,
-                     const uint64_t *index, ptrdiff_t index_row,
-                     ptrdiff_t index_col, ptrdiff_t rows, ptrdiff_t cols,
-                     ptrdiff_t count, double *out)
-{
-    uniform_grid(key, key_row, key_col, index, index_row, index_col, 0, rows,
-                 cols, count, rows * cols, out);
 }
 
 enum { ZERO, GAUSSIAN, BOUNDED_UNIFORM };   /* noise families */
@@ -77,7 +61,7 @@ ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
                     double *xi, uint64_t start, ptrdiff_t T)
 {
     if (noise != ZERO)
-        uniform_grid(key, 0, 1, &start, 0, 0, 1, T, R, d, plane, xi);
+        uniform_grid(key, start, T, R, d, plane, xi);
     for (ptrdiff_t i = 0; i < d; i++) {
         double *u = xi + i * plane;
         for (ptrdiff_t e = 0; e < T * R; e++)

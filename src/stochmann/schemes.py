@@ -34,7 +34,7 @@ from . import streams
 from .errors import DivergedError, ValidationError, check_number
 from .spaces import (affine, as_point, dimension, eval_map, inverse_quadratic,
                      map_function, norm)
-from .streams import Workspace, check_seed, derive_key
+from .streams import Workspace, check_seed, check_seeds, derive_key
 
 SCHEME_KINDS = ("stochastic_mann",)
 
@@ -158,7 +158,8 @@ def advance(cfg, seeds, horizon):
     step n = start + k and xi[k] that step's noise, both (T, R, d).  They are
     replica-innermost views of (d, T, R) buffers, not C-contiguous, that this
     call allocates once and the next tile overwrites: copy them to keep them.
-    Replica r draws from the substream (seeds[r], n); cfg.seed is ignored.
+    Replica r draws from the substream (seeds[r], n), seeds a nonempty 1-D
+    array of integers in [0, 2**64); cfg.seed is ignored.
     Each tile is one call of the compiled mann_tile where tile_kernel(cfg)
     provides it, and goes through the update rule that step() uses
     otherwise, with the same bits.  All arithmetic is elementwise, so row r
@@ -166,7 +167,7 @@ def advance(cfg, seeds, horizon):
     non-finite state raises DivergedError at its step, naming the offending
     replicas.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = check_replica_seeds(seeds)
     R, d = seeds.shape[0], dimension(cfg.map_spec)
     keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
     tile_steps = max(1, TILE_ELEMENTS // (R * d))
@@ -178,6 +179,14 @@ def advance(cfg, seeds, horizon):
         T = min(tile_steps, horizon + 1 - start)
         xi = step_tile(start, T)
         yield start, states[:, :T].transpose(1, 2, 0), xi
+
+
+def check_replica_seeds(seeds):
+    """seeds as a nonempty 1-D uint64 array (streams.check_seeds)."""
+    seeds = check_seeds(seeds, "seeds")
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ValidationError("seeds: must be a nonempty 1-D array")
+    return seeds
 
 
 def _diverged(n, replicas):
@@ -262,7 +271,7 @@ def tile_kernel(cfg):
     noise, or a kernel whose tile differs from the numpy body's.  The last
     three are resolved once per process and family; a process that forks
     workers calls this first, so that they inherit what it resolved."""
-    lib = streams.uniform_kernel()
+    lib = streams.tile_library()
     if lib is None or cfg.map_spec.family not in _MAP_CODES:
         return None
     return _checked_kernel(lib, cfg.map_spec.family, cfg.noise.family)

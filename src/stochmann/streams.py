@@ -7,16 +7,16 @@ The core primitive is the Philox-2x64 block cipher (10 rounds) applied to
 the counter pair ``(block, index)`` under a per-stream key; uniform and
 Gaussian variates are derived from its output deterministically.
 
-Two paths compute the uniforms, bit for bit the same.  philox2x64 in numpy
-is the reference, checked against Random123's known answers.  The draws
-themselves go through philox.c, a C loop that does each round's 64x64-bit
-multiply in one instruction where numpy needs ~13 passes over the array.
-uniform_kernel compiles it with the system's C compiler on the first draw in
-a process (not on import), into __pycache__/ beside this file, and loads it
-through ctypes.  Where it cannot be compiled or loaded, the draws go through
-the numpy path.  The same library's mann_tile steps whole noise tiles for
-schemes.advance; ndtri_function gives it scipy's own ndtri as a C function,
-so its Gaussian draws keep the ndtri ufunc's bits.
+substream_uniforms draws through philox2x64, the numpy reference checked
+against Random123's known answers.  The noise tiles of schemes.advance go
+through mann_tile in philox.c, the compiled library's one export: a tile's
+uniforms, noise and Mann update in one C call, with each round's 64x64-bit
+multiply one instruction where numpy needs ~13 passes over the array.
+tile_library compiles it with the system's C compiler on the first stepped
+tile in a process (not on import), into __pycache__/ beside this file, and
+loads it through ctypes; schemes.tile_kernel checks each family's tile
+against the numpy body.  ndtri_function gives mann_tile scipy's own ndtri
+as a C function, so its Gaussian draws keep the ndtri ufunc's bits.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ _ROUNDS = 10
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# The kernel's source and build: a library file per (source, compiler,
+# The library's source and build: a library file per (source, compiler,
 # flags, platform), so a stale build is never loaded.
 _SOURCE = Path(__file__).with_name("philox.c")
 _CACHE = _SOURCE.parent / "__pycache__"
@@ -62,6 +61,7 @@ __all__ = [
     "substream_normals",
     "derive_key",
     "check_seed",
+    "check_seeds",
 ]
 
 
@@ -129,9 +129,9 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
 
     Inputs broadcast together; returns two uint64 arrays of the broadcast
     shape.  Distinct (c0, c1, key) triples give statistically independent
-    outputs, which is what makes draw-by-counter streams sound.  This numpy
-    version is the reference for the compiled kernel (see uniform_kernel),
-    and substream_uniforms runs it where the kernel cannot be built.
+    outputs, which is what makes draw-by-counter streams sound.  It draws
+    every uniform of substream_uniforms, and is the reference for the rounds
+    of the compiled mann_tile (see tile_library).
 
     The rounds run in place in six buffers of the broadcast shape, taken
     from work (a Workspace) when one is given; the outputs are then views
@@ -195,6 +195,22 @@ def check_seed(seed, path):
         raise ValidationError(f"{path}: must be an integer in [0, 2**64)") from None
 
 
+def check_seeds(seeds, path):
+    """seeds (an int, array or nested list) as a uint64 array of its shape,
+    each held to check_seed's rule.  An integer ndarray is checked without a
+    loop over its seeds, other input seed by seed, not through float64."""
+    if isinstance(seeds, (np.ndarray, np.generic)) and seeds.dtype.kind in "ui":
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValidationError(f"{path}: must be an integer in [0, 2**64)")
+        return seeds.astype(np.uint64, copy=False)
+    try:
+        items = np.asarray(seeds, dtype=object)
+    except ValueError:
+        raise ValidationError(f"{path}: must be an array of integers") from None
+    return np.array([check_seed(s, path) for s in items.flat],
+                    dtype=np.uint64).reshape(items.shape)
+
+
 def derive_key(seed, salt=0):
     """Injective-per-salt key derivation: mix64(seed + (salt+1)*W).
 
@@ -204,19 +220,6 @@ def derive_key(seed, salt=0):
     with np.errstate(over="ignore"):
         s = _as_u64(seed) + (_as_u64(salt) + np.uint64(1)) * _PHILOX_W
     return mix64(s)
-
-
-def _u64_to_unit(x0, x1, out):
-    """Uniforms on (0, 1), symmetric around 1/2, from the uint64 blocks
-    (x0, x1), interleaved x0, x1, x0, ... along out's first axis.  That axis
-    may be one shorter than two per block, so the last x1 is not converted.
-    x0 and x1 are overwritten."""
-    odd = out.shape[0] // 2
-    for x, rows in ((x0, out[0::2]), (x1[:odd], out[1::2])):
-        np.right_shift(x, np.uint64(11), out=x)
-        rows[...] = x
-    np.add(out, 0.5, out=out)
-    np.multiply(out, 2.0**-53, out=out)
 
 
 def _truncated(lib):
@@ -238,10 +241,10 @@ def _truncated(lib):
 
 def _build(source, cache):
     """The library compiled from source, with the argument types of its
-    philox_uniforms and mann_tile set, loaded from cache or compiled into it
-    first; None when any step fails.  The compiler writes a temporary file
-    that os.replace then moves into place, so a concurrent process never
-    loads a half-written library, and no temporary file is left behind."""
+    mann_tile set, loaded from cache or compiled into it first; None when
+    any step fails.  The compiler writes a temporary file that os.replace
+    then moves into place, so a concurrent process never loads a
+    half-written library, and no temporary file is left behind."""
     try:
         text = source.read_bytes()
         recipe = "\0".join((_CC, *_FLAGS, sysconfig.get_platform()))
@@ -262,12 +265,10 @@ def _build(source, cache):
         if _truncated(lib):
             return None
         lib = ctypes.CDLL(str(lib))
-        uniforms, tile = lib.philox_uniforms, lib.mann_tile
+        tile = lib.mann_tile
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     size, ptr, f64 = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    uniforms.argtypes = (ptr, size, size, ptr, size, size, size, size, size, ptr)
-    uniforms.restype = None
     tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ptr, ctypes.c_int,
                      ptr, ptr, f64, ptr, ptr, ptr, ctypes.c_uint64, size)
     tile.restype = size
@@ -275,24 +276,16 @@ def _build(source, cache):
 
 
 @functools.cache
-def uniform_kernel():
+def tile_library():
     """The compiled library of philox.c, or None where it cannot be compiled
     or loaded; resolved once per process, on the first call.
 
-    Its philox_uniforms draws the uniforms of substream_uniforms, and its
-    mann_tile steps whole noise tiles for schemes.advance, which checks it
-    per map and noise family before it uses it.  A process that forks
-    workers calls this first, so that they inherit the loaded library.  A
-    library whose uniforms differ from the numpy reference on a few fixed
-    counters is not used.
+    Its one export, mann_tile, steps whole noise tiles for schemes.advance,
+    which checks it per map and noise family before it uses it.  A process
+    that forks workers calls this first, so that they inherit the loaded
+    library.
     """
-    lib = _build(_SOURCE, _CACHE)
-    if lib is None:
-        return None
-    key = np.array([0, 2**64 - 1, 0x243F6A8885A308D3], dtype=np.uint64)
-    index = key[::-1, None]
-    want, got = (_uniforms(key, index, 3, Workspace(), k) for k in (None, lib))
-    return lib if want.tobytes() == got.tobytes() else None
+    return _build(_SOURCE, _CACHE)
 
 
 _NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
@@ -320,44 +313,6 @@ def ndtri_function():
     return pointer(capsule, _NDTRI_SIGNATURE)
 
 
-def _grid_strides(a, shape):
-    """a's strides in elements along the axes of shape that are not 1, and 0
-    along those where a broadcasts."""
-    pad = len(shape) - a.ndim
-    return [0 if i < pad or a.shape[i - pad] == 1 else a.strides[i - pad] // 8
-            for i, n in enumerate(shape) if n != 1]
-
-
-def _uniforms(key, index, count, work, kernel):
-    """The (count,) + shape array of substream_uniforms, through the library
-    kernel or, when it is None, through philox2x64."""
-    shape = np.broadcast(key, index).shape
-    out = work.array("unit", (count,) + shape, np.float64)
-    if kernel is None:
-        nblocks = (count + 1) // 2
-        c0 = np.arange(nblocks, dtype=np.uint64).reshape(
-            (nblocks,) + (1,) * len(shape))
-        x0, x1 = philox2x64(c0, index, key, work=work)
-        _u64_to_unit(x0, x1, out)
-        return out
-    if out.size == 0:
-        return out
-    # key and index as strided (rows, cols) grids over the axes of shape
-    # that are not 1, read in place; more than two axes fold into rows,
-    # through C-ordered copies
-    grid = [n for n in shape if n != 1]
-    if len(grid) > 2:
-        key, index = (np.ascontiguousarray(np.broadcast_to(a, shape)).reshape(
-            -1, grid[-1]) for a in (key, index))
-        shape = grid = list(key.shape)
-    (k_row, k_col), (i_row, i_col) = (
-        ([0, 0] + _grid_strides(a, shape))[-2:] for a in (key, index))
-    rows, cols = ([1, 1] + grid)[-2:]
-    kernel.philox_uniforms(key.ctypes.data, k_row, k_col, index.ctypes.data,
-                           i_row, i_col, rows, cols, count, out.ctypes.data)
-    return out
-
-
 def substream_uniforms(key, index, count, work=None):
     """``count`` uniforms on (0,1) from substream (key, index).
 
@@ -368,16 +323,23 @@ def substream_uniforms(key, index, count, work=None):
     (count,) + shape array, not C-contiguous: the last axis of the broadcast
     shape is the contiguous one, so it is the inner loop of every pass.
     With a Workspace that array is in it, overwritten by the next call with
-    the same workspace.  The draws go through the compiled kernel where
-    uniform_kernel() provides one and through philox2x64 otherwise, with
-    the same bits.
+    the same workspace.
     """
     count = check_number(count, "count", integer=True, minimum=0)
-    # uint64 in native byte order and aligned, as the kernel reads them
-    key = np.require(_as_u64(key), np.uint64, "A")
-    index = np.require(_as_u64(index), np.uint64, "A")
+    shape = np.broadcast_shapes(np.shape(key), np.shape(index))
     work = Workspace() if work is None else work
-    out = _uniforms(key, index, count, work, uniform_kernel())
+    out = work.array("unit", (count,) + shape, np.float64)
+    nblocks = (count + 1) // 2
+    c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
+    x0, x1 = philox2x64(c0, index, key, work=work)
+    # words x0, x1 of block b are uniforms 2b and 2b + 1 (the last x1 unused
+    # when count is odd), ((x >> 11) + 0.5) * 2**-53: on (0, 1), symmetric
+    # around 1/2
+    for x, rows in ((x0, out[0::2]), (x1[:count // 2], out[1::2])):
+        np.right_shift(x, np.uint64(11), out=x)
+        rows[...] = x
+    np.add(out, 0.5, out=out)
+    np.multiply(out, 2.0**-53, out=out)
     # np.moveaxis(out, 0, -1) without its ~5 us of axis normalisation
     return out.transpose(tuple(range(1, out.ndim)) + (0,))
 

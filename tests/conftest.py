@@ -36,10 +36,11 @@ def cores(monkeypatch):
 
 @pytest.fixture
 def numpy_streams(monkeypatch):
-    """Draw every uniform through the numpy reference path (philox2x64), in
-    this process and in the workers it forks, as on a machine where the
-    compiled kernel cannot be built."""
-    monkeypatch.setattr(streams, "uniform_kernel", lambda: None)
+    """Step every noise tile through advance's numpy body rather than the
+    compiled mann_tile, in this process and in the workers it forks, as on
+    a machine where the library cannot be built.  The uniforms of
+    substream_uniforms go through philox2x64 with or without it."""
+    monkeypatch.setattr(streams, "tile_library", lambda: None)
 
 
 @pytest.fixture(scope="module")
@@ -47,5 +48,5 @@ def kernel():
     """The compiled library, which must build wherever the compiler exists."""
     if shutil.which(streams._CC) is None:
         pytest.skip(f"no C compiler {streams._CC!r}")
-    assert streams.uniform_kernel() is not None
-    return streams.uniform_kernel()
+    assert streams.tile_library() is not None
+    return streams.tile_library()

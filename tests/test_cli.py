@@ -574,29 +574,39 @@ def test_cli_import_leaves_out_multiprocessing():
     assert proc.stdout.strip() == "False"
 
 
+def shown_lines(*lines):
+    """The '@' lines that the code lines print in a fresh process, where
+    show(*values) prints its values after an '@'."""
+    code = "\n".join(["import sys, stochmann.cli as cli",
+                      "from stochmann import spaces, streams",
+                      "def show(*values): print('@', *values)", *lines])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [line for line in proc.stdout.splitlines() if line.startswith("@")]
+
+
 def test_cython_special_loads_only_for_gaussian_tiles(tmp_path):
     # importing the CLI neither builds nor loads the compiled library, and
     # only a Gaussian noise tile needs scipy's ndtri from cython_special:
     # confidence_demo.json draws bounded uniform noise, reference.json
     # Gaussian noise
     out = str(tmp_path / "out")
-    code = "\n".join([
-        "import sys, stochmann.cli as cli",
-        "from stochmann import streams",
-        "def show(*values): print('@', *values)",
-        "show('scipy.special.cython_special' in sys.modules,",
-        "     streams.uniform_kernel.cache_info().currsize)",
+    modules = "show('scipy.special.cython_special' in sys.modules)"
+    library = "show(streams.tile_library.cache_info().currsize)"
+    reference = str(CONFIGS / "reference.json")
+    assert shown_lines(
+        modules, library,
         f"cli.main(['confidence', '--config', {str(CONFIGS / 'confidence_demo.json')!r},"
         f" '--out', {out!r}])",
-        "show('scipy.special.cython_special' in sys.modules)",
-        f"cli.main(['iterate', '--config', {str(CONFIGS / 'reference.json')!r},"
-        f" '--out', {out!r}])",
-        "show('scipy.special.cython_special' in sys.modules)"])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    shown = [line for line in proc.stdout.splitlines() if line.startswith("@")]
-    assert shown == ["@ False 0", "@ False", "@ True"]
+        modules,
+        f"cli.main(['iterate', '--config', {reference!r}, '--out', {out!r}])",
+        modules) == ["@ False", "@ 0", "@ False", "@ True"]
+    # draws that step no Mann iteration never load the library
+    assert shown_lines(
+        f"cli.main(['cramer-check', '--config', {reference!r}, '--out', {out!r}])",
+        "spaces.estimate_contraction(spaces.inverse_quadratic())",
+        library) == ["@ 0"]
 
 
 def test_console_script_bad_usage_exits_2(tmp_path):

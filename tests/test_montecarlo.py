@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binomtest
 
-from stochmann import config, schemes
+from stochmann import config, schemes, streams
 from stochmann.bounds import BoundParams, certificate
 from stochmann.errors import (CoverageError, DivergedError,
                               InfeasibleExperimentError, ValidationError)
@@ -18,7 +18,8 @@ from stochmann.montecarlo import (ExperimentPlan, TailEstimate,
                                   dominance_failures, empirical_tail,
                                   error_table, rate_diagnostic,
                                   replica_errors, replica_seeds)
-from stochmann.noise import bounded_uniform, gaussian, zero
+from stochmann.noise import (bounded_uniform, gaussian, sample_block,
+                             sample_many, zero)
 from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences,
                                advance, run)
 from stochmann.spaces import (INVERSE_QUADRATIC_C, affine, inverse_quadratic,
@@ -117,6 +118,36 @@ def test_seeds_outside_the_key_range_are_refused():
     assert ref_cfg(seed=np.uint64(top)).seed == top
     assert np.array_equal(replica_seeds(top, 2),
                           derive_key(top, np.arange(2, dtype=np.uint64)))
+
+
+def test_draws_and_steps_refuse_seeds_outside_the_key_range(monkeypatch):
+    cfg = ref_cfg(horizon=5)
+    one = sample_block(gaussian(1.0), 1, 1, 3)
+    for seed in (2**64 + 1, 1.7, -1, [1, -2], True, "1", [[1], [2, 3]]):
+        with pytest.raises(ValidationError, match="seeds"):
+            sample_block(gaussian(1.0), 1, seed, 3)
+    for index in (2**64, -3, 2.5):
+        with pytest.raises(ValidationError, match="indices"):
+            sample_block(gaussian(1.0), 1, 1, index)
+        with pytest.raises(ValidationError, match="indices"):
+            sample_many(gaussian(1.0), 1, [1, 2], index)
+    for seeds in ([1.5], [-1], [2**64], [], [[1, 2]], 3, np.array([-1, 2])):
+        with pytest.raises(ValidationError, match="seeds"):
+            next(advance(cfg, seeds, 5))
+    x_star = reference_fixed_point(cfg.map_spec)
+    for seeds in (replica_seeds(1, 0), [-1, -2]):
+        with pytest.raises(ValidationError, match="seeds"):
+            replica_errors(cfg, x_star, seeds, (5,))
+    # every form of an in-range seed draws the same; an integer ndarray is
+    # checked without a loop over its seeds
+    top = 2**64 - 1
+    for seed in (1, 1.0, np.uint64(1), np.array([1]), [1]):
+        assert sample_block(gaussian(1.0), 1, seed, 3).reshape(-1) == one
+    monkeypatch.setattr(streams, "check_seed", None)
+    seeds = np.array([0, 2**63, top], dtype=np.uint64)
+    for form in (seeds, np.array([0, 2**62]), np.array([7], dtype=np.uint32)):
+        steps = list(advance(cfg, form, 5))
+        assert steps[0][1].shape == (5, form.size, 1)
 
 
 def test_batched_replicas_equal_serial_runs_bitwise():

@@ -360,7 +360,7 @@ def tiles_on_both_paths(cfg, seeds, horizon):
     """advance's tiles on the kernel path and on the numpy path, copied."""
     compiled = tiles(cfg, seeds, horizon)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "uniform_kernel", lambda: None)
+        m.setattr(streams, "tile_library", lambda: None)
         return compiled, tiles(cfg, seeds, horizon)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # stdout digests with the "(x.xs)" timing lines removed
@@ -14,15 +16,20 @@ ENVELOPE_DEMO_R20_H200 = \
     "45483391e72415df03b664675fb6737796c4bcc1747fc78b33fb712f86b32802"
 
 
-def run_script(name, *args):
+def run_python(*args):
+    """stdout of python *args run from the repository root with src/ on
+    the path; the run must succeed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def untimed_digest(stdout):
@@ -46,3 +53,11 @@ def test_reproduce_tables_fast_digest():
     stdout = run_script("reproduce_tables.py", "--fast")
     assert "VIOLATION" not in stdout
     assert untimed_digest(stdout) == REPRODUCE_TABLES_FAST
+
+
+def test_kernel_benchmarks_run():
+    # benchmarks/ is outside the tier-1 testpaths; this runs each of its
+    # timings once, untimed, so a renamed or removed entry point shows here
+    pytest.importorskip("pytest_benchmark")
+    run_python("-m", "pytest", "benchmarks/test_kernels.py",
+               "--benchmark-disable", "-q", "-p", "no:cacheprovider")

@@ -2,11 +2,10 @@
 
 The references below redo the bit manipulation with Python ints, so any
 numpy wraparound or casting mistake in the library shows up as a mismatch.
-The compiled uniform kernel is checked bit for bit against the numpy path,
-the golden digests are rerun on the numpy path, and every way the kernel's
-build can fail must fall back to that path.  So must a library whose tiles
-fail the load-time check, and Gaussian tiles where scipy does not export
-its ndtri to C.
+The golden digests are rerun with advance's numpy body, and every way the
+compiled library's build can fail must fall back to that body.  So must a
+library whose tiles, uniforms or update, fail the load-time check, and
+Gaussian tiles where scipy does not export its ndtri to C.
 """
 
 import ctypes
@@ -16,7 +15,7 @@ import shutil
 import numpy as np
 import pytest
 import test_golden as golden
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import cython_special, ndtri
 
@@ -24,9 +23,9 @@ from stochmann import schemes, streams
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian, zero
 from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
-from stochmann.streams import (Workspace, _u64_to_unit, derive_key, mix64,
-                               philox2x64, substream_normals,
-                               substream_uniforms, uniform_kernel)
+from stochmann.streams import (Workspace, derive_key, mix64, philox2x64,
+                               substream_normals, substream_uniforms,
+                               tile_library)
 
 MASK = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -187,72 +186,35 @@ def test_uniforms_same_bits_with_workspace_and_short_last_tile():
             assert np.array_equal(got, fresh)
 
 
-def numpy_uniforms(key, index, count):
-    """substream_uniforms written out on the numpy path: philox2x64, then
-    _u64_to_unit."""
-    key, index = np.asarray(key, np.uint64), np.asarray(index, np.uint64)
-    shape = np.broadcast_shapes(key.shape, index.shape)
-    nblocks = (count + 1) // 2
-    c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
-    x0, x1 = philox2x64(c0, index, key)
-    out = np.empty((count,) + shape)
-    _u64_to_unit(x0, x1, out)
-    return np.moveaxis(out, 0, -1)
-
-
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-U64 = st.integers(min_value=0, max_value=MASK)
+TILE_CASES = [golden.scheme(inverse_quadratic(), [0.5], noise, horizon=50)
+              for noise in (gaussian(2.0), bounded_uniform(1.5), zero())] + [
+    golden.scheme(affine([[0.3, 0.1], [-0.2, 0.4]], [0.5, -1.0]), [0.0, 2.0],
+                  noise, horizon=50)
+    for noise in (gaussian(0.5, dim=2), bounded_uniform(0.5, dim=2))]
 
 
-@given(st.lists(U64, min_size=1, max_size=5), st.lists(U64, min_size=1, max_size=5),
-       st.integers(min_value=0, max_value=9))
-@example([MASK, 0], [MASK], 1)
-@example([MASK], [MASK - 1, MASK], 9)
-@settings(max_examples=200)
-def test_kernel_equals_numpy_path_on_noise_tiles(kernel, keys, steps, count):
-    # a noise tile: (R,) replica keys x (T, 1) steps
-    keys = np.array(keys, dtype=np.uint64)
-    steps = np.array(steps, dtype=np.uint64)[:, None]
-    assert same_bits(substream_uniforms(keys, steps, count),
-                     numpy_uniforms(keys, steps, count))
+def advance_bytes(cfg):
+    return [(start, X.tobytes(), xi.tobytes())
+            for start, X, xi in schemes.advance(cfg, np.arange(7), 50)]
 
 
-@given(U64, st.lists(U64, max_size=7), st.integers(min_value=0, max_value=9))
-@example(MASK, [MASK, 0, 1], 7)
-@settings(max_examples=200)
-def test_kernel_equals_numpy_path_on_index_vectors(kernel, key, index, count):
-    # one key, many indices: cramer_check and substream_normals
-    index = np.array(index, dtype=np.uint64)
-    assert same_bits(substream_uniforms(np.uint64(key), index, count),
-                     numpy_uniforms(np.uint64(key), index, count))
-
-
-def test_kernel_equals_numpy_path_on_other_layouts(kernel):
-    keys = derive_key(11, np.arange(6, dtype=np.uint64))
-    steps = np.arange(2**64 - 8, 2**64, dtype=np.uint64)
-    work = Workspace()
-    for key, index in ((keys[:, None], steps),            # sample_block's
-                       (keys, steps[3]),                  # sample_many's
-                       (keys[:4, None, None], steps.reshape(2, 4)),
-                       (keys[::-2, None], steps[::3]),
-                       (keys[:, None], steps[:0]),
-                       (np.uint64(3), np.uint64(MASK))):
-        for count in range(6):
-            want = numpy_uniforms(key, index, count)
-            assert same_bits(substream_uniforms(key, index, count), want)
-            assert same_bits(substream_uniforms(key, index, count, work), want)
+def numpy_path_bytes(cfg):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams, "tile_library", lambda: None)
+        return advance_bytes(cfg)
 
 
 def test_numpy_streams_fixture_forces_the_numpy_path(numpy_streams, monkeypatch):
     calls = []
     monkeypatch.setattr(streams, "philox2x64",
                         lambda *a, **k: calls.append(1) or philox2x64(*a, **k))
-    key, index = derive_key(1), np.arange(5, dtype=np.uint64)
-    assert same_bits(substream_uniforms(key, index, 3),
-                     numpy_uniforms(key, index, 3))
+    cfg = TILE_CASES[0]  # a Gaussian inverse_quadratic tile
+    assert schemes.tile_kernel(cfg) is None
+    advance_bytes(cfg)
     assert calls == [1]
 
 
@@ -275,26 +237,25 @@ def test_replica_errors_digests_on_the_numpy_path(numpy_streams, cores):
     golden.test_replica_errors_d8_digest(cores)
 
 
-# The kernel's build, on a cold cache of its own.
-
-TILE = (derive_key(5, np.arange(4, dtype=np.uint64)),
-        np.arange(1, 4, dtype=np.uint64)[:, None], 3)
-
+# The library's build, on a cold cache of its own.
 
 @pytest.fixture
 def cold(tmp_path, monkeypatch):
-    """uniform_kernel resolved afresh, with its cache in tmp_path/cache."""
+    """tile_library resolved afresh, with its cache in tmp_path/cache."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(streams, "_CACHE", cache)
-    uniform_kernel.cache_clear()
+    tile_library.cache_clear()
     yield cache
-    uniform_kernel.cache_clear()
+    tile_library.cache_clear()
 
 
 def check_fallback(cache, capfd):
-    """The numpy path's bits, nothing printed, no temporary file left."""
-    assert uniform_kernel() is None
-    assert same_bits(substream_uniforms(*TILE), numpy_uniforms(*TILE))
+    """No library, a Gaussian inverse_quadratic tile stepped by the numpy
+    body, nothing printed, no temporary file left."""
+    assert tile_library() is None
+    cfg = TILE_CASES[0]
+    assert schemes.tile_kernel(cfg) is None
+    assert advance_bytes(cfg) == numpy_path_bytes(cfg)
     assert capfd.readouterr() == ("", "")
     if cache.is_dir():
         assert all(p.suffix == ".so" for p in cache.iterdir())
@@ -321,14 +282,14 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch, capfd):
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(streams, "_CACHE", blocker)
-    uniform_kernel.cache_clear()
+    tile_library.cache_clear()
     try:
         check_fallback(blocker, capfd)
         monkeypatch.setattr(streams, "_CACHE", blocker / "cache")
-        uniform_kernel.cache_clear()
+        tile_library.cache_clear()
         check_fallback(blocker, capfd)
     finally:
-        uniform_kernel.cache_clear()
+        tile_library.cache_clear()
     assert blocker.read_text() == ""
 
 
@@ -345,7 +306,7 @@ def test_truncated_library_falls_back(kernel, cold, tmp_path, monkeypatch,
         cache.mkdir()
         (cache / lib.name).write_bytes(data[:size])
         monkeypatch.setattr(streams, "_CACHE", cache)
-        uniform_kernel.cache_clear()
+        tile_library.cache_clear()
         check_fallback(cache, capfd)
         assert list(cache.iterdir()) == [cache / lib.name]
 
@@ -390,26 +351,14 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
     errs = replica_errors(cfg, x_star, replica_seeds(3, 20), (10, 50))
     assert pools == [1]
     assert len(log.read_text().splitlines()) == 1
-    assert uniform_kernel() is not None
+    assert tile_library() is not None
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "uniform_kernel", lambda: None)
+        m.setattr(streams, "tile_library", lambda: None)
         assert same_bits(replica_errors(cfg, x_star, replica_seeds(3, 20),
                                         (10, 50)), errs)
 
 
 # The tile kernel's load-time check and its fallbacks.
-
-TILE_CASES = [golden.scheme(inverse_quadratic(), [0.5], noise, horizon=50)
-              for noise in (gaussian(2.0), bounded_uniform(1.5), zero())] + [
-    golden.scheme(affine([[0.3, 0.1], [-0.2, 0.4]], [0.5, -1.0]), [0.0, 2.0],
-                  noise, horizon=50)
-    for noise in (gaussian(0.5, dim=2), bounded_uniform(0.5, dim=2))]
-
-
-def advance_bytes(cfg):
-    return [(start, X.tobytes(), xi.tobytes())
-            for start, X, xi in schemes.advance(cfg, np.arange(7), 50)]
-
 
 @pytest.fixture
 def fresh_tile_checks():
@@ -421,23 +370,35 @@ def fresh_tile_checks():
     schemes._checked_kernel.cache_clear()
 
 
-def numpy_path_bytes(cfg):
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "uniform_kernel", lambda: None)
-        return advance_bytes(cfg)
+def build_edited_source(tmp_path, monkeypatch, old, new):
+    """tile_library built from philox.c with old replaced by new."""
+    text = streams._SOURCE.read_text()
+    assert old in text
+    source = tmp_path / "philox.c"
+    source.write_text(text.replace(old, new))
+    monkeypatch.setattr(streams, "_SOURCE", source)
+    assert tile_library() is not None
 
 
 def test_wrong_tile_kernel_falls_back(kernel, cold, tmp_path, monkeypatch):
-    # right uniforms, wrong tiles: a_n = a/(n + 1) in place of a/n
-    text = streams._SOURCE.read_text()
-    wrong = text.replace("a_n = a / (double)n,", "a_n = a / ((double)n + 1.0),")
-    assert wrong != text
-    source = tmp_path / "philox.c"
-    source.write_text(wrong)
-    monkeypatch.setattr(streams, "_SOURCE", source)
-    assert uniform_kernel() is not None
+    # right uniforms, wrong update: a_n = a/(n + 1) in place of a/n
+    build_edited_source(tmp_path, monkeypatch, "a_n = a / (double)n,",
+                        "a_n = a / ((double)n + 1.0),")
     for cfg in TILE_CASES:
         assert schemes.tile_kernel(cfg) is None
+        assert advance_bytes(cfg) == numpy_path_bytes(cfg)
+
+
+def test_wrong_uniforms_in_the_tile_kernel_fall_back(kernel, cold, tmp_path,
+                                                      monkeypatch):
+    # a wrong Weyl key increment: each family's check compares the tile's
+    # noise with philox2x64's, so every family that draws is refused and
+    # zero noise, which draws nothing, keeps the library
+    build_edited_source(tmp_path, monkeypatch, "key_r += 0x9E3779B97F4A7C15u;",
+                        "key_r += 0x9E3779B97F4A7C17u;")
+    for cfg in TILE_CASES:
+        compiled = cfg.noise.family == "zero"
+        assert (schemes.tile_kernel(cfg) is not None) == compiled
         assert advance_bytes(cfg) == numpy_path_bytes(cfg)
 
 

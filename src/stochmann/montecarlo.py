@@ -9,8 +9,10 @@ whole experiment is a pure function of (plan, base_seed).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,10 +41,10 @@ __all__ = [
     "rate_diagnostic",
 ]
 
-# Replica-steps times d that each process of replica_errors gets at least:
-# a forked worker costs its parent ~5 ms to start, and 2**19 replica-steps
-# are 25-50 ms of serial work at d = 1 with the compiled noise kernel
-# (65-95 ms on the numpy path), on a 2-core x86-64 VM.
+# Replica-steps times d that each thread of replica_errors gets at least:
+# a worker thread costs ~0.2 ms to start and join, 2**19 replica-steps are
+# 15-30 ms of serial work at d = 1 with the compiled tile, and chunks of
+# 2**16 gained less than the timing drift (2-core x86-64 VM).
 SPLIT_ELEMENTS = 2**19
 
 
@@ -152,40 +154,11 @@ def clopper_pearson(successes, trials, confidence=0.99):
 def _errors(scheme, x_star, seeds, cps):
     """The serial pass: all replicas as one batched state through advance."""
     out = np.empty((len(seeds), len(cps)), dtype=np.float64)
-    for start, X, _ in advance(scheme, seeds, max(cps)):
-        for n, j in cps.items():
+    for start, X, _ in advance(scheme, seeds, cps[-1]):
+        for j, n in enumerate(cps):
             if start <= n < start + X.shape[0]:
                 out[:, j] = norm(X[n - start] - x_star, scheme.norm_kind)
     return out
-
-
-def _bind(cores):
-    """Run this process on `cores` only, where the kernel allows it."""
-    try:
-        os.sched_setaffinity(0, cores)
-    except OSError:
-        pass
-
-
-def _chunk_errors(cores, scheme, x_star, seeds, cps, offset):
-    """_errors on `cores` for the seeds of one chunk, whose first replica is
-    replica `offset`; on divergence, its step and the global replica indices."""
-    _bind(cores)
-    try:
-        return _errors(scheme, x_star, seeds, cps)
-    except DivergedError as exc:
-        return exc.last_finite_index, [offset + r for r in exc.replicas]
-
-
-def _pool(processes):
-    """A pool of forked workers; multiprocessing loads only when one is asked
-    for.  None in a daemonic process, which may not have children, and while
-    other threads run: a fork copies the locks they hold, held."""
-    import multiprocessing
-    import threading
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
-        return None
-    return multiprocessing.get_context("fork").Pool(processes)
 
 
 def replica_errors(scheme, x_star, seeds, checkpoints):
@@ -194,16 +167,14 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     Row r depends on seeds[r] alone and equals a serial run under it bit for
     bit, so the output bytes do not depend on how the replicas are split.
     The seeds are cut into K contiguous chunks, K the largest number of
-    processes that exceeds neither the available cores (`taskset` limits
-    them) nor the replicas, and that gives each process at least
-    SPLIT_ELEMENTS replica-steps times d.  This process runs the first chunk
-    and K - 1 forked workers run the others, each chunk as one batched state
-    through schemes.advance; the rows are concatenated in chunk order.  When
-    the K processes fill the affinity set, each binds itself to one of its
-    cores while its chunk runs: a scheduler may otherwise leave a forked
-    worker on its parent's core.  K is 1 (one pass in this process) without
-    os.fork or os.sched_getaffinity, in a daemonic process such as a pool
-    worker, and while other Python threads run.
+    threads that exceeds neither the available cores (`taskset` limits
+    them) nor the replicas, and that gives each thread at least
+    SPLIT_ELEMENTS replica-steps times d.  This thread runs the first chunk
+    and K - 1 worker threads the others, each chunk as one batched state
+    through schemes.advance; the rows are concatenated in chunk order.  The
+    threads overlap only inside the compiled tile, which runs without the
+    GIL, so K is 1 (one pass in this thread) where schemes.tile_kernel
+    gives none.
 
     Raises DivergedError on any non-finite iterate, at the earliest such
     step and naming, in order, every replica that diverged there; a
@@ -212,30 +183,28 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     d = dimension(scheme.map_spec)
     x_star = as_point(x_star, d, name="x_star")
     seeds = check_replica_seeds(seeds)
-    cps = {int(n): j for j, n in enumerate(checkpoints)}
-    R, K = len(seeds), 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        allowed = sorted(os.sched_getaffinity(0))
-        K = min(len(allowed), R, R * max(cps) * d // SPLIT_ELEMENTS)
-    # resolved before the fork, so that the workers inherit the loaded
-    # kernel rather than each compiling and checking it on a cold cache
-    tile_kernel(scheme)
-    pool = _pool(K - 1) if K > 1 else None
-    if pool is None:
+    cps = check_checkpoints(checkpoints, "checkpoints")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    K = min(cores, len(seeds), len(seeds) * cps[-1] * d // SPLIT_ELEMENTS)
+    # resolved here, before any thread starts; the numpy body runs serially
+    if K < 2 or tile_kernel(scheme) is None:
         return _errors(scheme, x_star, seeds, cps)
-    # one core per process when they fill the affinity set
-    cores = [{c} for c in allowed] if K == len(allowed) else [allowed] * K
     chunks = np.array_split(seeds, K)
     offsets = np.cumsum([0] + [len(c) for c in chunks]).tolist()
-    jobs = [(cores[k], scheme, x_star, chunks[k], cps, offsets[k])
-            for k in range(K)]
-    with pool:
-        rest = pool.starmap_async(_chunk_errors, jobs[1:])
+
+    def chunk(k):
+        """chunk k's rows; on divergence, its step and global replicas."""
         try:
-            parts = [_chunk_errors(*jobs[0])]
-        finally:
-            _bind(allowed)
-        parts += rest.get()
+            return _errors(scheme, x_star, chunks[k], cps)
+        except DivergedError as e:
+            return e.last_finite_index, [offsets[k] + r for r in e.replicas]
+
+    with ThreadPoolExecutor(K - 1) as pool:
+        # each in a copy of this thread's context, np.errstate included
+        rest = [pool.submit(contextvars.copy_context().run, chunk, k)
+                for k in range(1, K)]
+        parts = [chunk(0)] + [job.result() for job in rest]
     diverged = [p for p in parts if isinstance(p, tuple)]
     if diverged:
         n = min(step for step, _ in diverged)

@@ -6,6 +6,7 @@
  * Built without -ffast-math and with -ffp-contract=off, so every double
  * operation rounds as numpy's does.  With the rounds unrolled, -O1 code
  * runs as fast as -O2 code and compiles ~50 ms sooner. */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -40,34 +41,15 @@ static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
 }
 
 enum { ZERO, GAUSSIAN, BOUNDED_UNIFORM };   /* noise families */
-enum { INVERSE_QUADRATIC, AFFINE };          /* maps */
+enum { INVERSE_QUADRATIC, AFFINE, SCALED_COSINE };  /* maps */
 
-/* T steps n = start, ..., start + T - 1 of R replicas in dimension d:
- *     x' = (1 - a_n) x + a_n F(x) + b_n xi_n,  a_n = a/n,  b_n = a/n^2.
- * Coordinate i of replica r's state after step start + k is stored at
- * X[i*plane + k*R + r], and xi_n at xi[i*plane + k*R + r].  Coordinate i of
- * xi_n is 0 for ZERO noise; from uniform i of substream (key[r], n), it is
- * ndtri(u, 0) * param for GAUSSIAN noise (ndtri is scipy's own, called
- * with its dispatch flag 0) and ((u * 2) - 1) * param for BOUNDED_UNIFORM.
- * F is 1/(1 + x^2) (d = 1) or A x + b, A row-major (d, d), summed
- * b_i + A_i0 x_0 + A_i1 x_1 + ... in that order.  x holds the (d, R) state
- * before step start, and after step start + T - 1 on return.  Returns T, or
- * the first k whose state is not finite for some replica, once that step
- * is done for every replica. */
-ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
-                    ptrdiff_t plane, int noise, double param,
-                    double (*ndtri)(double, int), int map, const double *A,
-                    const double *b, double a, double *x, double *X,
-                    double *xi, uint64_t start, ptrdiff_t T)
+/* mann_tile's update, after its noise pass; inlined there twice, so that
+ * the copy with cosine 0 makes no call and keeps its doubles in registers. */
+static inline __attribute__((always_inline)) ptrdiff_t
+update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
+       const double *A, const double *b, double a, double *x, double *X,
+       double *xi, uint64_t start, ptrdiff_t T)
 {
-    if (noise != ZERO)
-        uniform_grid(key, start, T, R, d, plane, xi);
-    for (ptrdiff_t i = 0; i < d; i++) {
-        double *u = xi + i * plane;
-        for (ptrdiff_t e = 0; e < T * R; e++)
-            u[e] = noise == ZERO ? 0.0 : noise == GAUSSIAN
-                   ? ndtri(u[e], 0) * param : (u[e] * 2.0 - 1.0) * param;
-    }
     for (ptrdiff_t k = 0; k < T; k++) {
         const uint64_t n = start + (uint64_t)k;
         /* n*n in doubles: one rounding, as Python's a/(n*n) for n < 2**53 */
@@ -81,7 +63,9 @@ ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
             for (ptrdiff_t i = 0; i < d; i++) {
                 const double v = prev[i * stride + r];
                 double f;
-                if (map == INVERSE_QUADRATIC) {
+                if (cosine) {
+                    f = b[0] * cos(v);
+                } else if (map == INVERSE_QUADRATIC) {
                     f = 1.0 / (1.0 + v * v);
                 } else {
                     f = b[i] + A[i * d] * prev[r];
@@ -100,4 +84,36 @@ ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
         for (ptrdiff_t r = 0; r < R; r++)
             x[i * R + r] = X[i * plane + (T - 1) * R + r];
     return T;
+}
+
+/* T steps n = start, ..., start + T - 1 of R replicas in dimension d:
+ *     x' = (1 - a_n) x + a_n F(x) + b_n xi_n,  a_n = a/n,  b_n = a/n^2.
+ * Coordinate i of replica r's state after step start + k is stored at
+ * X[i*plane + k*R + r], and xi_n at xi[i*plane + k*R + r].  Coordinate i of
+ * xi_n is 0 for ZERO noise; from uniform i of substream (key[r], n), it is
+ * ndtri(u, 0) * param for GAUSSIAN noise (ndtri is scipy's own, called
+ * with its dispatch flag 0) and ((u * 2) - 1) * param for BOUNDED_UNIFORM.
+ * F is 1/(1 + x^2) (d = 1), b_0 * cos(x) (d = 1, the gain lam passed as
+ * b_0, libm's cos) or A x + b, A row-major (d, d), summed b_i + A_i0 x_0 +
+ * A_i1 x_1 + ... in that order.  x holds the (d, R) state before step
+ * start, and after step start + T - 1 on return.  Returns T, or the first
+ * k whose state is not finite for some replica, once that step is done for
+ * every replica. */
+ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
+                    ptrdiff_t plane, int noise, double param,
+                    double (*ndtri)(double, int), int map, const double *A,
+                    const double *b, double a, double *x, double *X,
+                    double *xi, uint64_t start, ptrdiff_t T)
+{
+    if (noise != ZERO)
+        uniform_grid(key, start, T, R, d, plane, xi);
+    for (ptrdiff_t i = 0; i < d; i++) {
+        double *u = xi + i * plane;
+        for (ptrdiff_t e = 0; e < T * R; e++)
+            u[e] = noise == ZERO ? 0.0 : noise == GAUSSIAN
+                   ? ndtri(u[e], 0) * param : (u[e] * 2.0 - 1.0) * param;
+    }
+    if (map == SCALED_COSINE)
+        return update(1, map, R, d, plane, A, b, a, x, X, xi, start, T);
+    return update(0, map, R, d, plane, A, b, a, x, X, xi, start, T);
 }

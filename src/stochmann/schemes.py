@@ -15,8 +15,8 @@ advance(), the one time loop, steps a whole noise tile per call of
 mann_tile in philox.c: draws, noise transform and update in one C call,
 rounding as numpy does.  Its numpy body, which goes through the update rule
 above, is the reference that the compiled tile is checked against on first
-use, and the path for the scaled cosine map and wherever the library cannot
-be built or fails that check.
+use, and the path wherever the library cannot be built or fails that
+check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import noise as noise_mod
 from . import streams
 from .errors import DivergedError, ValidationError, check_number
 from .spaces import (affine, as_point, dimension, eval_map, inverse_quadratic,
-                     map_function, norm)
+                     map_function, norm, scaled_cosine)
 from .streams import Workspace, check_seed, check_seeds, derive_key
 
 SCHEME_KINDS = ("stochastic_mann",)
@@ -165,9 +165,10 @@ def advance(cfg, seeds, horizon):
     otherwise, with the same bits.  All arithmetic is elementwise, so row r
     is bitwise the run under seeds[r] for any R and any layout.  A
     non-finite state raises DivergedError at its step, naming the offending
-    replicas.
+    replicas.  The arguments are checked on the call, not at the first tile.
     """
     seeds = check_replica_seeds(seeds)
+    horizon = check_number(horizon, "horizon", integer=True, minimum=1)
     R, d = seeds.shape[0], dimension(cfg.map_spec)
     keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
     tile_steps = max(1, TILE_ELEMENTS // (R * d))
@@ -175,10 +176,14 @@ def advance(cfg, seeds, horizon):
     kernel = tile_kernel(cfg)
     step_tile = (_numpy_tiles(cfg, keys, states) if kernel is None
                  else _kernel_tiles(cfg, keys, states, *kernel))
-    for start in range(1, horizon + 1, tile_steps):
-        T = min(tile_steps, horizon + 1 - start)
-        xi = step_tile(start, T)
-        yield start, states[:, :T].transpose(1, 2, 0), xi
+    return _tiles(step_tile, states, horizon)
+
+
+def _tiles(step_tile, states, horizon):
+    """advance's generator: step_tile over the horizon, a tile at a time."""
+    for start in range(1, horizon + 1, states.shape[1]):
+        T = min(states.shape[1], horizon + 1 - start)
+        yield start, states[:, :T].transpose(1, 2, 0), step_tile(start, T)
 
 
 def check_replica_seeds(seeds):
@@ -233,7 +238,7 @@ def _numpy_tiles(cfg, keys, states):
 
 
 # mann_tile's codes for the maps and noise families it steps
-_MAP_CODES = {"inverse_quadratic": 0, "affine": 1}
+_MAP_CODES = {"inverse_quadratic": 0, "affine": 1, "scaled_cosine": 2}
 _NOISE_CODES = {"zero": 0, "gaussian": 1, "bounded_uniform": 2}
 
 
@@ -244,14 +249,16 @@ def _kernel_tiles(cfg, keys, states, kernel, ndtri):
     m, noise = cfg.map_spec, cfg.noise
     x = np.repeat(cfg.x0[:, None], R, axis=1)  # (d, R), C-ordered
     xis = np.empty_like(states)
-    A, b = ((np.ascontiguousarray(m.matrix), np.ascontiguousarray(m.offset))
-            if m.family == "affine" else (None, None))
+    A, b = ((m.matrix, m.offset) if m.family == "affine" else
+            (None, np.float64([m.lam])) if m.family == "scaled_cosine"
+            else (None, None))  # the cosine's gain goes as b[0]
     param = {"gaussian": noise.scale,
              "bounded_uniform": noise.half_width}.get(noise.family, 0.0)
     # data_as pointers keep their arrays alive as long as the closure lives
     keys_p, x_p, X_p, xi_p, A_p, b_p = (
-        None if v is None else v.ctypes.data_as(ctypes.c_void_p)
-        for v in (np.ascontiguousarray(keys), x, states, xis, A, b))
+        None if v is None
+        else np.ascontiguousarray(v).ctypes.data_as(ctypes.c_void_p)
+        for v in (keys, x, states, xis, A, b))
     args = (keys_p, R, d, tile_steps * R, _NOISE_CODES[noise.family], param,
             ndtri, _MAP_CODES[m.family], A_p, b_p, cfg.steps.a, x_p, X_p, xi_p)
 
@@ -266,15 +273,13 @@ def _kernel_tiles(cfg, keys, states, kernel, ndtri):
 
 def tile_kernel(cfg):
     """(mann_tile, ndtri address) for cfg's map and noise family, or None
-    where advance steps in numpy: a scaled cosine map (numpy's cos may not
-    round like libm's), no compiled library, no ndtri address for Gaussian
-    noise, or a kernel whose tile differs from the numpy body's.  The last
-    three are resolved once per process and family; a process that forks
-    workers calls this first, so that they inherit what it resolved."""
+    where advance steps in numpy: no compiled library, no ndtri address for
+    Gaussian noise, or a kernel whose tile differs from the numpy body's
+    (libm's cos, say, rounding unlike numpy's).  Resolved once per process
+    and family."""
     lib = streams.tile_library()
-    if lib is None or cfg.map_spec.family not in _MAP_CODES:
-        return None
-    return _checked_kernel(lib, cfg.map_spec.family, cfg.noise.family)
+    return None if lib is None else _checked_kernel(
+        lib, cfg.map_spec.family, cfg.noise.family)
 
 
 @functools.cache
@@ -287,11 +292,11 @@ def _checked_kernel(lib, map_family, noise_family):
     ndtri = streams.ndtri_function() if noise_family == "gaussian" else None
     if noise_family == "gaussian" and ndtri is None:
         return None
-    if map_family == "affine":
-        m = affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
-                   [0.5, -1.0, 0.25])
-    else:
-        m = inverse_quadratic()
+    # the family's map alone: affine()'s norm through LAPACK costs ~1 MB RSS
+    m = (affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
+                [0.5, -1.0, 0.25]) if map_family == "affine"
+         else scaled_cosine(0.8) if map_family == "scaled_cosine"
+         else inverse_quadratic())
     d = dimension(m)
     param = {"gaussian": {"scale": 2.0},
              "bounded_uniform": {"half_width": 1.5}}.get(noise_family, {})

@@ -2,7 +2,6 @@ import argparse
 import csv
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann import bounds, cli, config, montecarlo
+from stochmann import bounds, cli, config, streams
 from stochmann.bounds import tail_bound
 from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
@@ -107,20 +106,16 @@ def test_confidence_feasible(tmp_path):
     assert payload["contains_reference"] is True
 
 
-def test_single_replica_commands_never_fork(tmp_path, monkeypatch, cores):
+def test_single_replica_commands_never_split(tmp_path, cores):
     # even with the split allowed from one replica-step on, the R = 1 paths
-    # start no process and build no pool
-    def refuse(*args):
-        raise AssertionError("a process was started")
-
-    cores(2)
-    monkeypatch.setattr(montecarlo, "_pool", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
+    # start no thread pool
+    pools = cores(2)
     demo, out = str(CONFIGS / "confidence_demo.json"), str(tmp_path)
     assert main(["confidence", "--config", demo, "--out", out]) == 0
     for name in ("confidence_demo.json", "reference.json"):
         assert main(["iterate", "--config", str(CONFIGS / name),
                      "--out", out]) == 0
+    assert pools == []
 
 
 def test_confidence_infeasible_exits_4(tmp_path, capsys):
@@ -564,14 +559,22 @@ def test_cli_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    # replica_errors imports it only when it splits the replicas
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stochmann.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_cli_import_leaves_out_multiprocessing(tmp_path):
+    # replica_errors splits over threads: neither the import nor a split
+    # montecarlo run on 2 cores loads multiprocessing
+    reference = str(CONFIGS / "reference.json")
+    shown = shown_lines(
+        "show('multiprocessing' in sys.modules)",
+        "import os; from stochmann import montecarlo",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "montecarlo.SPLIT_ELEMENTS, pools = 1, []",
+        "make = montecarlo.ThreadPoolExecutor",
+        "montecarlo.ThreadPoolExecutor = lambda k: pools.append(k) or make(k)",
+        f"code = cli.main(['montecarlo', '--config', {reference!r}, "
+        f"'--replicas', '20', '--out', {str(tmp_path)!r}])",
+        "show(code, pools, 'multiprocessing' in sys.modules)")
+    split = "[1]" if streams.tile_library() is not None else "[]"
+    assert shown == ["@ False", f"@ 0 {split} False"]
 
 
 def shown_lines(*lines):

@@ -6,9 +6,10 @@ fixed Philox-2x64 and normal blocks, the raw iterates of single runs on
 every map family and the raw replica errors of a d = 1 and a d = 8 batch
 that cross noise tiles.  The `montecarlo` outputs and the replica errors
 are checked on both paths of `replica_errors`, the serial pass and the
-split over processes, whatever the machine's core count.  A change that
-moves any digest changes output bits; regenerate the digests deliberately,
-in a commit of their own, and log it in CHANGES.md.
+split over threads wherever the compiled tile steps, whatever the
+machine's core count.  A change that moves any digest changes output bits;
+regenerate the digests deliberately, in a commit of their own, and log it
+in CHANGES.md.
 """
 
 import hashlib
@@ -18,9 +19,11 @@ import numpy as np
 import pytest
 
 from stochmann.cli import main
+from stochmann.config import build_scheme, load_config
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian
-from stochmann.schemes import TILE_ELEMENTS, SchemeConfig, StepSequences, run
+from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences, run,
+                               tile_kernel)
 from stochmann.spaces import (affine, inverse_quadratic, reference_fixed_point,
                               scaled_cosine)
 from stochmann.streams import derive_key, philox2x64, substream_normals
@@ -164,11 +167,12 @@ def test_cli_output_digests(config, tmp_path, cores):
     assert cli_digests(config, tmp_path) == GOLDEN[config]
     golden = {name: digest for name, digest in GOLDEN[config].items()
               if name.startswith("montecarlo_")}
-    for k in (1, 2):  # the serial pass, then the split over 2 processes
+    cfg = build_scheme(load_config(CONFIGS / config))
+    for k in (1, 2):  # the serial pass, then the split over 2 threads
         pools = cores(k)
         out = tmp_path / f"cores{k}"
         assert montecarlo_digests(config, out) == golden, k
-        assert pools == ([1] if k == 2 else []), k
+        assert pools == split_pools(cfg, k), k
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
@@ -179,15 +183,21 @@ def test_run_iterates_digest(case):
     assert sha256(iterates.astype("<f8").tobytes()) == RUN_SHA256[case]
 
 
+def split_pools(cfg, k):
+    """The thread pools of one replica_errors call on cfg under cores(k):
+    none on one core, or where cfg steps in numpy, else one of k - 1."""
+    return [k - 1] if k > 1 and tile_kernel(cfg) is not None else []
+
+
 def replica_errors_digests(cfg, cores):
-    """sha256 of 200 replicas' errors on the serial pass and on the split
-    over 2 processes."""
+    """sha256 of 200 replicas' errors on the serial pass and on 2 cores,
+    split over 2 threads wherever the compiled tile steps."""
     out = []
     for k in (1, 2):
         pools = cores(k)
         errs = replica_errors(cfg, reference_fixed_point(cfg.map_spec),
                               replica_seeds(42, 200), (10, 100, 300))
-        assert pools == ([1] if k == 2 else []), k
+        assert pools == split_pools(cfg, k), k
         out.append(sha256(errs.astype("<f8").tobytes()))
     return out
 

@@ -1,6 +1,8 @@
 import dataclasses
 import multiprocessing
+import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +135,7 @@ def test_draws_and_steps_refuse_seeds_outside_the_key_range(monkeypatch):
             sample_many(gaussian(1.0), 1, [1, 2], index)
     for seeds in ([1.5], [-1], [2**64], [], [[1, 2]], 3, np.array([-1, 2])):
         with pytest.raises(ValidationError, match="seeds"):
-            next(advance(cfg, seeds, 5))
+            advance(cfg, seeds, 5)
     x_star = reference_fixed_point(cfg.map_spec)
     for seeds in (replica_seeds(1, 0), [-1, -2]):
         with pytest.raises(ValidationError, match="seeds"):
@@ -238,19 +240,17 @@ def test_zero_noise_single_replica_and_pair_step_the_same_rule(numpy_streams,
 def test_zero_noise_single_replica_and_pair_agree_on_the_kernel_path(
         kernel, monkeypatch):
     # the same check where mann_tile steps both: every replica runs the one
-    # path, and the numpy body's rule is never resolved; the scaled cosine
-    # map still steps in numpy, through that rule
+    # path, and the numpy body's rule is never resolved, for every map
     calls = []
     resolve = schemes._update
     monkeypatch.setattr(schemes, "_update",
                         lambda *args: calls.append(args) or resolve(*args))
     for cfg in zero_noise_cases():
-        compiled = cfg.map_spec.family != "scaled_cosine"
         # resolved first: the load-time check runs the numpy body once
-        assert (schemes.tile_kernel(cfg) is not None) == compiled
+        assert schemes.tile_kernel(cfg) is not None
         calls.clear()
         single, pair = single_and_pair(cfg)
-        assert len(calls) == (0 if compiled else 2), cfg.map_spec
+        assert calls == [], cfg.map_spec
         assert np.array_equal(np.array(pair), np.tile(
             np.array(single), (1, 2, 1))), cfg.map_spec
 
@@ -288,8 +288,9 @@ def test_divergence_reported_on_the_numpy_path(numpy_streams):
     test_late_divergence_reported_at_its_step()
 
 
-def test_split_replicas_equal_serial_pass_bitwise(cores):
-    # 7 replicas give uneven chunks: 4 + 3 on 2 cores, 3 + 2 + 2 on 3
+def test_split_replicas_equal_serial_pass_bitwise(kernel, cores):
+    # 7 replicas give uneven chunks: 4 + 3 on 2 cores, 3 + 2 + 2 on 3, one
+    # each on 8; the threads switch as often as the interpreter lets them
     shipped = config.build_scheme(config.load_config(CONFIGS / "reference.json"))
     cases = {
         "reference.json": dataclasses.replace(shipped, horizon=300),
@@ -305,52 +306,59 @@ def test_split_replicas_equal_serial_pass_bitwise(cores):
         pools = cores(1)
         serial = replica_errors(cfg, x_star, seeds, cps)
         assert pools == [], name
-        for k in (2, 3):
+        for k in (2, 3, 8):
             pools = cores(k)
-            split = replica_errors(cfg, x_star, seeds, cps)
-            assert pools == [k - 1], (name, k)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                split = replica_errors(cfg, x_star, seeds, cps)
+            finally:
+                sys.setswitchinterval(interval)
+            assert pools == [min(k, 7) - 1], (name, k)
             assert split.dtype == serial.dtype and split.shape == serial.shape
             assert split.tobytes() == serial.tobytes(), (name, k)
 
 
-def test_split_stays_within_the_cores_and_the_replicas(cores):
+def test_split_stays_within_the_cores_and_the_replicas(kernel, cores):
     cfg = ref_cfg(horizon=50)
     x_star = reference_fixed_point(cfg.map_spec)
     pools = cores(3)
     split = [replica_errors(cfg, x_star, replica_seeds(1, R), (50,))
              for R in (1, 2)]
-    assert pools == [1]  # one replica never forks; two fill two processes
+    assert pools == [1]  # one replica never splits; two fill two threads
     cores(1)
     assert [replica_errors(cfg, x_star, replica_seeds(1, R), (50,)).tobytes()
             for R in (1, 2)] == [e.tobytes() for e in split]
 
 
-def test_daemonic_process_runs_the_serial_pass(cores):
-    # a pool's worker may not have children, so replica_errors stays in it
+def test_daemonic_process_splits_too(kernel, cores):
+    # a pool's worker may not have children, but it may start threads
     cfg = ref_cfg(horizon=50)
     x_star = reference_fixed_point(cfg.map_spec)
     seeds = replica_seeds(1, 4)
     cores(1)
     serial = replica_errors(cfg, x_star, seeds, (50,))
-    cores(2)
+    pools = cores(2)
     ctx = multiprocessing.get_context("fork")
     queue = ctx.SimpleQueue()
 
     def target():
         try:
-            queue.put(replica_errors(cfg, x_star, seeds, (50,)).tobytes())
+            got = replica_errors(cfg, x_star, seeds, (50,))
+            queue.put((got.tobytes(), pools))
         except BaseException as exc:
             queue.put(repr(exc))
 
     child = ctx.Process(target=target, daemon=True)
     child.start()
     got = queue.get()
-    child.join()
-    assert got == serial.tobytes()
+    child.join(timeout=60)
+    assert not child.is_alive()
+    assert got == (serial.tobytes(), [1])
 
 
-def test_serial_pass_while_other_threads_run(cores):
-    # a forked worker would inherit the locks the other thread holds
+def test_split_while_other_threads_run(kernel, cores):
+    # threads, unlike a fork, do not copy the locks another thread holds
     cfg = ref_cfg(horizon=50)
     x_star = reference_fixed_point(cfg.map_spec)
     seeds = replica_seeds(1, 4)
@@ -366,10 +374,29 @@ def test_serial_pass_while_other_threads_run(cores):
         release.set()
         waiter.join(timeout=60)
     assert not waiter.is_alive()
-    assert pools == [] and got.tobytes() == serial.tobytes()
+    assert pools == [1] and got.tobytes() == serial.tobytes()
 
 
-def test_experiments_agree_on_both_paths(cores):
+def test_split_threads_keep_the_callers_errstate(kernel, cores):
+    # the states stay near 1e200, finite, but their squared norms overflow:
+    # under the caller's np.errstate every thread is as quiet as the serial
+    # pass, where a warning would raise
+    cfg = dataclasses.replace(
+        ref_cfg(horizon=20), map_spec=affine(np.array([[0.5]]), np.array([0.0])),
+        x0=np.array([1e200]), noise=zero())
+    seeds = replica_seeds(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            cores(1)
+            serial = replica_errors(cfg, np.zeros(1), seeds, (10, 20))
+            pools = cores(2)
+            split = replica_errors(cfg, np.zeros(1), seeds, (10, 20))
+    assert np.isinf(serial).all()
+    assert pools == [1] and split.tobytes() == serial.tobytes()
+
+
+def test_experiments_agree_on_both_paths(kernel, cores):
     coverage = ExperimentPlan(scheme=art_cfg(), checkpoints=(10,),
                               eps_grid=(0.1,), replicas=400, base_seed=7)
     rate = ExperimentPlan(scheme=ref_cfg(horizon=1000),
@@ -389,9 +416,9 @@ def test_experiments_agree_on_both_paths(cores):
     assert results[1] == results[2]
 
 
-def test_divergence_under_the_split(cores):
+def test_divergence_under_the_split(kernel, cores):
     # the late divergence of test_late_divergence_reported_at_its_step, with
-    # each replica in its own process
+    # the replicas split over two threads
     cfg = ref_cfg(horizon=20, scale=1e308)
     x_star = reference_fixed_point(inverse_quadratic())
     seeds = replica_seeds(0, 14)
@@ -589,3 +616,14 @@ def test_experiment_plan_validation():
     with pytest.raises(ValidationError, match="base_seed"):
         ExperimentPlan(scheme=cfg, checkpoints=(10,), eps_grid=(0.1,),
                        replicas=10, base_seed="x")
+
+
+def test_replica_errors_checks_its_checkpoints():
+    # (0,) returned uninitialised rows, (5, 5) left a column unwritten, 2.5
+    # and True were truncated to 2 and 1, and () raised from max()
+    cfg = ref_cfg(horizon=5)
+    x_star = reference_fixed_point(cfg.map_spec)
+    seeds = replica_seeds(1, 3)
+    for cps in ((0,), (5, 5), (4, 2), (2.5,), (True,), (), 5, None):
+        with pytest.raises(ValidationError, match="^checkpoints"):
+            replica_errors(cfg, x_star, seeds, cps)

@@ -253,6 +253,14 @@ def test_interleaved_generators_keep_their_own_tiles():
                 assert np.array_equal(X, Y) and np.array_equal(xi, eta)
 
 
+def test_advance_checks_its_arguments_on_the_call():
+    # not at the first tile: a generator would return without error here
+    cfg = make_cfg()
+    for seeds, horizon in (([], 5), ([1.5], 5), ([1], 0), ([1], 2.5)):
+        with pytest.raises(ValidationError, match="seeds|horizon"):
+            advance(cfg, seeds, horizon)
+
+
 def test_advance_keeps_replicas_innermost():
     # a (R, d) state stored (d, R) makes every ufunc pass loop over the R
     # replicas; stored (R, d), the inner loops are d = 8 elements long
@@ -389,11 +397,14 @@ def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
             assert_same_tiles(got, want)
 
 
-def test_scaled_cosine_steps_in_numpy(kernel):
-    cfg = SchemeConfig(kind="stochastic_mann", map_spec=scaled_cosine(0.8),
-                       x0=np.array([0.5]), noise=gaussian(2.0))
-    assert schemes.tile_kernel(cfg) is None
-    assert_same_tiles(*tiles_on_both_paths(cfg, np.arange(7), 5000))
+def test_scaled_cosine_steps_in_the_kernel(kernel):
+    # libm's cos in mann_tile, numpy's in the numpy body: the same bits over
+    # three tiles of 7 replicas in every noise family
+    for noise in (zero(), gaussian(2.0), bounded_uniform(1.5)):
+        cfg = SchemeConfig(kind="stochastic_mann", map_spec=scaled_cosine(0.8),
+                           x0=np.array([0.5]), noise=noise)
+        assert schemes.tile_kernel(cfg) is not None, noise.family
+        assert_same_tiles(*tiles_on_both_paths(cfg, np.arange(7), 5000))
 
 
 def test_mann_tile_steps_past_two_to_the_32(kernel):

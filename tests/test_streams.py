@@ -334,11 +334,28 @@ def test_changed_source_gets_its_own_build(kernel, tmp_path):
         assert streams._build(source, tmp_path / "cache") is not None
         built.append(sorted(p.name for p in (tmp_path / "cache").iterdir()))
     assert len(built[0]) == 1 and built[1] == built[0]  # loaded, not rebuilt
-    assert len(built[2]) == 2 and built[0][0] in built[2]
+    assert len(built[2]) == 1 and built[2] != built[0]  # rebuilt, old removed
+
+
+def test_a_new_build_removes_the_superseded_ones(kernel, cold):
+    # other philox.*.so builds go, best effort: a directory of that name
+    # cannot be unlinked and stays, as do other names and a temporary file
+    # that another process is compiling into
+    kept = {"philox.so", "other.so", "philox.0123456789abcdef.so.tmp"}
+    cold.mkdir()
+    for name in kept | {"philox.0123456789abcdef.so"}:
+        (cold / name).write_bytes(b"stale")
+    (cold / "philox.dir.so").mkdir()
+    kept.add("philox.dir.so")
+    assert tile_library() is not None
+    names = {p.name for p in cold.iterdir()}
+    assert kept < names and len(names - kept) == 1  # and the new build
 
 
 def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
                                                        monkeypatch, cores):
+    # a split run compiles once, before its threads start, and they share
+    # the library it loaded
     log = tmp_path / "compiles"
     cc = tmp_path / "cc"
     cc.write_text(f'#!/bin/sh\necho >> "{log}"\n'

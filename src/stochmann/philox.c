@@ -6,9 +6,10 @@
  * Built without -ffast-math and with -ffp-contract=off, so every double
  * operation rounds as numpy's does.  With the rounds unrolled, -O1 code
  * runs as fast as -O2 code and compiles ~50 ms sooner. */
-#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+/* libm's cos, declared here: <math.h> adds ~20 ms to each build */
+double cos(double);
 
 /* Uniform j of replica r at step start + k: block b of Philox-2x64-10 under
  * key key[r] at the counter (b, start + k) gives the words x0, x1, which

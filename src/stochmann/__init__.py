@@ -22,7 +22,7 @@ from .noise import (CramerReport, NoiseModel, bounded_uniform, cramer_check,
                     default_cramer_params, gaussian, sample_block,
                     sample_many, zero)
 from .schemes import (SCHEME_KINDS, SchemeConfig, StepSequences, Trajectory,
-                      advance, run, step)
+                      advance, rows_at, run, step)
 from .spaces import (INVERSE_QUADRATIC_C, MAP_FAMILIES, NORM_KINDS, MapSpec,
                      affine, as_point, contraction_constant, dimension,
                      estimate_contraction, eval_map, inverse_quadratic, norm,

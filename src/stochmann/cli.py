@@ -30,8 +30,8 @@ from .errors import (CoverageError, DivergedError, DominanceError,
                      ValidationError, check_number)
 from .montecarlo import dominance_failures, empirical_tail
 from .noise import cramer_check
-from .schemes import run
-from .spaces import dimension, reference_fixed_point
+from .schemes import rows_at
+from .spaces import norm, reference_fixed_point
 from .streams import check_seed
 
 __all__ = ["main", "build_parser"]
@@ -77,29 +77,27 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
         raise InfeasibleExperimentError(
             f"scheme.horizon = {horizon} exceeds run cap {settings['run_cap']}; "
             "raise experiment.run_cap to execute")
-    d = dimension(scheme.map_spec)
+    cps = settings["checkpoints"] or tuple(
+        10**k for k in range(12) if 10**k <= horizon) + (horizon + 1,)
+    if cps[-1] > horizon + 1:
+        raise ValidationError(
+            "experiment.checkpoints: exceed horizon + 1 iterate indices")
     x_star = reference_fixed_point(scheme.map_spec)
-    traj = run(scheme, x_star)
-    if settings["checkpoints"]:
-        cps = settings["checkpoints"]
-        if cps[-1] > horizon + 1:
-            raise ValidationError(
-                "experiment.checkpoints: exceed horizon + 1 iterate indices")
-    else:
-        cps = tuple(10**k for k in range(12) if 10**k <= horizon)
-        cps += (horizon + 1,)
+    # x_n is the state after step n - 1; the last row is x_{horizon+1}
+    states, noises = rows_at(scheme, [scheme.seed],
+                             [n - 1 for n in cps] + [horizon],
+                             [n for n in cps if n <= horizon])
+    applied = [float(norm(xi, scheme.norm_kind)[0]) for xi in noises]
+    errors = [float(norm(x - x_star, scheme.norm_kind)[0]) for x in states]
     out = _out_dir(args, settings)
-    header = ["n"] + [f"x{j + 1}" for j in range(d)] + ["noise_norm_at_step",
-                                                        "error"]
-    rows = []
-    for n in cps:
-        point = traj.iterate(n)
-        applied = float(traj.noise_norms[n - 1]) if n <= horizon else ""
-        rows.append([n] + [float(v) for v in point] + [applied, traj.error(n)])
+    header = ["n"] + [f"x{j + 1}" for j in range(len(x_star))] + [
+        "noise_norm_at_step", "error"]
+    rows = [[n] + x[0].tolist() + [a, e] for n, x, a, e in zip(
+        cps, states, applied + [""], errors)]
     stem = _stem("iterate", settings, digest)
     csv_path = out / f"{stem}.csv"
     _write_csv(csv_path, header, rows)
-    final_error = traj.error(horizon + 1)
+    final_error = errors[-1]
     _write_json(out / f"{stem}.json", {
         "command": "iterate",
         "config_hash": digest,
@@ -154,10 +152,9 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
         raise InfeasibleExperimentError(
             f"certified n_alpha = {n_alpha} exceeds run cap "
             f"{settings['run_cap']}; raise experiment.run_cap to execute")
-    scheme = dataclasses.replace(scheme, horizon=int(n_alpha))
-    traj = run(scheme, x_star)
-    center = traj.iterate(n_alpha + 1)
-    contains = bool(traj.error(n_alpha + 1) <= eps)
+    (x,), _ = rows_at(scheme, [scheme.seed], [int(n_alpha)])
+    center = x[0]
+    contains = bool(norm(x - x_star, scheme.norm_kind)[0] <= eps)
     out = _out_dir(args, settings)
     stem = _stem("confidence", settings, digest)
     payload = {

@@ -13,7 +13,7 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
@@ -21,7 +21,7 @@ from scipy.special import betaincinv
 from .bounds import Certificate, certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)
-from .schemes import advance, check_replica_seeds, run, tile_kernel
+from .schemes import check_replica_seeds, rows_at, tile_kernel
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_seed, derive_key
 
@@ -152,13 +152,10 @@ def clopper_pearson(successes, trials, confidence=0.99):
 
 
 def _errors(scheme, x_star, seeds, cps):
-    """The serial pass: all replicas as one batched state through advance."""
-    out = np.empty((len(seeds), len(cps)), dtype=np.float64)
-    for start, X, _ in advance(scheme, seeds, cps[-1]):
-        for j, n in enumerate(cps):
-            if start <= n < start + X.shape[0]:
-                out[:, j] = norm(X[n - start] - x_star, scheme.norm_kind)
-    return out
+    """The serial pass: all replicas as one batched state through rows_at."""
+    errors, _ = rows_at(scheme, seeds, cps,
+                        keep=lambda X: norm(X - x_star, scheme.norm_kind))
+    return np.stack(errors, axis=1)
 
 
 def replica_errors(scheme, x_star, seeds, checkpoints):
@@ -171,7 +168,7 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     them) nor the replicas, and that gives each thread at least
     SPLIT_ELEMENTS replica-steps times d.  This thread runs the first chunk
     and K - 1 worker threads the others, each chunk as one batched state
-    through schemes.advance; the rows are concatenated in chunk order.  The
+    through schemes.rows_at; the rows are concatenated in chunk order.  The
     threads overlap only inside the compiled tile, which runs without the
     GIL, so K is 1 (one pass in this thread) where schemes.tile_kernel
     gives none.
@@ -283,18 +280,12 @@ def error_table(scheme, checkpoints, x_star):
         raise ValidationError("error_table: requires a scalar (d=1) map")
     cps = check_checkpoints(checkpoints, "checkpoints")
     x_star = as_point(x_star, 1, name="x_star")
-    needed = max(cps[-1] - 1, 1)
-    if scheme.horizon != needed:
-        scheme = replace(scheme, horizon=needed)
-    traj = run(scheme, x_star)
+    states, _ = rows_at(scheme, [scheme.seed], [n - 1 for n in cps])
+    xs = np.concatenate(states)
+    errors = norm(xs - x_star, scheme.norm_kind).tolist()
     ref = abs(float(x_star[0]))
-    rows = []
-    for n in cps:
-        val = float(traj.iterate(n)[0])
-        abs_err = traj.error(n)
-        rows.append(ErrorRow(n=n, value=val, absolute_error=abs_err,
-                             relative_error=abs_err / ref))
-    return rows
+    return [ErrorRow(n=n, value=x, absolute_error=e, relative_error=e / ref)
+            for n, x, e in zip(cps, xs[:, 0].tolist(), errors)]
 
 
 def rate_diagnostic(plan, params, eps0):

@@ -16,7 +16,8 @@ mann_tile in philox.c: draws, noise transform and update in one C call,
 rounding as numpy does.  Its numpy body, which goes through the update rule
 above, is the reference that the compiled tile is checked against on first
 use, and the path wherever the library cannot be built or fails that
-check.
+check.  rows_at() walks advance() once and keeps only the rows asked for,
+for the CLI and the Monte Carlo harness; run() keeps the whole path.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -43,7 +45,7 @@ SCHEME_KINDS = ("stochastic_mann",)
 TILE_ELEMENTS = 2**14
 
 __all__ = ["SCHEME_KINDS", "TILE_ELEMENTS", "StepSequences", "SchemeConfig",
-           "Trajectory", "step", "advance", "run"]
+           "Trajectory", "step", "advance", "rows_at", "run"]
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,39 @@ def _tiles(step_tile, states, horizon):
         yield start, states[:, :T].transpose(1, 2, 0), step_tile(start, T)
 
 
+def rows_at(cfg, seeds, steps, noise_steps=(), keep=np.ndarray.copy):
+    """keep(row) for the rows at the steps asked for, from one walk of
+    advance(cfg, seeds, horizon), the horizon the largest step (at least 1).
+
+    Returns lists (states, noises): states[j] is keep() of the (R, d) state
+    x_{n+1} after step n = steps[j], n = 0 giving x_1 = cfg.x0, and
+    noises[j] keep() of the (R, d) noise xi_n of step n = noise_steps[j] >=
+    1; both step lists are nondecreasing.  keep gets a view that the next tile
+    overwrites, so it copies (the default) or reduces it.  Besides what it
+    keeps, the walk holds one tile, whatever the horizon.
+    """
+    seeds = check_replica_seeds(seeds)
+    steps = [check_number(n, "steps", integer=True, minimum=0) for n in steps]
+    noise_steps = [check_number(n, "noise_steps", integer=True, minimum=1)
+                   for n in noise_steps]
+    if steps != sorted(steps) or noise_steps != sorted(noise_steps):
+        raise ValidationError("steps, noise_steps: must be nondecreasing")
+    states, noises, i, j = [], [], 0, 0
+    horizon = max([1] + steps[-1:] + noise_steps[-1:])
+    x1 = np.broadcast_to(cfg.x0, (len(seeds), cfg.x0.shape[0]))
+    # step 0 as a tile of its own: the initial point, which draws no noise
+    for start, X, xi in chain([(0, x1[None], None)],
+                              advance(cfg, seeds, horizon)):
+        stop = start + X.shape[0]
+        while i < len(steps) and steps[i] < stop:
+            states.append(keep(X[steps[i] - start]))
+            i += 1
+        while j < len(noise_steps) and noise_steps[j] < stop:
+            noises.append(keep(xi[noise_steps[j] - start]))
+            j += 1
+    return states, noises
+
+
 def check_replica_seeds(seeds):
     """seeds as a nonempty 1-D uint64 array (streams.check_seeds)."""
     seeds = check_seeds(seeds, "seeds")
@@ -315,7 +350,8 @@ def _checked_kernel(lib, map_family, noise_family):
 
 
 def run(cfg, x_star=None):
-    """Run the configured scheme for cfg.horizon steps.
+    """Run the configured scheme for cfg.horizon steps and keep the whole
+    path, for library use; the CLI streams through rows_at() instead.
 
     Noise draws come from the substream (cfg.seed, n), so the trajectory is
     a pure function of the config; identical configs give bitwise identical

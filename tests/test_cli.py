@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann import bounds, cli, config, streams
+from stochmann import bounds, cli, config, schemes, streams
 from stochmann.bounds import tail_bound
 from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
@@ -78,6 +79,37 @@ def test_iterate_default_checkpoints_are_decades(tmp_path):
     csv_file = next(out.glob("iterate_*.csv"))
     ns = [int(r["n"]) for r in csv.DictReader(csv_file.open())]
     assert ns == [1, 10, 100, 201]
+
+
+def test_iterate_refuses_checkpoints_past_the_horizon_before_stepping(
+        tmp_path, monkeypatch, capsys):
+    def stepped(*args):
+        raise AssertionError("iterate stepped before checking checkpoints")
+    monkeypatch.setattr(schemes, "advance", stepped)
+    cfg = dict(REFERENCE, scheme=dict(REFERENCE["scheme"], horizon=2_000_000),
+               experiment=dict(REFERENCE["experiment"],
+                               checkpoints=[100, 3_000_000]))
+    assert main(["iterate", "--config", write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "exceed horizon + 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_confidence_memory_does_not_grow_with_n_alpha(tmp_path, kernel):
+    # n_alpha = 112,719: the path alone would take 112,720 x 8 bytes, while
+    # the run keeps one tile and the row it reports
+    argv = ["confidence", "--config", str(CONFIGS / "confidence_demo.json"),
+            "--eps", "0.02", "--out", str(tmp_path)]
+    assert main(argv) == 0  # the library, its check and the series caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(next(tmp_path.glob("confidence_*.json")).read_text())
+    assert payload["n_alpha"] == 112_719
+    assert peak < 112_720 * 8
 
 
 def test_bound_stdout_matches_api(tmp_path, capsys):

@@ -6,6 +6,7 @@ to a few ulp per step.  advance's compiled tiles must equal its numpy body
 bit for bit, and the numpy body is what the Python update rule runs in.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from stochmann.errors import DivergedError, ValidationError
 from stochmann.noise import (bounded_uniform, gaussian, sample_block,
                              sample_keyed, zero)
 from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
-                               StepSequences, advance, run, step)
+                               StepSequences, advance, rows_at, run, step)
 from stochmann.spaces import (affine, dimension, inverse_quadratic,
                               map_function, norm, reference_fixed_point,
                               scaled_cosine)
@@ -357,6 +358,57 @@ def affine_nd(d):
     i, j = np.indices((d, d))
     return affine(0.4 * np.eye(d) + 0.3 / d * np.sin(i + 2 * j),
                   np.linspace(-1.0, 1.0, d))
+
+
+@pytest.mark.parametrize("m", [inverse_quadratic()] + [affine_nd(d)
+                                                        for d in (1, 8, 9)],
+                         ids=["inverse_quadratic", "affine1", "affine8",
+                              "affine9"])
+def test_rows_at_equals_run_bitwise(m):
+    # the rows at iterate indices 1, 2, around the first tile boundary and
+    # at horizon + 1, on both paths; d >= 8 pins the norm's summation order
+    d = dimension(m)
+    T = TILE_ELEMENTS // d
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                       x0=np.linspace(-1.0, 2.0, d), noise=gaussian(2.0, dim=d),
+                       steps=StepSequences(a=0.7), horizon=T + 2, seed=5)
+    x_star = reference_fixed_point(m)
+    cps = [1, 2, T - 1, T, T + 1, T + 2, T + 3]
+    noisy = [n for n in cps if n <= cfg.horizon]
+    for numpy_body in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if numpy_body:
+                mp.setattr(streams, "tile_library", lambda: None)
+            traj = run(cfg, x_star)
+            states, noises = rows_at(cfg, [cfg.seed], [n - 1 for n in cps],
+                                     noisy)
+        states, noises = np.concatenate(states), np.concatenate(noises)
+        got = (states, norm(noises, cfg.norm_kind),
+               norm(states - x_star, cfg.norm_kind))
+        idx = np.array(cps) - 1
+        want = (traj.iterates[idx], traj.noise_norms[np.array(noisy) - 1],
+                traj.errors_to_ref[idx])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), d
+    # with several replicas, row r is the run under seeds[r]
+    seeds = [cfg.seed, 11, 12]
+    states, _ = rows_at(cfg, seeds, [0, cfg.horizon])
+    for r, seed in enumerate(seeds):
+        path = run(replace(cfg, seed=seed)).iterates
+        assert np.stack(states)[:, r].tobytes() == path[[0, -1]].tobytes()
+
+
+def test_rows_at_checks_its_steps():
+    cfg = make_cfg()
+    for steps, noise_steps in (([2, 1], ()), ([-1], ()), ([1.5], ()),
+                               ([1], [0]), ([1], [3, 2])):
+        with pytest.raises(ValidationError):
+            rows_at(cfg, [0], steps, noise_steps)
+    states, noises = rows_at(cfg, [0], [], [4])
+    assert states == [] and [xi.shape for xi in noises] == [(1, 1)]
+    # keep sees each row as a view and returns what is kept of it
+    states, _ = rows_at(cfg, [0, 1], [0, 3, 3], keep=lambda X: X.sum())
+    assert states[0] == 2 * cfg.x0[0] and states[1] == states[2]
 
 
 def tiles(cfg, seeds, horizon):

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
+from ._special import zeta
 from .errors import StochmannError, ValidationError, check_number
 
 __all__ = [

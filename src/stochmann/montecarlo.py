@@ -16,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
+from ._special import betaincinv
 from .bounds import Certificate, certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)

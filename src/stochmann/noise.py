@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .errors import ValidationError, check_number
 from .spaces import norm
 from .streams import (Workspace, check_seed, check_seeds, derive_key,

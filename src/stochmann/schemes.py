@@ -234,12 +234,17 @@ def _diverged(n, replicas):
                          last_finite_index=n, replicas=replicas)
 
 
+# steps per Python float list of _numpy_tiles' one-replica path: ~32 KB of
+# floats, where a whole tile's list took ~0.5 MB
+_SCALAR_CHUNK = 1024
+
+
 def _numpy_tiles(cfg, keys, states):
     """advance's numpy body, the reference for mann_tile: step_tile(start, T)
     fills states[:, :T] and returns the tile's noise.  One replica on the
     line (R*d == 1) steps as Python floats, the same arithmetic without
-    numpy's per-call overhead, and is written to its tile once; a batch
-    writes each step's (R, d) state into the tile."""
+    numpy's per-call overhead, and is written to its tile a sub-chunk at a
+    time; a batch writes each step's (R, d) state into the tile."""
     d, _, R = states.shape
     update = _update(cfg, map_function(cfg.map_spec))
     work = Workspace()
@@ -252,15 +257,17 @@ def _numpy_tiles(cfg, keys, states):
         xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None], work)
         tile = states[:, :T].transpose(1, 2, 0)
         if scalar:
-            # the noise list is overwritten with the states as they come
-            xs = xi.reshape(-1).tolist()
-            for k in range(T):
-                X = update(X, start + k, xs[k])
-                if not math.isfinite(X):
-                    raise _diverged(start + k, [0])
-                xs[k] = X
-            tile[:, 0, 0] = xs
-            del xs  # free its floats before the next tile builds its list
+            # a sub-chunk of the noise at a time as a list of Python floats,
+            # overwritten with the states as they come
+            path, noise = tile[:, 0, 0], xi.reshape(-1)
+            for lo in range(0, T, _SCALAR_CHUNK):
+                xs, n = noise[lo:lo + _SCALAR_CHUNK].tolist(), start + lo
+                for k in range(len(xs)):
+                    X = update(X, n + k, xs[k])
+                    if not math.isfinite(X):
+                        raise _diverged(n + k, [0])
+                    xs[k] = X
+                path[lo:lo + len(xs)] = xs
         else:
             for k in range(T):
                 X = update(X, start + k, xi[k])

@@ -16,7 +16,9 @@ tile_library compiles it with the system's C compiler on the first stepped
 tile in a process (not on import), into __pycache__/ beside this file, and
 loads it through ctypes; schemes.tile_kernel checks each family's tile
 against the numpy body.  ndtri_function gives mann_tile scipy's own ndtri
-as a C function, so its Gaussian draws keep the ndtri ufunc's bits.
+as a C function, so its Gaussian draws keep the ndtri ufunc's bits; it takes
+it from scipy.special.cython_special, which _special.cython_special loads
+without scipy.special's package init.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
+from . import _special
 from .errors import ValidationError, check_number
 
 # Philox-2x64 round constants (multiplier and Weyl key increment).
@@ -304,10 +306,10 @@ def ndtri_function():
     int), called with 0 for its dispatch flag, or None where
     scipy.special.cython_special does not export it so; resolved once per
     process, on the first call.  Only Gaussian noise tiles need it, so only
-    they load cython_special."""
+    they load cython_special, through _special.cython_special (without
+    scipy.special's package init, or else through the public import)."""
     try:
-        from scipy.special import cython_special
-        capsule = cython_special.__pyx_capi__["ndtri"]
+        capsule = _special.cython_special().__pyx_capi__["ndtri"]
     except (ImportError, AttributeError, KeyError):
         return None
     api = ctypes.pythonapi
@@ -355,4 +357,4 @@ def substream_normals(key, index, count):
     """Standard normal variates via the inverse CDF; same stream layout
     as substream_uniforms, so the draws stay pure in (key, index, j)."""
     u = substream_uniforms(key, index, count)
-    return ndtri(u, out=u)
+    return _special.ndtri(u, out=u)

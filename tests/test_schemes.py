@@ -143,6 +143,23 @@ def test_run_detects_divergence_on_the_numpy_path(numpy_streams):
     test_run_detects_divergence()
 
 
+@pytest.mark.parametrize("numpy_body", [False, True])
+def test_run_reports_a_late_divergence_at_its_step(numpy_body, monkeypatch):
+    # one replica on the line: the numpy body steps its tile in sub-chunks
+    # of _SCALAR_CHUNK steps, and this stream's first draw to overflow is
+    # at step 2592, inside the third
+    if numpy_body:
+        monkeypatch.setattr(streams, "tile_library", lambda: None)
+    cfg = make_cfg(noise=gaussian(scale=5e307), horizon=5000, seed=0)
+    with np.errstate(over="ignore"):
+        xi = sample_block(cfg.noise, 1, cfg.seed, np.arange(1, cfg.horizon + 1))
+        with pytest.raises(DivergedError) as exc_info:
+            run(cfg)
+    first = 1 + int(np.flatnonzero(~np.isfinite(xi[:, 0]))[0])
+    assert first == 2592 > 2 * schemes._SCALAR_CHUNK
+    assert exc_info.value.last_finite_index == first
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         make_cfg(noise=None)  # noise required; zero() for plain Mann

@@ -77,15 +77,15 @@ def block_coverage(args):
           % replicas)
     cfg = load_config(CONFIGS / "confidence_demo.json")
     plan = build_plan(cfg, replicas=replicas)
-    cert = certificate(build_bound_params(cfg, map_spec=plan.scheme.map_spec))
+    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec)
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
           f"  {'target':>7}")
     t0 = time.perf_counter()
     for alpha in (0.05, 0.1):
         for eps in (0.1, 0.2):
-            n_alpha = cert.min_iterations(eps, alpha, n_cap=10 ** 6)
+            n_alpha = certificate(params).min_iterations(eps, alpha, 10 ** 6)
             cov = coverage_experiment(plan, eps=eps, alpha=alpha,
-                                      params=cert, n_cap=10 ** 6)
+                                      params=params, n_cap=10 ** 6)
             slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / replicas)
             print(f"{alpha:>6.2f} {eps:>5.2f}  {n_alpha:>8d}  {cov:>9.4f}"
                   f"  {1.0 - alpha - slack:>7.4f}")

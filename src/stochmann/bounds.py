@@ -20,9 +20,10 @@ The series S1 and S2 behind the constants K1 and K2 are summed in closed
 form, a short head plus Hurwitz zeta terms, with a certified half-width;
 a Certificate takes the upper end of each bracket.  Each sum is cached per
 (p, q, tol) for the life of the process: N, L, mean_norm_bound and rho do
-not enter it and sigma only scales S2 outside it, so calling tail_bound or
-min_iterations_for_confidence in a loop sums no series after the first
-call.  min_iterations starts its search for n_alpha from the closed-form
+not enter it and sigma only scales S2 outside it.  Equal params share one
+cached Certificate, so tail_bound, min_iterations_for_confidence and
+canonical_eps0 in a loop rebuild no constant after the first call.
+min_iterations starts its search for n_alpha from the closed-form
 threshold of the tail bound.
 """
 
@@ -328,8 +329,8 @@ class Certificate:
         underflows nor divides by zero.  The search starts from that n,
         clamped into [1, n_cap], gallops outward to a bracket and bisects
         it: a handful of bound evaluations, and the same n as a search
-        from 1.  The series behind the constants are cached per (p, q,
-        tol), so a certificate rebuilt from equal params sums none.
+        from 1.  certificate(params) returns one shared Certificate per
+        equal params, so sizing again from equal params builds nothing.
         """
         alpha = check_number(alpha, "alpha", exclusive_min=0, exclusive_max=1)
         eps = check_number(eps, "eps", exclusive_min=0)
@@ -387,8 +388,18 @@ def certificate(params, s1=None, s2=None):
     their values are passed in.
 
     K1 rises with S1 and K2 falls with S2, so a summed series enters at
-    the upper end of its bracket, value + half_width.
+    the upper end of its bracket, value + half_width.  Without s1 and s2,
+    equal params share one cached, frozen Certificate; with either, the
+    Certificate is built afresh and not cached.
     """
+    if s1 is None and s2 is None:
+        return _certificate(params, None, None)
+    return _certificate.__wrapped__(params, s1, s2)
+
+
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _certificate(params, s1, s2):
+    """certificate, cached on the whole params where s1 and s2 are None."""
     # params is valid by construction (so a(1-c) < 1): no check repeated
     if s1 is None:
         est = _series_power_sum(params.kappa, 2.0, SERIES_TOL)

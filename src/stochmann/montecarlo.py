@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import betaincinv
-from .bounds import Certificate, certificate, rate_envelope
+from .bounds import certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      ValidationError, check_number, check_numbers)
 from .schemes import check_replica_seeds, rows_at, tile_kernel
@@ -246,10 +246,9 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
     n_alpha + 1, and returns the fraction with ||x_{n_alpha+1} - x*|| <= eps.
     Raises InfeasibleExperimentError when no n under the cap certifies, and
     CoverageError when coverage undercuts 1 - alpha by more than three
-    binomial standard errors.  params is a BoundParams, or the Certificate
-    built from it, which a caller that sizes n_alpha itself reuses.
+    binomial standard errors.  The Certificate of params is the cached one.
     """
-    cert = params if isinstance(params, Certificate) else certificate(params)
+    cert = certificate(params)
     cap = plan.scheme.horizon if n_cap is None else n_cap
     n_alpha = cert.min_iterations(eps, alpha, cap)
     if n_alpha is None or n_alpha > plan.scheme.horizon:

@@ -529,6 +529,8 @@ def test_counts_refuse_bool():
 # --- series cache ------------------------------------------------------------
 
 def test_series_summed_once_per_key():
+    # a warm certificate from an earlier test would hide the series misses
+    bounds._certificate.cache_clear()
     bounds._series_power_sum.cache_clear()
     for _ in range(3):
         # fresh, equal objects, and sets that differ only off the series
@@ -551,6 +553,7 @@ def test_series_summed_once_per_key():
 
 
 def test_series_refusals_raise_every_call():
+    bounds._certificate.cache_clear()
     bounds._series_power_sum.cache_clear()
     for _ in range(2):
         with pytest.raises(ValidationError, match="unattainable"):
@@ -560,6 +563,94 @@ def test_series_refusals_raise_every_call():
         with pytest.raises(ValidationError, match="tol"):
             bounds._series_power_sum(0.5, 2.0, 0.0)
     assert bounds._series_power_sum.cache_info().currsize == 0
+
+
+# --- certificate cache -------------------------------------------------------
+
+CERT_BITS = ("S1", "S2", "log_K1", "K1", "K2", "tail_exponent")
+REPORT_BITS = CERT_BITS + ("eps", "rate_exponent", "raw_bound",
+                           "log_raw_bound", "clipped_bound")
+
+
+def bits(record, names=CERT_BITS):
+    """The named floats of a Certificate or BoundReport, by float.hex."""
+    return [float(getattr(record, name)).hex() for name in names]
+
+
+def uncached(p):
+    return bounds._certificate.__wrapped__(p, None, None)
+
+
+def test_equal_params_share_one_certificate():
+    bounds._certificate.cache_clear()
+    first = certificate(params(a=0.61, c=0.17))
+    assert certificate(params(a=0.61, c=0.17)) is first
+    assert canonical_eps0(params(a=0.61, c=0.17)) == first.eps0()
+    info = bounds._certificate.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert info.maxsize == bounds.SERIES_CACHE_SIZE  # bounded
+
+
+def test_every_field_keys_the_certificate_cache():
+    base = dict(N=0.5, a=0.61, c=0.17, sigma=1.0, L=1.0, mnb=0.5, rho=0.3)
+    shared = certificate(params(**base))
+    changed = dict(N=1.5, a=0.6, c=0.2, sigma=0.5, L=2.0, mnb=0.25, rho=0.2)
+    for field, value in changed.items():
+        p = params(**dict(base, **{field: value}))
+        cert = certificate(p)
+        assert cert is not shared and cert.params == p, field
+        assert bits(cert) == bits(uncached(p)), field
+    assert certificate(params(**base)) is shared
+
+
+def test_int_and_signed_zero_fields_give_identical_bits():
+    for first, second in ((params(N=1), params(N=1.0)),
+                          (params(c=-0.0), params(c=0.0))):
+        for p, q in ((first, second), (second, first)):
+            bounds._certificate.cache_clear()
+            cert = certificate(p)
+            assert certificate(q) is cert
+            assert bits(cert) == bits(uncached(p)) == bits(uncached(q))
+            assert bits(tail_bound(10, 0.1, q), REPORT_BITS) \
+                == bits(uncached(q).report(10, 0.1), REPORT_BITS)
+
+
+def test_series_overrides_neither_read_nor_fill_the_cache():
+    p = params(a=0.61, c=0.17)
+    bounds._certificate.cache_clear()
+    for s1, s2 in ((1.5, 0.2), (1.5, None), (None, 0.2)):
+        cert = certificate(p, s1=s1, s2=s2)
+        assert cert.S1 == (s1 or upper(series_S1_detail(p.a, p.c)))
+        tail_bound(10, 0.1, p, s1=s1, s2=s2)
+    assert bounds._certificate.cache_info()[:2] == (0, 0)  # hits, misses
+    assert bounds._certificate.cache_info().currsize == 0
+    shared = certificate(p)
+    assert certificate(p, s1=shared.S1, s2=shared.S2) is not shared
+    assert tail_bound(10, 0.1, p, s1=1.5, s2=0.2).S1 == 1.5
+    assert bounds._certificate.cache_info()[:2] == (0, 1)
+
+
+@st.composite
+def valid_params(draw):
+    a, c = draw(st.floats(0.01, 0.99)), draw(st.floats(0.0, 0.99))
+    return BoundParams(
+        N=draw(st.floats(0.0, 5.0)), a=a, c=c,
+        sigma=draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0))),
+        L=draw(st.floats(0.01, 5.0)), mean_norm_bound=draw(st.floats(0.0, 5.0)),
+        rho=2.0 * a * (1.0 - c) * draw(st.floats(0.001, 0.999)))
+
+
+@given(valid_params(), st.integers(1, 10**9), st.floats(1e-3, 10.0),
+       st.floats(1e-6, 0.999), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_cached_one_shot_forms_equal_uncached_bitwise(p, n, eps, alpha, d):
+    fresh = uncached(p)
+    assert bits(tail_bound(n, eps, p), REPORT_BITS) \
+        == bits(fresh.report(n, eps), REPORT_BITS)
+    assert min_iterations_for_confidence(eps, alpha, p) \
+        == fresh.min_iterations(eps, alpha)
+    assert canonical_eps0(p, d).hex() == fresh.eps0(d).hex()
+    assert bits(certificate(p)) == bits(fresh)
 
 
 # --- rate envelope -----------------------------------------------------------

@@ -454,6 +454,13 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
         calls.append((p, q))
         return series_power_sum(p, q, tol)
 
+    def cold():
+        # a warm certificate or series from an earlier call would hide a
+        # command that sums a series twice
+        calls.clear()
+        series_power_sum.cache_clear()
+        bounds._certificate.cache_clear()
+
     monkeypatch.setattr(bounds, "_series_power_sum", counted)
     ref, demo = str(CONFIGS / "reference.json"), \
         str(CONFIGS / "confidence_demo.json")
@@ -463,10 +470,11 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
                          "--eps", "0.1"], 0),
                        (["montecarlo", "--config", demo, "--replicas", "50"]
                         + out, 0)):
-        calls.clear()
+        cold()
         assert main(argv) == code
         assert len(calls) == 2, argv
-    calls.clear()
+        assert bounds._certificate.cache_info().misses == 1, argv
+    cold()
     plan = build_plan(REFERENCE, scheme=build_scheme(REFERENCE))
     with pytest.raises(InfeasibleExperimentError):
         coverage_experiment(plan, eps=0.1, alpha=0.05,
@@ -477,7 +485,7 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
         "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    calls.clear()
+    cold()
     script.block_coverage(argparse.Namespace(fast=True, seed=0))
     assert len(calls) == 2
 

@@ -60,6 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundParams:
+    """The constants of one tail certificate, valid by construction.
+
+    N                bound on the initial distance ||x_1 - x*||, in the
+                     units of the space's norm
+    a                step gain of a_n = a/n and b_n = a/n^2, in (0, 1)
+    c                contraction constant of the map, in [0, 1)
+    sigma, L         the noise's Cramér moment constants, in norm units
+    mean_norm_bound  bound on E||xi||, in norm units
+    rho              exponent split, in (0, 2a(1-c)); dimensionless
+
+    A bad field raises ValidationError naming bounds.<field>.
+    """
+
     N: float
     a: float
     c: float
@@ -69,14 +82,19 @@ class BoundParams:
     rho: float
 
     def __post_init__(self):
-        check_number(self.N, "bounds.N", minimum=0)
-        check_number(self.a, "bounds.a", exclusive_min=0, exclusive_max=1)
-        check_number(self.c, "bounds.c", minimum=0, exclusive_max=1)
-        check_number(self.sigma, "bounds.sigma", minimum=0)
-        check_number(self.L, "bounds.L", exclusive_min=0)
-        check_number(self.mean_norm_bound, "bounds.mean_norm_bound", minimum=0)
-        check_number(self.rho, "bounds.rho", exclusive_min=0,
-                     exclusive_max=2.0 * self.a * (1.0 - self.c))
+        # each field as check_number's Python float, so no constant built
+        # from them is a numpy scalar
+        put = functools.partial(object.__setattr__, self)
+        put("N", check_number(self.N, "bounds.N", minimum=0))
+        put("a", check_number(self.a, "bounds.a", exclusive_min=0,
+                              exclusive_max=1))
+        put("c", check_number(self.c, "bounds.c", minimum=0, exclusive_max=1))
+        put("sigma", check_number(self.sigma, "bounds.sigma", minimum=0))
+        put("L", check_number(self.L, "bounds.L", exclusive_min=0))
+        put("mean_norm_bound", check_number(
+            self.mean_norm_bound, "bounds.mean_norm_bound", minimum=0))
+        put("rho", check_number(self.rho, "bounds.rho", exclusive_min=0,
+                                exclusive_max=2.0 * self.a * (1.0 - self.c)))
 
     @property
     def kappa(self):
@@ -205,7 +223,7 @@ def _series_power_sum(p, q, tol):
     if not (0.0 <= p < 2.0 and q - p > 1.0):
         raise ValidationError("series: need 0 <= p < 2 and q - p > 1")
     check_number(tol, "tol", exclusive_min=0)
-    M, K, eps = SERIES_HEAD, SERIES_ORDER, np.finfo(np.float64).eps
+    M, K, eps = SERIES_HEAD, SERIES_ORDER, float(np.finfo(np.float64).eps)
     i = np.arange(1.0, M)
     k = np.arange(K + 1.0)
     binom = np.cumprod(np.concatenate(([1.0], (p - k[:-1]) / k[1:])))
@@ -408,8 +426,15 @@ def _certificate(params, s1, s2):
         est = _series_S2(params.a, params.c, params.sigma, SERIES_TOL)
         s2 = est.value + est.half_width
     else:
-        check_number(s2, "s2", minimum=0)
-    lk1 = 2.0 * (params.N ** 2 + (params.a * s1 * params.mean_norm_bound) ** 2)
+        s2 = check_number(s2, "s2", minimum=0)
+    # Python floats throughout, so an overflow is inf and never a numpy
+    # warning; a square past the float range raises, and log_K1 is inf
+    s1 = float(s1)
+    try:
+        lk1 = 2.0 * (params.N ** 2
+                     + (params.a * s1 * params.mean_norm_bound) ** 2)
+    except OverflowError:
+        lk1 = math.inf
     k1 = math.exp(lk1) if lk1 <= 709.0 else math.inf
     k2 = 1.0 if s2 == 0.0 else min(1.0, 1.0 / (16.0 * s2))
     return Certificate(params=params, S1=s1, S2=s2, log_K1=lk1, K1=k1, K2=k2,

@@ -17,7 +17,6 @@ infeasible at the requested scale.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -28,7 +27,6 @@ from .config import (RANGES, build_bound_params, build_plan, build_scheme,
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, StochmannError,
                      ValidationError, check_number)
-from .montecarlo import dominance_failures, empirical_tail
 from .noise import cramer_check
 from .schemes import rows_at
 from .spaces import norm, reference_fixed_point
@@ -52,6 +50,7 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -184,6 +183,8 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
 
 
 def cmd_montecarlo(args, cfg, scheme, digest, settings):
+    # montecarlo and its thread pool load for this command alone
+    from .montecarlo import dominance_failures, empirical_tail
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
     x_star = reference_fixed_point(scheme.map_spec)

@@ -23,22 +23,21 @@ family) and its moment parameters from the noise model.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
 import numpy as np
 
 from .bounds import BoundParams
-from .errors import ValidationError, check_number, check_numbers
-from .montecarlo import ExperimentPlan, check_checkpoints
+from .errors import (ValidationError, check_checkpoints, check_number,
+                     check_numbers)
 from .noise import NOISE_FAMILIES, NoiseModel
 from .schemes import SchemeConfig, StepSequences
 from .spaces import (FIXED_POINT_TOL, MAP_FAMILIES, NORM_KINDS, affine,
                      as_point, contraction_constant, dimension,
                      inverse_quadratic, norm, reference_fixed_point,
                      scaled_cosine)
-from .streams import check_seed
+from .streams import check_seed, sha256
 
 __all__ = [
     "load_config",
@@ -186,7 +185,7 @@ def validate_config(raw):
 def config_hash(cfg):
     """First 12 hex digits of sha256 over the canonical serialization."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def _f17(x):
@@ -327,6 +326,9 @@ def experiment_settings(cfg):
 
 
 def build_plan(cfg, scheme=None, base_seed=None, replicas=None):
+    """The montecarlo.ExperimentPlan of cfg; montecarlo loads on this call,
+    so the commands that build no plan never load it."""
+    from .montecarlo import ExperimentPlan
     if scheme is None:
         scheme = build_scheme(cfg)
     ex = experiment_settings(cfg)

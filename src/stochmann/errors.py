@@ -1,5 +1,6 @@
 """Typed errors shared across the package, and check_number, the one rule
-for a valid scalar number or count.
+for a valid scalar number or count, with its list forms check_numbers and
+check_checkpoints.
 
 The CLI maps these onto exit codes: ValidationError -> 2, the verification
 failures (DominanceError, CoverageError, DivergedError) -> 3, and
@@ -93,3 +94,12 @@ def check_numbers(values, path, **limits):
         raise ValidationError(f"{path}: must be a nonempty list")
     return tuple(check_number(v, f"{path}[{i}]", **limits)
                  for i, v in enumerate(values))
+
+
+def check_checkpoints(value, path):
+    """value, a nonempty list or tuple of strictly increasing iterate
+    indices >= 1, as a tuple of ints; else ValidationError naming path."""
+    cps = check_numbers(value, path, integer=True, minimum=1)
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError(f"{path}: must be strictly increasing")
+    return cps

@@ -20,14 +20,14 @@ import numpy as np
 from ._special import betaincinv
 from .bounds import certificate, rate_envelope
 from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
-                     ValidationError, check_number, check_numbers)
+                     ValidationError, check_checkpoints, check_number,
+                     check_numbers)
 from .schemes import check_replica_seeds, rows_at, tile_kernel
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_seed, derive_key
 
 __all__ = [
     "ExperimentPlan",
-    "check_checkpoints",
     "TailEstimate",
     "ErrorRow",
     "RateDiagnostic",
@@ -76,15 +76,6 @@ class ExperimentPlan:
                            check_seed(self.base_seed, "base_seed"))
 
 
-def check_checkpoints(value, path):
-    """value, a nonempty list or tuple of strictly increasing iterate
-    indices >= 1, as a tuple of ints; else ValidationError naming path."""
-    cps = check_numbers(value, path, integer=True, minimum=1)
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValidationError(f"{path}: must be strictly increasing")
-    return cps
-
-
 @dataclass(frozen=True)
 class TailEstimate:
     """One grid cell: empirical tail at (n, eps) with its certified bound."""
@@ -108,6 +99,14 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class ErrorRow:
+    """One row of error_table, at iterate x_n of a scalar run.
+
+    n               the 1-based iterate index (x_1 the initial point)
+    value           x_n, in the map's units
+    absolute_error  |x_n - x*|, in the same units
+    relative_error  |x_n - x*| / |x*|, dimensionless
+    """
+
     n: int
     value: float
     absolute_error: float

@@ -176,6 +176,15 @@ def sample_many(model, dim, seeds, index):
 
 @dataclass(frozen=True)
 class MomentRow:
+    """One moment of the norm ||xi|| against its certified bound.
+
+    m          the order; 1 is the mean row
+    empirical  the sample moment, in norm units to the power m
+    bound      its certified bound, in the same units
+    stderr     the plug-in standard error of empirical
+    ok         False when empirical exceeds bound by over 3 stderr
+    """
+
     m: int
     empirical: float
     bound: float
@@ -229,11 +238,26 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
 
     Standard errors are the plug-in ones, std(||xi||^m)/sqrt(draws); with
     heavy powers these are themselves noisy, which is why the flag
-    threshold sits at three standard errors rather than one.
+    threshold sits at three standard errors rather than one.  An m_max
+    whose raw or centred bound overflows a float raises ValidationError
+    before any draw.
     """
     m_max = check_number(m_max, "m_max", integer=True, minimum=2)
     draws = check_number(draws, "draws", integer=True, minimum=2)
     seed = check_seed(seed, "seed")
+    bounds = []
+    for m in range(2, m_max + 1):
+        fact = math.factorial(m)
+        try:
+            bound = 0.5 * fact * model.sigma ** 2 * model.L ** (m - 2)
+            cbound = 2.0 * fact * model.sigma ** 2 * (2.0 * model.L) ** (m - 2)
+        except OverflowError:
+            bound = cbound = math.inf
+        if not (math.isfinite(bound) and math.isfinite(cbound)):
+            raise ValidationError(
+                f"m_max: {m_max} is too large; the order-{m} moment bound "
+                "overflows a float")
+        bounds.append((m, bound, cbound))
     xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())
@@ -245,17 +269,14 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
                          exact or mean <= model.mean_norm_bound + 3.0 * mean_se)
     zeta = norms - mean
     raw_rows, centered_rows = [], []
-    for m in range(2, m_max + 1):
-        fact = math.factorial(m)
+    for m, bound, cbound in bounds:
         raw_pow = norms ** m
         emp = float(raw_pow.mean())
         se = float(raw_pow.std() / math.sqrt(draws))
-        bound = 0.5 * fact * model.sigma ** 2 * model.L ** (m - 2)
         raw_rows.append(MomentRow(m, emp, bound, se, emp <= bound + 3.0 * se))
         cen_pow = np.abs(zeta) ** m
         cemp = float(cen_pow.mean())
         cse = float(cen_pow.std() / math.sqrt(draws))
-        cbound = 2.0 * fact * model.sigma ** 2 * (2.0 * model.L) ** (m - 2)
         centered_rows.append(MomentRow(m, cemp, cbound, cse, cemp <= cbound + 3.0 * cse))
     return CramerReport(family=model.family, dim=model.dim, draws=draws,
                         sigma=model.sigma, L=model.L, certified=model.certified,

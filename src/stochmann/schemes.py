@@ -65,6 +65,21 @@ class StepSequences:
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """One run of the iteration, valid by construction.
+
+    kind       the update rule, one of SCHEME_KINDS
+    map_spec   the map F, a spaces.MapSpec
+    x0         the initial point x_1, coerced to a (d,) float array
+    noise      the error model, a NoiseModel of the map's dimension d
+    steps      the gains a_n = a/n and b_n = a/n^2
+    horizon    the number of steps, >= 1
+    seed       the 64-bit stream key of a single run
+    norm_kind  the norm of errors and noise, one of spaces.NORM_KINDS
+
+    A bad kind, x0, noise, horizon or seed raises ValidationError naming
+    scheme.<field>.
+    """
+
     kind: str
     map_spec: object
     x0: np.ndarray

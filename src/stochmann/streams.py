@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import hashlib
 import math
 import os
 import struct
@@ -39,6 +38,18 @@ import numpy as np
 
 from . import _special
 from .errors import ValidationError, check_number
+
+# SHA-256 (FIPS 180-4) for config_hash and the library's file name, from
+# CPython's builtin module where there is one: hashlib would load OpenSSL
+# (~4 ms, ~3.6 MB) to hash two short strings.  Every route gives the same
+# digest.
+try:
+    from _sha256 import sha256  # Python 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 # Philox-2x64 round constants (multiplier and Weyl key increment).
 _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
@@ -255,7 +266,7 @@ def _build(source, cache):
     try:
         text = source.read_bytes()
         recipe = "\0".join((_CC, *_FLAGS, *_LIBS, sysconfig.get_platform()))
-        digest = hashlib.sha256(text + b"\0" + recipe.encode()).hexdigest()
+        digest = sha256(text + b"\0" + recipe.encode()).hexdigest()
         lib = cache / f"philox.{digest[:16]}.so"
         if not lib.exists():
             cache.mkdir(exist_ok=True)

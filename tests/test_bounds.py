@@ -287,6 +287,34 @@ def test_constants_K_noiseless_and_overflow():
     assert np.isfinite(cert.log_K1)
 
 
+def test_squares_past_the_float_range_make_log_K1_inf():
+    # N^2 or (a S1 mean_norm_bound)^2 overflows: the bound clips to 1 and
+    # no n certifies
+    for p in (params(N=1e200), params(mnb=1e200)):
+        cert = certificate(p)
+        assert cert.log_K1 == cert.K1 == math.inf
+        report = cert.report(10**6, 0.1)
+        assert report.log_raw_bound == math.inf
+        assert report.clipped_bound == 1.0
+        assert cert.min_iterations(0.1, 0.05, 10**12) is None
+
+
+def test_constants_are_python_floats():
+    # from numpy scalar fields too, so no bound arithmetic is numpy's:
+    # eps^2 = inf is inf, not an overflow warning
+    p = params(N=np.float64(0.7), a=np.float64(0.9), c=np.float32(0.25),
+               sigma=np.float64(0.1), mnb=np.float64(0.1),
+               rho=np.float64(0.5))
+    cert = certificate(p)
+    estimate = series_S1_detail(np.float64(0.5), np.float64(0.5))
+    report = cert.report(10, 1e308)
+    values = [*vars(p).values(), cert.S1, cert.S2, cert.log_K1, cert.K1,
+              cert.K2, cert.tail_exponent, estimate.value,
+              estimate.half_width, *vars(report).values()]
+    assert {type(v) for v in values} == {float, int}
+    assert report.log_raw_bound == -math.inf and report.clipped_bound == 0.0
+
+
 def test_tail_bound_plug_in_arithmetic():
     p = params(N=0.18232780382804766, a=0.5, c=0.649519052838329,
                sigma=4.0, L=4.0, mnb=1.5957691216057308,

@@ -2,6 +2,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +306,46 @@ def test_refuted_N_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_huge_N_or_mean_norm_bound_clips_the_bound(tmp_path, capsys):
+    # N^2 or (a S1 mean_norm_bound)^2 past the float range makes log_K1 and
+    # K1 inf: the bound clips to 1 and confidence is infeasible
+    for block, key in (("bounds", "N"), ("noise", "mean_norm_bound")):
+        cfg = json.loads((CONFIGS / "reference.json").read_text())
+        cfg[block][key] = 1e200
+        path = write(tmp_path, cfg)
+        assert main(["bound", "--config", path, "--n", "1000",
+                     "--eps", "0.1"]) == 0, key
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["log_K1"] == report["K1"] == math.inf, key
+        assert report["clipped_bound"] == 1.0, key
+        assert main(["confidence", "--config", path, "--eps", "0.1",
+                     "--out", str(tmp_path / "o")]) == 4, key
+        assert "bound at cap: 1 (log raw inf)" in capsys.readouterr().err
+
+
+def test_confidence_at_a_huge_eps_writes_nothing_to_stderr(tmp_path):
+    # the certificate holds Python floats, so eps^2 = inf is no numpy
+    # overflow warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochmann", "confidence", "--config",
+         str(CONFIGS / "confidence_demo.json"), "--eps", "1e308",
+         "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0 and "n_alpha = 1" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_cramer_check_refuses_an_m_max_past_the_float_range(tmp_path,
+                                                           capsys):
+    # 200! and L^4 = 1e400 overflow a float: exit 2 naming m_max
+    large_l = json.loads(json.dumps(REFERENCE))
+    large_l["noise"].update(sigma=3.0, L=1e100)
+    for cfg, m_max in ((REFERENCE, 200), (large_l, 6)):
+        assert main(["cramer-check", "--config", write(tmp_path, cfg),
+                     "--m-max", str(m_max), "--draws", "10"]) == 2, m_max
+        assert f"error: m_max: {m_max} is too large" \
+            in capsys.readouterr().err
+
+
 def test_cramer_check_pass_and_flag(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
     assert main(["cramer-check", "--config", cfg_path,
@@ -589,67 +630,117 @@ def test_module_entry_point_runs():
     assert "montecarlo" in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # every command pays this import; scipy.stats alone costs about a second
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stochmann.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+# What a fresh process has loaded after an import or a command, by row:
+# {name: (code lines, modules it leaves out, modules it loads, whether it
+# resolved the compiled library)}.  Only montecarlo loads montecarlo and its
+# thread pool; config_hash hashes without OpenSSL (_hashlib); only the
+# commands that step the iteration resolve the library; only a Gaussian
+# tile needs scipy's ndtri from cython_special (reference.json draws
+# Gaussian noise, confidence_demo.json bounded uniform noise); neither the
+# import nor a montecarlo run split over threads on 2 cores loads
+# multiprocessing; and scipy.stats, about a second, never loads.
+REF, DEMO_CFG = str(CONFIGS / "reference.json"), \
+    str(CONFIGS / "confidence_demo.json")
+MONTECARLO = ("stochmann.montecarlo", "concurrent.futures", "logging")
+CYTHON = "scipy.special.cython_special"
+CLI = "import stochmann.cli as cli"
+LOADS = {
+    "package": (["import stochmann"],
+                ("stochmann.errors", "stochmann.cli", "numpy"), (), False),
+    "cli": ([CLI], ("scipy.stats", "multiprocessing", *MONTECARLO,
+                    "_hashlib", "csv", CYTHON), (), False),
+    "confidence": ([CLI, f"assert cli.main(['confidence', '--config', "
+                         f"{DEMO_CFG!r}, '--out', OUT]) == 0"],
+                   (*MONTECARLO, CYTHON), (), True),
+    "bound": ([CLI, f"assert cli.main(['bound', '--config', {REF!r}, "
+                    "'--n', '1000', '--eps', '0.1']) == 0"],
+              MONTECARLO, (), False),
+    "iterate": ([CLI, "from stochmann import streams",
+                 f"assert cli.main(['iterate', '--config', {REF!r}, "
+                 "'--out', OUT]) == 0",
+                 f"assert ({CYTHON!r} in sys.modules) == "
+                 "(streams.tile_library() is not None)"],
+                MONTECARLO, ("csv",), True),
+    # draws that step no Mann iteration never resolve the library
+    "cramer-check": ([CLI, f"assert cli.main(['cramer-check', '--config', "
+                           f"{REF!r}, '--draws', '1000']) == 0",
+                      "from stochmann import spaces",
+                      "spaces.estimate_contraction(spaces.inverse_quadratic())"],
+                     MONTECARLO, (), False),
+    "montecarlo": ([CLI, "import os",
+                    "from stochmann import montecarlo, streams",
+                    "os.sched_getaffinity = lambda pid: {0, 1}",
+                    "montecarlo.SPLIT_ELEMENTS, pools = 1, []",
+                    "make = montecarlo.ThreadPoolExecutor",
+                    "montecarlo.ThreadPoolExecutor = "
+                    "lambda k: pools.append(k) or make(k)",
+                    f"assert cli.main(['montecarlo', '--config', {REF!r}, "
+                    "'--replicas', '20', '--out', OUT]) == 0",
+                    "assert pools == ([1] if streams.tile_library() is not None "
+                    "else [])"],
+                   ("multiprocessing", "scipy.stats"), MONTECARLO, True),
+}
 
 
-def test_cli_import_leaves_out_multiprocessing(tmp_path):
-    # replica_errors splits over threads: neither the import nor a split
-    # montecarlo run on 2 cores loads multiprocessing
-    reference = str(CONFIGS / "reference.json")
-    shown = shown_lines(
-        "show('multiprocessing' in sys.modules)",
-        "import os; from stochmann import montecarlo",
-        "os.sched_getaffinity = lambda pid: {0, 1}",
-        "montecarlo.SPLIT_ELEMENTS, pools = 1, []",
-        "make = montecarlo.ThreadPoolExecutor",
-        "montecarlo.ThreadPoolExecutor = lambda k: pools.append(k) or make(k)",
-        f"code = cli.main(['montecarlo', '--config', {reference!r}, "
-        f"'--replicas', '20', '--out', {str(tmp_path)!r}])",
-        "show(code, pools, 'multiprocessing' in sys.modules)")
-    split = "[1]" if streams.tile_library() is not None else "[]"
-    assert shown == ["@ False", f"@ 0 {split} False"]
-
-
-def shown_lines(*lines):
-    """The '@' lines that the code lines print in a fresh process, where
-    show(*values) prints its values after an '@'."""
-    code = "\n".join(["import sys, stochmann.cli as cli",
-                      "from stochmann import spaces, streams",
-                      "def show(*values): print('@', *values)", *lines])
+@pytest.mark.parametrize("row", sorted(LOADS))
+def test_each_command_loads_only_what_it_runs(row, tmp_path):
+    lines, absent, present, resolved = LOADS[row]
+    code = "\n".join([
+        "import json, sys", f"OUT = {str(tmp_path)!r}", *lines,
+        f"print(json.dumps([m for m in {[*absent, *present]!r} "
+        "if m in sys.modules]))",
+        "from stochmann import streams",
+        "print(streams.tile_library.cache_info().currsize)"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    return [line for line in proc.stdout.splitlines() if line.startswith("@")]
+    loaded, currsize = proc.stdout.splitlines()[-2:]
+    assert json.loads(loaded) == list(present)
+    assert currsize == str(int(resolved))
 
 
-def test_cython_special_loads_only_for_gaussian_tiles(tmp_path):
-    # importing the CLI neither builds nor loads the compiled library, and
-    # only a Gaussian noise tile needs scipy's ndtri from cython_special:
-    # confidence_demo.json draws bounded uniform noise, reference.json
-    # Gaussian noise
-    out = str(tmp_path / "out")
-    modules = "show('scipy.special.cython_special' in sys.modules)"
-    library = "show(streams.tile_library.cache_info().currsize)"
-    reference = str(CONFIGS / "reference.json")
-    assert shown_lines(
-        modules, library,
-        f"cli.main(['confidence', '--config', {str(CONFIGS / 'confidence_demo.json')!r},"
-        f" '--out', {out!r}])",
-        modules,
-        f"cli.main(['iterate', '--config', {reference!r}, '--out', {out!r}])",
-        modules) == ["@ False", "@ 0", "@ False", "@ True"]
-    # draws that step no Mann iteration never load the library
-    assert shown_lines(
-        f"cli.main(['cramer-check', '--config', {reference!r}, '--out', {out!r}])",
-        "spaces.estimate_contraction(spaces.inverse_quadratic())",
-        library) == ["@ 0"]
+# Every name that stochmann exported while its __init__ imported each
+# submodule, by submodule.
+EXPORTED = {
+    "bounds": "BoundParams BoundReport Certificate canonical_eps0 certificate "
+              "deterministic_envelope envelope_sequence "
+              "min_iterations_for_confidence product_bound rate_envelope "
+              "tail_bound",
+    "errors": "CoverageError DivergedError DominanceError "
+              "InfeasibleExperimentError NonContractiveError StochmannError "
+              "ValidationError",
+    "montecarlo": "ExperimentPlan TailEstimate clopper_pearson "
+                  "coverage_experiment dominance_failures empirical_tail "
+                  "error_table rate_diagnostic replica_errors replica_seeds",
+    "noise": "CramerReport NoiseModel bounded_uniform cramer_check "
+             "default_cramer_params gaussian sample_block sample_many zero",
+    "schemes": "SCHEME_KINDS SchemeConfig StepSequences Trajectory advance "
+               "rows_at run step",
+    "spaces": "INVERSE_QUADRATIC_C MAP_FAMILIES NORM_KINDS MapSpec affine "
+              "as_point contraction_constant dimension estimate_contraction "
+              "eval_map inverse_quadratic norm reference_fixed_point "
+              "scaled_cosine",
+    "streams": "derive_key mix64 philox2x64 substream_normals "
+               "substream_uniforms",
+}
+
+
+def test_package_exports_resolve_to_the_submodule_objects():
+    import stochmann
+    names = dir(stochmann)
+    for module, exported in EXPORTED.items():
+        source = importlib.import_module(f"stochmann.{module}")
+        assert module in names and getattr(stochmann, module) is source
+        for name in exported.split():
+            scope = {}
+            exec(f"from stochmann import {name}", scope)
+            assert scope[name] is getattr(source, name), name
+            assert name in names and name in stochmann.__all__, name
+    assert stochmann.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(stochmann, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from stochmann import no_such_name", {})
 
 
 def test_console_script_bad_usage_exits_2(tmp_path):

@@ -7,12 +7,15 @@ every map family and the raw replica errors of a d = 1 and a d = 8 batch
 that cross noise tiles.  The `montecarlo` outputs and the replica errors
 are checked on both paths of `replica_errors`, the serial pass and the
 split over threads wherever the compiled tile steps, whatever the
-machine's core count.  A change that moves any digest changes output bits;
+machine's core count.  The CLI outputs are checked once more with SHA-256
+taken from hashlib instead of CPython's builtin module.  A change that moves any digest changes output bits;
 regenerate the digests deliberately, in a commit of their own, and log it
 in CHANGES.md.
 """
 
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,8 @@ from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences, run,
                                tile_kernel)
 from stochmann.spaces import (affine, inverse_quadratic, reference_fixed_point,
                               scaled_cosine)
-from stochmann.streams import derive_key, philox2x64, substream_normals
+from stochmann.streams import (derive_key, philox2x64, substream_normals,
+                               tile_library)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -173,6 +177,51 @@ def test_cli_output_digests(config, tmp_path, cores):
         out = tmp_path / f"cores{k}"
         assert montecarlo_digests(config, out) == golden, k
         assert pools == split_pools(cfg, k), k
+
+
+# A meta-path finder that refuses CPython's builtin SHA-256 modules, so
+# stochmann takes sha256 from hashlib (OpenSSL) instead.
+REFUSE_SHA = """
+import sys
+from importlib.abc import MetaPathFinder
+refused = []
+class Refuse(MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name in ('_sha256', '_sha2'):
+            refused.append(name)
+            raise ImportError('refused: ' + name)
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+def test_cli_output_digests_through_hashlib(tmp_path):
+    # SHA-256 is one function on every route: the config hashes in the file
+    # names, the outputs and the library's file name all stay the same
+    runs = []
+    for config in sorted(GOLDEN):
+        cfg, out = str(CONFIGS / config), str(tmp_path / config)
+        runs += [f"assert main({argv + ['--out', out]!r}) == {code}"
+                 for argv, code in (
+                     (["iterate", "--config", cfg], 0),
+                     (["bound", "--config", cfg, "--n", "1000", "--eps",
+                       "0.1"], 0),
+                     (["confidence", "--config", cfg], CONFIDENCE_EXIT[config]),
+                     (["montecarlo", "--config", cfg, "--replicas", "200"],
+                      0))]
+    code = "\n".join([
+        REFUSE_SHA, "import os", "from stochmann import streams",
+        "from stochmann.cli import main", *runs,
+        "lib = streams.tile_library()",
+        "print(sorted(set(refused)), '_hashlib' in sys.modules,",
+        "      lib and os.path.basename(lib._name))"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    lib = tile_library()
+    assert proc.stdout.splitlines()[-1] == (
+        f"['_sha2', '_sha256'] True {lib and Path(lib._name).name}")
+    for config in sorted(GOLDEN):
+        assert digests(tmp_path / config) == GOLDEN[config], config
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))

@@ -1,12 +1,13 @@
 """pytest-benchmark timings of the noise and stepping kernels.
 
 Shapes follow the mc_reference workload: 2000 replicas on the line, so a
-noise tile is 2000 replicas x 8 steps x 1 Philox block.  Its uniforms are
-timed through streams.substream_uniforms, which draws in numpy, and the
-compiled library's cold compile has a row of its own.  test_advance_tile
-times one whole tile of schemes.advance on both of its paths, the compiled
-mann_tile and the numpy body, for that shape and for the affine d = 8 map
-of mc_affine_d8 (1 step x 2000 replicas).
+noise tile is 2000 replicas x 8 steps x 1 Philox block.  Its uniforms and
+its noise are timed through streams.substream_uniforms and
+noise.sample_block, which draw in numpy, and the compiled library's cold
+compile has a row of its own.  test_advance_tile times one whole tile of
+schemes.advance on both of its paths, the compiled mann_tile and the numpy
+body, for that shape and for the affine d = 8 map of mc_affine_d8 (1 step
+x 2000 replicas).
 test_run_line follows confidence_long instead: one replica on the line
 over three whole tiles, on both paths.  This directory is outside the
 tier-1 testpaths; run it with
@@ -27,8 +28,7 @@ from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import gaussian, sample_block
 from stochmann.schemes import TILE_ELEMENTS, advance, run
 from stochmann.spaces import affine, reference_fixed_point
-from stochmann.streams import (Workspace, derive_key, philox2x64,
-                               substream_uniforms)
+from stochmann.streams import derive_key, philox2x64, substream_uniforms
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE = CONFIGS / "reference.json"
@@ -49,7 +49,7 @@ def test_philox2x64_tile(benchmark):
 
 def test_uniforms_tile(benchmark):
     keys = derive_key(SEEDS[:, 0])
-    u = benchmark(substream_uniforms, keys, STEPS[:, None], 1, Workspace())
+    u = benchmark(substream_uniforms, keys, STEPS[:, None], 1)
     assert u.shape == (T, R, 1)
 
 
@@ -96,11 +96,6 @@ def test_kernel_cold_compile(benchmark, tmp_path):
 
 def test_sample_block_tile(benchmark):
     xi = benchmark(sample_block, SCHEME.noise, 1, SEEDS, STEPS)
-    assert xi.shape == (R, T, 1)
-
-
-def test_sample_block_tile_workspace(benchmark):
-    xi = benchmark(sample_block, SCHEME.noise, 1, SEEDS, STEPS, Workspace())
     assert xi.shape == (R, T, 1)
 
 

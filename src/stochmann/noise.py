@@ -20,8 +20,7 @@ import numpy as np
 from ._special import ndtri
 from .errors import ValidationError, check_number
 from .spaces import norm
-from .streams import (Workspace, check_seed, check_seeds, derive_key,
-                      substream_uniforms)
+from .streams import check_seed, check_seeds, derive_key, substream_uniforms
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
 
@@ -135,30 +134,26 @@ def bounded_uniform(half_width, dim=1, sigma=None, L=None, mean_norm_bound=None)
                       sigma=sigma, L=L, mean_norm_bound=mean_norm_bound)
 
 
-def sample_block(model, dim, seed, indices, work=None):
+def sample_block(model, dim, seed, indices):
     """Draws of shape broadcast(seed, indices) + (dim,); the draw at
     (seed, index) is bitwise the same in any batch shape.  As with
     streams.substream_uniforms, the result is a view of a (dim,) + shape
     array, so the last axis of the broadcast shape is the contiguous one.
-    With a streams.Workspace that array is in it, overwritten by the next
-    call with the same workspace.  Seeds and indices are integers in
-    [0, 2**64) (streams.check_seeds)."""
+    Seeds and indices are integers in [0, 2**64) (streams.check_seeds)."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
     return sample_keyed(model, derive_key(check_seeds(seed, "seeds")),
-                        check_seeds(indices, "indices"), work)
+                        check_seeds(indices, "indices"))
 
 
-def sample_keyed(model, keys, indices, work=None):
+def sample_keyed(model, keys, indices):
     """sample_block for keys already derived from the seeds, so a caller
     drawing many tiles from the same seeds derives them once."""
-    work = Workspace() if work is None else work
     if model.family == "zero":
         shape = np.broadcast_shapes(np.shape(keys), np.shape(indices))
-        xi = work.array("zero", (model.dim,) + shape, np.float64)
-        xi.fill(0.0)
+        xi = np.zeros((model.dim,) + shape)
         return xi.transpose(tuple(range(1, xi.ndim)) + (0,))
-    u = substream_uniforms(keys, indices, model.dim, work)
+    u = substream_uniforms(keys, indices, model.dim)
     if model.family == "gaussian":
         ndtri(u, out=u)
         np.multiply(u, model.scale, out=u)

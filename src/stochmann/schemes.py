@@ -34,9 +34,10 @@ import numpy as np
 from . import noise as noise_mod
 from . import streams
 from .errors import DivergedError, ValidationError, check_number
-from .spaces import (affine, as_point, dimension, eval_map, inverse_quadratic,
-                     map_function, norm, scaled_cosine)
-from .streams import Workspace, check_seed, check_seeds, derive_key
+from .spaces import (NORM_KINDS, MapSpec, affine, as_point, dimension,
+                     eval_map, inverse_quadratic, map_function, norm,
+                     scaled_cosine)
+from .streams import check_seed, check_seeds, derive_key
 
 SCHEME_KINDS = ("stochastic_mann",)
 
@@ -76,8 +77,7 @@ class SchemeConfig:
     seed       the 64-bit stream key of a single run
     norm_kind  the norm of errors and noise, one of spaces.NORM_KINDS
 
-    A bad kind, x0, noise, horizon or seed raises ValidationError naming
-    scheme.<field>.
+    A bad field raises ValidationError naming scheme.<field>.
     """
 
     kind: str
@@ -92,6 +92,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValidationError(f"scheme.kind: unknown kind {self.kind!r}")
+        if not isinstance(self.map_spec, MapSpec):
+            raise ValidationError("scheme.map_spec: must be a MapSpec")
         d = dimension(self.map_spec)
         object.__setattr__(self, "x0", as_point(self.x0, d, name="scheme.x0"))
         object.__setattr__(self, "horizon", check_number(
@@ -102,6 +104,10 @@ class SchemeConfig:
         if self.noise.dim != d:
             raise ValidationError(
                 f"scheme.noise: model dimension {self.noise.dim} != map dimension {d}")
+        if not isinstance(self.steps, StepSequences):
+            raise ValidationError("scheme.steps: must be a StepSequences")
+        if self.norm_kind not in NORM_KINDS:
+            raise ValidationError(f"scheme.norm_kind: unknown norm kind {self.norm_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,7 @@ def advance(cfg, seeds, horizon):
     (R*d)) steps, only the last tile shorter: X[k] is the state x_{n+1} after
     step n = start + k and xi[k] that step's noise, both (T, R, d).  They are
     replica-innermost views of (d, T, R) buffers, not C-contiguous, that this
-    call allocates once and the next tile overwrites: copy them to keep them.
+    call allocates once and the next tile may overwrite: copy to keep them.
     Replica r draws from the substream (seeds[r], n), seeds a nonempty 1-D
     array of integers in [0, 2**64); cfg.seed is ignored.
     Each tile is one call of the compiled mann_tile where tile_kernel(cfg)
@@ -233,6 +239,7 @@ def rows_at(cfg, seeds, steps, noise_steps=(), keep=np.ndarray.copy):
         while j < len(noise_steps) and noise_steps[j] < stop:
             noises.append(keep(xi[noise_steps[j] - start]))
             j += 1
+        del X, xi  # else this tile's noise stays live through the next draw
     return states, noises
 
 
@@ -262,14 +269,13 @@ def _numpy_tiles(cfg, keys, states):
     time; a batch writes each step's (R, d) state into the tile."""
     d, _, R = states.shape
     update = _update(cfg, map_function(cfg.map_spec))
-    work = Workspace()
     scalar = R * d == 1
     X = float(cfg.x0[0]) if scalar else np.repeat(cfg.x0[:, None], R, axis=1).T
 
     def step_tile(start, T):
         nonlocal X
         steps = np.arange(start, start + T, dtype=np.uint64)
-        xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None], work)
+        xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None])
         tile = states[:, :T].transpose(1, 2, 0)
         if scalar:
             # a sub-chunk of the noise at a time as a list of Python floats,

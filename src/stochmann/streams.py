@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import os
 import struct
 import subprocess
@@ -70,7 +69,6 @@ _LIBS = ("-lm",)  # after the source, for linkers that drop unused libraries
 _COMPILE_SECONDS = 60
 
 __all__ = [
-    "Workspace",
     "mix64",
     "philox2x64",
     "substream_uniforms",
@@ -86,32 +84,6 @@ def _as_u64(x):
     if isinstance(x, (int, np.integer)):
         return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
     return np.asarray(x, dtype=np.uint64)
-
-
-class Workspace:
-    """Named scratch buffers that a sequence of draws reuses.
-
-    array(name, shape, dtype) returns a C-contiguous view of the leading
-    elements of the buffer called name, allocated on first use and again
-    only when a larger shape is asked for.  A caller that draws tile after
-    tile (schemes.advance) creates one and passes it to every call, so the
-    tiles allocate no tile-sized array; each call overwrites what the
-    previous one returned.  Create one per caller: two interleaved callers
-    sharing one would overwrite each other's draws.  The buffers are
-    C-contiguous, but substream_uniforms stores its (count,) + shape array
-    in one and returns it with the count axis moved last, so the draws a
-    tile hands back are strided views, contiguous along the replicas.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def array(self, name, shape, dtype=np.uint64):
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
 
 
 def _mulhilo(b, hi, lo, t, u):
@@ -140,7 +112,7 @@ def _mulhilo(b, hi, lo, t, u):
     np.add(hi, u, out=hi)
 
 
-def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
+def philox2x64(c0, c1, key, rounds=_ROUNDS):
     """Apply the Philox-2x64 bijection to counter (c0, c1) under key.
 
     Inputs broadcast together; returns two uint64 arrays of the broadcast
@@ -149,43 +121,22 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS, work=None):
     every uniform of substream_uniforms, and is the reference for the rounds
     of the compiled mann_tile (see tile_library).
 
-    The rounds run in place in six buffers of the broadcast shape, taken
-    from work (a Workspace) when one is given; the outputs are then views
-    into it that the next call with the same workspace overwrites.  A
-    noise tile's temporaries are about 128 KB each; allocating and freeing
-    ~20 of them per round let malloc trim the top of a small heap and
-    fault the pages back in, which made batched Monte Carlo runs ~25%
-    slower.  Round 1 multiplies c0 on its own shape: a noise tile's block
-    counter is (nblocks, 1, 1), the same for every step and replica.
+    The rounds run in place in six buffers allocated per call: a new array
+    per operation made them 1.4-1.6x slower and a 10**5-draw cramer_check
+    ~2.5 MB larger at its peak.
     """
     c0, c1, k = _as_u64(c0), _as_u64(c1), _as_u64(key)
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(k))
-    work = Workspace() if work is None else work
-    x0, x1, hi, lo, t, u = (work.array(name, shape)
-                            for name in ("x0", "x1", "hi", "lo", "t", "u"))
-    if rounds == 0:
-        x0[...] = c0
-        x1[...] = c1
-        return x0[()], x1[()]
-    # Round 1 in the leading elements of the same buffers: b (in x0) is
-    # spent by _mulhilo before x0 is written, and h, l are read before
-    # round 2 writes hi, lo.
-    b, h, l, s, v = (work.array(name, np.shape(c0))
-                     for name in ("x0", "hi", "lo", "t", "u"))
-    b[...] = c0
-    kr = work.array("key", np.shape(k))
+    x0, x1, hi, lo, t, u = (np.empty(shape, np.uint64) for _ in range(6))
+    x0[...] = c0
+    x1[...] = c1
     with np.errstate(over="ignore"):
-        _mulhilo(b, h, l, s, v)
-        np.bitwise_xor(h, c1, out=x0)
-        np.bitwise_xor(x0, k, out=x0)
-        x1[...] = l
-        np.add(k, _PHILOX_W, out=kr)
-        for _ in range(rounds - 1):
+        for _ in range(rounds):
             _mulhilo(x0, hi, lo, t, u)
             np.bitwise_xor(hi, x1, out=hi)
-            np.bitwise_xor(hi, kr, out=hi)
+            np.bitwise_xor(hi, k, out=hi)
             x0, x1, hi, lo = hi, lo, x0, x1
-            np.add(kr, _PHILOX_W, out=kr)
+            k = k + _PHILOX_W
     return x0[()], x1[()]
 
 
@@ -333,7 +284,7 @@ def ndtri_function():
     return pointer(capsule, _NDTRI_SIGNATURE)
 
 
-def substream_uniforms(key, index, count, work=None):
+def substream_uniforms(key, index, count):
     """``count`` uniforms on (0,1) from substream (key, index).
 
     key and index may be scalars or arrays (they broadcast); the result has
@@ -342,16 +293,13 @@ def substream_uniforms(key, index, count, work=None):
     c0 enumerates output blocks of two.  The result is a view of a
     (count,) + shape array, not C-contiguous: the last axis of the broadcast
     shape is the contiguous one, so it is the inner loop of every pass.
-    With a Workspace that array is in it, overwritten by the next call with
-    the same workspace.
     """
     count = check_number(count, "count", integer=True, minimum=0)
     shape = np.broadcast_shapes(np.shape(key), np.shape(index))
-    work = Workspace() if work is None else work
-    out = work.array("unit", (count,) + shape, np.float64)
+    out = np.empty((count,) + shape)
     nblocks = (count + 1) // 2
     c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
-    x0, x1 = philox2x64(c0, index, key, work=work)
+    x0, x1 = philox2x64(c0, index, key)
     # words x0, x1 of block b are uniforms 2b and 2b + 1 (the last x1 unused
     # when count is odd), ((x >> 11) + 0.5) * 2**-53: on (0, 1), symmetric
     # around 1/2

@@ -176,6 +176,28 @@ def test_config_validation():
                      horizon=10)  # noise dim disagrees with the map
 
 
+def test_config_refuses_map_spec_that_is_not_a_map_spec():
+    # a family name or a bare callable would fail in dimension(), as an
+    # AttributeError
+    for bad in ("affine", None, inverse_quadratic):
+        with pytest.raises(ValidationError, match="scheme.map_spec"):
+            replace(make_cfg(), map_spec=bad)
+
+
+def test_config_refuses_unknown_norm_kind():
+    # refused on construction, not at the first norm() of a run
+    for kind in ("bogus", "Euclidean", None):
+        with pytest.raises(ValidationError, match="scheme.norm_kind"):
+            replace(make_cfg(), norm_kind=kind)
+
+
+def test_config_refuses_steps_that_are_not_step_sequences():
+    # a bare gain would fail only inside advance, as an AttributeError
+    for bad in (0.5, None, {"a": 0.5}):
+        with pytest.raises(ValidationError, match="scheme.steps"):
+            replace(make_cfg(), steps=bad)
+
+
 def steps(tiles):
     """advance's tiles as (n, x_{n+1}, xi_n) per step, views of the tiles."""
     return [(start + k, X[k], xi[k]) for start, X, xi in tiles

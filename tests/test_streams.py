@@ -23,7 +23,7 @@ from stochmann import schemes, streams
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian, zero
 from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
-from stochmann.streams import (Workspace, derive_key, mix64, philox2x64,
+from stochmann.streams import (derive_key, mix64, philox2x64,
                                substream_normals, substream_uniforms,
                                tile_library)
 
@@ -142,11 +142,10 @@ def test_derive_key_vector_matches_scalar():
     assert all(int(vec[i]) == int(derive_key(77, int(i))) for i in range(100))
 
 
-def test_philox_on_tile_shapes_matches_reference_with_and_without_workspace():
+def test_philox_on_tile_shapes_matches_reference():
     # a noise tile's counters: c0 (nb, 1, 1), c1 (T, 1), key (R,); also the
     # replica-outermost layout c0 (1, 1, nb), c1 (1, T, 1), key (R, 1, 1)
     rng = np.random.default_rng(5)
-    work = Workspace()
     for R, T, nb in ((3, 4, 2), (2, 3, 1), (4, 5, 3)):
         blocks = np.arange(nb, dtype=np.uint64) + np.uint64(MASK - 1)
         steps = rng.integers(0, MASK, T, dtype=np.uint64, endpoint=True)
@@ -163,27 +162,25 @@ def test_philox_on_tile_shapes_matches_reference_with_and_without_workspace():
             shape = np.broadcast_shapes(c0_shape, c1_shape, key_shape)
             for k, rounds in enumerate((0, 1, 2, 10)):
                 want = expected[k].transpose(axes + (3,))
-                for w in (None, work):
-                    x0, x1 = philox2x64(c0, c1, key, rounds=rounds, work=w)
-                    assert x0.shape == x1.shape == shape
-                    assert np.array_equal(x0, want[..., 0])
-                    assert np.array_equal(x1, want[..., 1])
+                x0, x1 = philox2x64(c0, c1, key, rounds=rounds)
+                assert x0.shape == x1.shape == shape
+                assert np.array_equal(x0, want[..., 0])
+                assert np.array_equal(x1, want[..., 1])
             x0, x1 = philox2x64(c0, c1, key, rounds=0)
             assert np.array_equal(x0, np.broadcast_to(c0, shape))
             assert np.array_equal(x1, np.broadcast_to(c1, shape))
 
 
-def test_uniforms_same_bits_with_workspace_and_short_last_tile():
+def test_uniforms_tiles_equal_slices_of_one_whole_draw():
     keys = derive_key(3, np.arange(4, dtype=np.uint64))[:, None]
     for count in range(1, 6):
-        work = Workspace()
-        # two full tiles, then a short last one reusing the same buffers
+        whole = substream_uniforms(keys, np.arange(1, 13, dtype=np.uint64), count)
+        # two full tiles, then a short last one
         for start, stop in ((1, 6), (6, 11), (11, 13)):
             idx = np.arange(start, stop, dtype=np.uint64)
-            fresh = substream_uniforms(keys, idx, count)
-            got = substream_uniforms(keys, idx, count, work=work)
-            assert got.shape == fresh.shape == (4, stop - start, count)
-            assert np.array_equal(got, fresh)
+            got = substream_uniforms(keys, idx, count)
+            assert got.shape == (4, stop - start, count)
+            assert np.array_equal(got, whole[:, start - 1:stop - 1]), count
 
 
 def same_bits(a, b):

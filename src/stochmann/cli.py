@@ -114,7 +114,8 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
 
 
 def cmd_bound(args, cfg, scheme, digest, settings):
-    params = build_bound_params(cfg, map_spec=scheme.map_spec)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec,
+                                noise=scheme.noise)
     report = certificate(params).report(args.n, args.eps)
     payload = {
         "command": "bound",
@@ -134,7 +135,8 @@ def cmd_bound(args, cfg, scheme, digest, settings):
 
 def cmd_confidence(args, cfg, scheme, digest, settings):
     x_star = reference_fixed_point(scheme.map_spec)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
+                                noise=scheme.noise)
     eps = args.eps if args.eps is not None else (
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
@@ -188,7 +190,8 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
     x_star = reference_fixed_point(scheme.map_spec)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
+                                noise=scheme.noise)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
     vacuous = sum(1 for c in cells if c.vacuous)

@@ -1,37 +1,53 @@
 /* Whole noise tiles of schemes.advance, bit for bit its numpy body's: the
  * Philox-2x64-10 uniforms of streams.substream_uniforms, the noise drawn
- * from them and the Mann update, in one call of mann_tile, the library's
- * only export.
+ * from them and the Mann update, in one call of mann_tile.  The library's
+ * other export, ndtri_many, runs the ndtri port below alone, so that it
+ * can be checked against scipy's ufunc before the first Gaussian tile.
  *
  * Built without -ffast-math and with -ffp-contract=off, so every double
- * operation rounds as numpy's does.  With the rounds unrolled, -O1 code
- * runs as fast as -O2 code and compiles ~50 ms sooner. */
+ * operation rounds as numpy's does.  With the scalar rounds unrolled, -O1
+ * code runs as fast as -O2 code and compiles ~50 ms sooner.
+ *
+ * On x86-64 GCC, where the CPU has AVX-512F and DQ, the Philox rounds of
+ * each 32-replica block and the central branch of ndtri run 8 lanes wide,
+ * in the functions marked WIDE.  They do the same IEEE operations in the
+ * same order, so the bits do not depend on the path.  Each ends in
+ * vzeroupper, which GCC emits only from -O2 on: without it, Gaussian tiles
+ * ran 5-7x slower, as libm's SSE code after them paid for the dirty upper
+ * registers.  <immintrin.h> would add ~0.45 s to each build, so the vector
+ * code uses GCC's vector extensions and its builtins. */
 #include <stddef.h>
 #include <stdint.h>
-/* libm's cos, declared here: <math.h> adds ~20 ms to each build */
+/* libm's functions, declared here: <math.h> adds ~20 ms to each build */
 double cos(double);
+double log(double);
+double sqrt(double);
+
+/* Philox-2x64's round multiplier and Weyl key increment */
+#define PHILOX_M 0xD2B74407B1CE6E93u
+#define PHILOX_W 0x9E3779B97F4A7C15u
 
 /* Uniform j of replica r at step start + k: block b of Philox-2x64-10 under
  * key key[r] at the counter (b, start + k) gives the words x0, x1, which
  * become the uniforms j = 2b and 2b + 1, ((x >> 11) + 0.5) * 2**-53, stored
- * at out[j*plane + k*R + r].  When count is odd the last x1 is unused. */
+ * at out[j*plane + k*R + r], for the replicas r0 <= r < R.  When count is
+ * odd the last x1 is unused. */
 static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
-                         ptrdiff_t R, ptrdiff_t count, ptrdiff_t plane,
-                         double *out)
+                         ptrdiff_t R, ptrdiff_t r0, ptrdiff_t count,
+                         ptrdiff_t plane, double *out)
 {
     for (ptrdiff_t j = 0; j < count; j += 2) {
         double *even = out + j * plane, *odd = even + plane;
         for (ptrdiff_t k = 0; k < T; k++) {
-            for (ptrdiff_t r = 0; r < R; r++) {
+            for (ptrdiff_t r = r0; r < R; r++) {
                 uint64_t key_r = key[r];
                 uint64_t x0 = (uint64_t)(j / 2), x1 = start + (uint64_t)k;
 #pragma GCC unroll 10
                 for (int round = 0; round < 10; round++) {
-                    unsigned __int128 p =
-                        (unsigned __int128)x0 * 0xD2B74407B1CE6E93u;
+                    unsigned __int128 p = (unsigned __int128)x0 * PHILOX_M;
                     x0 = (uint64_t)(p >> 64) ^ key_r ^ x1;
                     x1 = (uint64_t)p;
-                    key_r += 0x9E3779B97F4A7C15u;
+                    key_r += PHILOX_W;
                 }
                 even[k * R + r] = ((double)(x0 >> 11) + 0.5) * 0x1p-53;
                 if (j + 1 < count)
@@ -39,6 +55,232 @@ static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
             }
         }
     }
+}
+
+/* Cephes' ndtri as scipy 1.17 computes it (xsf::cephes::ndtri): the same
+ * coefficients, Horner order and branches, with libm's log and sqrt, so the
+ * bits are scipy's ndtri ufunc's.  The central branch is
+ * exp(-2) < y <= 1 - exp(-2); past exp(-32) = 1.27e-14 from either end the
+ * tail uses P2/Q2 instead of P1/Q1. */
+#define EXP_M2 0.13533528323661269189
+#define S2PI 2.50662827463100050242E0
+static const double P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0};
+static const double Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2,
+    2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0};
+static const double P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1,
+    5.71628192246421288162E1, 4.40805073893200834700E1,
+    1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4};
+static const double Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1,
+    2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4};
+static const double P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0,
+    3.93881025292474443415E0, 1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9};
+static const double Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9};
+
+/* c[0] x^n + ... + c[n], and the same with a leading 1 and n + 1 terms */
+static inline double polevl(double x, const double *c, int n)
+{
+    double s = c[0];
+    for (int i = 1; i <= n; i++)
+        s = s * x + c[i];
+    return s;
+}
+
+static inline double p1evl(double x, const double *c, int n)
+{
+    double s = x + c[0];
+    for (int i = 1; i < n; i++)
+        s = s * x + c[i];
+    return s;
+}
+
+static double ndtri(double y0)
+{
+    if (y0 == 0.0)
+        return -__builtin_inf();
+    if (y0 == 1.0)
+        return __builtin_inf();
+    double y = y0, x;
+    const int upper = y > 1.0 - EXP_M2;
+    if (upper)
+        y = 1.0 - y;
+    if (y > EXP_M2) {
+        y = y - 0.5;
+        const double y2 = y * y;
+        x = y + y * (y2 * polevl(y2, P0, 4) / p1evl(y2, Q0, 8));
+        return x * S2PI;
+    }
+    x = sqrt(-2.0 * log(y));
+    const double x0 = x - log(x) / x, z = 1.0 / x;
+    const double x1 = x < 8.0 ? z * polevl(z, P1, 8) / p1evl(z, Q1, 8)
+                              : z * polevl(z, P2, 8) / p1evl(z, Q2, 8);
+    x = x0 - x1;
+    return upper ? x : -x;
+}
+
+/* out[e] = ndtri(u[e]) for e < n: the port, for the load-time comparison
+ * with scipy's ufunc */
+void ndtri_many(const double *u, ptrdiff_t n, double *out)
+{
+    for (ptrdiff_t e = 0; e < n; e++)
+        out[e] = ndtri(u[e]);
+}
+
+/* elements of a noise plane per pass of the wide ndtri: its tail list is
+ * a stack buffer of this many positions */
+enum { NDTRI_CHUNK = 512 };
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define WIDE __attribute__((target("avx512f,avx512dq"), noinline))
+#define LANES __attribute__((target("avx512f,avx512dq"), always_inline)) \
+    static inline
+typedef uint64_t u64x8 __attribute__((vector_size(64)));
+typedef long long i64x8 __attribute__((vector_size(64)));
+typedef int32_t i32x16 __attribute__((vector_size(64)));
+typedef double f64x8 __attribute__((vector_size(64)));
+/* the same, for loads and stores at any 8-byte boundary */
+typedef uint64_t u64x8_u __attribute__((vector_size(64), aligned(8)));
+typedef double f64x8_u __attribute__((vector_size(64), aligned(8)));
+
+/* 1 where the CPU has AVX-512F and DQ, set once as the library loads */
+static int wide;
+
+__attribute__((constructor)) static void detect_wide(void)
+{
+    __builtin_cpu_init();
+    wide = __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512dq");
+}
+
+/* the low 32 bits of each lane of a times those of b, as 64-bit products
+ * (vpmuludq: GCC makes the slower vpmullq of (a & m) * (b & m)) */
+LANES u64x8 mul32(u64x8 a, u64x8 b)
+{
+    return (u64x8)__builtin_ia32_pmuludq512_mask((i32x16)a, (i32x16)b,
+                                                 (i64x8){0}, 0xFF);
+}
+
+/* uniform_grid for the replicas r < R - R % 32, as four interleaved 8-lane
+ * vectors of Philox per 32-replica block; each 64x64-bit product is
+ * assembled from four 32x32-bit ones */
+WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
+                                   ptrdiff_t T, ptrdiff_t R, ptrdiff_t count,
+                                   ptrdiff_t plane, double *out)
+{
+    const u64x8 lo32 = (u64x8){0} + 0xFFFFFFFFu;
+    const u64x8 m_lo = (u64x8){0} + PHILOX_M, m_hi = m_lo >> 32;
+    for (ptrdiff_t j = 0; j < count; j += 2) {
+        double *even = out + j * plane, *odd = even + plane;
+        for (ptrdiff_t k = 0; k < T; k++) {
+            for (ptrdiff_t r = 0; r + 32 <= R; r += 32) {
+                u64x8 x0[4], x1[4], key_r[4];
+#pragma GCC unroll 4
+                for (int v = 0; v < 4; v++) {
+                    key_r[v] = *(const u64x8_u *)(key + r + 8 * v);
+                    x0[v] = (u64x8){0} + (uint64_t)(j / 2);
+                    x1[v] = (u64x8){0} + (start + (uint64_t)k);
+                }
+                /* a loop: unrolled, it built ~50 ms slower, ran no faster */
+                for (int round = 0; round < 10; round++) {
+#pragma GCC unroll 4
+                    for (int v = 0; v < 4; v++) {
+                        const u64x8 a_hi = x0[v] >> 32;
+                        const u64x8 ll = mul32(x0[v], m_lo);
+                        const u64x8 lh = mul32(x0[v], m_hi);
+                        const u64x8 hl = mul32(a_hi, m_lo);
+                        const u64x8 hh = mul32(a_hi, m_hi);
+                        const u64x8 mid = (ll >> 32) + (lh & lo32) + (hl & lo32);
+                        const u64x8 hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+                        const u64x8 lo = (mid << 32) | (ll & lo32);
+                        x0[v] = hi ^ key_r[v] ^ x1[v];
+                        x1[v] = lo;
+                        key_r[v] += PHILOX_W;
+                    }
+                }
+#pragma GCC unroll 4
+                for (int v = 0; v < 4; v++) {
+                    const ptrdiff_t at = k * R + r + 8 * v;
+                    *(f64x8_u *)(even + at) = (__builtin_convertvector(
+                        (i64x8)(x0[v] >> 11), f64x8) + 0.5) * 0x1p-53;
+                    if (j + 1 < count)
+                        *(f64x8_u *)(odd + at) = (__builtin_convertvector(
+                            (i64x8)(x1[v] >> 11), f64x8) + 0.5) * 0x1p-53;
+                }
+            }
+        }
+    }
+    __builtin_ia32_vzeroupper();
+}
+
+/* u[e] = ndtri(u[e]) * param for the e < n in ndtri's central branch, 8 at
+ * a time; the positions of the others, and of the last n % 8, are listed
+ * in tail, and their number returned */
+WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
+                                   int16_t *tail)
+{
+    ptrdiff_t tails = 0, e = 0;
+    for (; e + 8 <= n; e += 8) {
+        const f64x8 u_e = *(f64x8_u *)(u + e);
+        const i64x8 central = (i64x8)((u_e > EXP_M2) & (u_e <= 1.0 - EXP_M2));
+        const f64x8 y = u_e - 0.5, y2 = y * y;
+        f64x8 p = (f64x8){0} + P0[0], q = y2 + Q0[0];
+#pragma GCC unroll 4
+        for (int i = 1; i <= 4; i++)
+            p = p * y2 + P0[i];
+#pragma GCC unroll 7
+        for (int i = 1; i < 8; i++)
+            q = q * y2 + Q0[i];
+        const f64x8 x = (y + y * (y2 * p / q)) * S2PI * param;
+        *(f64x8_u *)(u + e) = (f64x8)(((i64x8)x & central)
+                                      | ((i64x8)u_e & ~central));
+        unsigned others = (uint8_t)~__builtin_ia32_cvtq2mask512(central);
+        for (; others; others &= others - 1)
+            tail[tails++] = (int16_t)(e + __builtin_ctz(others));
+    }
+    for (; e < n; e++)
+        tail[tails++] = (int16_t)e;
+    __builtin_ia32_vzeroupper();
+    return tails;
+}
+#endif
+
+/* u[e] = ndtri(u[e]) * param for e < n */
+static void normals(double *u, ptrdiff_t n, double param)
+{
+#ifdef WIDE
+    if (wide) {
+        int16_t tail[NDTRI_CHUNK];
+        for (ptrdiff_t c = 0; c < n; c += NDTRI_CHUNK) {
+            double *v = u + c;
+            const ptrdiff_t m = n - c < NDTRI_CHUNK ? n - c : NDTRI_CHUNK;
+            const ptrdiff_t tails = central_wide(v, m, param, tail);
+            for (ptrdiff_t t = 0; t < tails; t++)
+                v[tail[t]] = ndtri(v[tail[t]]) * param;
+        }
+        return;
+    }
+#endif
+    for (ptrdiff_t e = 0; e < n; e++)
+        u[e] = ndtri(u[e]) * param;
 }
 
 enum { ZERO, GAUSSIAN, BOUNDED_UNIFORM };   /* noise families */
@@ -92,27 +334,37 @@ update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
  * Coordinate i of replica r's state after step start + k is stored at
  * X[i*plane + k*R + r], and xi_n at xi[i*plane + k*R + r].  Coordinate i of
  * xi_n is 0 for ZERO noise; from uniform i of substream (key[r], n), it is
- * ndtri(u, 0) * param for GAUSSIAN noise (ndtri is scipy's own, called
- * with its dispatch flag 0) and ((u * 2) - 1) * param for BOUNDED_UNIFORM.
+ * ndtri(u) * param for GAUSSIAN noise (the port of scipy's ndtri above) and
+ * ((u * 2) - 1) * param for BOUNDED_UNIFORM.
  * F is 1/(1 + x^2) (d = 1), b_0 * cos(x) (d = 1, the gain lam passed as
  * b_0, libm's cos) or A x + b, A row-major (d, d), summed b_i + A_i0 x_0 +
  * A_i1 x_1 + ... in that order.  x holds the (d, R) state before step
  * start, and after step start + T - 1 on return.  Returns T, or the first
  * k whose state is not finite for some replica, once that step is done for
- * every replica. */
+ * every replica.  Fewer than 32 replicas, and the last R % 32, draw through
+ * the scalar uniform_grid. */
 ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
-                    ptrdiff_t plane, int noise, double param,
-                    double (*ndtri)(double, int), int map, const double *A,
-                    const double *b, double a, double *x, double *X,
-                    double *xi, uint64_t start, ptrdiff_t T)
+                    ptrdiff_t plane, int noise, double param, int map,
+                    const double *A, const double *b, double a, double *x,
+                    double *X, double *xi, uint64_t start, ptrdiff_t T)
 {
-    if (noise != ZERO)
-        uniform_grid(key, start, T, R, d, plane, xi);
+    if (noise != ZERO) {
+        ptrdiff_t r0 = 0;
+#ifdef WIDE
+        if (wide && R >= 32) {
+            uniform_grid_wide(key, start, T, R, d, plane, xi);
+            r0 = R - R % 32;
+        }
+#endif
+        uniform_grid(key, start, T, R, r0, d, plane, xi);
+    }
     for (ptrdiff_t i = 0; i < d; i++) {
         double *u = xi + i * plane;
-        for (ptrdiff_t e = 0; e < T * R; e++)
-            u[e] = noise == ZERO ? 0.0 : noise == GAUSSIAN
-                   ? ndtri(u[e], 0) * param : (u[e] * 2.0 - 1.0) * param;
+        if (noise == GAUSSIAN)
+            normals(u, T * R, param);
+        else
+            for (ptrdiff_t e = 0; e < T * R; e++)
+                u[e] = noise == ZERO ? 0.0 : (u[e] * 2.0 - 1.0) * param;
     }
     if (map == SCALED_COSINE)
         return update(1, map, R, d, plane, A, b, a, x, X, xi, start, T);

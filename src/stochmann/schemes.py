@@ -31,6 +31,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import _special
 from . import noise as noise_mod
 from . import streams
 from .errors import DivergedError, ValidationError, check_number
@@ -198,7 +199,7 @@ def advance(cfg, seeds, horizon):
     states = np.empty((d, tile_steps, R), dtype=np.float64)
     kernel = tile_kernel(cfg)
     step_tile = (_numpy_tiles(cfg, keys, states) if kernel is None
-                 else _kernel_tiles(cfg, keys, states, *kernel))
+                 else _kernel_tiles(cfg, keys, states, kernel))
     return _tiles(step_tile, states, horizon)
 
 
@@ -305,7 +306,7 @@ _MAP_CODES = {"inverse_quadratic": 0, "affine": 1, "scaled_cosine": 2}
 _NOISE_CODES = {"zero": 0, "gaussian": 1, "bounded_uniform": 2}
 
 
-def _kernel_tiles(cfg, keys, states, kernel, ndtri):
+def _kernel_tiles(cfg, keys, states, kernel):
     """step_tile(start, T) of _numpy_tiles as one mann_tile call, with every
     pointer resolved once."""
     d, tile_steps, R = states.shape
@@ -323,7 +324,7 @@ def _kernel_tiles(cfg, keys, states, kernel, ndtri):
         else np.ascontiguousarray(v).ctypes.data_as(ctypes.c_void_p)
         for v in (keys, x, states, xis, A, b))
     args = (keys_p, R, d, tile_steps * R, _NOISE_CODES[noise.family], param,
-            ndtri, _MAP_CODES[m.family], A_p, b_p, cfg.steps.a, x_p, X_p, xi_p)
+            _MAP_CODES[m.family], A_p, b_p, cfg.steps.a, x_p, X_p, xi_p)
 
     def step_tile(start, T):
         k = kernel(*args, start, T)
@@ -335,25 +336,45 @@ def _kernel_tiles(cfg, keys, states, kernel, ndtri):
 
 
 def tile_kernel(cfg):
-    """(mann_tile, ndtri address) for cfg's map and noise family, or None
-    where advance steps in numpy: no compiled library, no ndtri address for
-    Gaussian noise, or a kernel whose tile differs from the numpy body's
-    (libm's cos, say, rounding unlike numpy's).  Resolved once per process
+    """mann_tile for cfg's map and noise family, or None where advance steps
+    in numpy: no compiled library, or a kernel whose tile differs from the
+    numpy body's (libm's cos, say, rounding unlike numpy's), or for Gaussian
+    noise whose ndtri port differs from scipy's.  Resolved once per process
     and family."""
     lib = streams.tile_library()
     return None if lib is None else _checked_kernel(
         lib, cfg.map_spec.family, cfg.noise.family)
 
 
+# ndtri's edges: its branch points exp(-32) and exp(-2) and their mirrors
+# at 1 - exp(-2), each +-1 ulp, the smallest and largest uniforms, 0.5 and
+# 1 - 2**-53; 2**-54 takes the x >= 8 branch, which Philox draws with
+# probability ~1e-14
+_NDTRI_EDGES = np.array([
+    v for c in (math.exp(-32.0), math.exp(-2.0), 1.0 - math.exp(-2.0))
+    for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+    + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
+
+
+def _ndtri_port_exact(lib):
+    """Whether philox.c's ndtri gives the ndtri ufunc's bits on
+    _NDTRI_EDGES."""
+    out = np.empty_like(_NDTRI_EDGES)
+    lib.ndtri_many(_NDTRI_EDGES.ctypes.data_as(ctypes.c_void_p),
+                   _NDTRI_EDGES.size, out.ctypes.data_as(ctypes.c_void_p))
+    return out.tobytes() == _special.ndtri(_NDTRI_EDGES).tobytes()
+
+
 @functools.cache
 def _checked_kernel(lib, map_family, noise_family):
     """tile_kernel after its known-answer check: one small tile of the
-    family, 8 replicas x 8 steps (in dimension 3 for the affine map), must
-    equal the numpy body's bit for bit.  Zero noise keeps the replicas
-    together, so the steps are what catch a contracted multiply-add: 4
-    steps already catch an FMA build in every family."""
-    ndtri = streams.ndtri_function() if noise_family == "gaussian" else None
-    if noise_family == "gaussian" and ndtri is None:
+    family, 40 replicas x 8 steps (in dimension 3 for the affine map), must
+    equal the numpy body's bit for bit, and for Gaussian noise so must
+    ndtri on its edges.  Where philox.c draws 32-replica blocks in vector
+    lanes, 40 replicas run both them and its scalar remainder.  Zero noise
+    keeps the replicas together, so the steps are what catch a contracted
+    multiply-add: 4 steps already catch an FMA build in every family."""
+    if noise_family == "gaussian" and not _ndtri_port_exact(lib):
         return None
     # the family's map alone: affine()'s norm through LAPACK costs ~1 MB RSS
     m = (affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
@@ -367,14 +388,14 @@ def _checked_kernel(lib, map_family, noise_family):
                        x0=np.linspace(-0.5, 1.0, d),
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
-    keys = derive_key(np.arange(2**64 - 8, 2**64, dtype=np.uint64))
+    R, T = 40, 8
+    keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
     tiles = []
-    for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile,
-                                       ndtri=ndtri)):
-        states = np.empty((d, 8, 8))
-        xi = body(cfg, keys, states)(1, 8)
+    for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):
+        states = np.empty((d, T, R))
+        xi = body(cfg, keys, states)(1, T)
         tiles.append(states.tobytes() + xi.tobytes())
-    return (lib.mann_tile, ndtri) if tiles[0] == tiles[1] else None
+    return lib.mann_tile if tiles[0] == tiles[1] else None
 
 
 def run(cfg, x_star=None):

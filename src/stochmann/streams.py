@@ -9,16 +9,15 @@ Gaussian variates are derived from its output deterministically.
 
 substream_uniforms draws through philox2x64, the numpy reference checked
 against Random123's known answers.  The noise tiles of schemes.advance go
-through mann_tile in philox.c, the compiled library's one export: a tile's
+through mann_tile in philox.c, the compiled library's tile export: a tile's
 uniforms, noise and Mann update in one C call, with each round's 64x64-bit
 multiply one instruction where numpy needs ~13 passes over the array.
-tile_library compiles it with the system's C compiler on the first stepped
-tile in a process (not on import), into __pycache__/ beside this file, and
-loads it through ctypes; schemes.tile_kernel checks each family's tile
-against the numpy body.  ndtri_function gives mann_tile scipy's own ndtri
-as a C function, so its Gaussian draws keep the ndtri ufunc's bits; it takes
-it from scipy.special.cython_special, which _special.cython_special loads
-without scipy.special's package init.
+Gaussian tiles draw through philox.c's port of scipy's ndtri, which
+schemes.tile_kernel checks against the ndtri ufunc through the library's
+other export, ndtri_many.  tile_library compiles it with the system's C
+compiler on the first stepped tile in a process (not on import), into
+__pycache__/ beside this file, and loads it through ctypes;
+schemes.tile_kernel checks each family's tile against the numpy body.
 """
 
 from __future__ import annotations
@@ -208,10 +207,10 @@ def _truncated(lib):
 
 def _build(source, cache):
     """The library compiled from source, with the argument types of its
-    mann_tile set, loaded from cache or compiled into it first; None when
-    any step fails.  The compiler writes a temporary file that os.replace
-    then moves into place, so a concurrent process never loads a
-    half-written library, and no temporary file is left behind.  A new
+    mann_tile and ndtri_many set, loaded from cache or compiled into it
+    first; None when any step fails.  The compiler writes a temporary file
+    that os.replace then moves into place, so a concurrent process never
+    loads a half-written library, and no temporary file is left behind.  A new
     build removes, as far as it can, the other philox.*.so in cache: the
     builds of an earlier source, compiler, flags or platform."""
     try:
@@ -238,13 +237,14 @@ def _build(source, cache):
         if _truncated(lib):
             return None
         lib = ctypes.CDLL(str(lib))
-        tile = lib.mann_tile
+        tile, ndtri = lib.mann_tile, lib.ndtri_many
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     size, ptr, f64 = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ptr, ctypes.c_int,
+    tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ctypes.c_int,
                      ptr, ptr, f64, ptr, ptr, ptr, ctypes.c_uint64, size)
     tile.restype = size
+    ndtri.argtypes, ndtri.restype = (ptr, size, ptr), None
     return lib
 
 
@@ -253,39 +253,15 @@ def tile_library():
     """The compiled library of philox.c, or None where it cannot be compiled
     or loaded; resolved once per process, on the first call.
 
-    Its one export, mann_tile, steps whole noise tiles for schemes.advance,
-    which checks it per map and noise family before it uses it.
+    Its export mann_tile steps whole noise tiles for schemes.advance, which
+    checks it per map and noise family before it uses it; ndtri_many runs
+    its ndtri port alone, for that check.
     """
     return _build(_SOURCE, _CACHE)
 
 
-_NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
-
-
-@functools.cache
-def ndtri_function():
-    """The address of scipy's own ndtri as a C function double (double,
-    int), called with 0 for its dispatch flag, or None where
-    scipy.special.cython_special does not export it so; resolved once per
-    process, on the first call.  Only Gaussian noise tiles need it, so only
-    they load cython_special, through _special.cython_special (without
-    scipy.special's package init, or else through the public import)."""
-    try:
-        capsule = _special.cython_special().__pyx_capi__["ndtri"]
-    except (ImportError, AttributeError, KeyError):
-        return None
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    if name(capsule) != _NDTRI_SIGNATURE:
-        return None
-    return pointer(capsule, _NDTRI_SIGNATURE)
-
-
 def substream_uniforms(key, index, count):
-    """``count`` uniforms on (0,1) from substream (key, index).
+    """``count`` uniforms on (0, 1] from substream (key, index).
 
     key and index may be scalars or arrays (they broadcast); the result has
     the broadcast shape plus a trailing axis of length ``count``.  Entry j
@@ -301,8 +277,9 @@ def substream_uniforms(key, index, count):
     c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
     x0, x1 = philox2x64(c0, index, key)
     # words x0, x1 of block b are uniforms 2b and 2b + 1 (the last x1 unused
-    # when count is odd), ((x >> 11) + 0.5) * 2**-53: on (0, 1), symmetric
-    # around 1/2
+    # when count is odd), ((x >> 11) + 0.5) * 2**-53: 2**-54 for the word 0,
+    # but 1.0 for the top word, as (2**53 - 1) + 0.5 rounds half to even to
+    # 2**53; ndtri makes that draw +inf (probability 2**-53 per draw)
     for x, rows in ((x0, out[0::2]), (x1[:count // 2], out[1::2])):
         np.right_shift(x, np.uint64(11), out=x)
         rows[...] = x

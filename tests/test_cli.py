@@ -542,6 +542,9 @@ def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
         return wrapper
 
     monkeypatch.setattr(config, "build_map", counted("map", config.build_map))
+    # and the noise model: build_bound_params takes the scheme's
+    monkeypatch.setattr(config, "build_noise",
+                        counted("noise", config.build_noise))
     for module in (cli, config):
         monkeypatch.setattr(module, "reference_fixed_point",
                             counted("x_star", module.reference_fixed_point))
@@ -558,6 +561,7 @@ def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
         calls.clear()
         assert main(argv) == 0
         assert calls.count("map") == 1, argv
+        assert calls.count("noise") == 1, argv
         assert calls.count("x_star") == x_stars, argv
 
 
@@ -634,11 +638,11 @@ def test_module_entry_point_runs():
 # {name: (code lines, modules it leaves out, modules it loads, whether it
 # resolved the compiled library)}.  Only montecarlo loads montecarlo and its
 # thread pool; config_hash hashes without OpenSSL (_hashlib); only the
-# commands that step the iteration resolve the library; only a Gaussian
-# tile needs scipy's ndtri from cython_special (reference.json draws
-# Gaussian noise, confidence_demo.json bounded uniform noise); neither the
-# import nor a montecarlo run split over threads on 2 cores loads
-# multiprocessing; and scipy.stats, about a second, never loads.
+# commands that step the iteration resolve the library; no row loads
+# scipy's cython_special, not even the Gaussian tiles of reference.json,
+# which draw through philox.c's own ndtri; neither the import nor a
+# montecarlo run split over threads on 2 cores loads multiprocessing; and
+# scipy.stats, about a second, never loads.
 REF, DEMO_CFG = str(CONFIGS / "reference.json"), \
     str(CONFIGS / "confidence_demo.json")
 MONTECARLO = ("stochmann.montecarlo", "concurrent.futures", "logging")
@@ -646,7 +650,8 @@ CYTHON = "scipy.special.cython_special"
 CLI = "import stochmann.cli as cli"
 LOADS = {
     "package": (["import stochmann"],
-                ("stochmann.errors", "stochmann.cli", "numpy"), (), False),
+                ("stochmann.errors", "stochmann.cli", "numpy", CYTHON), (),
+                False),
     "cli": ([CLI], ("scipy.stats", "multiprocessing", *MONTECARLO,
                     "_hashlib", "csv", CYTHON), (), False),
     "confidence": ([CLI, f"assert cli.main(['confidence', '--config', "
@@ -654,19 +659,16 @@ LOADS = {
                    (*MONTECARLO, CYTHON), (), True),
     "bound": ([CLI, f"assert cli.main(['bound', '--config', {REF!r}, "
                     "'--n', '1000', '--eps', '0.1']) == 0"],
-              MONTECARLO, (), False),
-    "iterate": ([CLI, "from stochmann import streams",
-                 f"assert cli.main(['iterate', '--config', {REF!r}, "
-                 "'--out', OUT]) == 0",
-                 f"assert ({CYTHON!r} in sys.modules) == "
-                 "(streams.tile_library() is not None)"],
-                MONTECARLO, ("csv",), True),
+              (*MONTECARLO, CYTHON), (), False),
+    "iterate": ([CLI, f"assert cli.main(['iterate', '--config', {REF!r}, "
+                      "'--out', OUT]) == 0"],
+                (*MONTECARLO, CYTHON), ("csv",), True),
     # draws that step no Mann iteration never resolve the library
     "cramer-check": ([CLI, f"assert cli.main(['cramer-check', '--config', "
                            f"{REF!r}, '--draws', '1000']) == 0",
                       "from stochmann import spaces",
                       "spaces.estimate_contraction(spaces.inverse_quadratic())"],
-                     MONTECARLO, (), False),
+                     (*MONTECARLO, CYTHON), (), False),
     "montecarlo": ([CLI, "import os",
                     "from stochmann import montecarlo, streams",
                     "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -678,7 +680,8 @@ LOADS = {
                     "'--replicas', '20', '--out', OUT]) == 0",
                     "assert pools == ([1] if streams.tile_library() is not None "
                     "else [])"],
-                   ("multiprocessing", "scipy.stats"), MONTECARLO, True),
+                   ("multiprocessing", "scipy.stats", CYTHON), MONTECARLO,
+                   True),
 }
 
 

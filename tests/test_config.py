@@ -158,6 +158,12 @@ def test_build_bound_params_fills_gaps_from_run():
     assert np.isclose(p.rho, 0.5 * 2 * 0.5 * (1 - INVERSE_QUADRATIC_C))
 
 
+def test_build_bound_params_takes_the_built_map_and_noise():
+    scheme = build_scheme(BASE)
+    assert build_bound_params(BASE, map_spec=scheme.map_spec,
+                              noise=scheme.noise) == build_bound_params(BASE)
+
+
 def test_build_bound_params_honours_declared_c():
     maps = [{"family": "inverse_quadratic"},
             {"family": "scaled_cosine", "lam": 0.5},

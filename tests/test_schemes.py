@@ -511,7 +511,7 @@ def test_mann_tile_steps_past_two_to_the_32(kernel):
                            noise=gaussian(2.0, dim=d), steps=StepSequences(a=0.3))
         states = np.empty((d, T, R))
         step_tile = schemes._kernel_tiles(cfg, keys, states,
-                                          *schemes.tile_kernel(cfg))
+                                          schemes.tile_kernel(cfg))
         xi = step_tile(start, T)
         draws = sample_keyed(cfg.noise, keys, steps[:, None])
         assert xi.tobytes() == draws.tobytes()

@@ -4,25 +4,31 @@ The references below redo the bit manipulation with Python ints, so any
 numpy wraparound or casting mistake in the library shows up as a mismatch.
 The golden digests are rerun with advance's numpy body, and every way the
 compiled library's build can fail must fall back to that body.  So must a
-library whose tiles, uniforms or update, fail the load-time check, and
-Gaussian tiles where scipy does not export its ndtri to C.
+library whose tiles, uniforms or update, fail the load-time check, on its
+scalar path or its AVX-512 one, and Gaussian tiles whose ndtri differs
+from scipy's.
 """
 
+import contextlib
 import ctypes
 import os
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
 import test_golden as golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import cython_special, ndtri
+from scipy.special import ndtri
+from test_schemes import affine_nd, assert_same_tiles, tiles_on_both_paths
 
 from stochmann import schemes, streams
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian, zero
-from stochmann.spaces import affine, inverse_quadratic, reference_fixed_point
+from stochmann.schemes import SchemeConfig, StepSequences
+from stochmann.spaces import (affine, dimension, inverse_quadratic,
+                              reference_fixed_point, scaled_cosine)
 from stochmann.streams import (derive_key, mix64, philox2x64,
                                substream_normals, substream_uniforms,
                                tile_library)
@@ -111,6 +117,19 @@ def test_normals_match_scipy_inverse_cdf():
     u = substream_uniforms(np.uint64(55), 9, 512)
     z = substream_normals(np.uint64(55), 9, 512)
     assert np.array_equal(z, ndtri(u))
+
+
+def test_extreme_words_give_the_extreme_uniforms(monkeypatch):
+    # the word 0 is the uniform 2**-54, and the top word 1.0: (2**53 - 1) +
+    # 0.5 rounds half to even to 2**53.  So a Gaussian draw is +inf with
+    # probability 2**-53, as scipy's ndtri(1.0) is.
+    def words(c0, c1, key):
+        shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(key))
+        return np.zeros(shape, np.uint64), np.full(shape, MASK, np.uint64)
+    monkeypatch.setattr(streams, "philox2x64", words)
+    assert substream_uniforms(0, 1, 2).tolist() == [2.0**-54, 1.0]
+    z = substream_normals(0, 1, 2)
+    assert z[0] == ndtri(2.0**-54) < -8 and z[1] == np.inf
 
 
 def test_normal_moments_match_theory():
@@ -374,16 +393,6 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
 
 # The tile kernel's load-time check and its fallbacks.
 
-@pytest.fixture
-def fresh_tile_checks():
-    """ndtri_function and the tile kernel's checks resolved afresh."""
-    streams.ndtri_function.cache_clear()
-    schemes._checked_kernel.cache_clear()
-    yield
-    streams.ndtri_function.cache_clear()
-    schemes._checked_kernel.cache_clear()
-
-
 def build_edited_source(tmp_path, monkeypatch, old, new):
     """tile_library built from philox.c with old replaced by new."""
     text = streams._SOURCE.read_text()
@@ -405,30 +414,95 @@ def test_wrong_tile_kernel_falls_back(kernel, cold, tmp_path, monkeypatch):
 
 def test_wrong_uniforms_in_the_tile_kernel_fall_back(kernel, cold, tmp_path,
                                                       monkeypatch):
-    # a wrong Weyl key increment: each family's check compares the tile's
-    # noise with philox2x64's, so every family that draws is refused and
-    # zero noise, which draws nothing, keeps the library
-    build_edited_source(tmp_path, monkeypatch, "key_r += 0x9E3779B97F4A7C15u;",
-                        "key_r += 0x9E3779B97F4A7C17u;")
+    # a wrong Weyl key increment, on the scalar path and the AVX-512 one:
+    # each family's check compares the tile's noise with philox2x64's, so
+    # every family that draws is refused and zero noise, which draws
+    # nothing, keeps the library
+    build_edited_source(tmp_path, monkeypatch,
+                        "#define PHILOX_W 0x9E3779B97F4A7C15u",
+                        "#define PHILOX_W 0x9E3779B97F4A7C17u")
     for cfg in TILE_CASES:
         compiled = cfg.noise.family == "zero"
         assert (schemes.tile_kernel(cfg) is not None) == compiled
         assert advance_bytes(cfg) == numpy_path_bytes(cfg)
 
 
-def test_missing_ndtri_capsule_steps_gaussian_tiles_in_numpy(
-        kernel, fresh_tile_checks, monkeypatch):
-    monkeypatch.delitem(cython_special.__pyx_capi__, "ndtri")
-    assert streams.ndtri_function() is None
+def vector_path():
+    """Whether mann_tile takes its AVX-512 path here: a CPU with AVX-512F
+    and DQ, and streams._CC a GCC for x86-64."""
+    flags = set()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as f:
+        flags = next((set(line.split(":", 1)[1].split()) for line in f
+                      if line.startswith("flags")), set())
+    macros = subprocess.run([streams._CC, "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True).stdout.split()
+    return ({"avx512f", "avx512dq"} <= flags and "__x86_64__" in macros
+            and "__GNUC__" in macros and "__clang__" not in macros)
+
+
+@pytest.mark.parametrize("old, new, families", [
+    ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
+     ("gaussian", "bounded_uniform")),
+    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",))])
+def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
+                                        old, new, families):
+    # a defect in the 8-lane Philox or the 8-lane central ndtri alone: the
+    # known-answer tile of 40 replicas reaches both wherever they run
+    build_edited_source(tmp_path, monkeypatch, old, new)
+    refused = vector_path()
     for cfg in TILE_CASES:
-        compiled = cfg.noise.family != "gaussian"
+        compiled = not (refused and cfg.noise.family in families)
         assert (schemes.tile_kernel(cfg) is not None) == compiled
         assert advance_bytes(cfg) == numpy_path_bytes(cfg)
 
 
-def test_ndtri_function_is_scipys_ndtri(kernel, fresh_tile_checks):
-    f = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_int)(
-        streams.ndtri_function())
-    u = np.concatenate([substream_uniforms(5, np.arange(2000), 1)[:, 0],
-                        [2.0**-53, 0.5, 1.0 - 2.0**-53, 1e-300]])
-    assert np.array([f(v, 0) for v in u.tolist()]).tobytes() == ndtri(u).tobytes()
+@pytest.mark.parametrize("R", [40, 200])
+def test_scalar_path_tiles_equal_the_numpy_body(kernel, cold, tmp_path,
+                                                monkeypatch, R):
+    # the library with its AVX-512 dispatch off, as on a CPU without it:
+    # every map and noise family at d = 1, 3 and 8, over two tiles
+    build_edited_source(tmp_path, monkeypatch,
+                        'wide = __builtin_cpu_supports("avx512f")',
+                        'wide = 0 && __builtin_cpu_supports("avx512f")')
+    seeds = derive_key(11, np.arange(R, dtype=np.uint64))
+    maps = [inverse_quadratic(), scaled_cosine(0.8)] + [
+        affine_nd(d) for d in (1, 3, 8)]
+    for m in maps:
+        d = dimension(m)
+        for noise in (zero(d), gaussian(2.0, dim=d), bounded_uniform(1.5, dim=d)):
+            cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                               x0=np.linspace(-1.0, 2.0, d), noise=noise,
+                               steps=StepSequences(a=0.7))
+            assert schemes.tile_kernel(cfg) is not None, (m.family, d, noise)
+            T = max(1, schemes.TILE_ELEMENTS // (R * d))
+            assert_same_tiles(*tiles_on_both_paths(cfg, seeds, T + 3))
+
+
+def test_ndtri_port_is_scipys_ndtri(kernel):
+    # philox.c's ndtri, which Gaussian tiles draw through, against the
+    # ndtri ufunc: 10**6 Philox uniforms, log-spaced tails on both sides
+    # down to 1e-308 and 1e-16, and the extreme uniforms 2**-54 and 1.0
+    keys = derive_key(5, np.arange(1000, dtype=np.uint64))[:, None]
+    u = np.concatenate([
+        substream_uniforms(keys, np.arange(1, 501, dtype=np.uint64), 2).ravel(),
+        np.logspace(-308, np.log10(0.2), 10**5),
+        1.0 - np.logspace(-16, np.log10(0.2), 10**5),
+        [2.0**-54, 1.0 - 2.0**-53, 1.0]])
+    out = np.empty_like(u)
+    kernel.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size,
+                      out.ctypes.data_as(ctypes.c_void_p))
+    assert same_bits(out, ndtri(u))
+    assert out[-1] == np.inf
+
+
+def test_wrong_ndtri_tail_refuses_gaussian_tiles(kernel, cold, tmp_path,
+                                                 monkeypatch):
+    # a defect past exp(-32), which Philox draws with probability ~1e-14, so
+    # no known-answer tile reaches it: ndtri's edge grid is what refuses
+    # Gaussian tiles, and they step in numpy
+    build_edited_source(tmp_path, monkeypatch, "3.23774891776946035970E0,",
+                        "3.23774891776946035971E1,")
+    for cfg in TILE_CASES:
+        compiled = cfg.noise.family != "gaussian"
+        assert (schemes.tile_kernel(cfg) is not None) == compiled
+        assert advance_bytes(cfg) == numpy_path_bytes(cfg)

@@ -183,8 +183,9 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     K = min(cores, len(seeds), len(seeds) * cps[-1] * d // SPLIT_ELEMENTS)
-    # resolved here, before any thread starts; the numpy body runs serially
-    if K < 2 or tile_kernel(scheme) is None:
+    # resolved here, for the smallest chunk, before any thread starts; the
+    # numpy body runs serially
+    if K < 2 or tile_kernel(scheme, len(seeds) // K) is None:
         return _errors(scheme, x_star, seeds, cps)
     chunks = np.array_split(seeds, K)
     offsets = np.cumsum([0] + [len(c) for c in chunks]).tolist()

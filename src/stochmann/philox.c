@@ -31,7 +31,8 @@ double sqrt(double);
  * key key[r] at the counter (b, start + k) gives the words x0, x1, which
  * become the uniforms j = 2b and 2b + 1, ((x >> 11) + 0.5) * 2**-53, stored
  * at out[j*plane + k*R + r], for the replicas r0 <= r < R.  When count is
- * odd the last x1 is unused. */
+ * odd the last x1 is unused.  The uniforms lie in (0, 1], not (0, 1): the
+ * top word gives 1.0, as (2**53 - 1) + 0.5 rounds half to even to 2**53. */
 static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
                          ptrdiff_t R, ptrdiff_t r0, ptrdiff_t count,
                          ptrdiff_t plane, double *out)

@@ -184,7 +184,7 @@ def advance(cfg, seeds, horizon):
     call allocates once and the next tile may overwrite: copy to keep them.
     Replica r draws from the substream (seeds[r], n), seeds a nonempty 1-D
     array of integers in [0, 2**64); cfg.seed is ignored.
-    Each tile is one call of the compiled mann_tile where tile_kernel(cfg)
+    Each tile is one call of the compiled mann_tile where tile_kernel(cfg, R)
     provides it, and goes through the update rule that step() uses
     otherwise, with the same bits.  All arithmetic is elementwise, so row r
     is bitwise the run under seeds[r] for any R and any layout.  A
@@ -197,7 +197,7 @@ def advance(cfg, seeds, horizon):
     keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
     tile_steps = max(1, TILE_ELEMENTS // (R * d))
     states = np.empty((d, tile_steps, R), dtype=np.float64)
-    kernel = tile_kernel(cfg)
+    kernel = tile_kernel(cfg, R)
     step_tile = (_numpy_tiles(cfg, keys, states) if kernel is None
                  else _kernel_tiles(cfg, keys, states, kernel))
     return _tiles(step_tile, states, horizon)
@@ -335,15 +335,21 @@ def _kernel_tiles(cfg, keys, states, kernel):
     return step_tile
 
 
-def tile_kernel(cfg):
-    """mann_tile for cfg's map and noise family, or None where advance steps
-    in numpy: no compiled library, or a kernel whose tile differs from the
-    numpy body's (libm's cos, say, rounding unlike numpy's), or for Gaussian
-    noise whose ndtri port differs from scipy's.  Resolved once per process
-    and family."""
+# where the CPU has AVX-512, philox.c draws the replicas of a tile with at
+# least this many in blocks of this many, in vector lanes
+_LANE_BLOCK = 32
+
+
+def tile_kernel(cfg, replicas=1):
+    """mann_tile for tiles of cfg's map and noise family with this many
+    replicas, or None where advance steps in numpy: no compiled library, or
+    a kernel whose tile differs from the numpy body's (libm's cos, say,
+    rounding unlike numpy's), or for Gaussian noise whose ndtri port differs
+    from scipy's.  Resolved once per process, family and whether the tiles
+    have _LANE_BLOCK replicas."""
     lib = streams.tile_library()
     return None if lib is None else _checked_kernel(
-        lib, cfg.map_spec.family, cfg.noise.family)
+        lib, cfg.map_spec.family, cfg.noise.family, replicas >= _LANE_BLOCK)
 
 
 # ndtri's edges: its branch points exp(-32) and exp(-2) and their mirrors
@@ -366,14 +372,16 @@ def _ndtri_port_exact(lib):
 
 
 @functools.cache
-def _checked_kernel(lib, map_family, noise_family):
+def _checked_kernel(lib, map_family, noise_family, blocks):
     """tile_kernel after its known-answer check: one small tile of the
-    family, 40 replicas x 8 steps (in dimension 3 for the affine map), must
-    equal the numpy body's bit for bit, and for Gaussian noise so must
-    ndtri on its edges.  Where philox.c draws 32-replica blocks in vector
-    lanes, 40 replicas run both them and its scalar remainder.  Zero noise
-    keeps the replicas together, so the steps are what catch a contracted
-    multiply-add: 4 steps already catch an FMA build in every family."""
+    family, 8 steps (in dimension 3 for the affine map), must equal the
+    numpy body's bit for bit, and for Gaussian noise so must ndtri on its
+    edges.  The tile has 40 replicas where the tiles have lane blocks, so
+    that it runs both the blocks and the scalar remainder, else 8: a check
+    of 40 cost a one-replica confidence run ~3% of its time and ~0.2 MB of
+    peak RSS.  Zero noise keeps the replicas together, so the steps are
+    what catch a contracted multiply-add: 4 steps already catch an FMA
+    build in every family."""
     if noise_family == "gaussian" and not _ndtri_port_exact(lib):
         return None
     # the family's map alone: affine()'s norm through LAPACK costs ~1 MB RSS
@@ -388,7 +396,7 @@ def _checked_kernel(lib, map_family, noise_family):
                        x0=np.linspace(-0.5, 1.0, d),
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
-    R, T = 40, 8
+    R, T = (40 if blocks else 8), 8
     keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
     tiles = []
     for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):

@@ -213,15 +213,15 @@ TILE_CASES = [golden.scheme(inverse_quadratic(), [0.5], noise, horizon=50)
     for noise in (gaussian(0.5, dim=2), bounded_uniform(0.5, dim=2))]
 
 
-def advance_bytes(cfg):
+def advance_bytes(cfg, R=7):
     return [(start, X.tobytes(), xi.tobytes())
-            for start, X, xi in schemes.advance(cfg, np.arange(7), 50)]
+            for start, X, xi in schemes.advance(cfg, np.arange(R), 50)]
 
 
-def numpy_path_bytes(cfg):
+def numpy_path_bytes(cfg, R=7):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(streams, "tile_library", lambda: None)
-        return advance_bytes(cfg)
+        return advance_bytes(cfg, R)
 
 
 def test_numpy_streams_fixture_forces_the_numpy_path(numpy_streams, monkeypatch):
@@ -440,20 +440,23 @@ def vector_path():
             and "__GNUC__" in macros and "__clang__" not in macros)
 
 
-@pytest.mark.parametrize("old, new, families", [
+@pytest.mark.parametrize("old, new, families, narrow", [
     ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
-     ("gaussian", "bounded_uniform")),
-    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",))])
+     ("gaussian", "bounded_uniform"), False),
+    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), True)])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
-                                        old, new, families):
-    # a defect in the 8-lane Philox or the 8-lane central ndtri alone: the
-    # known-answer tile of 40 replicas reaches both wherever they run
+                                        old, new, families, narrow):
+    # a defect in the 8-lane Philox or the 8-lane central ndtri alone, each
+    # refused wherever it runs: the Philox lanes in tiles of 32 replicas or
+    # more, whose check has 40, the central ndtri in any Gaussian tile
     build_edited_source(tmp_path, monkeypatch, old, new)
-    refused = vector_path()
+    lanes = vector_path()
     for cfg in TILE_CASES:
-        compiled = not (refused and cfg.noise.family in families)
-        assert (schemes.tile_kernel(cfg) is not None) == compiled
-        assert advance_bytes(cfg) == numpy_path_bytes(cfg)
+        hit = lanes and cfg.noise.family in families
+        assert (schemes.tile_kernel(cfg, 40) is None) == hit
+        assert (schemes.tile_kernel(cfg) is None) == (hit and narrow)
+        for R in (7, 40):
+            assert advance_bytes(cfg, R) == numpy_path_bytes(cfg, R)
 
 
 @pytest.mark.parametrize("R", [40, 200])

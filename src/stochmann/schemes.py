@@ -352,23 +352,21 @@ def tile_kernel(cfg, replicas=1):
         lib, cfg.map_spec.family, cfg.noise.family, replicas >= _LANE_BLOCK)
 
 
-# ndtri's edges: its branch points exp(-32) and exp(-2) and their mirrors
-# at 1 - exp(-2), each +-1 ulp, the smallest and largest uniforms, 0.5 and
-# 1 - 2**-53; 2**-54 takes the x >= 8 branch, which Philox draws with
-# probability ~1e-14
-_NDTRI_EDGES = np.array([
-    v for c in (math.exp(-32.0), math.exp(-2.0), 1.0 - math.exp(-2.0))
-    for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
-    + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
-
-
 def _ndtri_port_exact(lib):
-    """Whether philox.c's ndtri gives the ndtri ufunc's bits on
-    _NDTRI_EDGES."""
-    out = np.empty_like(_NDTRI_EDGES)
-    lib.ndtri_many(_NDTRI_EDGES.ctypes.data_as(ctypes.c_void_p),
-                   _NDTRI_EDGES.size, out.ctypes.data_as(ctypes.c_void_p))
-    return out.tobytes() == _special.ndtri(_NDTRI_EDGES).tobytes()
+    """Whether philox.c's ndtri gives the ndtri ufunc's bits on its edges:
+    the branch points exp(-32) and exp(-2) and the mirror 1 - exp(-2), each
+    +-1 ulp, the smallest and largest uniforms, 0.5 and 1 - 2**-53.  2**-54
+    takes the x >= 8 branch, which Philox draws with probability ~1e-14.
+    (The grid is built here, not on import: a module-level array moved
+    confidence's peak RSS by ~0.15 MB.)"""
+    u = np.array([v for c in (math.exp(-32.0), math.exp(-2.0),
+                              1.0 - math.exp(-2.0))
+                  for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+                 + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
+    out = np.empty_like(u)
+    lib.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size,
+                   out.ctypes.data_as(ctypes.c_void_p))
+    return out.tobytes() == _special.ndtri(u).tobytes()
 
 
 @functools.cache
@@ -378,7 +376,7 @@ def _checked_kernel(lib, map_family, noise_family, blocks):
     numpy body's bit for bit, and for Gaussian noise so must ndtri on its
     edges.  The tile has 40 replicas where the tiles have lane blocks, so
     that it runs both the blocks and the scalar remainder, else 8: a check
-    of 40 cost a one-replica confidence run ~3% of its time and ~0.2 MB of
+    of 40 cost a one-replica confidence run ~3% of its time and ~0.1 MB of
     peak RSS.  Zero noise keeps the replicas together, so the steps are
     what catch a contracted multiply-add: 4 steps already catch an FMA
     build in every family."""

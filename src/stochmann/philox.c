@@ -27,12 +27,21 @@ double sqrt(double);
 #define PHILOX_M 0xD2B74407B1CE6E93u
 #define PHILOX_W 0x9E3779B97F4A7C15u
 
+/* the largest uniform: the top 2**11 words would give 1.0, as (2**53 - 1)
+ * + 0.5 rounds half to even to 2**53, and ndtri(1.0) is +inf */
+#define U_MAX (1.0 - 0x1p-53)
+
 /* Uniform j of replica r at step start + k: block b of Philox-2x64-10 under
  * key key[r] at the counter (b, start + k) gives the words x0, x1, which
- * become the uniforms j = 2b and 2b + 1, ((x >> 11) + 0.5) * 2**-53, stored
- * at out[j*plane + k*R + r], for the replicas r0 <= r < R.  When count is
- * odd the last x1 is unused.  The uniforms lie in (0, 1], not (0, 1): the
- * top word gives 1.0, as (2**53 - 1) + 0.5 rounds half to even to 2**53. */
+ * become the uniforms j = 2b and 2b + 1, ((x >> 11) + 0.5) * 2**-53 clamped
+ * to U_MAX, stored at out[j*plane + k*R + r], for the replicas r0 <= r < R.
+ * When count is odd the last x1 is unused. */
+static inline double uniform(uint64_t x)
+{
+    const double u = ((double)(x >> 11) + 0.5) * 0x1p-53;
+    return u < U_MAX ? u : U_MAX;
+}
+
 static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
                          ptrdiff_t R, ptrdiff_t r0, ptrdiff_t count,
                          ptrdiff_t plane, double *out)
@@ -50,9 +59,9 @@ static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
                     x1 = (uint64_t)p;
                     key_r += PHILOX_W;
                 }
-                even[k * R + r] = ((double)(x0 >> 11) + 0.5) * 0x1p-53;
+                even[k * R + r] = uniform(x0);
                 if (j + 1 < count)
-                    odd[k * R + r] = ((double)(x1 >> 11) + 0.5) * 0x1p-53;
+                    odd[k * R + r] = uniform(x1);
             }
         }
     }
@@ -180,6 +189,15 @@ LANES u64x8 mul32(u64x8 a, u64x8 b)
                                                  (i64x8){0}, 0xFF);
 }
 
+/* uniform(x) in each lane (vminpd returns its second operand only where
+ * the first is NaN or not below it) */
+LANES f64x8 uniform_wide(u64x8 x)
+{
+    const f64x8 u = (__builtin_convertvector((i64x8)(x >> 11), f64x8) + 0.5)
+        * 0x1p-53;
+    return __builtin_ia32_minpd512_mask(u, (f64x8){0} + U_MAX, u, 0xFF, 4);
+}
+
 /* uniform_grid for the replicas r < R - R % 32, as four interleaved 8-lane
  * vectors of Philox per 32-replica block; each 64x64-bit product is
  * assembled from four 32x32-bit ones */
@@ -220,11 +238,9 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
 #pragma GCC unroll 4
                 for (int v = 0; v < 4; v++) {
                     const ptrdiff_t at = k * R + r + 8 * v;
-                    *(f64x8_u *)(even + at) = (__builtin_convertvector(
-                        (i64x8)(x0[v] >> 11), f64x8) + 0.5) * 0x1p-53;
+                    *(f64x8_u *)(even + at) = uniform_wide(x0[v]);
                     if (j + 1 < count)
-                        *(f64x8_u *)(odd + at) = (__builtin_convertvector(
-                            (i64x8)(x1[v] >> 11), f64x8) + 0.5) * 0x1p-53;
+                        *(f64x8_u *)(odd + at) = uniform_wide(x1[v]);
                 }
             }
         }

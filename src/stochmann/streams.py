@@ -54,6 +54,9 @@ _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
 _PHILOX_W = np.uint64(0x9E3779B97F4A7C15)
 _ROUNDS = 10
 
+# the largest uniform: below 1, so that every Gaussian draw is finite
+_U_MAX = 1.0 - 2.0**-53
+
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 
@@ -261,7 +264,7 @@ def tile_library():
 
 
 def substream_uniforms(key, index, count):
-    """``count`` uniforms on (0, 1] from substream (key, index).
+    """``count`` uniforms on (0, 1) from substream (key, index).
 
     key and index may be scalars or arrays (they broadcast); the result has
     the broadcast shape plus a trailing axis of length ``count``.  Entry j
@@ -277,14 +280,15 @@ def substream_uniforms(key, index, count):
     c0 = np.arange(nblocks, dtype=np.uint64).reshape((nblocks,) + (1,) * len(shape))
     x0, x1 = philox2x64(c0, index, key)
     # words x0, x1 of block b are uniforms 2b and 2b + 1 (the last x1 unused
-    # when count is odd), ((x >> 11) + 0.5) * 2**-53: 2**-54 for the word 0,
-    # but 1.0 for the top word, as (2**53 - 1) + 0.5 rounds half to even to
-    # 2**53; ndtri makes that draw +inf (probability 2**-53 per draw)
+    # when count is odd), ((x >> 11) + 0.5) * 2**-53: 2**-54 for the word 0.
+    # The top 2**11 words would give 1.0, as (2**53 - 1) + 0.5 rounds half to
+    # even to 2**53, and ndtri(1.0) is +inf: they are clamped to 1 - 2**-53.
     for x, rows in ((x0, out[0::2]), (x1[:count // 2], out[1::2])):
         np.right_shift(x, np.uint64(11), out=x)
         rows[...] = x
     np.add(out, 0.5, out=out)
     np.multiply(out, 2.0**-53, out=out)
+    np.minimum(out, _U_MAX, out=out)
     # np.moveaxis(out, 0, -1) without its ~5 us of axis normalisation
     return out.transpose(tuple(range(1, out.ndim)) + (0,))
 

@@ -120,16 +120,17 @@ def test_normals_match_scipy_inverse_cdf():
 
 
 def test_extreme_words_give_the_extreme_uniforms(monkeypatch):
-    # the word 0 is the uniform 2**-54, and the top word 1.0: (2**53 - 1) +
-    # 0.5 rounds half to even to 2**53.  So a Gaussian draw is +inf with
-    # probability 2**-53, as scipy's ndtri(1.0) is.
+    # the word 0 is the uniform 2**-54, and the top word 1 - 2**-53: its
+    # (2**53 - 1) + 0.5 rounds half to even to 2**53, and the clamp keeps
+    # the 1.0 that gives, which ndtri makes +inf, out of every draw
     def words(c0, c1, key):
         shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(key))
         return np.zeros(shape, np.uint64), np.full(shape, MASK, np.uint64)
     monkeypatch.setattr(streams, "philox2x64", words)
-    assert substream_uniforms(0, 1, 2).tolist() == [2.0**-54, 1.0]
+    assert substream_uniforms(0, 1, 2).tolist() == [2.0**-54, 1.0 - 2.0**-53]
     z = substream_normals(0, 1, 2)
-    assert z[0] == ndtri(2.0**-54) < -8 and z[1] == np.inf
+    assert z[0] == ndtri(2.0**-54) < -8 and 8 < z[1] == ndtri(1.0 - 2.0**-53)
+    assert np.isfinite(z).all()
 
 
 def test_normal_moments_match_theory():

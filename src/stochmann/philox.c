@@ -147,17 +147,12 @@ static double ndtri(double y0)
     return upper ? x : -x;
 }
 
-/* out[e] = ndtri(u[e]) for e < n: the port, for the load-time comparison
- * with scipy's ufunc */
-void ndtri_many(const double *u, ptrdiff_t n, double *out)
-{
-    for (ptrdiff_t e = 0; e < n; e++)
-        out[e] = ndtri(u[e]);
-}
-
-/* elements of a noise plane per pass of the wide ndtri: its tail list is
- * a stack buffer of this many positions */
+/* elements of a noise plane per pass of the wide ndtri: its tail list and
+ * tail buffers are stack arrays of this many elements */
 enum { NDTRI_CHUNK = 512 };
+
+enum { ZERO, GAUSSIAN, BOUNDED_UNIFORM };   /* noise families */
+enum { INVERSE_QUADRATIC, AFFINE, SCALED_COSINE };  /* maps */
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define WIDE __attribute__((target("avx512f,avx512dq"), noinline))
@@ -249,13 +244,13 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
 }
 
 /* u[e] = ndtri(u[e]) * param for the e < n in ndtri's central branch, 8 at
- * a time; the positions of the others, and of the last n % 8, are listed
- * in tail, and their number returned */
+ * a time, n a multiple of 8; the positions of the others are listed in
+ * tail, and their number returned */
 WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
                                    int16_t *tail)
 {
-    ptrdiff_t tails = 0, e = 0;
-    for (; e + 8 <= n; e += 8) {
+    ptrdiff_t tails = 0;
+    for (ptrdiff_t e = 0; e < n; e += 8) {
         const f64x8 u_e = *(f64x8_u *)(u + e);
         const i64x8 central = (i64x8)((u_e > EXP_M2) & (u_e <= 1.0 - EXP_M2));
         const f64x8 y = u_e - 0.5, y2 = y * y;
@@ -273,25 +268,129 @@ WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
         for (; others; others &= others - 1)
             tail[tails++] = (int16_t)(e + __builtin_ctz(others));
     }
-    for (; e < n; e++)
-        tail[tails++] = (int16_t)e;
     __builtin_ia32_vzeroupper();
     return tails;
 }
+
+/* x[t] = sqrt(-2.0 * x[t]) for t < n, n a multiple of 8: ndtri's tail from
+ * log(y) on (vsqrtpd rounds correctly, as libm's sqrt does) */
+WIDE static void tail_sqrt_wide(double *x, ptrdiff_t n)
+{
+    for (ptrdiff_t t = 0; t < n; t += 8) {
+        const f64x8 l = *(f64x8_u *)(x + t);
+        *(f64x8_u *)(x + t) = __builtin_ia32_sqrtpd512_mask(-2.0 * l, l, 0xFF, 4);
+    }
+    __builtin_ia32_vzeroupper();
+}
+
+/* z * polevl(z, p, 8) / p1evl(z, q, 8) in each lane */
+LANES f64x8 tail_ratio(f64x8 z, const double *p, const double *q)
+{
+    f64x8 s = (f64x8){0} + p[0], t = z + q[0];
+#pragma GCC unroll 8
+    for (int i = 1; i <= 8; i++)
+        s = s * z + p[i];
+#pragma GCC unroll 7
+    for (int i = 1; i < 8; i++)
+        t = t * z + q[i];
+    return z * s / t;
+}
+
+/* y[t] = ndtri(y[t]) * param for t < n, n a multiple of 8, the y[t] in
+ * ndtri's tails, from x[t] = sqrt(-2 log(y)) (1 - y past the upper edge)
+ * and lx[t] = log(x[t]): the rest of the tail branch, 8 at a time, with
+ * P2/Q2 blended in only where some lane has x >= 8 */
+WIDE static void tail_wide(double *y, const double *x, const double *lx,
+                           ptrdiff_t n, double param)
+{
+    for (ptrdiff_t t = 0; t < n; t += 8) {
+        const f64x8 x_t = *(const f64x8_u *)(x + t);
+        const f64x8 x0 = x_t - *(const f64x8_u *)(lx + t) / x_t, z = 1.0 / x_t;
+        const i64x8 near = (i64x8)(x_t < 8.0);
+        f64x8 x1 = tail_ratio(z, P1, Q1);
+        if ((uint8_t)~__builtin_ia32_cvtq2mask512(near))
+            x1 = (f64x8)(((i64x8)x1 & near)
+                         | ((i64x8)tail_ratio(z, P2, Q2) & ~near));
+        const f64x8 r = x0 - x1;
+        const i64x8 upper = (i64x8)(*(f64x8_u *)(y + t) > 1.0 - EXP_M2);
+        *(f64x8_u *)(y + t) = (f64x8)(((i64x8)r & upper)
+                                      | ((i64x8)-r & ~upper)) * param;
+    }
+    __builtin_ia32_vzeroupper();
+}
+
+/* one step of mann_tile's update for the replicas r < R, R a multiple of
+ * 8, 8 at a time, for the affine and inverse-quadratic maps: the same
+ * operations in the same order as update's loop.  Returns whether every
+ * new state is finite. */
+WIDE static int update_wide(int map, ptrdiff_t R, ptrdiff_t d,
+                            ptrdiff_t plane, const double *A, const double *b,
+                            double keep, double a_n, double b_n,
+                            const double *prev, ptrdiff_t stride,
+                            double *state, const double *noise_k)
+{
+    i64x8 finite = (i64x8){0} - 1;
+    for (ptrdiff_t r = 0; r < R; r += 8) {
+        for (ptrdiff_t i = 0; i < d; i++) {
+            const f64x8 v = *(const f64x8_u *)(prev + i * stride + r);
+            f64x8 f;
+            if (map == INVERSE_QUADRATIC) {
+                f = 1.0 / (1.0 + v * v);
+            } else {
+                f = b[i] + A[i * d] * *(const f64x8_u *)(prev + r);
+                for (ptrdiff_t j = 1; j < d; j++)
+                    f += A[i * d + j] * *(const f64x8_u *)(prev + j * stride + r);
+            }
+            const f64x8 y = keep * v + a_n * f
+                + b_n * *(const f64x8_u *)(noise_k + i * plane + r);
+            *(f64x8_u *)(state + i * plane + r) = y;
+            finite &= (i64x8)(y - y == 0.0);  /* inf - inf and NaN are NaN */
+        }
+    }
+    const int all = (uint8_t)__builtin_ia32_cvtq2mask512(finite) == 0xFF;
+    __builtin_ia32_vzeroupper();
+    return all;
+}
 #endif
 
-/* u[e] = ndtri(u[e]) * param for e < n */
+/* u[e] = ndtri(u[e]) * param for e < n.  On the wide path, per chunk: the
+ * central branch of its 8-element blocks, the scalar port on the last
+ * m % 8, and the blocks' tails in stages, libm's logs in scalar loops
+ * between the 8-lane stages.  0.0 and 1.0, ndtri's infinities, take the
+ * scalar port. */
 static void normals(double *u, ptrdiff_t n, double param)
 {
 #ifdef WIDE
     if (wide) {
         int16_t tail[NDTRI_CHUNK];
+        double y[NDTRI_CHUNK], x[NDTRI_CHUNK], lx[NDTRI_CHUNK];
         for (ptrdiff_t c = 0; c < n; c += NDTRI_CHUNK) {
             double *v = u + c;
             const ptrdiff_t m = n - c < NDTRI_CHUNK ? n - c : NDTRI_CHUNK;
-            const ptrdiff_t tails = central_wide(v, m, param, tail);
-            for (ptrdiff_t t = 0; t < tails; t++)
-                v[tail[t]] = ndtri(v[tail[t]]) * param;
+            const ptrdiff_t tails = central_wide(v, m - m % 8, param, tail);
+            for (ptrdiff_t e = m - m % 8; e < m; e++)
+                v[e] = ndtri(v[e]) * param;
+            ptrdiff_t kept = 0, lanes;
+            for (ptrdiff_t t = 0; t < tails; t++) {
+                const double y0 = v[tail[t]];
+                if (y0 == 0.0 || y0 == 1.0) {
+                    v[tail[t]] = ndtri(y0) * param;
+                    continue;
+                }
+                tail[kept] = tail[t];
+                y[kept] = y0;
+                x[kept++] = log(y0 > 1.0 - EXP_M2 ? 1.0 - y0 : y0);
+            }
+            if (!kept)
+                continue;
+            for (lanes = kept; lanes % 8; lanes++)  /* lanes past the last */
+                y[lanes] = 0.5, x[lanes] = -0.5, lx[lanes] = 0.0;
+            tail_sqrt_wide(x, lanes);
+            for (ptrdiff_t t = 0; t < kept; t++)
+                lx[t] = log(x[t]);
+            tail_wide(y, x, lx, lanes, param);
+            for (ptrdiff_t t = 0; t < kept; t++)
+                v[tail[t]] = y[t];
         }
         return;
     }
@@ -300,11 +399,19 @@ static void normals(double *u, ptrdiff_t n, double param)
         u[e] = ndtri(u[e]) * param;
 }
 
-enum { ZERO, GAUSSIAN, BOUNDED_UNIFORM };   /* noise families */
-enum { INVERSE_QUADRATIC, AFFINE, SCALED_COSINE };  /* maps */
+/* out[e] = ndtri(u[e]) for e < n, through the path that Gaussian tiles
+ * take: the port, for the load-time comparison with scipy's ufunc */
+void ndtri_many(const double *u, ptrdiff_t n, double *out)
+{
+    for (ptrdiff_t e = 0; e < n; e++)
+        out[e] = u[e];
+    normals(out, n, 1.0);
+}
 
 /* mann_tile's update, after its noise pass; inlined there twice, so that
- * the copy with cosine 0 makes no call and keeps its doubles in registers. */
+ * the copy with cosine 0 makes no libm call and keeps its doubles in
+ * registers.  On the wide path that copy steps the replicas r < R - R % 8
+ * through update_wide, and the rest here. */
 static inline __attribute__((always_inline)) ptrdiff_t
 update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
        const double *A, const double *b, double a, double *x, double *X,
@@ -319,7 +426,15 @@ update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
         const ptrdiff_t stride = k ? plane : R;
         double *state = X + k * R, *noise_k = xi + k * R;
         int finite = 1;
-        for (ptrdiff_t r = 0; r < R; r++) {
+        ptrdiff_t r0 = 0;
+#ifdef WIDE
+        if (!cosine && wide && R >= 8) {
+            r0 = R - R % 8;
+            finite = update_wide(map, r0, d, plane, A, b, keep, a_n, b_n,
+                                 prev, stride, state, noise_k);
+        }
+#endif
+        for (ptrdiff_t r = r0; r < R; r++) {
             for (ptrdiff_t i = 0; i < d; i++) {
                 const double v = prev[i * stride + r];
                 double f;

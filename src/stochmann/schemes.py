@@ -355,27 +355,34 @@ def tile_kernel(cfg, replicas=1):
 def _ndtri_port_exact(lib):
     """Whether philox.c's ndtri gives the ndtri ufunc's bits on its edges:
     the branch points exp(-32) and exp(-2) and the mirror 1 - exp(-2), each
-    +-1 ulp, the smallest and largest uniforms, 0.5 and 1 - 2**-53.  2**-54
-    takes the x >= 8 branch, which Philox draws with probability ~1e-14.
+    +-1 ulp, the smallest and largest uniforms, 0.5, 1 - 2**-53 and 1.0.
+    2**-54 takes the x >= 8 branch, which Philox draws with probability
+    ~1e-14.  ndtri_many runs them as Gaussian tiles do: the grid, padded to
+    16 values, whole, so that every value lands in a vector lane where the
+    CPU has them, and each value alone, which the scalar port finishes.
     (The grid is built here, not on import: a module-level array moved
     confidence's peak RSS by ~0.15 MB.)"""
     u = np.array([v for c in (math.exp(-32.0), math.exp(-2.0),
                               1.0 - math.exp(-2.0))
                   for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
-                 + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
-    out = np.empty_like(u)
-    lib.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size,
-                   out.ctypes.data_as(ctypes.c_void_p))
-    return out.tobytes() == _special.ndtri(u).tobytes()
+                 + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0, 0.25, 0.75, 0.01])
+    out = np.empty((2, u.size))
+    at = out.ctypes.data
+    lib.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size, at)
+    for e in range(u.size):
+        lib.ndtri_many(u.ctypes.data + 8 * e, 1, at + 8 * (u.size + e))
+    return out.tobytes() == np.tile(_special.ndtri(u), 2).tobytes()
 
 
 @functools.cache
 def _checked_kernel(lib, map_family, noise_family, blocks):
     """tile_kernel after its known-answer check: one small tile of the
-    family, 8 steps (in dimension 3 for the affine map), must equal the
+    family, 7 steps (in dimension 3 for the affine map), must equal the
     numpy body's bit for bit, and for Gaussian noise so must ndtri on its
-    edges.  The tile has 40 replicas where the tiles have lane blocks, so
-    that it runs both the blocks and the scalar remainder, else 8: a check
+    edges.  The tile has 41 replicas where the tiles have lane blocks, else
+    9, so that it runs both the vector lanes and the scalar remainders: of
+    the 32-replica Philox blocks (at 41), of the 8-replica update blocks,
+    and of the 8-element ndtri blocks (7 * 41 and 7 * 9 are odd).  A check
     of 40 cost a one-replica confidence run ~3% of its time and ~0.1 MB of
     peak RSS.  Zero noise keeps the replicas together, so the steps are
     what catch a contracted multiply-add: 4 steps already catch an FMA
@@ -394,7 +401,7 @@ def _checked_kernel(lib, map_family, noise_family, blocks):
                        x0=np.linspace(-0.5, 1.0, d),
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
-    R, T = (40 if blocks else 8), 8
+    R, T = (41 if blocks else 9), 7
     keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
     tiles = []
     for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):

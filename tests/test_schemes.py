@@ -470,10 +470,11 @@ def assert_same_tiles(got, want):
         assert xi.shape == eta.shape and xi.tobytes() == eta.tobytes()
 
 
-@pytest.mark.parametrize("R", [1, 7, 200])
+@pytest.mark.parametrize("R", [1, 7, 45, 200])
 def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
     # over two tiles, the second one short; R = 200 at d = 9 gives tiles of
-    # 9 steps, d = 8 and 9 reach the affine map's longest column sums
+    # 9 steps, d = 8 and 9 reach the affine map's longest column sums, and
+    # R = 45 leaves a remainder past the 8- and 32-replica vector blocks
     seeds = derive_key(3, np.arange(R, dtype=np.uint64))
     for m in [inverse_quadratic()] + [affine_nd(d) for d in (1, 2, 8, 9)]:
         d = dimension(m)
@@ -486,6 +487,39 @@ def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
             got, want = tiles_on_both_paths(cfg, seeds, T + 3)
             assert len(got) == 2 and got[1][1].shape[0] == 3
             assert_same_tiles(got, want)
+
+
+@pytest.mark.parametrize("m", [inverse_quadratic(), affine_nd(2)],
+                         ids=["inverse_quadratic", "affine2"])
+@pytest.mark.parametrize("bad", [3, 42])
+def test_divergence_in_a_lane_block_or_the_remainder(kernel, m, bad):
+    # 45 replicas, of which the kernel updates r < 40 in 8-lane blocks and
+    # the rest one by one: replica `bad`, in a block or past them, draws a
+    # normal beyond 2.6 at step 2, which the scale overflows to inf, and
+    # every other draw of the first two steps stays below 1
+    d = dimension(m)
+    z = sample_keyed(gaussian(1.0, dim=d), derive_key(np.arange(2000)),
+                     np.arange(1, 3)[:, None])
+    quiet = (np.abs(z) < 1.0).all(axis=(0, 2))
+    loud = (np.abs(z[0]) < 1.0).all(axis=1) & (np.abs(z[1]) > 2.6).any(axis=1)
+    seeds = np.flatnonzero(quiet)[:44]
+    seeds = np.insert(seeds, bad, np.flatnonzero(loud)[0])
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                       x0=np.linspace(-1.0, 2.0, d),
+                       noise=gaussian(np.finfo(float).max / 2.5, dim=d),
+                       steps=StepSequences(a=0.7))
+    assert schemes.tile_kernel(cfg, 45) is not None
+    errors = []
+    for numpy_body in (False, True):
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergedError) as exc_info:
+            if numpy_body:
+                mp.setattr(streams, "tile_library", lambda: None)
+            next(advance(cfg, seeds, 5))
+        errors.append((exc_info.value.last_finite_index,
+                       exc_info.value.replicas))
+    assert errors[0] == errors[1] == (2, [bad])
 
 
 def test_scaled_cosine_steps_in_the_kernel(kernel):

@@ -444,12 +444,18 @@ def vector_path():
 @pytest.mark.parametrize("old, new, families, narrow", [
     ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
      ("gaussian", "bounded_uniform"), False),
-    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), True)])
+    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), True),
+    ("const f64x8 r = x0 - x1;", "const f64x8 r = x0 + x1;",
+     ("gaussian",), True),
+    ("const f64x8 y = keep * v + a_n * f", "const f64x8 y = keep * v + a_n * f * 2.0",
+     ("zero", "gaussian", "bounded_uniform"), True)],
+    ids=["philox", "central_ndtri", "tail_ndtri", "update"])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
                                         old, new, families, narrow):
-    # a defect in the 8-lane Philox or the 8-lane central ndtri alone, each
-    # refused wherever it runs: the Philox lanes in tiles of 32 replicas or
-    # more, whose check has 40, the central ndtri in any Gaussian tile
+    # a defect in one 8-lane function alone, each refused wherever it runs:
+    # the Philox lanes in tiles of 32 replicas or more, whose check has 41,
+    # the central and tail ndtri in any Gaussian tile, and the update in
+    # tiles of 8 replicas or more, whose narrow check has 9
     build_edited_source(tmp_path, monkeypatch, old, new)
     lanes = vector_path()
     for cfg in TILE_CASES:
@@ -460,7 +466,7 @@ def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
             assert advance_bytes(cfg, R) == numpy_path_bytes(cfg, R)
 
 
-@pytest.mark.parametrize("R", [40, 200])
+@pytest.mark.parametrize("R", [40, 45, 200])
 def test_scalar_path_tiles_equal_the_numpy_body(kernel, cold, tmp_path,
                                                 monkeypatch, R):
     # the library with its AVX-512 dispatch off, as on a CPU without it:

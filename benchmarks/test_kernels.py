@@ -5,14 +5,19 @@ noise tile is 2000 replicas x 8 steps x 1 Philox block.  Its uniforms and
 its noise are timed through streams.substream_uniforms and
 noise.sample_block, which draw in numpy, and the compiled library's cold
 compile has a row of its own.  test_advance_tile times one whole tile of
-schemes.advance on both of its paths, the compiled mann_tile and the numpy
-body, for that shape and for the affine d = 8 map of mc_affine_d8 (1 step
-x 2000 replicas).
+schemes.advance on each of its paths, for that shape and for the affine
+d = 8 map of mc_affine_d8 (1 step x 2000 replicas): the compiled mann_tile
+("kernel", 8 lanes wide where the CPU has AVX-512), the same library built
+with that dispatch forced off ("scalar"), and the numpy body ("numpy").
 test_run_line follows confidence_long instead: one replica on the line
-over three whole tiles, on both paths.  This directory is outside the
+over three whole tiles, on each path.  This directory is outside the
 tier-1 testpaths; run it with
 
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py
+
+and the vector tiles against the scalar ones with
+
+    PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -k "advance_tile and not numpy"
 """
 
 import itertools
@@ -53,14 +58,32 @@ def test_uniforms_tile(benchmark):
     assert u.shape == (T, R, 1)
 
 
-PATHS = ["kernel", "numpy"]
+PATHS = ["kernel", "scalar", "numpy"]
 
 
-def use_path(monkeypatch, path):
-    """Step noise tiles through the compiled mann_tile, which must build, or
-    through the numpy body, as where it cannot be built."""
+@pytest.fixture(scope="module")
+def scalar_library(tmp_path_factory):
+    """The compiled library with its AVX-512 dispatch forced off, as on a
+    CPU without it, built once into a cache of its own."""
+    tmp = tmp_path_factory.mktemp("scalar")
+    wide = 'wide = __builtin_cpu_supports("avx512f")'
+    text = streams._SOURCE.read_text()
+    assert wide in text
+    (tmp / "philox.c").write_text(text.replace(wide, "wide = 0 && " + wide[7:]))
+    lib = streams._build(tmp / "philox.c", tmp / "cache")
+    assert lib is not None
+    return lib
+
+
+def use_path(request, monkeypatch, path):
+    """Step noise tiles through the compiled mann_tile, which must build,
+    through that library with its vector dispatch off, or through the numpy
+    body, as where it cannot be built."""
     if path == "kernel":
         assert streams.tile_library() is not None
+    elif path == "scalar":
+        lib = request.getfixturevalue("scalar_library")
+        monkeypatch.setattr(streams, "tile_library", lambda: lib)
     else:
         monkeypatch.setattr(streams, "tile_library", lambda: None)
 
@@ -75,11 +98,11 @@ AFFINE_D8 = replace(SCHEME, map_spec=affine(
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("case", ["reference", "affine_d8"])
-def test_advance_tile(benchmark, monkeypatch, case, path):
+def test_advance_tile(benchmark, request, monkeypatch, case, path):
     # one tile, the call's set-up included: advance(...) to its first yield
-    use_path(monkeypatch, path)
+    use_path(request, monkeypatch, path)
     scheme = SCHEME if case == "reference" else AFFINE_D8
-    assert (schemes.tile_kernel(scheme) is not None) == (path == "kernel")
+    assert (schemes.tile_kernel(scheme) is not None) == (path != "numpy")
     d = scheme.x0.shape[0]
     steps = max(1, TILE_ELEMENTS // (R * d))
     start, X, _ = benchmark(lambda: next(advance(scheme, SEEDS[:, 0], steps)))
@@ -106,8 +129,8 @@ def test_replica_errors_2000x100(benchmark):
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_run_line(benchmark, monkeypatch, path):
-    use_path(monkeypatch, path)
+def test_run_line(benchmark, request, monkeypatch, path):
+    use_path(request, monkeypatch, path)
     scheme = build_scheme(load_config(CONFIGS / "confidence_demo.json"))
     scheme = replace(scheme, horizon=3 * TILE_ELEMENTS)
     x_star = reference_fixed_point(scheme.map_spec)

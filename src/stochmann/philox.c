@@ -1,21 +1,26 @@
 /* Whole noise tiles of schemes.advance, bit for bit its numpy body's: the
  * Philox-2x64-10 uniforms of streams.substream_uniforms, the noise drawn
  * from them and the Mann update, in one call of mann_tile.  The library's
- * other export, ndtri_many, runs the ndtri port below alone, so that it
- * can be checked against scipy's ufunc before the first Gaussian tile.
+ * other export, ndtri_many, runs the ndtri port below alone, through the
+ * path Gaussian tiles take, so that it can be checked against scipy's
+ * ufunc before the first Gaussian tile.
  *
  * Built without -ffast-math and with -ffp-contract=off, so every double
  * operation rounds as numpy's does.  With the scalar rounds unrolled, -O1
  * code runs as fast as -O2 code and compiles ~50 ms sooner.
  *
- * On x86-64 GCC, where the CPU has AVX-512F and DQ, the Philox rounds of
- * each 32-replica block and the central branch of ndtri run 8 lanes wide,
- * in the functions marked WIDE.  They do the same IEEE operations in the
- * same order, so the bits do not depend on the path.  Each ends in
- * vzeroupper, which GCC emits only from -O2 on: without it, Gaussian tiles
- * ran 5-7x slower, as libm's SSE code after them paid for the dirty upper
- * registers.  <immintrin.h> would add ~0.45 s to each build, so the vector
- * code uses GCC's vector extensions and its builtins. */
+ * On x86-64 GCC, where the CPU has AVX-512F and DQ, the functions marked
+ * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, the
+ * central branch of ndtri and the arithmetic of its tails (libm's log
+ * stays scalar, between the stages), and the update of each 8-replica
+ * block for every map but scaled_cosine, whose cos is libm's.  They do the
+ * same IEEE operations in the same order (vsqrtpd and vdivpd round
+ * correctly, as sqrt and / do), so the bits do not depend on the path.
+ * Each ends in vzeroupper, which GCC emits only from -O2 on: without it,
+ * Gaussian tiles ran 5-7x slower, as libm's SSE code after them paid for
+ * the dirty upper registers.  <immintrin.h> would add ~0.45 s to each
+ * build, so the vector code uses GCC's vector extensions and its
+ * builtins. */
 #include <stddef.h>
 #include <stdint.h>
 /* libm's functions, declared here: <math.h> adds ~20 ms to each build */
@@ -473,8 +478,10 @@ update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
  * A_i1 x_1 + ... in that order.  x holds the (d, R) state before step
  * start, and after step start + T - 1 on return.  Returns T, or the first
  * k whose state is not finite for some replica, once that step is done for
- * every replica.  Fewer than 32 replicas, and the last R % 32, draw through
- * the scalar uniform_grid. */
+ * every replica.  On the wide path, fewer than 32 replicas, and the last
+ * R % 32, draw through the scalar uniform_grid, and fewer than 8, the last
+ * R % 8 and every scaled_cosine replica step through update's scalar
+ * loop. */
 ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
                     ptrdiff_t plane, int noise, double param, int map,
                     const double *A, const double *b, double a, double *x,

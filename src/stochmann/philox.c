@@ -277,8 +277,9 @@ WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
     return tails;
 }
 
-/* x[t] = sqrt(-2.0 * x[t]) for t < n, n a multiple of 8: ndtri's tail from
- * log(y) on (vsqrtpd rounds correctly, as libm's sqrt does) */
+/* x[t] = sqrt(-2.0 * x[t]) for t < n, n a multiple of 8: the first 8-lane
+ * stage of ndtri's tails, from x[t] = log(y) (vsqrtpd rounds correctly, as
+ * libm's sqrt does) */
 WIDE static void tail_sqrt_wide(double *x, ptrdiff_t n)
 {
     for (ptrdiff_t t = 0; t < n; t += 8) {
@@ -388,8 +389,11 @@ static void normals(double *u, ptrdiff_t n, double param)
             }
             if (!kept)
                 continue;
-            for (lanes = kept; lanes % 8; lanes++)  /* lanes past the last */
-                y[lanes] = 0.5, x[lanes] = -0.5, lx[lanes] = 0.0;
+            for (lanes = kept; lanes % 8; lanes++) {  /* past the last */
+                y[lanes] = 0.5;
+                x[lanes] = -0.5;
+                lx[lanes] = 0.0;
+            }
             tail_sqrt_wide(x, lanes);
             for (ptrdiff_t t = 0; t < kept; t++)
                 lx[t] = log(x[t]);

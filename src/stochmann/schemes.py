@@ -367,10 +367,9 @@ def _ndtri_port_exact(lib):
                   for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
                  + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0, 0.25, 0.75, 0.01])
     out = np.empty((2, u.size))
-    at = out.ctypes.data
-    lib.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size, at)
+    lib.ndtri_many(u.ctypes.data, u.size, out.ctypes.data)
     for e in range(u.size):
-        lib.ndtri_many(u.ctypes.data + 8 * e, 1, at + 8 * (u.size + e))
+        lib.ndtri_many(u[e:].ctypes.data, 1, out[1, e:].ctypes.data)
     return out.tobytes() == np.tile(_special.ndtri(u), 2).tobytes()
 
 

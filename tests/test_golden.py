@@ -1,14 +1,15 @@
 """Golden digests: the exact bytes the CLI writes and the streams produce.
 
-Every output file of `iterate`, `bound --out`, `confidence` and
-`montecarlo` on the shipped configs is pinned by its sha256, and so are
-fixed Philox-2x64 and normal blocks, the raw iterates of single runs on
-every map family and the raw replica errors of a d = 1 and a d = 8 batch
-that cross noise tiles.  The `montecarlo` outputs and the replica errors
-are checked on both paths of `replica_errors`, the serial pass and the
-split over threads wherever the compiled tile steps, whatever the
-machine's core count.  The CLI outputs are checked once more with SHA-256
-taken from hashlib instead of CPython's builtin module.  A change that moves any digest changes output bits;
+Every output file of `iterate`, `bound --out`, `confidence`,
+`montecarlo` and `cramer-check --out` on the shipped configs is pinned by
+its sha256, and so are fixed Philox-2x64 and normal blocks, the raw
+iterates of single runs on every map family and the raw replica errors of
+a d = 1 and a d = 8 batch that cross noise tiles.  The `montecarlo`
+outputs and the replica errors are checked on both paths of
+`replica_errors`, the serial pass and the split over threads wherever the
+compiled tile steps, whatever the machine's core count.  The CLI outputs
+are checked once more with SHA-256 taken from hashlib instead of CPython's
+builtin module.  A change that moves any digest changes output bits;
 regenerate the digests deliberately, in a commit of their own, and log it
 in CHANGES.md.
 """
@@ -73,6 +74,18 @@ GOLDEN = {
             "db773e09ab38ec312e8e63c2a71eb9800fb3c230d0184a511bfab45484530b96",
         "montecarlo_seed7_cfg00eb6ec81404.json":
             "74004a72f9e38593e3cbc36dd7b245ce0474f724f1cd9d4c005a9f99cc3cd5b4",
+    },
+}
+
+# `cramer-check --draws 2000 --out` on the shipped configs; both exit 0
+CRAMER_GOLDEN = {
+    "reference.json": {
+        "cramer_check_seed20240814_cfg721e95457faf.json":
+            "34893eab399e5028b596b2b09617fd8895fa80688499c0339956898a7c72e959",
+    },
+    "confidence_demo.json": {
+        "cramer_check_seed7_cfg00eb6ec81404.json":
+            "bb3c73e991d9cb2cc05e50525ec333f96c3eb90a127ff5a3251b86fd7290a111",
     },
 }
 
@@ -177,6 +190,13 @@ def test_cli_output_digests(config, tmp_path, cores):
         out = tmp_path / f"cores{k}"
         assert montecarlo_digests(config, out) == golden, k
         assert pools == split_pools(cfg, k), k
+
+
+@pytest.mark.parametrize("config", sorted(CRAMER_GOLDEN))
+def test_cramer_check_output_digest(config, tmp_path):
+    assert main(["cramer-check", "--config", str(CONFIGS / config),
+                 "--draws", "2000", "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == CRAMER_GOLDEN[config]
 
 
 # A meta-path finder that refuses CPython's builtin SHA-256 modules, so

@@ -250,16 +250,8 @@ def cmd_cramer_check(args, cfg, scheme, digest, settings):
             "command": "cramer-check",
             "config_hash": digest,
             "base_seed": settings["base_seed"],
-            "family": report.family,
-            "dim": report.dim,
-            "draws": report.draws,
-            "sigma": report.sigma,
-            "L": report.L,
-            "certified": report.certified,
-            "mean": dataclasses.asdict(report.mean),
-            "raw": [dataclasses.asdict(r) for r in report.raw],
-            "centered": [dataclasses.asdict(r) for r in report.centered],
             "ok": report.ok,
+            **dataclasses.asdict(report),
         })
     if not report.ok:
         print("moment bound flagged; see rows above", file=sys.stderr)

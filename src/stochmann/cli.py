@@ -36,9 +36,12 @@ __all__ = ["main", "build_parser"]
 
 
 def _out_dir(args, settings):
-    path = Path(args.out) if args.out else Path(settings["out_dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    field, path = ("--out", args.out) if args.out else ("out_dir", settings["out_dir"])
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{field}: cannot create {path}: {exc}") from exc
+    return Path(path)
 
 
 def _stem(command, settings, digest):
@@ -63,7 +66,8 @@ def _apply_overrides(settings, args):
     if getattr(args, "seed", None) is not None:
         settings["base_seed"] = check_seed(args.seed, "--seed")
     if getattr(args, "replicas", None) is not None:
-        settings["replicas"] = args.replicas
+        settings["replicas"] = check_number(args.replicas, "--replicas",
+                                            **RANGES["experiment.replicas"])
     if getattr(args, "alpha", None) is not None:
         settings["alpha"] = check_number(args.alpha, "--alpha",
                                          **RANGES["experiment.alpha"])
@@ -82,13 +86,13 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
         raise ValidationError(
             "experiment.checkpoints: exceed horizon + 1 iterate indices")
     x_star = reference_fixed_point(scheme.map_spec)
+    out = _out_dir(args, settings)
     # x_n is the state after step n - 1; the last row is x_{horizon+1}
     states, noises = rows_at(scheme, [scheme.seed],
                              [n - 1 for n in cps] + [horizon],
                              [n for n in cps if n <= horizon])
     applied = [float(norm(xi, scheme.norm_kind)[0]) for xi in noises]
     errors = [float(norm(x - x_star, scheme.norm_kind)[0]) for x in states]
-    out = _out_dir(args, settings)
     header = ["n"] + [f"x{j + 1}" for j in range(len(x_star))] + [
         "noise_norm_at_step", "error"]
     rows = [[n] + x[0].tolist() + [a, e] for n, x, a, e in zip(
@@ -153,10 +157,10 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
         raise InfeasibleExperimentError(
             f"certified n_alpha = {n_alpha} exceeds run cap "
             f"{settings['run_cap']}; raise experiment.run_cap to execute")
+    out = _out_dir(args, settings)
     (x,), _ = rows_at(scheme, [scheme.seed], [int(n_alpha)])
     center = x[0]
     contains = bool(norm(x - x_star, scheme.norm_kind)[0] <= eps)
-    out = _out_dir(args, settings)
     stem = _stem("confidence", settings, digest)
     payload = {
         "command": "confidence",
@@ -192,10 +196,10 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
     x_star = reference_fixed_point(scheme.map_spec)
     params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
                                 noise=scheme.noise)
+    out = _out_dir(args, settings)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
     vacuous = sum(1 for c in cells if c.vacuous)
-    out = _out_dir(args, settings)
     stem = _stem("montecarlo", settings, digest)
     header = ["n", "eps", "p_hat", "ci_low", "ci_high", "bound_clipped",
               "vacuous", "dominated"]
@@ -270,8 +274,10 @@ def build_parser():
     def common(p, replicas=False):
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override base_seed")
+        p.add_argument("--seed", type=int, default=None, help=(
+            "override base_seed, which names the output files and seeds "
+            "montecarlo and cramer-check; iterate and confidence draw from "
+            "scheme.seed"))
         if replicas:
             p.add_argument("--replicas", type=int, default=None,
                            help="override experiment.replicas")

@@ -10,15 +10,14 @@ exactly what the user wrote.  The map, scheme and noise blocks are
 required; zero noise ({"family": "zero"}) runs the plain Mann iteration.
 
 Each value has one owner, and every number meets one rule,
-errors.check_number.  validate_config checks what no object sees: key
-sets, required blocks and keys, the map and noise families and the keys
-only one map family takes, list shapes, the ranges of bounds.*,
-experiment.* and base_seed, and JSON null under noise and map.declared_c,
-which the objects would read as "not given".  build_scheme hands the raw
-values to the objects that own the rest: MapSpec the map fields,
-NoiseModel the noise fields, StepSequences and SchemeConfig the scheme
-fields.  The certificate's c comes from map.declared_c (or the map
-family) and its moment parameters from the noise model.
+errors.check_number.  validate_config checks the structure that no object
+sees (key sets, required blocks and keys, JSON null) and the fields that no
+object takes; its docstring lists them.  build_scheme hands the raw values
+to the objects that own the rest: MapSpec the map fields (which of them a
+family takes, and their values), NoiseModel the noise fields,
+StepSequences and SchemeConfig the scheme fields.  The certificate's c
+comes from map.declared_c (or the map family) and its moment parameters
+from the noise model.
 """
 
 from __future__ import annotations
@@ -31,12 +30,11 @@ import numpy as np
 from .bounds import BoundParams
 from .errors import (ValidationError, check_checkpoints, check_number,
                      check_numbers)
-from .noise import NOISE_FAMILIES, NoiseModel
+from .noise import NoiseModel
 from .schemes import SchemeConfig, StepSequences
-from .spaces import (FIXED_POINT_TOL, MAP_FAMILIES, NORM_KINDS, affine,
-                     as_point, contraction_constant, dimension,
-                     inverse_quadratic, norm, reference_fixed_point,
-                     scaled_cosine)
+from .spaces import (FIXED_POINT_TOL, NORM_KINDS, MapSpec, as_point,
+                     contraction_constant, dimension, norm,
+                     reference_fixed_point)
 from .streams import check_seed, sha256
 
 __all__ = [
@@ -86,21 +84,6 @@ def _object(block, allowed, path):
             raise ValidationError(f"{path}.{key}: unknown key")
 
 
-def _matrix(value, path):
-    """A nonempty list of equally long, nonempty lists of numbers."""
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{path}: must be a nonempty list")
-    for i, row in enumerate(value):
-        if len(check_numbers(row, f"{path}[{i}]")) != len(value[0]):
-            raise ValidationError(f"{path}[{i}]: rows must have equal length")
-
-
-def _choice(value, options, path):
-    if value not in options:
-        raise ValidationError(f"{path}: must be one of {sorted(options)}")
-    return value
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,49 +96,29 @@ def load_config(path):
 
 
 def validate_config(raw):
-    """Check what no object owns, as the module docstring lists it; returns
-    the config unchanged.  The rest, and cross-field constraints (dimension
+    """Check what no object owns, and return the config unchanged: the key
+    sets; the map, scheme and noise blocks and their keys map.family,
+    scheme.x0 and noise.family; JSON null in those blocks, which the
+    objects would read as "not given"; the norm; bounds.rho_scale next to
+    bounds.rho; the RANGES; experiment.checkpoints and eps_grid; out_dir
+    and base_seed.  The rest, and cross-field constraints (dimension
     agreement, contractivity, rho feasibility), surface from build_scheme
     and build_bound_params, with the same exception type."""
     _object(raw, _TOP_KEYS, "config")
-    for key in ("map", "scheme", "noise"):
-        if key not in raw:
-            raise ValidationError(f"config.{key}: required block is missing")
-
-    mp = raw["map"]
-    _object(mp, _MAP_KEYS, "map")
-    family = _choice(mp.get("family"), MAP_FAMILIES, "map.family")
-    if family == "affine":
-        for key in ("matrix", "offset"):
-            if key not in mp:
-                raise ValidationError(f"map.{key}: required for affine maps")
-    if family == "scaled_cosine" and "lam" not in mp:
-        raise ValidationError("map.lam: required for scaled_cosine maps")
-    for key, owner in (("matrix", "affine"), ("offset", "affine"),
-                       ("lam", "scaled_cosine")):
-        if key in mp and family != owner:
-            raise ValidationError(f"map.{key}: only {owner} maps take it")
-    for key, check in (("matrix", _matrix), ("offset", check_numbers)):
-        if key in mp:
-            check(mp[key], f"map.{key}")
-    if "declared_c" in mp and mp["declared_c"] is None:
-        raise ValidationError("map.declared_c: must be a number")
-
-    if "norm" in raw:
-        _choice(raw["norm"], NORM_KINDS, "norm")
-
-    sc = raw["scheme"]
-    _object(sc, _SCHEME_KEYS, "scheme")
-    if "x0" not in sc:
-        raise ValidationError("scheme.x0: required")
-    check_numbers(sc["x0"], "scheme.x0")
-
-    nz = raw["noise"]
-    _object(nz, _NOISE_KEYS, "noise")
-    _choice(nz.get("family"), NOISE_FAMILIES, "noise.family")
-    for key, value in nz.items():
-        if value is None:
-            raise ValidationError(f"noise.{key}: must be a number")
+    for block, keys, required in (("map", _MAP_KEYS, "family"),
+                                  ("scheme", _SCHEME_KEYS, "x0"),
+                                  ("noise", _NOISE_KEYS, "family")):
+        if block not in raw:
+            raise ValidationError(f"config.{block}: required block is missing")
+        _object(raw[block], keys, block)
+        if required not in raw[block]:
+            raise ValidationError(f"{block}.{required}: required")
+        # the objects would read None as "not given"
+        for key, value in raw[block].items():
+            if value is None:
+                raise ValidationError(f"{block}.{key}: must not be null")
+    if "norm" in raw and raw["norm"] not in NORM_KINDS:
+        raise ValidationError(f"norm: must be one of {sorted(NORM_KINDS)}")
 
     if "bounds" in raw:
         bd = raw["bounds"]
@@ -229,16 +192,7 @@ def dumps17(obj, indent=0):
 
 
 def build_map(cfg):
-    mp = cfg["map"]
-    declared_c = mp.get("declared_c")
-    family = mp["family"]
-    if family == "inverse_quadratic":
-        return inverse_quadratic(declared_c=declared_c)
-    if family == "affine":
-        return affine(np.asarray(mp["matrix"], dtype=np.float64),
-                      np.asarray(mp["offset"], dtype=np.float64),
-                      declared_c=declared_c)
-    return scaled_cosine(mp["lam"], declared_c=declared_c)
+    return MapSpec(**cfg["map"])
 
 
 def build_noise(cfg, dim):

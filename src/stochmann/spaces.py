@@ -11,11 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonContractiveError, ValidationError, check_number
+from .errors import (NonContractiveError, ValidationError, check_number,
+                     check_numbers)
 from .streams import check_seed, substream_uniforms
 
 NORM_KINDS = ("euclidean", "max", "one")
-MAP_FAMILIES = ("inverse_quadratic", "affine", "scaled_cosine")
+# The fields each map family takes, and requires; declared_c is any map's.
+_FAMILY_FIELDS = {"inverse_quadratic": (), "affine": ("matrix", "offset"),
+                  "scaled_cosine": ("lam",)}
+MAP_FAMILIES = tuple(_FAMILY_FIELDS)
 
 # Global Lipschitz constant of x -> 1/(1+x^2): sup|F'| attained at 1/sqrt(3).
 INVERSE_QUADRATIC_C = 9.0 / (8.0 * np.sqrt(3.0))
@@ -43,9 +47,22 @@ __all__ = [
 ]
 
 
+def _real_array(x, name):
+    """x, an integer or float array, as float64; check_number's rule."""
+    if x.dtype.kind not in "iuf":
+        raise ValidationError(f"{name}: must hold real numbers, not {x.dtype}")
+    return np.asarray(x, dtype=np.float64)
+
+
 def as_point(x, dim=None, name="x"):
-    """Validate and coerce to a finite float64 vector of shape (d,)."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """Validate and coerce to a finite float64 vector of shape (d,): x is an
+    integer or float array, or a number or a nonempty list of numbers under
+    check_number's rule, so a bool, string or nested entry is refused."""
+    if isinstance(x, (list, tuple)):
+        x = check_numbers(x, name)
+    elif not isinstance(x, np.ndarray):
+        x = check_number(x, name)
+    v = np.atleast_1d(_real_array(np.asarray(x), name))
     if v.ndim != 1:
         raise ValidationError(f"{name}: expected a 1-d point, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -53,6 +70,21 @@ def as_point(x, dim=None, name="x"):
     if dim is not None and v.shape[0] != dim:
         raise ValidationError(f"{name}: dimension mismatch, expected {dim}, got {v.shape[0]}")
     return v
+
+
+def _matrix(x, name):
+    """x as a float64 matrix: an integer or float array, or a nonempty list
+    of equally long, nonempty lists of numbers under check_number's rule."""
+    if not isinstance(x, np.ndarray):
+        if not isinstance(x, (list, tuple)) or not x:
+            raise ValidationError(f"{name}: must be a nonempty list")
+        x = [check_numbers(row, f"{name}[{i}]") for i, row in enumerate(x)]
+        if any(len(row) != len(x[0]) for row in x):
+            raise ValidationError(f"{name}: rows must have equal length")
+    A = _real_array(np.asarray(x), name)
+    if A.ndim != 2:
+        raise ValidationError(f"{name}: expected a matrix, got shape {A.shape}")
+    return A
 
 
 def norm(v, kind="euclidean"):
@@ -81,6 +113,9 @@ class MapSpec:
     lam           gain of the scaled cosine family F(x) = lam*cos(x)
     declared_c    optional user-asserted contraction constant; when absent
                   the analytic family constant is used downstream
+
+    A family takes its own fields and requires them; a field it does not
+    take, or a bad value, raises ValidationError naming map.<field>.
     """
 
     family: str
@@ -92,14 +127,19 @@ class MapSpec:
     def __post_init__(self):
         if self.family not in MAP_FAMILIES:
             raise ValidationError(f"map.family: unknown family {self.family!r}")
+        for owner, keys in _FAMILY_FIELDS.items():
+            for key in keys:
+                if getattr(self, key) is None:
+                    if owner == self.family:
+                        raise ValidationError(f"map.{key}: required for {owner} maps")
+                elif owner != self.family:
+                    raise ValidationError(f"map.{key}: only {owner} maps take it")
         if self.declared_c is not None:
             check_number(self.declared_c, "map.declared_c", minimum=0, exclusive_max=1)
         if self.family == "affine":
-            if self.matrix is None or self.offset is None:
-                raise ValidationError("map: affine family requires matrix and offset")
-            A = np.asarray(self.matrix, dtype=np.float64)
-            b = as_point(self.offset, name="map.offset")
-            if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
+            A = _matrix(self.matrix, "map.matrix")
+            b = as_point(self.offset, A.shape[0], name="map.offset")
+            if A.shape[0] != A.shape[1]:
                 raise ValidationError("map: affine matrix must be square and match offset")
             if not np.all(np.isfinite(A)):
                 raise ValidationError("map.matrix: entries must be finite")
@@ -119,8 +159,7 @@ def inverse_quadratic(declared_c=None):
 
 def affine(matrix, offset, declared_c=None):
     """F(x) = A x + b with operator-norm(A) < 1."""
-    return MapSpec(family="affine", matrix=np.asarray(matrix, dtype=np.float64),
-                   offset=np.asarray(offset, dtype=np.float64),
+    return MapSpec(family="affine", matrix=matrix, offset=offset,
                    declared_c=declared_c)
 
 
@@ -131,7 +170,7 @@ def scaled_cosine(lam, declared_c=None):
 
 def dimension(m):
     if m.family == "affine":
-        return int(np.asarray(m.offset).shape[0])
+        return m.offset.shape[0]
     return 1
 
 

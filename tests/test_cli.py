@@ -1,8 +1,10 @@
 import argparse
 import csv
 import importlib.util
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,8 +20,12 @@ from stochmann.bounds import tail_bound
 from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
                               config_hash)
-from stochmann.errors import InfeasibleExperimentError
+from stochmann.errors import InfeasibleExperimentError, ValidationError
 from stochmann.montecarlo import coverage_experiment
+from stochmann.noise import zero as noise_zero
+from stochmann.schemes import SchemeConfig
+from stochmann.spaces import (MapSpec, affine, as_point, inverse_quadratic,
+                              scaled_cosine)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -485,6 +491,126 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                     "--out", str(tmp_path / "o")] + extra.get(command, [])
             assert main(argv) == 2, (command, seed)
             assert "--seed" in capsys.readouterr().err, (command, seed)
+
+
+def test_replicas_flag_is_checked_as_alpha_is(tmp_path, capsys):
+    cfg_path = write(tmp_path, REFERENCE)
+    for replicas in ("0", "-3"):
+        assert main(["montecarlo", "--config", cfg_path, "--replicas",
+                     replicas, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "--replicas" in err and "experiment.replicas" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unusable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # a path below a regular file cannot become a directory; the commands
+    # that step resolve it first, so a bad --out costs no stepping
+    def stepped(*args):
+        raise AssertionError("stepped before resolving the output directory")
+    monkeypatch.setattr(schemes, "advance", stepped)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "sub")
+    cfg = json.loads((CONFIGS / "confidence_demo.json").read_text())
+    cfg_path = write(tmp_path, cfg)
+    for argv in (["iterate"], ["confidence", "--eps", "0.1"],
+                 ["montecarlo", "--replicas", "10"],
+                 ["bound", "--n", "10", "--eps", "0.1"],
+                 ["cramer-check", "--draws", "10"]):
+        assert main(argv[:1] + ["--config", cfg_path, "--out", bad]
+                    + argv[1:]) == 2, argv
+        assert "error: --out: cannot create" in capsys.readouterr().err
+    # the config's out_dir is named when it is the one in use
+    cfg["out_dir"] = bad
+    assert main(["iterate", "--config", write(tmp_path, cfg)]) == 2
+    assert "error: out_dir: cannot create" in capsys.readouterr().err
+
+
+# Malformed map and point inputs, each refused alike by the library
+# constructors and by every subcommand: (field named, map block, x0).
+MALFORMED = [
+    ("map.matrix", {"family": "affine", "matrix": m, "offset": [0.1]}, None)
+    for m in ([[True]], [["a"]], [[None]], [[[0.5]]], 0.5, [], [[]])
+] + [
+    ("map.matrix", {"family": "affine", "matrix": [[0.1, 0.2], [0.3]],
+                    "offset": [0.0, 0.0]}, None),
+] + [
+    ("map.offset", {"family": "affine", "matrix": [[0.5]], "offset": b}, None)
+    for b in ([False], ["a"], [None], [[0.1]], [])
+] + [
+    ("map.lam", {"family": "inverse_quadratic", "lam": 0.5}, None),
+    ("map.lam", {"family": "affine", "matrix": [[0.5]], "offset": [0.1],
+                 "lam": 0.5}, None),
+    ("map.matrix", {"family": "scaled_cosine", "lam": 0.5,
+                    "matrix": [[0.5]]}, None),
+    ("map.offset", {"family": "affine", "matrix": [[0.5]]}, None),
+    ("map.lam", {"family": "scaled_cosine"}, None),
+    ("map.lam", {"family": "scaled_cosine", "lam": True}, None),
+] + [
+    ("scheme.x0", None, x0)
+    for x0 in ([True], "abc", [None], [[0.5]], [0.5, [0.5]], [], True)
+]
+# inputs that only a library caller can pass: arrays of the wrong dtype or
+# rank
+MALFORMED_ARRAYS = [
+    ("map.matrix", {"family": "affine", "matrix": m, "offset": [0.1]}, None)
+    for m in (np.array([[True]]), np.array([[0.5]], dtype=object),
+              np.array(0.5), np.zeros((1, 1, 1)), np.array([[1j]]))
+] + [
+    ("map.offset", {"family": "affine", "matrix": [[0.5]],
+                    "offset": np.array([True])}, None),
+    ("scheme.x0", None, np.array([True])),
+    ("scheme.x0", None, np.array(["0.5"])),
+]
+FAMILY_CONSTRUCTORS = {"affine": affine, "scaled_cosine": scaled_cosine,
+                       "inverse_quadratic": inverse_quadratic}
+
+
+def library_calls(mp, x0):
+    """The constructors that take the input: MapSpec and the family's own
+    constructor (where its signature takes the block's keys) for a map
+    block, SchemeConfig and as_point for x0."""
+    if mp is None:
+        return [lambda: SchemeConfig(kind="stochastic_mann", x0=x0,
+                                     map_spec=inverse_quadratic(),
+                                     noise=noise_zero()),
+                lambda: as_point(x0, 1, name="scheme.x0")]
+    kw = {k: v for k, v in mp.items() if k != "family"}
+    make = FAMILY_CONSTRUCTORS[mp["family"]]
+    calls = [lambda: MapSpec(**mp)]
+    try:
+        inspect.signature(make).bind(**kw)
+    except TypeError:
+        return calls
+    return calls + [lambda: make(**kw)]
+
+
+@pytest.mark.parametrize("field, mp, x0", MALFORMED + MALFORMED_ARRAYS)
+def test_malformed_map_and_point_inputs_refused_by_the_library(field, mp, x0):
+    for call in library_calls(mp, x0):
+        with pytest.raises(ValidationError, match=f"^{re.escape(field)}"):
+            call()
+
+
+def test_malformed_map_and_point_inputs_exit_2(tmp_path, capsys):
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    extra = {"bound": ["--n", "10", "--eps", "0.1"]}
+    for field, mp, x0 in MALFORMED:
+        cfg = json.loads(json.dumps(REFERENCE))
+        if mp is not None:
+            cfg["map"] = mp
+        if x0 is not None:
+            cfg["scheme"]["x0"] = x0
+        cfg_path = write(tmp_path, cfg)
+        for command in commands:
+            argv = [command, "--config", cfg_path,
+                    "--out", str(tmp_path / "o")] + extra.get(command, [])
+            assert main(argv) == 2, (command, field, mp, x0)
+            assert f"error: {field}" in capsys.readouterr().err, \
+                (command, field, mp, x0)
+    assert not (tmp_path / "o").exists()
 
 
 def test_each_command_sums_each_series_once(tmp_path, monkeypatch):

@@ -69,11 +69,11 @@ def test_missing_required_pieces():
     del cfg["scheme"]["x0"]
     with pytest.raises(ValidationError):
         validate_config(cfg)
+    # the map and noise models own their families' required fields
     cfg = copy.deepcopy(BASE)
     cfg["map"] = {"family": "affine", "matrix": [[0.5]]}  # offset missing
-    with pytest.raises(ValidationError):
-        validate_config(cfg)
-    # the noise model owns its family's required parameter
+    with pytest.raises(ValidationError, match="map.offset"):
+        build_scheme(validate_config(cfg))
     cfg = copy.deepcopy(BASE)
     cfg["noise"] = {"family": "gaussian"}  # scale missing
     with pytest.raises(ValidationError, match="noise.scale"):

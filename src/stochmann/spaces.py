@@ -48,7 +48,8 @@ __all__ = [
 
 
 def _real_array(x, name):
-    """x, an integer or float array, as float64; check_number's rule."""
+    """The array x as float64 when its dtype is integer or float; a bool,
+    object or other array is refused, as check_number refuses its items."""
     if x.dtype.kind not in "iuf":
         raise ValidationError(f"{name}: must hold real numbers, not {x.dtype}")
     return np.asarray(x, dtype=np.float64)

@@ -2,10 +2,10 @@
 
 Every output file of `iterate`, `bound --out`, `confidence`,
 `montecarlo` and `cramer-check --out` on the shipped configs is pinned by
-its sha256, and so are fixed Philox-2x64 and normal blocks, the raw
-iterates of single runs on every map family and the raw replica errors of
-a d = 1 and a d = 8 batch that cross noise tiles.  The `montecarlo`
-outputs and the replica errors are checked on both paths of
+its sha256, and so is what each of those commands prints.  So are fixed
+Philox-2x64 and normal blocks, the raw iterates of single runs on every
+map family and the raw replica errors of a d = 1 and a d = 8 batch that
+cross noise tiles.  The `montecarlo` outputs and the replica errors are checked on both paths of
 `replica_errors`, the serial pass and the split over threads wherever the
 compiled tile steps, whatever the machine's core count.  The CLI outputs
 are checked once more with SHA-256 taken from hashlib instead of CPython's
@@ -14,7 +14,9 @@ regenerate the digests deliberately, in a commit of their own, and log it
 in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +115,35 @@ REPLICA_ERRORS_D8_SHA256 = ("ecf6613c7ddf43226070478cddbe8608"
 # `confidence` on reference.json is vacuous at every n under the cap.
 CONFIDENCE_EXIT = {"reference.json": 4, "confidence_demo.json": 0}
 
+# sha256 of stdout + "\0" + stderr of each command above, with the output
+# directory written as OUT
+STDIO_GOLDEN = {
+    "reference.json": {
+        "iterate":
+            "8649a2d6e379c8f6e7d17d3ac3310f32655806042d19d963a0dcae4e83c702eb",
+        "bound":
+            "a10d537da7e0b61effab24f4ed3cbb01a10db1cf843e6970a678e78bf12017e9",
+        "confidence":
+            "09b4f7603534a3073a7373fce2e740611e7c76fd6711103d76b80a35096e0506",
+        "montecarlo":
+            "8edd6db893565cd7bff2a18eb1a59af2ae2fdfbd3b14c0f547555602c4c61872",
+        "cramer-check":
+            "c25e17835eed138c969defafe939cda2adfae761328abd435465022d23d7bb22",
+    },
+    "confidence_demo.json": {
+        "iterate":
+            "d218df0c22d7cac04007e7a2df0698d744f73c7af1028a962d43b96bea9c4b62",
+        "bound":
+            "ca985a30ab376d8f2d38f80c13784de97f52cdec1477071cd1b9170a72195309",
+        "confidence":
+            "a2f0665c1185677f56f4acef148fd36d5c211b72ba382c5c4ea1403f29dcb346",
+        "montecarlo":
+            "01ac3497ad7271cd789bc79464cb9e0606ee516d8ddfebd4b54129931ef9a661",
+        "cramer-check":
+            "a5d50de0f5f44f45ea9c46a970842b21688adf8faabb30c8500b8b13a5c6cc89",
+    },
+}
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -128,16 +159,29 @@ def montecarlo_digests(config, out):
     return digests(out)
 
 
+def printed(argv, out):
+    """main(argv)'s exit code and the sha256 of what it printed, stdout and
+    stderr joined by a NUL, with the output directory out written as OUT."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    text = stdout.getvalue() + "\0" + stderr.getvalue()
+    return code, sha256(text.replace(str(out), "OUT").encode())
+
+
 def cli_digests(config, out):
-    """Run the four writing commands on config; {file name: sha256}."""
+    """Run the four writing commands on config: {file name: sha256} and
+    {command: sha256 of what it printed}."""
     cfg = str(CONFIGS / config)
-    assert main(["iterate", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["bound", "--config", cfg, "--n", "1000", "--eps", "0.1",
-                 "--out", str(out)]) == 0
-    assert main(["confidence", "--config", cfg, "--out", str(out)]) \
-        == CONFIDENCE_EXIT[config]
-    montecarlo_digests(config, out)
-    return digests(out)
+    prints = {}
+    for argv, code in ((["iterate"], 0),
+                       (["bound", "--n", "1000", "--eps", "0.1"], 0),
+                       (["confidence"], CONFIDENCE_EXIT[config]),
+                       (["montecarlo", "--replicas", "200"], 0)):
+        argv = argv[:1] + ["--config", cfg] + argv[1:] + ["--out", str(out)]
+        exit_code, prints[argv[0]] = printed(argv, out)
+        assert exit_code == code, argv
+    return digests(out), prints
 
 
 def affine_nd(d):
@@ -181,7 +225,11 @@ def test_substream_normals_block_digest():
 
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_cli_output_digests(config, tmp_path, cores):
-    assert cli_digests(config, tmp_path) == GOLDEN[config]
+    files, prints = cli_digests(config, tmp_path)
+    assert files == GOLDEN[config]
+    assert prints == {command: digest for command, digest
+                      in STDIO_GOLDEN[config].items()
+                      if command != "cramer-check"}
     golden = {name: digest for name, digest in GOLDEN[config].items()
               if name.startswith("montecarlo_")}
     cfg = build_scheme(load_config(CONFIGS / config))
@@ -194,8 +242,9 @@ def test_cli_output_digests(config, tmp_path, cores):
 
 @pytest.mark.parametrize("config", sorted(CRAMER_GOLDEN))
 def test_cramer_check_output_digest(config, tmp_path):
-    assert main(["cramer-check", "--config", str(CONFIGS / config),
-                 "--draws", "2000", "--out", str(tmp_path)]) == 0
+    assert printed(["cramer-check", "--config", str(CONFIGS / config),
+                    "--draws", "2000", "--out", str(tmp_path)], tmp_path) \
+        == (0, STDIO_GOLDEN[config]["cramer-check"])
     assert digests(tmp_path) == CRAMER_GOLDEN[config]
 
 

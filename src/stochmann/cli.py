@@ -3,11 +3,16 @@
 Outputs are a function of (config file, base_seed) alone: file names embed
 the base seed and a content hash of the config, floats are written with 17
 significant digits, and nothing records wall-clock state, so rerunning a
-command produces byte-identical files.
+command produces byte-identical files.  _save holds that record contract
+for every command: the file stem <name>_seed<base_seed>_cfg<hash>, the
+command, config_hash and base_seed keys, and the CSV written beside the
+JSON, which the csv key names.
 
 main builds the scheme (map, noise, steps) once, right after loading the
 config, and hands it to the command, so every command applies the same
-checks to the same fields.
+checks to the same fields.  Each command resolves its output directory
+after its own checks and before it prints or steps; bound and
+cramer-check write files only when --out is given.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 a verification
 failed (dominance, coverage, moment check, divergence), 4 experiment
@@ -44,25 +49,48 @@ def _out_dir(args, settings):
     return Path(path)
 
 
-def _stem(command, settings, digest):
-    return f"{command}_seed{settings['base_seed']}_cfg{digest}"
+def _save(out, command, digest, settings, record, table=None, name=None):
+    """Add the command, config_hash and base_seed keys to record, and write
+    it under out as <name>_seed<base_seed>_cfg<digest>.json, name defaulting
+    to command.  table, a header row and then the rows, goes beside it as
+    the .csv that the record's csv key names, with floats to 17 digits.
+    With out None only the keys are added.  Returns the path a command
+    reports: the CSV's when there is a table, else the JSON's."""
+    record.update(command=command, config_hash=digest,
+                  base_seed=settings["base_seed"])
+    if out is None:
+        return None
+    stem = f"{name or command}_seed{settings['base_seed']}_cfg{digest}"
+    path = out / f"{stem}.json"
+    if table is not None:
+        import csv
+        path = out / f"{stem}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [format(v, ".17g") if isinstance(v, float) else v
+                 for v in row] for row in table)
+        record["csv"] = path.name
+    (out / f"{stem}.json").write_text(dumps17(record) + "\n", encoding="utf-8")
+    return path
 
 
-def _write_json(path, payload):
-    Path(path).write_text(dumps17(payload) + "\n", encoding="utf-8")
-
-
-def _write_csv(path, header, rows):
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                             for v in row])
+def _certificate_inputs(cfg, scheme):
+    """The reference fixed point x_star and the bound parameters built on
+    it, from the scheme's map and noise model."""
+    x_star = reference_fixed_point(scheme.map_spec)
+    return x_star, build_bound_params(cfg, map_spec=scheme.map_spec,
+                                      x_star=x_star, noise=scheme.noise)
 
 
 def _apply_overrides(settings, args):
+    # each flag that sets a library argument meets that argument's limits
+    for flag, limits in (("n", {"integer": True, "minimum": 1}),
+                         ("eps", {"exclusive_min": 0}),
+                         ("m_max", {"integer": True, "minimum": 2}),
+                         ("draws", {"integer": True, "minimum": 2})):
+        if getattr(args, flag, None) is not None:
+            setattr(args, flag, check_number(
+                getattr(args, flag), "--" + flag.replace("_", "-"), **limits))
     if getattr(args, "seed", None) is not None:
         settings["base_seed"] = check_seed(args.seed, "--seed")
     if getattr(args, "replicas", None) is not None:
@@ -97,50 +125,32 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
         "noise_norm_at_step", "error"]
     rows = [[n] + x[0].tolist() + [a, e] for n, x, a, e in zip(
         cps, states, applied + [""], errors)]
-    stem = _stem("iterate", settings, digest)
-    csv_path = out / f"{stem}.csv"
-    _write_csv(csv_path, header, rows)
     final_error = errors[-1]
-    _write_json(out / f"{stem}.json", {
-        "command": "iterate",
-        "config_hash": digest,
-        "base_seed": settings["base_seed"],
+    path = _save(out, "iterate", digest, settings, {
         "scheme_seed": scheme.seed,
         "kind": scheme.kind,
         "horizon": horizon,
         "fixed_point": [float(v) for v in x_star],
         "final_error": final_error,
-        "csv": csv_path.name,
-    })
+    }, [header] + rows)
     print(f"final error {final_error:.6e} at iterate {horizon + 1}")
-    print(f"wrote {csv_path}")
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_bound(args, cfg, scheme, digest, settings):
-    params = build_bound_params(cfg, map_spec=scheme.map_spec,
-                                noise=scheme.noise)
+    _, params = _certificate_inputs(cfg, scheme)
     report = certificate(params).report(args.n, args.eps)
-    payload = {
-        "command": "bound",
-        "config_hash": digest,
-        "base_seed": settings["base_seed"],
-        "params": dataclasses.asdict(params),
-        "report": dataclasses.asdict(report),
-    }
-    text = dumps17(payload)
-    print(text)
-    if args.out:
-        out = _out_dir(args, settings)
-        stem = _stem(f"bound_n{args.n}", settings, digest)
-        _write_json(out / f"{stem}.json", payload)
+    out = _out_dir(args, settings) if args.out else None
+    record = {"params": dataclasses.asdict(params),
+              "report": dataclasses.asdict(report)}
+    _save(out, "bound", digest, settings, record, name=f"bound_n{args.n}")
+    print(dumps17(record))
     return 0
 
 
 def cmd_confidence(args, cfg, scheme, digest, settings):
-    x_star = reference_fixed_point(scheme.map_spec)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
-                                noise=scheme.noise)
+    x_star, params = _certificate_inputs(cfg, scheme)
     eps = args.eps if args.eps is not None else (
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
@@ -161,11 +171,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
     (x,), _ = rows_at(scheme, [scheme.seed], [int(n_alpha)])
     center = x[0]
     contains = bool(norm(x - x_star, scheme.norm_kind)[0] <= eps)
-    stem = _stem("confidence", settings, digest)
-    payload = {
-        "command": "confidence",
-        "config_hash": digest,
-        "base_seed": settings["base_seed"],
+    path = _save(out, "confidence", digest, settings, {
         "scheme_seed": scheme.seed,
         "eps": float(eps),
         "alpha": float(alpha),
@@ -174,8 +180,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
         "radius": float(eps),
         "contains_reference": contains,
         "params": dataclasses.asdict(params),
-    }
-    _write_json(out / f"{stem}.json", payload)
+    })
     lo = float(center[0]) - eps
     hi = float(center[0]) + eps
     print(f"n_alpha = {n_alpha}")
@@ -184,7 +189,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
               f"{1 - alpha:g}")
     else:
         print(f"confidence ball radius {eps:g} at level {1 - alpha:g}")
-    print(f"wrote {out / (stem + '.json')}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -193,24 +198,16 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
     from .montecarlo import dominance_failures, empirical_tail
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
-    x_star = reference_fixed_point(scheme.map_spec)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
-                                noise=scheme.noise)
+    x_star, params = _certificate_inputs(cfg, scheme)
     out = _out_dir(args, settings)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
     vacuous = sum(1 for c in cells if c.vacuous)
-    stem = _stem("montecarlo", settings, digest)
     header = ["n", "eps", "p_hat", "ci_low", "ci_high", "bound_clipped",
               "vacuous", "dominated"]
     rows = [[c.n, c.eps, c.p_hat, c.ci_low, c.ci_high, c.bound_clipped,
              int(c.vacuous), int(c.dominated)] for c in cells]
-    csv_path = out / f"{stem}.csv"
-    _write_csv(csv_path, header, rows)
-    payload = {
-        "command": "montecarlo",
-        "config_hash": digest,
-        "base_seed": settings["base_seed"],
+    path = _save(out, "montecarlo", digest, settings, {
         "replicas": plan.replicas,
         "cells": len(cells),
         "vacuous_cells": vacuous,
@@ -218,12 +215,10 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
                       "bound_clipped": c.bound_clipped} for c in failures],
         "verdict": "pass" if not failures else "fail",
         "params": dataclasses.asdict(params),
-        "csv": csv_path.name,
-    }
-    _write_json(out / f"{stem}.json", payload)
+    }, [header] + rows)
     print(f"{len(cells)} cells, {vacuous} vacuous, {len(failures)} dominance "
           f"failures")
-    print(f"wrote {csv_path}")
+    print(f"wrote {path}")
     if vacuous == len(cells):
         print(f"warning: all {vacuous} cells are vacuous (bound clipped to 1), "
               "so the dominance check could not fail", file=sys.stderr)
@@ -239,6 +234,7 @@ def cmd_cramer_check(args, cfg, scheme, digest, settings):
     report = cramer_check(scheme.noise, m_max=args.m_max, draws=args.draws,
                           seed=settings["base_seed"],
                           norm_kind=scheme.norm_kind)
+    out = _out_dir(args, settings) if args.out else None
     print(f"family={report.family} dim={report.dim} draws={report.draws} "
           f"sigma={report.sigma:.6g} L={report.L:.6g}")
     for label, rows in (("mean", (report.mean,)), ("raw", report.raw),
@@ -247,16 +243,8 @@ def cmd_cramer_check(args, cfg, scheme, digest, settings):
             mark = "ok" if row.ok else "FLAG"
             print(f"  {label:8s} m={row.m:2d} empirical={row.empirical:.6e} "
                   f"bound={row.bound:.6e} {mark}")
-    if args.out:
-        out = _out_dir(args, settings)
-        stem = _stem("cramer_check", settings, digest)
-        _write_json(out / f"{stem}.json", {
-            "command": "cramer-check",
-            "config_hash": digest,
-            "base_seed": settings["base_seed"],
-            "ok": report.ok,
-            **dataclasses.asdict(report),
-        })
+    _save(out, "cramer-check", digest, settings,
+          {"ok": report.ok, **dataclasses.asdict(report)}, name="cramer_check")
     if not report.ok:
         print("moment bound flagged; see rows above", file=sys.stderr)
         return 3

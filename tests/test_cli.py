@@ -65,7 +65,7 @@ def test_iterate_writes_named_outputs(tmp_path):
     csv_path = out / f"iterate_seed11_cfg{digest}.csv"
     json_path = out / f"iterate_seed11_cfg{digest}.json"
     assert csv_path.exists() and json_path.exists()
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert [int(r["n"]) for r in rows] == [10, 100, 200]
     meta = json.loads(json_path.read_text())
     assert meta["config_hash"] == digest and meta["base_seed"] == 11
@@ -84,7 +84,8 @@ def test_iterate_default_checkpoints_are_decades(tmp_path):
     out = tmp_path / "o"
     assert main(["iterate", "--config", cfg_path, "--out", str(out)]) == 0
     csv_file = next(out.glob("iterate_*.csv"))
-    ns = [int(r["n"]) for r in csv.DictReader(csv_file.open())]
+    ns = [int(r["n"]) for r in csv.DictReader(
+        csv_file.read_text().splitlines())]
     assert ns == [1, 10, 100, 201]
 
 
@@ -245,7 +246,8 @@ def test_montecarlo_pass_and_byte_identical_outputs(tmp_path):
     assert summary["verdict"] == "pass"
     assert summary["cells"] == 6
     rows = list(csv.DictReader(
-        (out1 / f"montecarlo_seed11_cfg{config_hash(REFERENCE)}.csv").open()))
+        (out1 / f"montecarlo_seed11_cfg{config_hash(REFERENCE)}.csv")
+        .read_text().splitlines()))
     assert len(rows) == 6
     for r in rows:
         assert float(r["ci_low"]) <= float(r["bound_clipped"])
@@ -493,13 +495,27 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             assert "--seed" in capsys.readouterr().err, (command, seed)
 
 
+# a flag out of the range of what it sets, and the name its refusal gives:
+# the flag itself, not the config key or library argument behind it
+FLAG_REFUSALS = [
+    (["montecarlo", "--replicas", "0"], "--replicas"),
+    (["montecarlo", "--replicas", "-3"], "--replicas"),
+    (["bound", "--n", "0", "--eps", "0.1"], "--n"),
+    (["bound", "--n", "10", "--eps", "-1"], "--eps"),
+    (["bound", "--n", "10", "--eps", "nan"], "--eps"),
+    (["confidence", "--eps", "-1"], "--eps"),
+    (["confidence", "--eps", "0"], "--eps"),
+    (["cramer-check", "--m-max", "1"], "--m-max"),
+    (["cramer-check", "--draws", "1"], "--draws"),
+]
+
+
 def test_replicas_flag_is_checked_as_alpha_is(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
-    for replicas in ("0", "-3"):
-        assert main(["montecarlo", "--config", cfg_path, "--replicas",
-                     replicas, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "--replicas" in err and "experiment.replicas" not in err
+    for argv, flag in FLAG_REFUSALS:
+        assert main(argv[:1] + ["--config", cfg_path, "--out",
+                                str(tmp_path / "o")] + argv[1:]) == 2, argv
+        assert f"error: {flag}: must be" in capsys.readouterr().err, argv
     assert not (tmp_path / "o").exists()
 
 

@@ -251,8 +251,8 @@ def contraction_constant(m, norm_kind="euclidean"):
 
 def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="euclidean"):
     """Empirical contraction constant: max of ||F(x)-F(y)|| / ||x-y|| over
-    sampled pairs in domain_box, a (d, 2) array of [low, high] rows that
-    defaults to [-10, 10]^d.
+    sampled pairs in domain_box, a (d, 2) matrix of [low, high] rows under
+    the rule of map.matrix, that defaults to [-10, 10]^d.
 
     Pair i is a pure function of (seed, i), so enlarging `samples` extends
     the sample rather than reshuffling it; the estimate is therefore
@@ -261,8 +261,8 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     samples = check_number(samples, "samples", integer=True, minimum=1)
     seed = check_seed(seed, "seed")
     d = dimension(m)
-    box = np.asarray([[-10.0, 10.0]] * d if domain_box is None else domain_box,
-                     dtype=np.float64)
+    box = _matrix([[-10.0, 10.0]] * d if domain_box is None else domain_box,
+                  "domain_box")
     if box.shape != (d, 2):
         raise ValidationError(f"domain_box: expected shape ({d}, 2)")
     if not np.all(np.isfinite(box)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,28 @@ def test_validation_rejects_bad_specs():
     for max_iter in (2.5, 0, -1, "10", True):
         with pytest.raises(ValidationError, match="max_iter"):
             reference_fixed_point(inverse_quadratic(), max_iter=max_iter)
+
+
+# domain_box meets check_number's rule entry by entry, as map.matrix does:
+# (box, the field its ValidationError names)
+BAD_BOXES = [
+    ([["a", 1.0]], "domain_box[0][0]"),
+    ([[True, 1.0]], "domain_box[0][0]"),
+    ([[None, 1.0]], "domain_box[0][0]"),
+    ([[0.0, [1.0]]], "domain_box[0][1]"),
+    ([[0.0, 1.0], [0.0]], "domain_box"),
+    (np.array([[False, True]]), "domain_box"),
+    (np.array([[0.0, 1.0]], dtype=object), "domain_box"),
+    (np.array([[0.0, np.inf]]), "domain_box"),
+    ([[0.0, 1.0], [0.0, 1.0]], "domain_box"),
+    ([[1.0, 1.0]], "domain_box"),
+]
+
+
+@pytest.mark.parametrize("box, field", BAD_BOXES)
+def test_domain_box_entries_are_checked_as_numbers(box, field):
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
+        estimate_contraction(inverse_quadratic(), domain_box=box, samples=10)
 
 
 def test_as_point_shapes_and_dim_check():

@@ -251,8 +251,8 @@ def contraction_constant(m, norm_kind="euclidean"):
 
 def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="euclidean"):
     """Empirical contraction constant: max of ||F(x)-F(y)|| / ||x-y|| over
-    sampled pairs in domain_box, a (d, 2) matrix of [low, high] rows under
-    the rule of map.matrix, that defaults to [-10, 10]^d.
+    sampled pairs in domain_box, a (d, 2) matrix of [low, high] rows read
+    as map.matrix is; it defaults to [-10, 10]^d.
 
     Pair i is a pure function of (seed, i), so enlarging `samples` extends
     the sample rather than reshuffling it; the estimate is therefore

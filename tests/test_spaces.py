@@ -202,7 +202,6 @@ BAD_BOXES = [
     (np.array([[0.0, 1.0]], dtype=object), "domain_box"),
     (np.array([[0.0, np.inf]]), "domain_box"),
     ([[0.0, 1.0], [0.0, 1.0]], "domain_box"),
-    ([[1.0, 1.0]], "domain_box"),
 ]
 
 

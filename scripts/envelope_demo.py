@@ -32,8 +32,7 @@ def load_reference(rho_scale):
     cfg["bounds"]["rho_scale"] = rho_scale
     scheme = build_scheme(cfg)
     x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star,
-                                noise=scheme.noise)
+    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
     return scheme, x_star, params
 
 

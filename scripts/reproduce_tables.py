@@ -56,7 +56,7 @@ def block_tail_grid(args):
     plan = build_plan(cfg, base_seed=args.seed, replicas=replicas)
     x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-14)
     params = build_bound_params(cfg, map_spec=plan.scheme.map_spec,
-                                x_star=x_star, noise=plan.scheme.noise)
+                                x_star=x_star)
     t0 = time.perf_counter()
     cells = empirical_tail(plan, x_star, params)
     print(f"{'n':>6} {'eps':>5}  {'p_hat':>8}  {'99% CI':>21}"
@@ -77,8 +77,7 @@ def block_coverage(args):
           % replicas)
     cfg = load_config(CONFIGS / "confidence_demo.json")
     plan = build_plan(cfg, replicas=replicas)
-    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec,
-                                noise=plan.scheme.noise)
+    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec)
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
           f"  {'target':>7}")
     t0 = time.perf_counter()

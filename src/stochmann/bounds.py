@@ -422,6 +422,8 @@ def _certificate(params, s1, s2):
     if s1 is None:
         est = _series_power_sum(params.kappa, 2.0, SERIES_TOL)
         s1 = est.value + est.half_width
+    else:
+        s1 = check_number(s1, "s1", minimum=0)
     if s2 is None:
         est = _series_S2(params.a, params.c, params.sigma, SERIES_TOL)
         s2 = est.value + est.half_width
@@ -429,7 +431,6 @@ def _certificate(params, s1, s2):
         s2 = check_number(s2, "s2", minimum=0)
     # Python floats throughout, so an overflow is inf and never a numpy
     # warning; a square past the float range raises, and log_K1 is inf
-    s1 = float(s1)
     try:
         lk1 = 2.0 * (params.N ** 2
                      + (params.a * s1 * params.mean_norm_bound) ** 2)

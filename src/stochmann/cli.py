@@ -76,10 +76,10 @@ def _save(out, command, digest, settings, record, table=None, name=None):
 
 def _certificate_inputs(cfg, scheme):
     """The reference fixed point x_star and the bound parameters built on
-    it, from the scheme's map and noise model."""
+    it, from the scheme's map."""
     x_star = reference_fixed_point(scheme.map_spec)
     return x_star, build_bound_params(cfg, map_spec=scheme.map_spec,
-                                      x_star=x_star, noise=scheme.noise)
+                                      x_star=x_star)
 
 
 def _apply_overrides(settings, args):

@@ -215,19 +215,19 @@ def build_scheme(cfg):
     )
 
 
-def build_bound_params(cfg, map_spec=None, x_star=None, noise=None):
+def build_bound_params(cfg, map_spec=None, x_star=None):
     """Assemble the analytic parameter set, filling gaps from the run.
 
-    map_spec and noise are the config's map and noise model, built here
-    unless passed (as build_scheme built them).  Each constant has one
-    source.  c is map.declared_c, else the analytic contraction constant;
-    sigma, L and mean_norm_bound are the noise model's (noise.* where given,
-    else the family's certified values).  N defaults to the initial
-    distance ||x0 - x_star|| in the config's norm, against the reference
-    fixed point x_star (computed here unless passed), and rho to rho_scale
-    times 2a(1-c).  The one-norm at d >= 2 has no certified moment
-    defaults: with nonzero noise there, noise.sigma, noise.L and
-    noise.mean_norm_bound must all be given.
+    map_spec is the config's map, built here unless passed (as build_scheme
+    built it); the noise model is always built here from cfg["noise"].
+    Each constant has one source.  c is map.declared_c, else the analytic
+    contraction constant; sigma, L and mean_norm_bound are the noise
+    model's (noise.* where given, else the family's certified values).  N
+    defaults to the initial distance ||x0 - x_star|| in the config's norm,
+    against the reference fixed point x_star (computed here unless passed),
+    and rho to rho_scale times 2a(1-c).  The one-norm at d >= 2 has no
+    certified moment defaults: with nonzero noise there, noise.sigma,
+    noise.L and noise.mean_norm_bound must all be given.
 
     A bounds.N below that distance is refuted and refused.  x_star is off
     the true fixed point by at most FIXED_POINT_TOL / (1 - c) in the
@@ -242,7 +242,7 @@ def build_bound_params(cfg, map_spec=None, x_star=None, noise=None):
     norm_kind = cfg.get("norm", "euclidean")
     a = StepSequences(a=cfg["scheme"].get("a", 0.5)).a
     c = contraction_constant(map_spec, norm_kind)
-    model = build_noise(cfg, d) if noise is None else noise
+    model = build_noise(cfg, d)
     if norm_kind == "one" and model.family != "zero" and d >= 2:
         # default_cramer_params certifies the Euclidean and max norms only
         for key in ("sigma", "L", "mean_norm_bound"):

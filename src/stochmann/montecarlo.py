@@ -174,7 +174,9 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
 
     Raises DivergedError on any non-finite iterate, at the earliest such
     step and naming, in order, every replica that diverged there; a
-    contraction map cannot trigger this.
+    contraction map cannot trigger this.  A split in which any chunk
+    diverges waits for its threads to finish and then runs the serial pass,
+    which stops at that step with that error.
     """
     d = dimension(scheme.map_spec)
     x_star = as_point(x_star, d, name="x_star")
@@ -188,28 +190,19 @@ def replica_errors(scheme, x_star, seeds, checkpoints):
     if K < 2 or tile_kernel(scheme, len(seeds) // K) is None:
         return _errors(scheme, x_star, seeds, cps)
     chunks = np.array_split(seeds, K)
-    offsets = np.cumsum([0] + [len(c) for c in chunks]).tolist()
-
-    def chunk(k):
-        """chunk k's rows; on divergence, its step and global replicas."""
-        try:
-            return _errors(scheme, x_star, chunks[k], cps)
-        except DivergedError as e:
-            return e.last_finite_index, [offsets[k] + r for r in e.replicas]
-
-    with ThreadPoolExecutor(K - 1) as pool:
-        # each in a copy of this thread's context, np.errstate included
-        rest = [pool.submit(contextvars.copy_context().run, chunk, k)
-                for k in range(1, K)]
-        parts = [chunk(0)] + [job.result() for job in rest]
-    diverged = [p for p in parts if isinstance(p, tuple)]
-    if diverged:
-        n = min(step for step, _ in diverged)
-        # chunk order keeps the replicas sorted, as the serial pass lists them
-        bad = [r for step, rows in diverged if step == n for r in rows]
-        raise DivergedError(f"{len(bad)} replica(s) diverged at step {n}",
-                            last_finite_index=n, replicas=bad)
-    return np.concatenate(parts)
+    try:
+        with ThreadPoolExecutor(K - 1) as pool:
+            # each in a copy of this thread's context, np.errstate included
+            rest = [pool.submit(contextvars.copy_context().run, _errors,
+                                scheme, x_star, chunk, cps)
+                    for chunk in chunks[1:]]
+            parts = [_errors(scheme, x_star, chunks[0], cps)]
+            return np.concatenate(parts + [job.result() for job in rest])
+    except DivergedError:
+        pass
+    # a chunk diverged and the with block joined every worker: the serial
+    # pass raises the DivergedError of the whole split
+    return _errors(scheme, x_star, seeds, cps)
 
 
 def empirical_tail(plan, x_star, params):

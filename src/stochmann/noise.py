@@ -234,7 +234,8 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
     Standard errors are the plug-in ones, std(||xi||^m)/sqrt(draws); with
     heavy powers these are themselves noisy, which is why the flag
     threshold sits at three standard errors rather than one.  An m_max
-    whose raw or centred bound overflows a float raises ValidationError
+    whose raw or centred bound overflows a float, and a draws whose
+    (draws, dim) block numpy cannot size or allocate, raise ValidationError
     before any draw.
     """
     m_max = check_number(m_max, "m_max", integer=True, minimum=2)
@@ -253,6 +254,11 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
                 f"m_max: {m_max} is too large; the order-{m} moment bound "
                 "overflows a float")
         bounds.append((m, bound, cbound))
+    try:
+        np.empty((draws, model.dim))  # never written, so no page is touched
+    except (ValueError, MemoryError):
+        raise ValidationError(f"draws: numpy cannot hold {draws} draws of "
+                              f"dimension {model.dim}") from None
     xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())

@@ -8,8 +8,8 @@ With zero noise (noise.zero()) it is the plain Mann iteration.
 
 Iterates are indexed from 1 with x_1 the user's initial point, so the step
 counter n in the update rule and in the error bounds line up index for
-index.  step() accepts batched states of shape (..., d), or a float for a
-single state on the line, and is bitwise consistent between them.
+index.  The update rule steps batched states of shape (..., d), or a float
+for a single state on the line, with the same bits for either.
 
 advance(), the one time loop, steps a whole noise tile per call of
 mann_tile in philox.c: draws, noise transform and update in one C call,
@@ -156,22 +156,19 @@ def _update(cfg, F):
     return stochastic_mann
 
 
-def step(kind, x, n, cfg, noise_draw, F=None):
+def step(kind, x, n, cfg, noise_draw):
     """One update x_{n+1} from x_n = x at 1-based step index n.
 
-    x may carry leading batch axes, or be a float when d = 1; all arithmetic
-    is elementwise, so a batched call agrees bitwise with per-element calls.
+    x has shape (..., d), leading batch axes allowed; all arithmetic is
+    elementwise, so a batched call agrees bitwise with per-row calls.
     noise_draw is xi_n, shaped like x, and required: every step adds
-    b_n * xi_n (pass zeros for the plain Mann step).  F is the map as
-    map_function returns it; without it, each evaluation goes through the
-    validating eval_map.
+    b_n * xi_n (pass zeros for the plain Mann step).  Each evaluation of the
+    map goes through the validating eval_map.
     """
     if kind not in SCHEME_KINDS:
         raise ValidationError(f"scheme.kind: unknown kind {kind!r}")
     n = check_number(n, "n", integer=True, minimum=1)
-    if F is None:
-        F = partial(eval_map, cfg.map_spec)
-    return _update(cfg, F)(x, n, noise_draw)
+    return _update(cfg, partial(eval_map, cfg.map_spec))(x, n, noise_draw)
 
 
 def advance(cfg, seeds, horizon):

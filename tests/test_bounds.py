@@ -658,6 +658,18 @@ def test_series_overrides_neither_read_nor_fill_the_cache():
     assert bounds._certificate.cache_info()[:2] == (0, 1)
 
 
+@pytest.mark.parametrize("name", ["s1", "s2"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, "x"])
+def test_series_overrides_must_be_finite_and_nonnegative(name, value):
+    # the rule of S2 holds for S1 too: a nan would make log_K1 nan and the
+    # clipped bound 1, and -1 would be squared into a finite bound
+    p = params()
+    with pytest.raises(ValidationError, match=f"^{name}: "):
+        certificate(p, **{name: value})
+    with pytest.raises(ValidationError, match=f"^{name}: "):
+        tail_bound(10**6, 0.1, p, **{name: value})
+
+
 @st.composite
 def valid_params(draw):
     a, c = draw(st.floats(0.01, 0.99)), draw(st.floats(0.0, 0.99))

@@ -354,6 +354,15 @@ def test_cramer_check_refuses_an_m_max_past_the_float_range(tmp_path,
             in capsys.readouterr().err
 
 
+def test_cramer_check_refuses_draws_numpy_cannot_hold(capsys):
+    # 10**20 draws exceed numpy's largest array: exit 2 naming draws, with
+    # nothing allocated
+    demo = str(CONFIGS / "confidence_demo.json")
+    assert main(["cramer-check", "--config", demo,
+                 "--draws", str(10**20)]) == 2
+    assert "error: draws: numpy cannot hold" in capsys.readouterr().err
+
+
 def test_cramer_check_pass_and_flag(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
     assert main(["cramer-check", "--config", cfg_path,
@@ -684,26 +693,24 @@ def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
         return wrapper
 
     monkeypatch.setattr(config, "build_map", counted("map", config.build_map))
-    # and the noise model: build_bound_params takes the scheme's
+    # and the noise model: build_scheme builds it, and build_bound_params
+    # builds its own from the same cfg["noise"] for the certificate
     monkeypatch.setattr(config, "build_noise",
                         counted("noise", config.build_noise))
     for module in (cli, config):
         monkeypatch.setattr(module, "reference_fixed_point",
                             counted("x_star", module.reference_fixed_point))
     demo, out = str(CONFIGS / "confidence_demo.json"), ["--out", str(tmp_path)]
-    for argv, x_stars in ((["iterate", "--config", demo] + out, 1),
-                          (["bound", "--config", demo, "--n", "1000",
-                            "--eps", "0.1"], 1),
-                          (["confidence", "--config", demo, "--eps", "0.1"]
-                           + out, 1),
-                          (["montecarlo", "--config", demo, "--replicas", "50"]
-                           + out, 1),
-                          (["cramer-check", "--config", demo,
-                            "--draws", "1000"], 0)):
+    for argv, x_stars, noises in (
+            (["iterate", "--config", demo] + out, 1, 1),
+            (["bound", "--config", demo, "--n", "1000", "--eps", "0.1"], 1, 2),
+            (["confidence", "--config", demo, "--eps", "0.1"] + out, 1, 2),
+            (["montecarlo", "--config", demo, "--replicas", "50"] + out, 1, 2),
+            (["cramer-check", "--config", demo, "--draws", "1000"], 0, 1)):
         calls.clear()
         assert main(argv) == 0
         assert calls.count("map") == 1, argv
-        assert calls.count("noise") == 1, argv
+        assert calls.count("noise") == noises, argv
         assert calls.count("x_star") == x_stars, argv
 
 

@@ -160,8 +160,8 @@ def test_build_bound_params_fills_gaps_from_run():
 
 def test_build_bound_params_takes_the_built_map_and_noise():
     scheme = build_scheme(BASE)
-    assert build_bound_params(BASE, map_spec=scheme.map_spec,
-                              noise=scheme.noise) == build_bound_params(BASE)
+    assert build_bound_params(BASE, map_spec=scheme.map_spec) \
+        == build_bound_params(BASE)
 
 
 def test_build_bound_params_honours_declared_c():

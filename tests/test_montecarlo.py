@@ -431,8 +431,11 @@ def test_divergence_under_the_split(kernel, cores):
             errors = []
             for k in (1, 2):
                 pools = cores(k)
+                threads = threading.active_count()
                 with pytest.raises(DivergedError) as info:
                     replica_errors(cfg, x_star, seeds[list(rows)], (20,))
+                # every worker thread has joined by the time it raises
+                assert threading.active_count() == threads, (rows, k)
                 assert pools == ([1] if k == 2 else []), rows
                 assert info.value.last_finite_index == step, (rows, k)
                 assert info.value.replicas == bad, (rows, k)

@@ -126,6 +126,12 @@ def test_cramer_check_passes_for_catalog_models():
         assert report.ok, report.flags
 
 
+def test_cramer_check_refuses_draws_numpy_cannot_hold():
+    # 10**20 draws exceed numpy's largest array before anything is allocated
+    with pytest.raises(ValidationError, match="^draws: numpy cannot hold"):
+        cramer_check(gaussian(scale=2.0), draws=10**20)
+
+
 def test_cramer_check_flags_dishonest_parameters():
     # claim a far smaller sigma than the distribution actually has
     model = gaussian(scale=2.0, sigma=0.01, L=0.01)

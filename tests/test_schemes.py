@@ -348,7 +348,8 @@ def test_resolved_update_rule_matches_step_bitwise():
                         x, xi = float(X[r, 0]), float(XI[r, 0])
                         y = update(x, n, xi)
                         assert isinstance(y, float)
-                        assert y == step(kind, x, n, cfg, xi, F) == got[r, 0]
+                        assert y == step(kind, X[r], n, cfg, XI[r])[0] \
+                            == got[r, 0]
                         assert y == written_out(x, n, cfg, xi, F)
             with pytest.raises(ValidationError):
                 step(kind, X, 0, cfg, XI)

@@ -2,7 +2,7 @@
 """Pathwise envelope and rate-envelope diagnostics for the reference map.
 
 Block 1 drives a batch of independent trajectories and checks every
-realized error against the deterministic envelope built from the same
+realized error against the pathwise envelope built from the same
 noise norms; the worst margin is printed.  Block 2 compares the
 supremum of error/envelope ratios across two horizons, which should be
 stable if the rate envelope has the right shape.
@@ -19,7 +19,7 @@ import numpy as np
 from stochmann.bounds import canonical_eps0, envelope_sequence
 from stochmann.config import build_bound_params, build_scheme, load_config
 from stochmann.montecarlo import ExperimentPlan, rate_diagnostic, replica_seeds
-from stochmann.schemes import advance
+from stochmann.schemes import rows_at
 from stochmann.spaces import norm, reference_fixed_point
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -41,14 +41,11 @@ def block_envelope(args):
           % (args.replicas, args.horizon))
     scheme, x_star, params = load_reference(rho_scale=0.5)
     seeds = replica_seeds(args.seed, args.replicas)
-    errs = np.empty((args.replicas, args.horizon))
-    norms = np.empty((args.replicas, args.horizon))
     t0 = time.perf_counter()
-    for start, X, xi in advance(scheme, seeds, args.horizon):
-        # one norm() per tile; its (T, R) result fills T columns
-        steps = slice(start - 1, start - 1 + X.shape[0])
-        norms[:, steps] = norm(xi).T
-        errs[:, steps] = norm(X - x_star).T
+    steps = range(1, args.horizon + 1)
+    states, noises = rows_at(scheme, seeds, steps, steps)
+    errs = norm(np.stack(states, axis=1) - x_star)
+    norms = norm(np.stack(noises, axis=1))
     env = envelope_sequence(params, norms)
     margin = np.min(env - errs)
     worst = np.unravel_index(np.argmin(env - errs), errs.shape)

@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 # Each exported name, by the submodule that defines it.
 _EXPORTS = {name: module for module, names in (
     ("bounds", "BoundParams BoundReport Certificate canonical_eps0 "
-               "certificate deterministic_envelope envelope_sequence "
-               "min_iterations_for_confidence product_bound rate_envelope "
-               "tail_bound"),
+               "certificate envelope_sequence min_iterations_for_confidence "
+               "product_bound rate_envelope tail_bound"),
     ("errors", "CoverageError DivergedError DominanceError "
                "InfeasibleExperimentError NonContractiveError StochmannError "
                "ValidationError"),

@@ -45,7 +45,6 @@ __all__ = [
     "tail_exponent",
     "rate_exponent",
     "product_bound",
-    "deterministic_envelope",
     "envelope_sequence",
     "series_S1_detail",
     "series_S2_detail",
@@ -98,7 +97,7 @@ class BoundParams:
 
     @property
     def kappa(self):
-        """The damping rate a(1-c) of the deterministic envelope."""
+        """The damping rate a(1-c) of the pathwise envelope."""
         return self.a * (1.0 - self.c)
 
 
@@ -136,41 +135,27 @@ def product_bound(i, n, a, c):
     return lhs, rhs
 
 
-def _checked_norms(noise_norms, n):
-    norms = np.asarray(noise_norms, dtype=np.float64)
-    if norms.ndim != 1 or norms.shape[0] < n:
-        raise ValidationError(f"noise_norms: need at least {n} entries")
-    head = norms[:n]
-    if not np.all(np.isfinite(head)) or np.any(head < 0.0):
-        raise ValidationError("noise_norms: entries must be finite and >= 0")
-    return head
-
-
-def deterministic_envelope(n, params, noise_norms):
-    """Pathwise envelope on ||x_{n+1} - x*|| given realized noise norms:
-
-        N prod_{i=1}^{n}(1 - a(1-c)/i)
-          + sum_{i=1}^{n} (a/i^2) prod_{j=i+1}^{n}(1 - a(1-c)/j) ||xi_i||.
-
-    noise_norms[i-1] is ||xi_i||; only the first n entries are read.
-    """
-    n = check_number(n, "n", integer=True, minimum=1)
-    norms = _checked_norms(noise_norms, n)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    prefix = np.cumprod(1.0 - params.kappa / i)  # prefix[k-1] = prod_{j<=k}
-    weights = (params.a / (i * i)) * (prefix[-1] / prefix)
-    return float(params.N * prefix[-1] + np.dot(weights, norms))
-
-
 def envelope_sequence(params, noise_norms):
-    """deterministic_envelope for every n = 1..len(noise_norms) at once,
-    via the defining recurrence
+    """The pathwise envelope on ||x_{n+1} - x*|| for every n = 1..horizon,
+    given the realized noise norms noise_norms[..., n-1] = ||xi_n||:
 
-        E_0 = N,   E_n = (1 - a(1-c)/n) E_{n-1} + (a/n^2) ||xi_n||.
+        E_0 = N,   E_n = (1 - a(1-c)/n) E_{n-1} + (a/n^2) ||xi_n||,
 
-    noise_norms may carry leading batch axes (..., horizon); the result
-    matches, with entry n-1 bounding ||x_{n+1} - x*||.
+    that is N prod_{i<=n}(1 - a(1-c)/i) + sum_{i<=n} (a/i^2)
+    prod_{i<j<=n}(1 - a(1-c)/j) ||xi_i||.  Leading batch axes are kept and
+    entry n-1 is E_n, so the envelope at one n is
+    envelope_sequence(params, noise_norms[:n])[n - 1].  noise_norms is an
+    integer or float array or (nested) lists of numbers; a 0-d input, or an
+    entry that is a bool, a string, not finite or negative, raises
+    ValidationError naming noise_norms.
     """
+    if not isinstance(noise_norms, np.ndarray):
+        items = np.asarray(noise_norms, dtype=object)
+        noise_norms = np.array([check_number(v, "noise_norms", minimum=0)
+                                for v in items.flat]).reshape(items.shape)
+    if (noise_norms.ndim == 0 or noise_norms.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(noise_norms)) or np.any(noise_norms < 0)):
+        raise ValidationError("noise_norms: must be finite reals >= 0 along a step axis")
     norms = np.asarray(noise_norms, dtype=np.float64)
     horizon = norms.shape[-1]
     out = np.empty_like(norms)

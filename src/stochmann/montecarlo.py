@@ -24,7 +24,7 @@ from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
                      check_numbers)
 from .schemes import check_replica_seeds, rows_at, tile_kernel
 from .spaces import as_point, dimension, norm, reference_fixed_point
-from .streams import check_seed, derive_key
+from .streams import check_block, check_seed, derive_key
 
 __all__ = [
     "ExperimentPlan",
@@ -126,6 +126,7 @@ class RateDiagnostic:
 def replica_seeds(base_seed, replicas):
     """Injective per-replica seeds; row r is derive_key(base_seed, r)."""
     replicas = check_number(replicas, "replicas", integer=True, minimum=0)
+    check_block((replicas,), "replicas", f"{replicas} replica seeds")
     return derive_key(check_seed(base_seed, "base_seed"),
                       np.arange(replicas, dtype=np.uint64))
 
@@ -265,13 +266,15 @@ def error_table(scheme, checkpoints, x_star):
     """Single-trajectory table of (n, x_n, absolute error, relative error).
 
     Checkpoints index iterates (1-based, x_1 the initial point); the run is
-    sized to the last checkpoint.  Scalar maps only, mirroring a printed
-    fixed-point table.
+    sized to the last checkpoint.  Scalar maps and x* != 0 only (the relative
+    error divides by |x*|), mirroring a printed fixed-point table.
     """
     if dimension(scheme.map_spec) != 1:
         raise ValidationError("error_table: requires a scalar (d=1) map")
     cps = check_checkpoints(checkpoints, "checkpoints")
     x_star = as_point(x_star, 1, name="x_star")
+    if x_star[0] == 0.0:
+        raise ValidationError("x_star: the relative error is undefined at 0")
     states, _ = rows_at(scheme, [scheme.seed], [n - 1 for n in cps])
     xs = np.concatenate(states)
     errors = norm(xs - x_star, scheme.norm_kind).tolist()

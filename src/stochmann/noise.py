@@ -20,7 +20,7 @@ import numpy as np
 from ._special import ndtri
 from .errors import ValidationError, check_number
 from .spaces import norm
-from .streams import check_seed, check_seeds, derive_key, substream_uniforms
+from .streams import check_block, check_seed, check_seeds, derive_key, substream_uniforms
 
 NOISE_FAMILIES = ("zero", "gaussian", "bounded_uniform")
 
@@ -254,11 +254,8 @@ def cramer_check(model, m_max=10, draws=10**5, seed=0, norm_kind="euclidean"):
                 f"m_max: {m_max} is too large; the order-{m} moment bound "
                 "overflows a float")
         bounds.append((m, bound, cbound))
-    try:
-        np.empty((draws, model.dim))  # never written, so no page is touched
-    except (ValueError, MemoryError):
-        raise ValidationError(f"draws: numpy cannot hold {draws} draws of "
-                              f"dimension {model.dim}") from None
+    check_block((draws, model.dim), "draws",
+                f"{draws} draws of dimension {model.dim}")
     xi = sample_block(model, model.dim, seed, np.arange(1, draws + 1, dtype=np.uint64))
     norms = norm(xi, norm_kind)
     mean = float(norms.mean())

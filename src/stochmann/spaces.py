@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (NonContractiveError, ValidationError, check_number,
                      check_numbers)
-from .streams import check_seed, substream_uniforms
+from .streams import check_block, check_seed, substream_uniforms
 
 NORM_KINDS = ("euclidean", "max", "one")
 # The fields each map family takes, and requires; declared_c is any map's.
@@ -269,6 +269,7 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
         raise ValidationError("domain_box: bounds must be finite")
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValidationError("domain_box: degenerate (zero or negative volume)")
+    check_block((samples, 2 * d), "samples", f"{samples} pairs in dimension {d}")
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
     u = substream_uniforms(seed, np.arange(samples, dtype=np.uint64), 2 * d)
     x = lo + span * u[:, :d]

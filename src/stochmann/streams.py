@@ -78,6 +78,7 @@ __all__ = [
     "derive_key",
     "check_seed",
     "check_seeds",
+    "check_block",
 ]
 
 
@@ -178,6 +179,15 @@ def check_seeds(seeds, path):
         raise ValidationError(f"{path}: must be an array of integers") from None
     return np.array([check_seed(s, path) for s in items.flat],
                     dtype=np.uint64).reshape(items.shape)
+
+
+def check_block(shape, path, what):
+    """ValidationError naming path unless numpy can size and allocate a
+    float64 array of shape, which is never written, so touches no page."""
+    try:
+        np.empty(shape)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{path}: numpy cannot hold {what}") from None
 
 
 def derive_key(seed, salt=0):

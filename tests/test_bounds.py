@@ -21,8 +21,8 @@ from scipy.integrate import quad
 
 from stochmann import bounds
 from stochmann.bounds import (BoundParams, Certificate, canonical_eps0,
-                              certificate, deterministic_envelope,
-                              envelope_sequence, min_iterations_for_confidence,
+                              certificate, envelope_sequence,
+                              min_iterations_for_confidence,
                               product_bound, rate_envelope, rate_exponent,
                               series_S1_detail, series_S2_detail, tail_bound,
                               tail_exponent)
@@ -140,18 +140,23 @@ def test_envelope_matches_fraction_expansion():
             for j in range(i + 1, n + 1):
                 w *= 1 - kappa / j
             total += w * Fraction(float(norms[i - 1]))
-        got = deterministic_envelope(n, p, norms[:n])
+        got = envelope_sequence(p, norms[:n])[n - 1]
         assert abs(float(total) - got) <= 1e-13 * max(1.0, float(total))
 
 
-def test_envelope_sequence_consistent_with_pointwise():
-    p = params(N=0.7, a=0.9, c=0.0)
-    rng = np.random.default_rng(3)
-    norms = rng.uniform(0.0, 3.0, size=100)
-    seq = envelope_sequence(p, norms)
-    for n in (1, 7, 50, 100):
-        assert np.isclose(seq[n - 1], deterministic_envelope(n, p, norms[:n]),
-                          rtol=1e-12)
+def test_envelope_sequence_refuses_what_is_not_a_norm():
+    p = params()
+    for bad in (5.0, np.float64(5.0), ["a"], [True], [1.0, True],
+                np.array([True]), [math.nan], [math.inf], [-math.inf],
+                [-1.0], np.array([0.1, -1.0]), [[0.1], [0.1, 0.2]]):
+        with pytest.raises(ValidationError, match="^noise_norms: "):
+            envelope_sequence(p, bad)
+    # a list of numbers and an integer array read as their float64 array
+    assert np.array_equal(envelope_sequence(p, [[0, 1], [2.5, 3]]),
+                          envelope_sequence(p, np.array([[0.0, 1.0],
+                                                         [2.5, 3.0]])))
+    assert np.array_equal(envelope_sequence(p, np.array([1, 2])),
+                          envelope_sequence(p, [1.0, 2.0]))
 
 
 def test_envelope_sequence_batched_matches_rows():
@@ -543,8 +548,7 @@ def test_counts_refuse_bool():
                  lambda: min_iterations_for_confidence(0.1, 0.05, p,
                                                        n_cap=True),
                  lambda: rate_envelope(True, 1.0, p),
-                 lambda: product_bound(True, 2, 0.5, 0.3),
-                 lambda: deterministic_envelope(True, p, [0.1])):
+                 lambda: product_bound(True, 2, 0.5, 0.3)):
         with pytest.raises(ValidationError, match="integer"):
             call()
     # nor is a bool a real

@@ -363,6 +363,18 @@ def test_cramer_check_refuses_draws_numpy_cannot_hold(capsys):
     assert "error: draws: numpy cannot hold" in capsys.readouterr().err
 
 
+def test_montecarlo_refuses_replicas_numpy_cannot_hold(tmp_path, capsys):
+    # 10**20 replica seeds exceed numpy's largest array: exit 2 naming
+    # replicas, with nothing allocated, from the flag and from the config
+    demo = str(CONFIGS / "confidence_demo.json")
+    cfg = json.loads(Path(demo).read_text())
+    cfg["experiment"]["replicas"] = 10**20
+    for argv in (["--config", demo, "--replicas", str(10**20)],
+                 ["--config", write(tmp_path, cfg)]):
+        assert main(["montecarlo", *argv, "--out", str(tmp_path)]) == 2
+        assert "error: replicas: numpy cannot hold" in capsys.readouterr().err
+
+
 def test_cramer_check_pass_and_flag(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
     assert main(["cramer-check", "--config", cfg_path,
@@ -855,9 +867,8 @@ def test_each_command_loads_only_what_it_runs(row, tmp_path):
 # submodule, by submodule.
 EXPORTED = {
     "bounds": "BoundParams BoundReport Certificate canonical_eps0 certificate "
-              "deterministic_envelope envelope_sequence "
-              "min_iterations_for_confidence product_bound rate_envelope "
-              "tail_bound",
+              "envelope_sequence min_iterations_for_confidence product_bound "
+              "rate_envelope tail_bound",
     "errors": "CoverageError DivergedError DominanceError "
               "InfeasibleExperimentError NonContractiveError StochmannError "
               "ValidationError",

@@ -107,6 +107,12 @@ def test_replica_seeds_are_derived_keys():
     assert np.unique(seeds).size == 100
 
 
+def test_replica_counts_numpy_cannot_hold_are_refused():
+    # 10**20 seeds exceed numpy's largest array before anything is allocated
+    with pytest.raises(ValidationError, match="^replicas: numpy cannot hold"):
+        replica_seeds(1, 10**20)
+
+
 def test_seeds_outside_the_key_range_are_refused():
     # derive_key reduces seeds mod 2**64, so each of these would rerun the
     # streams of a seed inside the range
@@ -544,6 +550,14 @@ def test_error_table_rejects_vector_maps():
                        noise=zero(dim=2), horizon=10)
     with pytest.raises(ValidationError):
         error_table(cfg, (1, 5), np.zeros(2))
+
+
+def test_error_table_refuses_a_zero_fixed_point():
+    # the relative error |x_n - x*| / |x*| is undefined at x* = 0
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=affine([[0.5]], [0.0]),
+                       x0=[1.0], noise=gaussian(0.1), horizon=100)
+    with pytest.raises(ValidationError, match="^x_star: "):
+        error_table(cfg, (1, 10), [0.0])
 
 
 def test_median_error_nonincreasing_over_spaced_checkpoints():

@@ -18,8 +18,8 @@ ENVELOPE_DEMO_R20_H200 = \
 
 def run_python(*args):
     """stdout of python *args run from the repository root with src/ on
-    the path; the run must succeed."""
-    env = dict(os.environ)
+    the path; the run must succeed, and a warning fails it."""
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True,

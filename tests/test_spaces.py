@@ -92,6 +92,12 @@ def test_estimate_is_deterministic_and_monotone_in_samples():
     assert e3 >= e1
 
 
+def test_estimate_refuses_samples_numpy_cannot_hold():
+    # 10**20 pairs exceed numpy's largest array before anything is allocated
+    with pytest.raises(ValidationError, match="^samples: numpy cannot hold"):
+        estimate_contraction(inverse_quadratic(), samples=10**20)
+
+
 def test_scalar_affine_ratio_is_exact():
     m = affine(np.array([[0.5]]), np.array([1.0]))
     est = estimate_contraction(m, samples=100, seed=1)

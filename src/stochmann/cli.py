@@ -35,7 +35,7 @@ from .errors import (CoverageError, DivergedError, DominanceError,
 from .noise import cramer_check
 from .schemes import rows_at
 from .spaces import norm, reference_fixed_point
-from .streams import check_seed
+from .streams import check_block, check_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -199,6 +199,8 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
     x_star, params = _certificate_inputs(cfg, scheme)
+    # the seeds are sized as replica_seeds sizes them, before the directory
+    check_block((plan.replicas,), "replicas", f"{plan.replicas} replica seeds")
     out = _out_dir(args, settings)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)

@@ -11,16 +11,17 @@
  *
  * On x86-64 GCC, where the CPU has AVX-512F and DQ, the functions marked
  * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, the
- * central branch of ndtri and the arithmetic of its tails (libm's log
- * stays scalar, between the stages), and the update of each 8-replica
- * block for every map but scaled_cosine, whose cos is libm's.  They do the
- * same IEEE operations in the same order (vsqrtpd and vdivpd round
- * correctly, as sqrt and / do), so the bits do not depend on the path.
- * Each ends in vzeroupper, which GCC emits only from -O2 on: without it,
- * Gaussian tiles ran 5-7x slower, as libm's SSE code after them paid for
- * the dirty upper registers.  <immintrin.h> would add ~0.45 s to each
- * build, so the vector code uses GCC's vector extensions and its
- * builtins. */
+ * central branch of ndtri, which packs the tail lanes into lists with
+ * vcompress, and the arithmetic of its tails (libm's log stays scalar, in
+ * loops over those lists between the stages), and the update of each
+ * 8-replica block for every map but scaled_cosine, whose cos is libm's.
+ * They do the same IEEE operations in the same order (vsqrtpd and vdivpd
+ * round correctly, as sqrt and / do), so the bits do not depend on the
+ * path.  Each ends in vzeroupper, which GCC emits only from -O2 on:
+ * without it, Gaussian tiles ran 5-7x slower, as libm's SSE code after
+ * them paid for the dirty upper registers.  <immintrin.h> would add
+ * ~0.45 s to each build, so the vector code uses GCC's vector extensions
+ * and its builtins. */
 #include <stddef.h>
 #include <stdint.h>
 /* libm's functions, declared here: <math.h> adds ~20 ms to each build */
@@ -248,17 +249,34 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
     __builtin_ia32_vzeroupper();
 }
 
-/* u[e] = ndtri(u[e]) * param for the e < n in ndtri's central branch, 8 at
- * a time, n a multiple of 8; the positions of the others are listed in
- * tail, and their number returned */
-WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
-                                   int16_t *tail)
+/* the lanes of v where mask is set, in order, then zeros, stored 8 lanes
+ * wide at to: vpcompressq in a register and an unmasked store, as the
+ * compress to memory is very slow on AMD's Zen 4 */
+LANES void pack(void *to, i64x8 v, unsigned mask)
 {
-    ptrdiff_t tails = 0;
+    const i64x8 packed = __builtin_ia32_compressdi512_mask(v, (i64x8){0},
+                                                           mask);
+    __builtin_memcpy(to, &packed, sizeof packed);
+}
+
+/* u[e] = ndtri(u[e]) * param for the e < n in ndtri's central branch, 8 at
+ * a time, n a multiple of 8.  The other lanes of each block are packed in
+ * order: the tails' positions into tail, their u into y and the argument
+ * of their first log, u or 1 - u past the upper edge, into x; the
+ * positions of 0.0 and 1.0 into edge, and their number into *edges.
+ * Returns the number of tails.  A list grows from its length so far, at
+ * most e, so each 8-lane store ends within n elements.  0.0 and 1.0 get a
+ * list of their own, as a central output can be exactly 0.0: ndtri(0.5). */
+WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
+                                   int64_t *tail, double *y, double *x,
+                                   int64_t *edge, ptrdiff_t *edges)
+{
+    const i64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
+    ptrdiff_t tails = 0, edged = 0;
     for (ptrdiff_t e = 0; e < n; e += 8) {
         const f64x8 u_e = *(f64x8_u *)(u + e);
         const i64x8 central = (i64x8)((u_e > EXP_M2) & (u_e <= 1.0 - EXP_M2));
-        const f64x8 y = u_e - 0.5, y2 = y * y;
+        const f64x8 y_e = u_e - 0.5, y2 = y_e * y_e;
         f64x8 p = (f64x8){0} + P0[0], q = y2 + Q0[0];
 #pragma GCC unroll 4
         for (int i = 1; i <= 4; i++)
@@ -266,14 +284,24 @@ WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
 #pragma GCC unroll 7
         for (int i = 1; i < 8; i++)
             q = q * y2 + Q0[i];
-        const f64x8 x = (y + y * (y2 * p / q)) * S2PI * param;
-        *(f64x8_u *)(u + e) = (f64x8)(((i64x8)x & central)
+        const f64x8 c = (y_e + y_e * (y2 * p / q)) * S2PI * param;
+        *(f64x8_u *)(u + e) = (f64x8)(((i64x8)c & central)
                                       | ((i64x8)u_e & ~central));
-        unsigned others = (uint8_t)~__builtin_ia32_cvtq2mask512(central);
-        for (; others; others &= others - 1)
-            tail[tails++] = (int16_t)(e + __builtin_ctz(others));
+        const i64x8 upper = (i64x8)(u_e > 1.0 - EXP_M2);
+        const i64x8 l = ((i64x8)(1.0 - u_e) & upper) | ((i64x8)u_e & ~upper);
+        const unsigned edge_e = __builtin_ia32_cvtq2mask512(
+            (i64x8)((u_e == 0.0) | (u_e == 1.0)));
+        const unsigned tail_e = (uint8_t)~__builtin_ia32_cvtq2mask512(central)
+            & ~edge_e;
+        pack(tail + tails, lane + e, tail_e);
+        pack(y + tails, (i64x8)u_e, tail_e);
+        pack(x + tails, l, tail_e);
+        pack(edge + edged, lane + e, edge_e);
+        tails += __builtin_popcount(tail_e);
+        edged += __builtin_popcount(edge_e);
     }
     __builtin_ia32_vzeroupper();
+    *edges = edged;
     return tails;
 }
 
@@ -360,45 +388,40 @@ WIDE static int update_wide(int map, ptrdiff_t R, ptrdiff_t d,
 #endif
 
 /* u[e] = ndtri(u[e]) * param for e < n.  On the wide path, per chunk: the
- * central branch of its 8-element blocks, the scalar port on the last
- * m % 8, and the blocks' tails in stages, libm's logs in scalar loops
- * between the 8-lane stages.  0.0 and 1.0, ndtri's infinities, take the
- * scalar port. */
+ * central branch of its 8-element blocks, which packs their tails into
+ * contiguous lists, the scalar port on the last m % 8 and on 0.0 and 1.0,
+ * ndtri's infinities, and then the tails in stages: libm's logs in scalar
+ * loops over the lists, between the 8-lane stages, and a scatter back. */
 static void normals(double *u, ptrdiff_t n, double param)
 {
 #ifdef WIDE
     if (wide) {
-        int16_t tail[NDTRI_CHUNK];
+        int64_t tail[NDTRI_CHUNK], edge[NDTRI_CHUNK];
         double y[NDTRI_CHUNK], x[NDTRI_CHUNK], lx[NDTRI_CHUNK];
         for (ptrdiff_t c = 0; c < n; c += NDTRI_CHUNK) {
             double *v = u + c;
             const ptrdiff_t m = n - c < NDTRI_CHUNK ? n - c : NDTRI_CHUNK;
-            const ptrdiff_t tails = central_wide(v, m - m % 8, param, tail);
+            ptrdiff_t edges, lanes;
+            const ptrdiff_t tails = central_wide(v, m - m % 8, param, tail,
+                                                 y, x, edge, &edges);
             for (ptrdiff_t e = m - m % 8; e < m; e++)
                 v[e] = ndtri(v[e]) * param;
-            ptrdiff_t kept = 0, lanes;
-            for (ptrdiff_t t = 0; t < tails; t++) {
-                const double y0 = v[tail[t]];
-                if (y0 == 0.0 || y0 == 1.0) {
-                    v[tail[t]] = ndtri(y0) * param;
-                    continue;
-                }
-                tail[kept] = tail[t];
-                y[kept] = y0;
-                x[kept++] = log(y0 > 1.0 - EXP_M2 ? 1.0 - y0 : y0);
-            }
-            if (!kept)
+            for (ptrdiff_t t = 0; t < edges; t++)
+                v[edge[t]] = ndtri(v[edge[t]]) * param;
+            if (!tails)
                 continue;
-            for (lanes = kept; lanes % 8; lanes++) {  /* past the last */
+            for (ptrdiff_t t = 0; t < tails; t++)
+                x[t] = log(x[t]);
+            for (lanes = tails; lanes % 8; lanes++) {  /* past the last */
                 y[lanes] = 0.5;
                 x[lanes] = -0.5;
                 lx[lanes] = 0.0;
             }
             tail_sqrt_wide(x, lanes);
-            for (ptrdiff_t t = 0; t < kept; t++)
+            for (ptrdiff_t t = 0; t < tails; t++)
                 lx[t] = log(x[t]);
             tail_wide(y, x, lx, lanes, param);
-            for (ptrdiff_t t = 0; t < kept; t++)
+            for (ptrdiff_t t = 0; t < tails; t++)
                 v[tail[t]] = y[t];
         }
         return;

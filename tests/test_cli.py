@@ -375,6 +375,19 @@ def test_montecarlo_refuses_replicas_numpy_cannot_hold(tmp_path, capsys):
         assert "error: replicas: numpy cannot hold" in capsys.readouterr().err
 
 
+def test_refused_replica_count_creates_no_output_directory(tmp_path, capsys):
+    # the seeds are sized before the output directory is resolved, so the
+    # refused run leaves nothing behind, from the flag and from the config
+    ref = str(CONFIGS / "reference.json")
+    cfg = json.loads(Path(ref).read_text())
+    cfg["experiment"]["replicas"] = 10**20
+    for argv in (["--config", ref, "--replicas", str(10**20)],
+                 ["--config", write(tmp_path, cfg)]):
+        assert main(["montecarlo", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert "error: replicas: numpy cannot hold" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def test_cramer_check_pass_and_flag(tmp_path, capsys):
     cfg_path = write(tmp_path, REFERENCE)
     assert main(["cramer-check", "--config", cfg_path,

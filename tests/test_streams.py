@@ -11,6 +11,7 @@ from scipy's.
 
 import contextlib
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -447,14 +448,16 @@ def vector_path():
     ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), True),
     ("const f64x8 r = x0 - x1;", "const f64x8 r = x0 + x1;",
      ("gaussian",), True),
+    ("(i64x8)(1.0 - u_e) & upper", "(i64x8)u_e & upper", ("gaussian",), True),
     ("y = keep * v + a_n * f\n", "y = keep * v + a_n * f * 2.0\n",
      ("zero", "gaussian", "bounded_uniform"), True)])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
                                         old, new, families, narrow):
     # a defect in one 8-lane function alone, each refused wherever it runs:
     # the Philox lanes in tiles of 32 replicas or more, whose check has 41,
-    # the central and tail ndtri in any Gaussian tile, and the update in
-    # tiles of 8 replicas or more, whose narrow check has 9
+    # the central and tail ndtri in any Gaussian tile (the tails' first log
+    # taken of u, not 1 - u, past the upper edge, among them), and the
+    # update in tiles of 8 replicas or more, whose narrow check has 9
     build_edited_source(tmp_path, monkeypatch, old, new)
     lanes = vector_path()
     for cfg in TILE_CASES:
@@ -502,6 +505,34 @@ def test_ndtri_port_is_scipys_ndtri(kernel):
                       out.ctypes.data_as(ctypes.c_void_p))
     assert same_bits(out, ndtri(u))
     assert out[-1] == np.inf
+
+
+def test_ndtri_port_is_scipys_ndtri_on_edges_in_vector_lanes(kernel):
+    # 0.0 and 1.0 beside central, tail and branch-edge values in 8-element
+    # blocks, in each of the 8 rotations, so that every value reaches every
+    # lane of the vector path: 0.0 and 1.0 go to the scalar port by
+    # position, as a central output can be exactly 0.0, ndtri(0.5).  Nine
+    # rounds of 64 values also cross the 512-element chunk.
+    e2 = math.exp(-2.0)
+    block = np.array([0.0, 1.0, 0.5, 2.0**-54, 1.0 - 2.0**-53,
+                      math.nextafter(e2, 0.0), e2, math.nextafter(e2, 1.0)])
+    u = np.tile(np.concatenate([np.roll(block, k) for k in range(8)]), 9)
+    out = np.empty_like(u)
+    kernel.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size,
+                      out.ctypes.data_as(ctypes.c_void_p))
+    assert same_bits(out, ndtri(u))
+
+
+def test_the_source_compiles_without_warnings():
+    # the vector builtins take vector arguments, and a missing cast is
+    # only a warning under the build's flags; they do not ask for these
+    # warnings, as the flags key the build cache
+    if shutil.which(streams._CC) is None:
+        pytest.skip(f"no C compiler {streams._CC!r}")
+    done = subprocess.run([streams._CC, "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(streams._SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_wrong_ndtri_tail_refuses_gaussian_tiles(kernel, cold, tmp_path,

@@ -44,8 +44,8 @@ def block_envelope(args):
     t0 = time.perf_counter()
     steps = range(1, args.horizon + 1)
     states, noises = rows_at(scheme, seeds, steps, steps)
-    errs = norm(np.stack(states, axis=1) - x_star)
-    norms = norm(np.stack(noises, axis=1))
+    errs = norm(states - x_star).T  # (replica, step)
+    norms = norm(noises).T
     env = envelope_sequence(params, norms)
     margin = np.min(env - errs)
     worst = np.unravel_index(np.argmin(env - errs), errs.shape)

@@ -18,7 +18,6 @@ replica counts for a smoke pass.
 """
 
 import argparse
-import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +25,8 @@ from pathlib import Path
 from stochmann.bounds import certificate
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
                               load_config)
-from stochmann.montecarlo import (coverage_experiment, empirical_tail,
-                                  error_table)
+from stochmann.montecarlo import (clopper_pearson, coverage_experiment,
+                                  empirical_tail, error_table)
 from stochmann.spaces import reference_fixed_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -79,16 +78,16 @@ def block_coverage(args):
     plan = build_plan(cfg, replicas=replicas)
     params = build_bound_params(cfg, map_spec=plan.scheme.map_spec)
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
-          f"  {'target':>7}")
+          f"  {'CP upper':>8}")
     t0 = time.perf_counter()
     for alpha in (0.05, 0.1):
         for eps in (0.1, 0.2):
             n_alpha = certificate(params).min_iterations(eps, alpha, 10 ** 6)
             cov = coverage_experiment(plan, eps=eps, alpha=alpha,
                                       params=params, n_cap=10 ** 6)
-            slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / replicas)
+            _, hi = clopper_pearson(round(cov * replicas), replicas)
             print(f"{alpha:>6.2f} {eps:>5.2f}  {n_alpha:>8d}  {cov:>9.4f}"
-                  f"  {1.0 - alpha - slack:>7.4f}")
+                  f"  {hi:>8.4f}")
     print(f"({time.perf_counter() - t0:.1f}s)")
 
 

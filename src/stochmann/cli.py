@@ -119,12 +119,12 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
     states, noises = rows_at(scheme, [scheme.seed],
                              [n - 1 for n in cps] + [horizon],
                              [n for n in cps if n <= horizon])
-    applied = [float(norm(xi, scheme.norm_kind)[0]) for xi in noises]
-    errors = [float(norm(x - x_star, scheme.norm_kind)[0]) for x in states]
+    applied = norm(noises[:, 0], scheme.norm_kind).tolist()
+    errors = norm(states[:, 0] - x_star, scheme.norm_kind).tolist()
     header = ["n"] + [f"x{j + 1}" for j in range(len(x_star))] + [
         "noise_norm_at_step", "error"]
-    rows = [[n] + x[0].tolist() + [a, e] for n, x, a, e in zip(
-        cps, states, applied + [""], errors)]
+    rows = [[n] + x[0] + [a, e] for n, x, a, e in zip(
+        cps, states.tolist(), applied + [""], errors)]
     final_error = errors[-1]
     path = _save(out, "iterate", digest, settings, {
         "scheme_seed": scheme.seed,
@@ -168,7 +168,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
             f"certified n_alpha = {n_alpha} exceeds run cap "
             f"{settings['run_cap']}; raise experiment.run_cap to execute")
     out = _out_dir(args, settings)
-    (x,), _ = rows_at(scheme, [scheme.seed], [int(n_alpha)])
+    x = rows_at(scheme, [scheme.seed], [int(n_alpha)])[0][0]
     center = x[0]
     contains = bool(norm(x - x_star, scheme.norm_kind)[0] <= eps)
     path = _save(out, "confidence", digest, settings, {

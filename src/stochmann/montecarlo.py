@@ -3,26 +3,22 @@
 Replicas of a scheme run under seeds derived injectively from
 (base_seed, replica); each step's noise then comes from the substream
 (replica_seed, step).  Draws are pure in those integers, so the batched
-runner below is byte-identical to running each replica serially, and the
-whole experiment is a pure function of (plan, base_seed).
+walk of schemes.rows_at, split over threads or not, is byte-identical to
+running each replica serially, and the whole experiment is a pure function
+of (plan, base_seed).  This module keeps only the statistics of the walk.
 """
 
 from __future__ import annotations
 
-import contextvars
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import betaincinv
 from .bounds import certificate, rate_envelope
-from .errors import (CoverageError, DivergedError, InfeasibleExperimentError,
-                     ValidationError, check_checkpoints, check_number,
-                     check_numbers)
-from .schemes import check_replica_seeds, rows_at, tile_kernel
+from .errors import (CoverageError, InfeasibleExperimentError, ValidationError,
+                     check_checkpoints, check_number, check_numbers)
+from .schemes import rows_at
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_block, check_seed, derive_key
 
@@ -40,13 +36,6 @@ __all__ = [
     "error_table",
     "rate_diagnostic",
 ]
-
-# Replica-steps times d that each thread of replica_errors gets at least:
-# a worker thread costs ~0.2 ms to start and join, 2**19 replica-steps are
-# 15-30 ms of serial work at d = 1 with the compiled tile, and chunks of
-# 2**16 gained less than the timing drift (2-core x86-64 VM).
-SPLIT_ELEMENTS = 2**19
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -151,59 +140,18 @@ def clopper_pearson(successes, trials, confidence=0.99):
     return lo, hi
 
 
-def _errors(scheme, x_star, seeds, cps):
-    """The serial pass: all replicas as one batched state through rows_at."""
-    errors, _ = rows_at(scheme, seeds, cps,
-                        keep=lambda X: norm(X - x_star, scheme.norm_kind))
-    return np.stack(errors, axis=1)
-
-
 def replica_errors(scheme, x_star, seeds, checkpoints):
-    """Errors ||x_{n+1} - x*|| for each replica at each checkpoint n.
-
-    Row r depends on seeds[r] alone and equals a serial run under it bit for
-    bit, so the output bytes do not depend on how the replicas are split.
-    The seeds are cut into K contiguous chunks, K the largest number of
-    threads that exceeds neither the available cores (`taskset` limits
-    them) nor the replicas, and that gives each thread at least
-    SPLIT_ELEMENTS replica-steps times d.  This thread runs the first chunk
-    and K - 1 worker threads the others, each chunk as one batched state
-    through schemes.rows_at; the rows are concatenated in chunk order.  The
-    threads overlap only inside the compiled tile, which runs without the
-    GIL, so K is 1 (one pass in this thread) where schemes.tile_kernel
-    gives none.
-
-    Raises DivergedError on any non-finite iterate, at the earliest such
-    step and naming, in order, every replica that diverged there; a
-    contraction map cannot trigger this.  A split in which any chunk
-    diverges waits for its threads to finish and then runs the serial pass,
-    which stops at that step with that error.
+    """Errors ||x_{n+1} - x*|| for each replica at each checkpoint n, from
+    schemes.rows_at: row r equals a serial run under seeds[r] bit for bit,
+    however the replicas are split over threads.  Raises DivergedError on
+    any non-finite iterate, at the earliest such step and naming, in order,
+    every replica that diverged there; a contraction map cannot do that.
     """
-    d = dimension(scheme.map_spec)
-    x_star = as_point(x_star, d, name="x_star")
-    seeds = check_replica_seeds(seeds)
+    x_star = as_point(x_star, dimension(scheme.map_spec), name="x_star")
     cps = check_checkpoints(checkpoints, "checkpoints")
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    K = min(cores, len(seeds), len(seeds) * cps[-1] * d // SPLIT_ELEMENTS)
-    # resolved here, for the smallest chunk, before any thread starts; the
-    # numpy body runs serially
-    if K < 2 or tile_kernel(scheme, len(seeds) // K) is None:
-        return _errors(scheme, x_star, seeds, cps)
-    chunks = np.array_split(seeds, K)
-    try:
-        with ThreadPoolExecutor(K - 1) as pool:
-            # each in a copy of this thread's context, np.errstate included
-            rest = [pool.submit(contextvars.copy_context().run, _errors,
-                                scheme, x_star, chunk, cps)
-                    for chunk in chunks[1:]]
-            parts = [_errors(scheme, x_star, chunks[0], cps)]
-            return np.concatenate(parts + [job.result() for job in rest])
-    except DivergedError:
-        pass
-    # a chunk diverged and the with block joined every worker: the serial
-    # pass raises the DivergedError of the whole split
-    return _errors(scheme, x_star, seeds, cps)
+    states, _ = rows_at(scheme, seeds, cps)
+    # a checkpoint's (R, d) slice at a time
+    return np.stack([norm(X - x_star, scheme.norm_kind) for X in states], 1)
 
 
 def empirical_tail(plan, x_star, params):
@@ -239,8 +187,9 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
     Sizes n_alpha from the tail bound, runs the plan's replicas to
     n_alpha + 1, and returns the fraction with ||x_{n_alpha+1} - x*|| <= eps.
     Raises InfeasibleExperimentError when no n under the cap certifies, and
-    CoverageError when coverage undercuts 1 - alpha by more than three
-    binomial standard errors.  The Certificate of params is the cached one.
+    CoverageError when the 99% Clopper-Pearson upper limit of the coverage
+    falls below 1 - alpha, the interval every other gate uses.  The
+    Certificate of params is the cached one.
     """
     cert = certificate(params)
     cap = plan.scheme.horizon if n_cap is None else n_cap
@@ -253,13 +202,13 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
     x_star = reference_fixed_point(plan.scheme.map_spec)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, (n_alpha,))
-    coverage = float(np.mean(errs[:, 0] <= eps))
-    slack = 3.0 * math.sqrt(alpha * (1.0 - alpha) / plan.replicas)
-    if coverage < 1.0 - alpha - slack:
+    covered = int(np.sum(errs[:, 0] <= eps))
+    _, hi = clopper_pearson(covered, plan.replicas)
+    if hi < 1.0 - alpha:
         raise CoverageError(
-            f"coverage {coverage:.4f} < 1 - {alpha:g} - {slack:.4f} at "
-            f"n_alpha = {n_alpha}")
-    return coverage
+            f"coverage {covered / plan.replicas:.4f}: 99% upper limit "
+            f"{hi:.4f} < 1 - {alpha:g} at n_alpha = {n_alpha}")
+    return covered / plan.replicas
 
 
 def error_table(scheme, checkpoints, x_star):
@@ -276,7 +225,7 @@ def error_table(scheme, checkpoints, x_star):
     if x_star[0] == 0.0:
         raise ValidationError("x_star: the relative error is undefined at 0")
     states, _ = rows_at(scheme, [scheme.seed], [n - 1 for n in cps])
-    xs = np.concatenate(states)
+    xs = states[:, 0]
     errors = norm(xs - x_star, scheme.norm_kind).tolist()
     ref = abs(float(x_star[0]))
     return [ErrorRow(n=n, value=x, absolute_error=e, relative_error=e / ref)

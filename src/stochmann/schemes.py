@@ -16,8 +16,9 @@ mann_tile in philox.c: draws, noise transform and update in one C call,
 rounding as numpy does.  Its numpy body, which goes through the update rule
 above, is the reference that the compiled tile is checked against on first
 use, and the path wherever the library cannot be built or fails that
-check.  rows_at() walks advance() once and keeps only the rows asked for,
-for the CLI and the Monte Carlo harness; run() keeps the whole path.
+check.  rows_at(), advance()'s only consumer, walks it once, split over
+threads where the replicas are many, and fills arrays with the rows asked
+for; run(), the CLI and the Monte Carlo harness read through it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -45,6 +47,12 @@ SCHEME_KINDS = ("stochastic_mann",)
 # Noise elements (replicas x steps x d) that advance() draws per tile:
 # large enough to amortize a Philox call, small enough to stay in cache.
 TILE_ELEMENTS = 2**14
+
+# Replica-steps times d that each thread of rows_at gets at least: a worker
+# thread costs ~0.2 ms to start and join, 2**19 replica-steps are 15-30 ms
+# of serial work at d = 1 with the compiled tile, and chunks of 2**16
+# gained less than the timing drift (2-core x86-64 VM).
+SPLIT_ELEMENTS = 2**19
 
 __all__ = ["SCHEME_KINDS", "TILE_ELEMENTS", "StepSequences", "SchemeConfig",
            "Trajectory", "step", "advance", "rows_at", "run"]
@@ -207,38 +215,76 @@ def _tiles(step_tile, states, horizon):
         yield start, states[:, :T].transpose(1, 2, 0), step_tile(start, T)
 
 
-def rows_at(cfg, seeds, steps, noise_steps=(), keep=np.ndarray.copy):
-    """keep(row) for the rows at the steps asked for, from one walk of
-    advance(cfg, seeds, horizon), the horizon the largest step (at least 1).
+def rows_at(cfg, seeds, steps, noise_steps=()):
+    """The states after `steps` and the noise of `noise_steps`, both
+    nondecreasing, from one walk of advance(cfg, seeds, max step or 1).
 
-    Returns lists (states, noises): states[j] is keep() of the (R, d) state
-    x_{n+1} after step n = steps[j], n = 0 giving x_1 = cfg.x0, and
-    noises[j] keep() of the (R, d) noise xi_n of step n = noise_steps[j] >=
-    1; both step lists are nondecreasing.  keep gets a view that the next tile
-    overwrites, so it copies (the default) or reduces it.  Besides what it
-    keeps, the walk holds one tile, whatever the horizon.
+    Returns C-ordered arrays: states (len(steps), R, d), where step 0 gives
+    x_1 = cfg.x0, and noises (len(noise_steps), R, d), steps >= 1.  Besides
+    them the walk holds one tile per thread, whatever the horizon.
+
+    The replicas split into K contiguous chunks, K the most threads that
+    exceeds neither the cores this process may use (`taskset` limits them)
+    nor R and gives each at least SPLIT_ELEMENTS replica-steps times d.
+    Threads overlap only in the compiled tile, which releases the GIL, so K
+    is 1 where tile_kernel gives none.  This thread walks the first chunk,
+    workers the others, each into its own replica columns; row r depends on
+    seeds[r] alone, so no byte depends on K.  When a chunk diverges, the
+    workers finish and a serial walk raises the whole batch's DivergedError.
     """
     seeds = check_replica_seeds(seeds)
-    steps = [check_number(n, "steps", integer=True, minimum=0) for n in steps]
-    noise_steps = [check_number(n, "noise_steps", integer=True, minimum=1)
-                   for n in noise_steps]
-    if steps != sorted(steps) or noise_steps != sorted(noise_steps):
-        raise ValidationError("steps, noise_steps: must be nondecreasing")
-    states, noises, i, j = [], [], 0, 0
-    horizon = max([1] + steps[-1:] + noise_steps[-1:])
-    x1 = np.broadcast_to(cfg.x0, (len(seeds), cfg.x0.shape[0]))
-    # step 0 as a tile of its own: the initial point, which draws no noise
-    for start, X, xi in chain([(0, x1[None], None)],
-                              advance(cfg, seeds, horizon)):
-        stop = start + X.shape[0]
-        while i < len(steps) and steps[i] < stop:
-            states.append(keep(X[steps[i] - start]))
-            i += 1
-        while j < len(noise_steps) and noise_steps[j] < stop:
-            noises.append(keep(xi[noise_steps[j] - start]))
-            j += 1
-        del X, xi  # else this tile's noise stays live through the next draw
+    steps, noise_steps = (check_seeds(steps, "steps"),
+                          check_seeds(noise_steps, "noise_steps"))
+    for v, path, lo in ((steps, "steps", 0), (noise_steps, "noise_steps", 1)):
+        if v.ndim != 1 or (v[1:] < v[:-1]).any() or (v.size and v[0] < lo):
+            raise ValidationError(f"{path}: must be nondecreasing, each >= {lo}")
+    R, d = seeds.size, cfg.x0.shape[0]
+    states, noises = (np.empty((v.size, R, d)) for v in (steps, noise_steps))
+    horizon = max([1] + steps[-1:].tolist() + noise_steps[-1:].tolist())
+    walk = partial(_walk, cfg, seeds, horizon, steps, noise_steps, states,
+                   noises)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    K = min(cores, R, R * horizon * d // SPLIT_ELEMENTS)
+    # every chunk size resolved here, before any thread starts
+    if K > 1 and all(tile_kernel(cfg, n) is not None
+                     for n in {R // K, -(-R // K)}):
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+        chunks = [slice(c[0], c[-1] + 1) for c in np.array_split(range(R), K)]
+        try:
+            with ThreadPoolExecutor(K - 1) as pool:
+                # each in a copy of this thread's context, np.errstate included
+                rest = [pool.submit(contextvars.copy_context().run, walk, c)
+                        for c in chunks[1:]]
+                walk(chunks[0])
+                for job in rest:
+                    job.result()
+            return states, noises
+        except DivergedError:
+            pass  # the with block joined every worker
+    walk(slice(None))
     return states, noises
+
+
+def _walk(cfg, seeds, horizon, steps, noise_steps, states, noises, chunk):
+    """rows_at for the replicas of the slice chunk: one pass of advance,
+    which copies from a tile only when it holds a step asked for.  The
+    steps stay numpy arrays: tolist() costs ~5 ms per 10**5 uint64."""
+    states, noises = states[:, chunk], noises[:, chunk]
+    i, j = bisect_right(steps, 0), 0  # the next step and noise step
+    states[:i] = cfg.x0  # step 0 draws no noise
+    for start, X, xi in advance(cfg, seeds[chunk], horizon):
+        stop = start + X.shape[0]
+        if i < steps.size and steps[i] < stop:
+            k = bisect_left(steps, stop, i)
+            states[i:k] = X[steps[i:k] - start]
+            i = k
+        if j < noise_steps.size and noise_steps[j] < stop:
+            k = bisect_left(noise_steps, stop, j)
+            noises[j:k] = xi[noise_steps[j:k] - start]
+            j = k
+        del X, xi  # else this tile's noise stays live through the next draw
 
 
 def check_replica_seeds(seeds):
@@ -409,30 +455,20 @@ def _checked_kernel(lib, map_family, noise_family, blocks):
 
 def run(cfg, x_star=None):
     """Run the configured scheme for cfg.horizon steps and keep the whole
-    path, for library use; the CLI streams through rows_at() instead.
-
-    Noise draws come from the substream (cfg.seed, n), so the trajectory is
-    a pure function of the config; identical configs give bitwise identical
-    trajectories.  It is advance() with one replica: each tile's states are
-    stored into `iterates` as one slice, and the norms of its noise and of
-    its errors are taken in one norm() call each, so no draw outlives its
-    tile and no path-sized temporary is made.  A non-finite iterate raises
-    DivergedError carrying the last finite 1-based iterate index.
+    path, for library use: rows_at() with the one replica cfg.seed at every
+    step, holding the (horizon, d) noise rows until their norms are taken.
+    Identical configs give bitwise identical trajectories.  A non-finite
+    iterate raises DivergedError carrying the last finite 1-based iterate
+    index.
     """
-    d = dimension(cfg.map_spec)
-    iterates = np.empty((cfg.horizon + 1, d), dtype=np.float64)
-    iterates[0] = cfg.x0
-    noise_norms = np.empty(cfg.horizon, dtype=np.float64)
-    errors = None
     if x_star is not None:
-        x_star = as_point(x_star, d, name="x_star")
-        errors = np.empty(cfg.horizon + 1, dtype=np.float64)
-        errors[0] = norm(cfg.x0 - x_star, cfg.norm_kind)
-    for start, X, xi in advance(cfg, [cfg.seed], cfg.horizon):
-        stop = start + X.shape[0]
-        iterates[start:stop] = X[:, 0]
-        noise_norms[start - 1:stop - 1] = norm(xi[:, 0], cfg.norm_kind)
-        if errors is not None:
-            errors[start:stop] = norm(X[:, 0] - x_star, cfg.norm_kind)
-    return Trajectory(iterates=iterates, noise_norms=noise_norms,
-                      errors_to_ref=errors, norm_kind=cfg.norm_kind)
+        x_star = as_point(x_star, dimension(cfg.map_spec), name="x_star")
+    every = np.arange(cfg.horizon + 1, dtype=np.uint64)
+    iterates, noises = rows_at(cfg, [cfg.seed], every, every[1:])
+    noise_norms = norm(noises[:, 0], cfg.norm_kind)
+    del noises
+    iterates = iterates[:, 0]
+    return Trajectory(
+        iterates=iterates, noise_norms=noise_norms, norm_kind=cfg.norm_kind,
+        errors_to_ref=(None if x_star is None
+                       else norm(iterates - x_star, cfg.norm_kind)))

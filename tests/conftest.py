@@ -1,20 +1,21 @@
+import concurrent.futures
 import os
 import shutil
 
 import pytest
 
-from stochmann import montecarlo, streams
+from stochmann import schemes, streams
 
 
 @pytest.fixture
 def cores(monkeypatch):
-    """cores(k) makes replica_errors see k available cores and split from
-    one replica-step per thread on, so k = 1 forces the serial pass and
+    """cores(k) makes schemes.rows_at see k available cores and split from
+    one replica-step per thread on, so k = 1 forces the serial walk and
     k >= 2 the split over min(k, replicas) threads wherever the tile kernel
-    steps.  Returns the list of the sizes of the thread pools that
-    replica_errors started since the last call."""
+    steps.  Returns the list of the sizes of the thread pools that rows_at
+    started since the last call."""
     pools = []
-    make_pool = montecarlo.ThreadPoolExecutor
+    make_pool = concurrent.futures.ThreadPoolExecutor
 
     def counting_pool(workers):
         pools.append(workers)
@@ -22,8 +23,10 @@ def cores(monkeypatch):
 
     def force(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-        monkeypatch.setattr(montecarlo, "SPLIT_ELEMENTS", 1)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(schemes, "SPLIT_ELEMENTS", 1)
+        # rows_at imports the pool from concurrent.futures when it splits
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            counting_pool)
         pools.clear()
         return pools
 

@@ -810,13 +810,13 @@ def test_module_entry_point_runs():
 
 # What a fresh process has loaded after an import or a command, by row:
 # {name: (code lines, modules it leaves out, modules it loads, whether it
-# resolved the compiled library)}.  Only montecarlo loads montecarlo and its
-# thread pool; config_hash hashes without OpenSSL (_hashlib); only the
-# commands that step the iteration resolve the library; no row loads
-# scipy's cython_special, not even the Gaussian tiles of reference.json,
-# which draw through philox.c's own ndtri; neither the import nor a
-# montecarlo run split over threads on 2 cores loads multiprocessing; and
-# scipy.stats, about a second, never loads.
+# resolved the compiled library)}.  Only montecarlo loads montecarlo, and
+# its thread pool only when it splits; config_hash hashes without OpenSSL
+# (_hashlib); only the commands that step the iteration resolve the
+# library; no row loads scipy's cython_special, not even the Gaussian tiles
+# of reference.json, which draw through philox.c's own ndtri; neither the
+# import nor a montecarlo run split over threads on 2 cores loads
+# multiprocessing; and scipy.stats, about a second, never loads.
 REF, DEMO_CFG = str(CONFIGS / "reference.json"), \
     str(CONFIGS / "confidence_demo.json")
 MONTECARLO = ("stochmann.montecarlo", "concurrent.futures", "logging")
@@ -843,25 +843,37 @@ LOADS = {
                       "from stochmann import spaces",
                       "spaces.estimate_contraction(spaces.inverse_quadratic())"],
                      (*MONTECARLO, CYTHON), (), False),
-    "montecarlo": ([CLI, "import os",
-                    "from stochmann import montecarlo, streams",
+    # the pool's workers counted by the names of the threads started
+    "montecarlo": ([CLI, "import os, threading",
+                    "from stochmann import schemes, streams",
                     "os.sched_getaffinity = lambda pid: {0, 1}",
-                    "montecarlo.SPLIT_ELEMENTS, pools = 1, []",
-                    "make = montecarlo.ThreadPoolExecutor",
-                    "montecarlo.ThreadPoolExecutor = "
-                    "lambda k: pools.append(k) or make(k)",
+                    "schemes.SPLIT_ELEMENTS, names = 1, []",
+                    "start = threading.Thread.start",
+                    "threading.Thread.start = "
+                    "lambda t: names.append(t.name) or start(t)",
                     f"assert cli.main(['montecarlo', '--config', {REF!r}, "
                     "'--replicas', '20', '--out', OUT]) == 0",
-                    "assert pools == ([1] if streams.tile_library() is not None "
-                    "else [])"],
+                    "assert names == (['ThreadPoolExecutor-0_0'] "
+                    "if streams.tile_library() is not None else [])"],
                    ("multiprocessing", "scipy.stats", CYTHON), MONTECARLO,
                    True),
+    # a run that does not split loads no thread pool
+    "montecarlo-one-core": ([CLI, "import os",
+                             "os.sched_getaffinity = lambda pid: {0}",
+                             f"assert cli.main(['montecarlo', '--config', "
+                             f"{REF!r}, '--replicas', '20', '--out', OUT]) "
+                             "== 0"],
+                            ("multiprocessing", "scipy.stats", CYTHON,
+                             *MONTECARLO[1:]), MONTECARLO[:1], True),
 }
 
 
 @pytest.mark.parametrize("row", sorted(LOADS))
 def test_each_command_loads_only_what_it_runs(row, tmp_path):
     lines, absent, present, resolved = LOADS[row]
+    if streams.tile_library() is None:
+        # without the compiled tile rows_at never splits, so starts no pool
+        present = tuple(m for m in present if m not in MONTECARLO[1:])
     code = "\n".join([
         "import json, sys", f"OUT = {str(tmp_path)!r}", *lines,
         f"print(json.dumps([m for m in {[*absent, *present]!r} "

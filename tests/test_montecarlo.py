@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binomtest
 
-from stochmann import config, schemes, streams
+from stochmann import config, montecarlo, schemes, streams
 from stochmann.bounds import BoundParams, certificate
 from stochmann.errors import (CoverageError, DivergedError,
                               InfeasibleExperimentError, ValidationError)
@@ -491,6 +491,26 @@ def test_coverage_experiment_feasible_case():
     cov = coverage_experiment(plan, eps=0.1, alpha=0.05, params=ART_PARAMS,
                               n_cap=10**6)
     assert cov >= 1.0 - 0.05 - 3.0 * np.sqrt(0.05 * 0.95 / 400)
+
+
+def test_coverage_gate_is_the_clopper_pearson_upper_limit(monkeypatch):
+    # at 400 replicas, where three binomial standard errors and the 99%
+    # Clopper-Pearson interval disagree: 390 covered at alpha = 0.01 has
+    # upper limit 0.9906 >= 0.99, 367 covered at alpha = 0.05 has 0.9490 <
+    # 0.95
+    plan = ExperimentPlan(scheme=art_cfg(), checkpoints=(10,), eps_grid=(0.1,),
+                          replicas=400, base_seed=7)
+    for covered, alpha, passes in ((390, 0.01, True), (367, 0.05, False)):
+        errs = np.where(np.arange(400) < covered, 0.0, 1.0)[:, None]
+        monkeypatch.setattr(montecarlo, "replica_errors", lambda *a: errs)
+        if passes:
+            assert coverage_experiment(plan, eps=0.1, alpha=alpha,
+                                       params=ART_PARAMS, n_cap=10**6) \
+                == covered / 400
+        else:
+            with pytest.raises(CoverageError, match="upper limit 0.9490 < "):
+                coverage_experiment(plan, eps=0.1, alpha=alpha,
+                                    params=ART_PARAMS, n_cap=10**6)
 
 
 def test_coverage_experiment_infeasible_raises_with_report():

@@ -6,6 +6,7 @@ to a few ulp per step.  advance's compiled tiles must equal its numpy body
 bit for bit, and the numpy body is what the Python update rule runs in.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -406,7 +407,9 @@ def affine_nd(d):
                               "affine9"])
 def test_rows_at_equals_run_bitwise(m):
     # the rows at iterate indices 1, 2, around the first tile boundary and
-    # at horizon + 1, on both paths; d >= 8 pins the norm's summation order
+    # at horizon + 1, and run's whole path and norms, on both paths, each
+    # against advance's own tiles, as run is built on rows_at; d >= 8 pins
+    # the norm's summation order
     d = dimension(m)
     T = TILE_ELEMENTS // d
     cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
@@ -419,36 +422,74 @@ def test_rows_at_equals_run_bitwise(m):
         with pytest.MonkeyPatch.context() as mp:
             if numpy_body:
                 mp.setattr(streams, "tile_library", lambda: None)
+            walked = tiles(cfg, [cfg.seed], cfg.horizon)
             traj = run(cfg, x_star)
             states, noises = rows_at(cfg, [cfg.seed], [n - 1 for n in cps],
                                      noisy)
-        states, noises = np.concatenate(states), np.concatenate(noises)
-        got = (states, norm(noises, cfg.norm_kind),
-               norm(states - x_star, cfg.norm_kind))
-        idx = np.array(cps) - 1
-        want = (traj.iterates[idx], traj.noise_norms[np.array(noisy) - 1],
-                traj.errors_to_ref[idx])
+        assert [start for start, _, _ in walked] == [1, T + 1]
+        X = np.concatenate([cfg.x0[None, None]] + [X for _, X, _ in walked])
+        xi = np.concatenate([xi for _, _, xi in walked])
+        want = (X[np.array(cps) - 1], xi[np.array(noisy) - 1], X[:, 0],
+                norm(xi[:, 0], cfg.norm_kind), norm(X[:, 0] - x_star,
+                                                     cfg.norm_kind))
+        got = (states, noises, traj.iterates, traj.noise_norms,
+               traj.errors_to_ref)
         for g, w in zip(got, want):
+            assert g.flags.c_contiguous, d
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), d
     # with several replicas, row r is the run under seeds[r]
     seeds = [cfg.seed, 11, 12]
     states, _ = rows_at(cfg, seeds, [0, cfg.horizon])
     for r, seed in enumerate(seeds):
         path = run(replace(cfg, seed=seed)).iterates
-        assert np.stack(states)[:, r].tobytes() == path[[0, -1]].tobytes()
+        assert states[:, r].tobytes() == path[[0, -1]].tobytes()
+
+
+def test_rows_at_split_equals_the_serial_walk_bitwise(kernel, cores):
+    # 7 replicas cut 4 + 3 on 2 cores, 3 + 2 + 2 on 3 and one each on 8,
+    # whose tiles end at other steps than the serial walk's; the noise rows
+    # are split too, and the threads switch as often as the interpreter
+    # lets them
+    seeds = derive_key(3, np.arange(7, dtype=np.uint64))
+    steps = [0, 0, 1, 291, 292, 2339, 2340, 2341, 4096, 4097, 5000]
+    noise_steps = [1, 292, 293, 2340, 2341, 4096, 4097, 5000, 5000]
+    for m in (inverse_quadratic(), affine_nd(8)):
+        d = dimension(m)
+        cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                           x0=np.linspace(-1.0, 2.0, d),
+                           noise=gaussian(2.0, dim=d), steps=StepSequences(a=0.7))
+        pools = cores(1)
+        serial = rows_at(cfg, seeds, steps, noise_steps)
+        assert pools == []
+        for k in (2, 3, 8):
+            pools = cores(k)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                split = rows_at(cfg, seeds, steps, noise_steps)
+            finally:
+                sys.setswitchinterval(interval)
+            assert pools == [min(k, 7) - 1], (d, k)
+            for got, want in zip(split, serial):
+                assert got.flags.c_contiguous and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (d, k)
 
 
 def test_rows_at_checks_its_steps():
     cfg = make_cfg()
-    for steps, noise_steps in (([2, 1], ()), ([-1], ()), ([1.5], ()),
-                               ([1], [0]), ([1], [3, 2])):
-        with pytest.raises(ValidationError):
+    for steps, noise_steps, name in (([2, 1], (), "steps"),
+                                     ([-1], (), "steps"),
+                                     ([1.5], (), "steps"),
+                                     ([1], [0], "noise_steps"),
+                                     ([1], [3, 2], "noise_steps")):
+        with pytest.raises(ValidationError, match=f"^{name}:"):
             rows_at(cfg, [0], steps, noise_steps)
     states, noises = rows_at(cfg, [0], [], [4])
-    assert states == [] and [xi.shape for xi in noises] == [(1, 1)]
-    # keep sees each row as a view and returns what is kept of it
-    states, _ = rows_at(cfg, [0, 1], [0, 3, 3], keep=lambda X: X.sum())
-    assert states[0] == 2 * cfg.x0[0] and states[1] == states[2]
+    assert states.shape == (0, 1, 1) and noises.shape == (1, 1, 1)
+    # a step asked for twice gives the same row twice, step 0 the x_1
+    states, _ = rows_at(cfg, [0, 1], [0, 3, 3])
+    assert states.shape == (3, 2, 1) and (states[0] == cfg.x0).all()
+    assert states[1].tobytes() == states[2].tobytes()
 
 
 def tiles(cfg, seeds, horizon):

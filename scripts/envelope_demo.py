@@ -44,8 +44,8 @@ def block_envelope(args):
     t0 = time.perf_counter()
     steps = range(1, args.horizon + 1)
     states, noises = rows_at(scheme, seeds, steps, steps)
-    errs = norm(states - x_star).T  # (replica, step)
-    norms = norm(noises).T
+    errs = norm(states - x_star, scheme.norm_kind).T  # (replica, step)
+    norms = norm(noises, scheme.norm_kind).T
     env = envelope_sequence(params, norms)
     margin = np.min(env - errs)
     worst = np.unravel_index(np.argmin(env - errs), errs.shape)

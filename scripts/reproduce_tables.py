@@ -37,7 +37,7 @@ def block_error_decay(args):
     top = 5 if args.fast else 6
     cps = tuple(10 ** k for k in range(1, top + 1))
     scheme = replace(build_scheme(load_config(CONFIGS / "reference.json")),
-                     horizon=cps[-1], seed=args.seed)
+                     seed=args.seed)
     x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
     t0 = time.perf_counter()
     rows = error_table(scheme, cps, x_star)

@@ -329,11 +329,11 @@ class Certificate:
             gamma ln n >= ln(log_K1 - ln alpha) - ln K2 - 2 ln eps,
 
         which is evaluated in the log domain, so a tiny eps or K2 neither
-        underflows nor divides by zero.  The search starts from that n,
-        clamped into [1, n_cap], gallops outward to a bracket and bisects
-        it: a handful of bound evaluations, and the same n as a search
-        from 1.  certificate(params) returns one shared Certificate per
-        equal params, so sizing again from equal params builds nothing.
+        underflows nor divides by zero.  One loop gallops from that n,
+        clamped into [2, n_cap - 1], to a bracket and bisects it: a handful
+        of bound evaluations, and the same n as a search from 1.
+        certificate(params) returns one shared Certificate per equal
+        params, so sizing again from equal params builds nothing.
         """
         alpha = check_number(alpha, "alpha", exclusive_min=0, exclusive_max=1)
         eps = check_number(eps, "eps", exclusive_min=0)
@@ -350,27 +350,17 @@ class Certificate:
         log_k2 = math.log(self.K2) if self.K2 > 0.0 else -math.inf
         log_n = (math.log(self.log_K1 - log_alpha) - log_k2
                  - 2.0 * math.log(eps)) / self.tail_exponent
-        if log_n >= min(math.log(n_cap), 709.0):
-            seed = n_cap
-        else:
-            seed = min(n_cap, max(1, math.ceil(math.exp(log_n))))
-        # gallop from the seed to not ok(lo), ok(hi); ok(1) is false and
-        # ok(n_cap) true, so neither end is evaluated again
-        step = 1
-        if seed == n_cap or (seed > 1 and ok(seed)):
-            hi = seed
-            while True:
-                lo = max(1, hi - step)
-                if lo == 1 or not ok(lo):
-                    break
-                hi, step = lo, 2 * step
-        else:
-            lo = seed
-            while True:
-                hi = min(n_cap, lo + step)
-                if hi == n_cap or ok(hi):
-                    break
-                lo, step = hi, 2 * step
+        seed = (n_cap if log_n >= min(math.log(n_cap), 709.0)
+                else math.ceil(math.exp(log_n)))
+        # gallop keeping not ok(lo), ok(hi): a probe on either would end it
+        lo, hi, step = 1, n_cap, 1
+        n = min(max(seed, 2), n_cap - 1)
+        while lo < n < hi:
+            if ok(n):
+                hi, n = n, n - step
+            else:
+                lo, n = n, n + step
+            step *= 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):

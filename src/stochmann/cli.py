@@ -194,7 +194,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
 
 
 def cmd_montecarlo(args, cfg, scheme, digest, settings):
-    # montecarlo and its thread pool load for this command alone
+    # montecarlo loads for this command alone
     from .montecarlo import dominance_failures, empirical_tail
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])

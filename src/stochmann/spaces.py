@@ -282,18 +282,15 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
     return float(np.max(ratios))
 
 
-def reference_fixed_point(m, tol=FIXED_POINT_TOL, max_iter=100000, x0=None):
+def reference_fixed_point(m, tol=FIXED_POINT_TOL, max_iter=100000):
     """High-accuracy fixed point via the iteration x <- F(x).
 
-    Terminates when the residual ||F(x)-x|| is <= tol; the Banach estimate
-    ||x - x*|| <= residual/(1-c) then bounds the true error.
+    Terminates at residual ||F(x)-x|| <= tol, as every MapSpec contracts;
+    the Banach estimate ||x - x*|| <= residual/(1-c) bounds the true error.
     """
     check_number(tol, "tol", exclusive_min=0)
     max_iter = check_number(max_iter, "max_iter", integer=True, minimum=1)
-    c = contraction_constant(m)
-    if c >= 1.0:
-        raise NonContractiveError("reference_fixed_point requires a contraction")
-    x = np.zeros(dimension(m)) if x0 is None else as_point(x0, dimension(m))
+    x = np.zeros(dimension(m))
     for _ in range(max_iter):
         fx = eval_map(m, x)
         if norm(fx - x) <= tol:

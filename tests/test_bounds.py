@@ -538,6 +538,27 @@ def test_min_iterations_closed_form_seed_survives_extremes():
     assert cert.min_iterations(0.1, 0.05, np.int64(10**6)) == 3154
 
 
+def test_min_iterations_gallops_from_a_seed_on_the_cap(monkeypatch):
+    # n_cap = n_alpha puts the closed-form seed on the cap: the first probe
+    # is clamped below it, so the search neither bisects all of [1, n_cap]
+    # nor spends more than the ends and a probe or two
+    cert = certificate(params(**ART))
+    calls = []
+    log_bound = Certificate.log_bound
+
+    def counted(self, n, eps):
+        calls.append(n)
+        return log_bound(self, n, eps)
+
+    monkeypatch.setattr(Certificate, "log_bound", counted)
+    for eps, magnitude in ((0.1, 3e3), (1e-3, 9e7), (1e-5, 2e12)):
+        n_alpha = cert.min_iterations(eps, 0.05, 10**18)
+        assert 0.5 * magnitude < n_alpha < 2.0 * magnitude
+        calls.clear()
+        assert cert.min_iterations(eps, 0.05, n_alpha) == n_alpha
+        assert len(calls) <= 4, calls
+
+
 def test_counts_refuse_bool():
     p = params(**ART)
     cert = certificate(p)

@@ -39,7 +39,8 @@ def untimed_digest(stdout):
 
 
 def test_envelope_demo_smoke():
-    # one replica takes advance's float path, the others its array path
+    # where mann_tile runs, one replica steps a narrow tile and the others
+    # wider ones; without it one replica takes the float path
     for replicas, horizon, digest in (("10", "100", None), ("1", "100", None),
                                       ("20", "200", ENVELOPE_DEMO_R20_H200)):
         stdout = run_script("envelope_demo.py", "--replicas", replicas,
@@ -65,7 +66,7 @@ def test_kernel_benchmarks_run():
 
 # `wc -l src/stochmann/*.py scripts/*.py`: a change that grows the package
 # and its scripts raises this pin in the same diff and says why
-LINE_BUDGET = 3125
+LINE_BUDGET = 3100
 
 
 def test_source_stays_within_its_line_budget():

@@ -9,9 +9,8 @@ based, so every experiment is a pure function of its seeds.
 The names below are exported lazily (PEP 562): ``import stochmann`` loads
 no submodule, and ``from stochmann import advance`` loads the modules that
 advance needs and no others.  So a command loads only what it runs:
-``import stochmann.cli`` loads neither montecarlo nor OpenSSL, only the
-``montecarlo`` command loads montecarlo, and rows_at its thread pool only
-when it splits a walk.
+``import stochmann.cli`` loads neither montecarlo nor OpenSSL, and only
+the ``montecarlo`` command loads montecarlo.
 """
 
 import importlib

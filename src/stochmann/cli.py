@@ -93,12 +93,10 @@ def _apply_overrides(settings, args):
                 getattr(args, flag), "--" + flag.replace("_", "-"), **limits))
     if getattr(args, "seed", None) is not None:
         settings["base_seed"] = check_seed(args.seed, "--seed")
-    if getattr(args, "replicas", None) is not None:
-        settings["replicas"] = check_number(args.replicas, "--replicas",
-                                            **RANGES["experiment.replicas"])
-    if getattr(args, "alpha", None) is not None:
-        settings["alpha"] = check_number(args.alpha, "--alpha",
-                                         **RANGES["experiment.alpha"])
+    for key in ("replicas", "alpha"):
+        if getattr(args, key, None) is not None:
+            settings[key] = check_number(getattr(args, key), "--" + key,
+                                         **RANGES["experiment." + key])
     return settings
 
 
@@ -181,12 +179,10 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
         "contains_reference": contains,
         "params": dataclasses.asdict(params),
     })
-    lo = float(center[0]) - eps
-    hi = float(center[0]) + eps
     print(f"n_alpha = {n_alpha}")
     if center.shape[0] == 1:
-        print(f"confidence interval [{lo:.10g}, {hi:.10g}] at level "
-              f"{1 - alpha:g}")
+        print(f"confidence interval [{center[0] - eps:.10g}, "
+              f"{center[0] + eps:.10g}] at level {1 - alpha:g}")
     else:
         print(f"confidence ball radius {eps:g} at level {1 - alpha:g}")
     print(f"wrote {path}")

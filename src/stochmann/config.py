@@ -151,10 +151,6 @@ def config_hash(cfg):
     return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def dumps17(obj, indent=0):
     """Deterministic JSON with floats at 17 significant digits.
 
@@ -183,7 +179,7 @@ def dumps17(obj, indent=0):
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
-        return _f17(x)
+        return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

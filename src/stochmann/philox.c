@@ -10,8 +10,9 @@
  * code runs as fast as -O2 code and compiles ~50 ms sooner.
  *
  * On x86-64 GCC, where the CPU has AVX-512F and DQ, the functions marked
- * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, the
- * central branch of ndtri, which packs the tail lanes into lists with
+ * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, or of
+ * each 32 consecutive steps of one replica on the line, the central
+ * branch of ndtri, which packs the tail lanes into lists with
  * vcompress, and the arithmetic of its tails (libm's log stays scalar, in
  * loops over those lists between the stages), and the update of each
  * 8-replica block for every map but scaled_cosine, whose cos is libm's.
@@ -199,15 +200,39 @@ LANES f64x8 uniform_wide(u64x8 x)
     return __builtin_ia32_minpd512_mask(u, (f64x8){0} + U_MAX, u, 0xFF, 4);
 }
 
-/* uniform_grid for the replicas r < R - R % 32, as four interleaved 8-lane
- * vectors of Philox per 32-replica block; each 64x64-bit product is
- * assembled from four 32x32-bit ones */
+/* the ten Philox-2x64 rounds on four interleaved 8-lane vectors of
+ * counters (x0, x1) under the keys key_r, in place: uniform_grid's rounds
+ * for 32 lanes at once, each 64x64-bit product assembled from four
+ * 32x32-bit ones */
+LANES void rounds_wide(u64x8 *x0, u64x8 *x1, u64x8 *key_r)
+{
+    const u64x8 lo32 = (u64x8){0} + 0xFFFFFFFFu;
+    const u64x8 m_lo = (u64x8){0} + PHILOX_M, m_hi = m_lo >> 32;
+    /* a loop: unrolled, it built ~50 ms slower, ran no faster */
+    for (int round = 0; round < 10; round++) {
+#pragma GCC unroll 4
+        for (int v = 0; v < 4; v++) {
+            const u64x8 a_hi = x0[v] >> 32;
+            const u64x8 ll = mul32(x0[v], m_lo);
+            const u64x8 lh = mul32(x0[v], m_hi);
+            const u64x8 hl = mul32(a_hi, m_lo);
+            const u64x8 hh = mul32(a_hi, m_hi);
+            const u64x8 mid = (ll >> 32) + (lh & lo32) + (hl & lo32);
+            const u64x8 hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+            const u64x8 lo = (mid << 32) | (ll & lo32);
+            x0[v] = hi ^ key_r[v] ^ x1[v];
+            x1[v] = lo;
+            key_r[v] += PHILOX_W;
+        }
+    }
+}
+
+/* uniform_grid for the replicas r < R - R % 32, each 32-replica block of
+ * a row as four interleaved 8-lane vectors: one key per lane */
 WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
                                    ptrdiff_t T, ptrdiff_t R, ptrdiff_t count,
                                    ptrdiff_t plane, double *out)
 {
-    const u64x8 lo32 = (u64x8){0} + 0xFFFFFFFFu;
-    const u64x8 m_lo = (u64x8){0} + PHILOX_M, m_hi = m_lo >> 32;
     for (ptrdiff_t j = 0; j < count; j += 2) {
         double *even = out + j * plane, *odd = even + plane;
         for (ptrdiff_t k = 0; k < T; k++) {
@@ -219,23 +244,7 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
                     x0[v] = (u64x8){0} + (uint64_t)(j / 2);
                     x1[v] = (u64x8){0} + (start + (uint64_t)k);
                 }
-                /* a loop: unrolled, it built ~50 ms slower, ran no faster */
-                for (int round = 0; round < 10; round++) {
-#pragma GCC unroll 4
-                    for (int v = 0; v < 4; v++) {
-                        const u64x8 a_hi = x0[v] >> 32;
-                        const u64x8 ll = mul32(x0[v], m_lo);
-                        const u64x8 lh = mul32(x0[v], m_hi);
-                        const u64x8 hl = mul32(a_hi, m_lo);
-                        const u64x8 hh = mul32(a_hi, m_hi);
-                        const u64x8 mid = (ll >> 32) + (lh & lo32) + (hl & lo32);
-                        const u64x8 hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
-                        const u64x8 lo = (mid << 32) | (ll & lo32);
-                        x0[v] = hi ^ key_r[v] ^ x1[v];
-                        x1[v] = lo;
-                        key_r[v] += PHILOX_W;
-                    }
-                }
+                rounds_wide(x0, x1, key_r);
 #pragma GCC unroll 4
                 for (int v = 0; v < 4; v++) {
                     const ptrdiff_t at = k * R + r + 8 * v;
@@ -245,6 +254,30 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
                 }
             }
         }
+    }
+    __builtin_ia32_vzeroupper();
+}
+
+/* uniform_grid for one replica on the line (R = d = 1) and the steps
+ * k < T, T a multiple of 32: each 32 consecutive steps as four
+ * interleaved 8-lane vectors, under the one key and the counters
+ * (0, start + k + lane) */
+WIDE static void uniform_line_wide(uint64_t key, uint64_t start, ptrdiff_t T,
+                                   double *out)
+{
+    const u64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
+    for (ptrdiff_t k = 0; k < T; k += 32) {
+        u64x8 x0[4], x1[4], key_k[4];
+#pragma GCC unroll 4
+        for (int v = 0; v < 4; v++) {
+            key_k[v] = (u64x8){0} + key;
+            x0[v] = (u64x8){0};
+            x1[v] = lane + (start + (uint64_t)(k + 8 * v));
+        }
+        rounds_wide(x0, x1, key_k);
+#pragma GCC unroll 4
+        for (int v = 0; v < 4; v++)
+            *(f64x8_u *)(out + k + 8 * v) = uniform_wide(x0[v]);
     }
     __builtin_ia32_vzeroupper();
 }
@@ -440,15 +473,42 @@ void ndtri_many(const double *u, ptrdiff_t n, double *out)
     normals(out, n, 1.0);
 }
 
+/* update for one replica on the line (R = d = 1): the same operations in
+ * the same order, with the state in a register from step to step */
+static inline __attribute__((always_inline)) ptrdiff_t
+line_update(int cosine, int map, const double *A, const double *b, double a,
+            double *x, double *X, const double *xi, uint64_t start,
+            ptrdiff_t T)
+{
+    double v = x[0];
+    for (ptrdiff_t k = 0; k < T; k++) {
+        const uint64_t n = start + (uint64_t)k;
+        const double a_n = a / (double)n, b_n = a / ((double)n * (double)n);
+        const double f = cosine ? b[0] * cos(v)
+            : map == INVERSE_QUADRATIC ? 1.0 / (1.0 + v * v)
+            : b[0] + A[0] * v;
+        const double y = (1.0 - a_n) * v + a_n * f + b_n * xi[k];
+        X[k] = y;
+        if (!__builtin_isfinite(y))
+            return k;
+        v = y;
+    }
+    x[0] = v;
+    return T;
+}
+
 /* mann_tile's update, after its noise pass; inlined there twice, so that
  * the copy with cosine 0 makes no libm call and keeps its doubles in
- * registers.  On the wide path that copy steps the replicas r < R - R % 8
+ * registers.  One replica on the line steps through line_update.  On the
+ * wide path the copy with cosine 0 steps the replicas r < R - R % 8
  * through update_wide, and the rest here. */
 static inline __attribute__((always_inline)) ptrdiff_t
 update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
        const double *A, const double *b, double a, double *x, double *X,
        double *xi, uint64_t start, ptrdiff_t T)
 {
+    if (R * d == 1)
+        return line_update(cosine, map, A, b, a, x, X, xi, start, T);
     for (ptrdiff_t k = 0; k < T; k++) {
         const uint64_t n = start + (uint64_t)k;
         /* n*n in doubles: one rounding, as Python's a/(n*n) for n < 2**53 */
@@ -505,7 +565,10 @@ update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
  * A_i1 x_1 + ... in that order.  x holds the (d, R) state before step
  * start, and after step start + T - 1 on return.  Returns T, or the first
  * k whose state is not finite for some replica, once that step is done for
- * every replica.  On the wide path, fewer than 32 replicas, and the last
+ * every replica.  One replica on the line (R = d = 1) steps with its state
+ * in a register (line_update); on the wide path it draws each 32 steps in
+ * vector lanes and the last T % 32 through the scalar uniform_grid.  On
+ * the wide path, other tiles of fewer than 32 replicas, and the last
  * R % 32, draw through the scalar uniform_grid, and fewer than 8, the last
  * R % 8 and every scaled_cosine replica step through update's scalar
  * loop. */
@@ -515,14 +578,18 @@ ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
                     double *X, double *xi, uint64_t start, ptrdiff_t T)
 {
     if (noise != ZERO) {
-        ptrdiff_t r0 = 0;
+        ptrdiff_t r0 = 0, k0 = 0;
 #ifdef WIDE
         if (wide && R >= 32) {
             uniform_grid_wide(key, start, T, R, d, plane, xi);
             r0 = R - R % 32;
+        } else if (wide && R * d == 1) {
+            k0 = T - T % 32;
+            uniform_line_wide(key[0], start, k0, xi);
         }
 #endif
-        uniform_grid(key, start, T, R, r0, d, plane, xi);
+        uniform_grid(key, start + (uint64_t)k0, T - k0, R, r0, d, plane,
+                     xi + k0);
     }
     for (ptrdiff_t i = 0; i < d; i++) {
         double *u = xi + i * plane;

@@ -23,10 +23,12 @@ for; run(), the CLI and the Monte Carlo harness read through it.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
 import os
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -79,7 +81,7 @@ class SchemeConfig:
 
     kind       the update rule, one of SCHEME_KINDS
     map_spec   the map F, a spaces.MapSpec
-    x0         the initial point x_1, coerced to a (d,) float array
+    x0         the initial point x_1, a read-only (d,) float copy
     noise      the error model, a NoiseModel of the map's dimension d
     steps      the gains a_n = a/n and b_n = a/n^2
     horizon    the number of steps, >= 1
@@ -230,7 +232,8 @@ def rows_at(cfg, seeds, steps, noise_steps=()):
     is 1 where tile_kernel gives none.  This thread walks the first chunk,
     workers the others, each into its own replica columns; row r depends on
     seeds[r] alone, so no byte depends on K.  When a chunk diverges, the
-    workers finish and a serial walk raises the whole batch's DivergedError.
+    workers finish and a serial walk raises the whole batch's DivergedError;
+    a worker's other exception is raised once every worker has joined.
     """
     seeds = check_replica_seeds(seeds)
     steps, noise_steps = (check_seeds(steps, "steps"),
@@ -249,20 +252,29 @@ def rows_at(cfg, seeds, steps, noise_steps=()):
     # every chunk size resolved here, before any thread starts
     if K > 1 and all(tile_kernel(cfg, n) is not None
                      for n in {R // K, -(-R // K)}):
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
         chunks = [slice(c[0], c[-1] + 1) for c in np.array_split(range(R), K)]
+        failed = []  # raised once every worker has joined
+
+        def work(chunk):
+            try:
+                walk(chunk)
+            except Exception as e:
+                failed.append(e)
+        # each worker in a copy of this thread's context, np.errstate included
+        workers = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(work, c)) for c in chunks[1:]]
+        for w in workers:
+            w.start()
         try:
-            with ThreadPoolExecutor(K - 1) as pool:
-                # each in a copy of this thread's context, np.errstate included
-                rest = [pool.submit(contextvars.copy_context().run, walk, c)
-                        for c in chunks[1:]]
-                walk(chunks[0])
-                for job in rest:
-                    job.result()
+            work(chunks[0])
+        finally:
+            for w in workers:
+                w.join()
+        for e in failed:
+            if not isinstance(e, DivergedError):
+                raise e
+        if not failed:
             return states, noises
-        except DivergedError:
-            pass  # the with block joined every worker
     walk(slice(None))
     return states, noises
 
@@ -379,7 +391,8 @@ def _kernel_tiles(cfg, keys, states, kernel):
 
 
 # where the CPU has AVX-512, philox.c draws the replicas of a tile with at
-# least this many in blocks of this many, in vector lanes
+# least this many in blocks of this many, in vector lanes, and one replica
+# on the line in blocks of this many steps
 _LANE_BLOCK = 32
 
 
@@ -388,11 +401,13 @@ def tile_kernel(cfg, replicas=1):
     replicas, or None where advance steps in numpy: no compiled library, or
     a kernel whose tile differs from the numpy body's (libm's cos, say,
     rounding unlike numpy's), or for Gaussian noise whose ndtri port differs
-    from scipy's.  Resolved once per process, family and whether the tiles
-    have _LANE_BLOCK replicas."""
+    from scipy's.  Resolved once per process, family and class of tile: one
+    replica on the line, _LANE_BLOCK replicas or more, or the rest."""
     lib = streams.tile_library()
     return None if lib is None else _checked_kernel(
-        lib, cfg.map_spec.family, cfg.noise.family, replicas >= _LANE_BLOCK)
+        lib, cfg.map_spec.family, cfg.noise.family,
+        "line" if replicas * cfg.x0.shape[0] == 1
+        else "blocks" if replicas >= _LANE_BLOCK else "narrow")
 
 
 def _ndtri_port_exact(lib):
@@ -417,23 +432,24 @@ def _ndtri_port_exact(lib):
 
 
 @functools.cache
-def _checked_kernel(lib, map_family, noise_family, blocks):
+def _checked_kernel(lib, map_family, noise_family, tiles):
     """tile_kernel after its known-answer check: one small tile of the
-    family, 7 steps (in dimension 3 for the affine map), must equal the
-    numpy body's bit for bit, and for Gaussian noise so must ndtri on its
-    edges.  The tile has 41 replicas where the tiles have lane blocks, else
-    9, so that it runs both the vector lanes and the scalar remainders: of
-    the 32-replica Philox blocks (at 41), of the 8-replica update blocks,
-    and of the 8-element ndtri blocks (7 * 41 and 7 * 9 are odd).  A check
-    of 40 cost a one-replica confidence run ~3% of its time and ~0.1 MB of
-    peak RSS.  Zero noise keeps the replicas together, so the steps are
-    what catch a contracted multiply-add: 4 steps already catch an FMA
-    build in every family."""
+    family must equal the numpy body's bit for bit, and for Gaussian noise
+    so must ndtri on its edges.  The tile of each class runs both its vector
+    lanes and its scalar remainders.  "line": 1 replica at d = 1 for 41
+    steps, which the numpy body steps as floats, one 32-step Philox block,
+    five 8-element ndtri blocks and the steps past them.  "blocks" and
+    "narrow": 41 and 9 replicas for 7 steps (d = 3 for the affine map), the
+    32-replica Philox blocks (at 41), 8-replica update blocks and 8-element
+    ndtri blocks, each with a remainder (7 * 41 and 7 * 9 are odd).  Zero
+    noise keeps the replicas together, so the steps are what catch a
+    contracted multiply-add: 4 steps already catch an FMA build."""
     if noise_family == "gaussian" and not _ndtri_port_exact(lib):
         return None
     # the family's map alone: affine()'s norm through LAPACK costs ~1 MB RSS
-    m = (affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
-                [0.5, -1.0, 0.25]) if map_family == "affine"
+    m = (affine([[0.3]], [0.5]) if map_family == "affine" and tiles == "line"
+         else affine([[0.3, -0.2, 0.1], [0.1, 0.4, -0.3], [0.05, 0.2, 0.25]],
+                     [0.5, -1.0, 0.25]) if map_family == "affine"
          else scaled_cosine(0.8) if map_family == "scaled_cosine"
          else inverse_quadratic())
     d = dimension(m)
@@ -443,14 +459,14 @@ def _checked_kernel(lib, map_family, noise_family, blocks):
                        x0=np.linspace(-0.5, 1.0, d),
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
-    R, T = (41 if blocks else 9), 7
+    R, T = {"line": (1, 41), "blocks": (41, 7), "narrow": (9, 7)}[tiles]
     keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
-    tiles = []
+    out = []
     for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):
         states = np.empty((d, T, R))
         xi = body(cfg, keys, states)(1, T)
-        tiles.append(states.tobytes() + xi.tobytes())
-    return lib.mann_tile if tiles[0] == tiles[1] else None
+        out.append(states.tobytes() + xi.tobytes())
+    return lib.mann_tile if out[0] == out[1] else None
 
 
 def run(cfg, x_star=None):

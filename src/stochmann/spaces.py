@@ -48,17 +48,21 @@ __all__ = [
 
 
 def _real_array(x, name):
-    """The array x as float64 when its dtype is integer or float; a bool,
+    """The array x as a read-only float64 copy when its dtype is integer or
+    float, so that no later write to x reaches a checked value; a bool,
     object or other array is refused, as check_number refuses its items."""
     if x.dtype.kind not in "iuf":
         raise ValidationError(f"{name}: must hold real numbers, not {x.dtype}")
-    return np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)
+    x.flags.writeable = False
+    return x
 
 
 def as_point(x, dim=None, name="x"):
-    """Validate and coerce to a finite float64 vector of shape (d,): x is an
-    integer or float array, or a number or a nonempty list of numbers under
-    check_number's rule, so a bool, string or nested entry is refused."""
+    """Validate and copy to a finite, read-only float64 vector of shape (d,):
+    x is an integer or float array, or a number or a nonempty list of
+    numbers under check_number's rule, so a bool, string or nested entry is
+    refused."""
     if isinstance(x, (list, tuple)):
         x = check_numbers(x, name)
     elif not isinstance(x, np.ndarray):
@@ -74,8 +78,9 @@ def as_point(x, dim=None, name="x"):
 
 
 def _matrix(x, name):
-    """x as a float64 matrix: an integer or float array, or a nonempty list
-    of equally long, nonempty lists of numbers under check_number's rule."""
+    """x copied to a read-only float64 matrix: an integer or float array, or
+    a nonempty list of equally long, nonempty lists of numbers under
+    check_number's rule."""
     if not isinstance(x, np.ndarray):
         if not isinstance(x, (list, tuple)) or not x:
             raise ValidationError(f"{name}: must be a nonempty list")
@@ -110,7 +115,8 @@ class MapSpec:
     """A member of the self-map catalog.
 
     family        one of MAP_FAMILIES
-    matrix, offset  parameters of the affine family F(x) = A x + b
+    matrix, offset  parameters of the affine family F(x) = A x + b, kept
+                  as read-only copies (_real_array)
     lam           gain of the scaled cosine family F(x) = lam*cos(x)
     declared_c    optional user-asserted contraction constant; when absent
                   the analytic family constant is used downstream

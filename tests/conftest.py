@@ -1,6 +1,7 @@
-import concurrent.futures
 import os
 import shutil
+import threading
+import types
 
 import pytest
 
@@ -12,21 +13,23 @@ def cores(monkeypatch):
     """cores(k) makes schemes.rows_at see k available cores and split from
     one replica-step per thread on, so k = 1 forces the serial walk and
     k >= 2 the split over min(k, replicas) threads wherever the tile kernel
-    steps.  Returns the list of the sizes of the thread pools that rows_at
-    started since the last call."""
+    steps.  Returns the list of the numbers of worker threads that each
+    split of rows_at started since the last call."""
     pools = []
-    make_pool = concurrent.futures.ThreadPoolExecutor
+    last = [None]  # the last worker's function: one per split
 
-    def counting_pool(workers):
-        pools.append(workers)
-        return make_pool(workers)
+    def counting_thread(target, args):
+        if args[0] is not last[0]:
+            last[0] = args[0]
+            pools.append(0)
+        pools[-1] += 1
+        return threading.Thread(target=target, args=args)
 
     def force(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
         monkeypatch.setattr(schemes, "SPLIT_ELEMENTS", 1)
-        # rows_at imports the pool from concurrent.futures when it splits
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            counting_pool)
+        monkeypatch.setattr(schemes, "threading",
+                            types.SimpleNamespace(Thread=counting_thread))
         pools.clear()
         return pools
 

@@ -252,8 +252,10 @@ def test_zero_noise_single_replica_and_pair_agree_on_the_kernel_path(
     monkeypatch.setattr(schemes, "_update",
                         lambda *args: calls.append(args) or resolve(*args))
     for cfg in zero_noise_cases():
-        # resolved first: the load-time check runs the numpy body once
+        # both classes resolved first, one replica on the line and a pair:
+        # each load-time check runs the numpy body once
         assert schemes.tile_kernel(cfg) is not None
+        assert schemes.tile_kernel(cfg, 2) is not None
         calls.clear()
         single, pair = single_and_pair(cfg)
         assert calls == [], cfg.map_spec

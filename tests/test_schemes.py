@@ -7,6 +7,7 @@ bit for bit, and the numpy body is what the Python update rule runs in.
 """
 
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -159,6 +160,29 @@ def test_run_reports_a_late_divergence_at_its_step(numpy_body, monkeypatch):
     first = 1 + int(np.flatnonzero(~np.isfinite(xi[:, 0]))[0])
     assert first == 2592 > 2 * schemes._SCALAR_CHUNK
     assert exc_info.value.last_finite_index == first
+
+
+@pytest.mark.parametrize("seed, first", [(32, 6), (25, 43)])
+def test_one_replica_diverges_at_the_numpy_bodys_step(seed, first):
+    # one replica on the line for 50 steps: on AVX-512 the kernel draws
+    # steps 1-32 as one 32-step Philox block and 33-50 in scalar code, and
+    # this stream's first draw to overflow is in the block (seed 32) or past
+    # it (seed 25)
+    cfg = make_cfg(noise=gaussian(scale=5e307), horizon=50, seed=seed)
+    with np.errstate(over="ignore"):
+        xi = sample_block(cfg.noise, 1, seed, np.arange(1, cfg.horizon + 1))
+    assert 1 + int(np.flatnonzero(~np.isfinite(xi[:, 0]))[0]) == first
+    found = []
+    for numpy_body in (False, True):
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(over="ignore"), \
+                pytest.raises(DivergedError) as exc_info:
+            if numpy_body:
+                mp.setattr(streams, "tile_library", lambda: None)
+            run(cfg)
+        found.append((exc_info.value.last_finite_index,
+                      exc_info.value.replicas))
+    assert found[0] == found[1] == (first, [0])
 
 
 def test_config_validation():
@@ -473,6 +497,28 @@ def test_rows_at_split_equals_the_serial_walk_bitwise(kernel, cores):
             for got, want in zip(split, serial):
                 assert got.flags.c_contiguous and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (d, k)
+
+
+def test_a_workers_error_is_raised_once_every_worker_joined(kernel, cores,
+                                                            monkeypatch):
+    # 7 replicas on 3 cores walk as 0:3 here and 3:5, 5:7 in two workers;
+    # an error other than DivergedError in a worker's chunk is raised by
+    # rows_at itself, not replaced by a serial walk, and only after both
+    # workers have joined
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=inverse_quadratic(),
+                       x0=np.array([0.5]), noise=gaussian(2.0))
+    walk = schemes._walk
+
+    def failing(*args):
+        if args[-1].start == 3:
+            raise RuntimeError("chunk 3:5 failed")
+        return walk(*args)
+    monkeypatch.setattr(schemes, "_walk", failing)
+    pools = cores(3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 3:5 failed"):
+        rows_at(cfg, np.arange(7), [5000])
+    assert threading.active_count() == threads and pools == [2]
 
 
 def test_rows_at_checks_its_steps():

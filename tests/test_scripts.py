@@ -66,7 +66,7 @@ def test_kernel_benchmarks_run():
 
 # `wc -l src/stochmann/*.py scripts/*.py`: a change that grows the package
 # and its scripts raises this pin in the same diff and says why
-LINE_BUDGET = 3100
+LINE_BUDGET = 3113
 
 
 def test_source_stays_within_its_line_budget():

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from stochmann.errors import NonContractiveError, ValidationError
+from stochmann.noise import zero
+from stochmann.schemes import SchemeConfig
 from stochmann.spaces import (INVERSE_QUADRATIC_C, MapSpec, affine, as_point,
                               contraction_constant, dimension,
                               estimate_contraction, eval_map,
@@ -224,6 +226,23 @@ def test_as_point_shapes_and_dim_check():
         as_point([1.0, 2.0], dim=3)
     with pytest.raises(ValidationError):
         as_point([np.inf])
+
+
+def test_later_writes_to_the_callers_arrays_change_nothing():
+    # the map and the scheme keep read-only copies: a matrix edited to an
+    # expansion after its operator-norm check, an edited offset or x0,
+    # reaches neither, and neither copy can be written
+    A, b, x0 = np.array([[0.5]]), np.zeros(1), np.array([0.25])
+    m = affine(A, b)
+    cfg = SchemeConfig(kind="stochastic_mann", map_spec=m, x0=x0,
+                       noise=zero())
+    A[0, 0], b[0], x0[0] = 3.0, 1.0, 2.0
+    assert m.matrix.tolist() == [[0.5]] and m.offset.tolist() == [0.0]
+    assert cfg.x0.tolist() == [0.25]
+    assert reference_fixed_point(m).tolist() == [0.0]
+    for v in (m.matrix, m.offset, cfg.x0, as_point(x0)):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 9.0
 
 
 def test_dimension():

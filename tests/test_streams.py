@@ -442,29 +442,39 @@ def vector_path():
             and "__GNUC__" in macros and "__clang__" not in macros)
 
 
-@pytest.mark.parametrize("old, new, families, narrow", [
+ALL = {"blocks", "narrow", "line"}
+
+
+@pytest.mark.parametrize("old, new, families, classes", [
     ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
-     ("gaussian", "bounded_uniform"), False),
-    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), True),
+     ("gaussian", "bounded_uniform"), {"blocks", "line"}),
+    ("x1[v] = lane + (start + (uint64_t)(k + 8 * v));",
+     "x1[v] = lane + (start + (uint64_t)(k + 8 * v + 1));",
+     ("gaussian", "bounded_uniform"), {"line"}),
+    ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), ALL),
     ("const f64x8 r = x0 - x1;", "const f64x8 r = x0 + x1;",
-     ("gaussian",), True),
-    ("(i64x8)(1.0 - u_e) & upper", "(i64x8)u_e & upper", ("gaussian",), True),
+     ("gaussian",), ALL),
+    ("(i64x8)(1.0 - u_e) & upper", "(i64x8)u_e & upper", ("gaussian",), ALL),
     ("y = keep * v + a_n * f\n", "y = keep * v + a_n * f * 2.0\n",
-     ("zero", "gaussian", "bounded_uniform"), True)])
+     ("zero", "gaussian", "bounded_uniform"), {"blocks", "narrow"})])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
-                                        old, new, families, narrow):
+                                        old, new, families, classes):
     # a defect in one 8-lane function alone, each refused wherever it runs:
-    # the Philox lanes in tiles of 32 replicas or more, whose check has 41,
-    # the central and tail ndtri in any Gaussian tile (the tails' first log
-    # taken of u, not 1 - u, past the upper edge, among them), and the
+    # the Philox rounds, which both lane layouts share, in tiles of 32
+    # replicas or more, whose check has 41, and for one replica on the
+    # line, whose check has 41 steps; the line's counters there alone; the
+    # central and tail ndtri in any Gaussian tile (the tails' first log
+    # taken of u, not 1 - u, past the upper edge, among them); and the
     # update in tiles of 8 replicas or more, whose narrow check has 9
     build_edited_source(tmp_path, monkeypatch, old, new)
     lanes = vector_path()
     for cfg in TILE_CASES:
         hit = lanes and cfg.noise.family in families
-        assert (schemes.tile_kernel(cfg, 40) is None) == hit
-        assert (schemes.tile_kernel(cfg) is None) == (hit and narrow)
-        for R in (7, 40):
+        line = "line" if dimension(cfg.map_spec) == 1 else "narrow"
+        for R, tiles in ((40, "blocks"), (7, "narrow"), (1, line)):
+            assert ((schemes.tile_kernel(cfg, R) is None)
+                    == (hit and tiles in classes)), (cfg.noise.family, R)
+        for R in (1, 7, 40):
             assert advance_bytes(cfg, R) == numpy_path_bytes(cfg, R)
 
 
@@ -488,6 +498,32 @@ def test_scalar_path_tiles_equal_the_numpy_body(kernel, cold, tmp_path,
             assert schemes.tile_kernel(cfg) is not None, (m.family, d, noise)
             T = max(1, schemes.TILE_ELEMENTS // (R * d))
             assert_same_tiles(*tiles_on_both_paths(cfg, seeds, T + 3))
+
+
+@pytest.mark.parametrize("scalar_build", [False, True])
+def test_line_tiles_equal_the_numpy_body(kernel, cold, tmp_path, monkeypatch,
+                                         scalar_build):
+    # one replica on the line, which the numpy body steps as floats, on the
+    # AVX-512 path (32-step Philox blocks, then the steps past them in
+    # scalar code) and with the dispatch off: every map and noise family,
+    # one tile of 1, 31, 32, 33, 64 and 16384 steps, and two tiles, the
+    # second 37 steps long
+    if scalar_build:
+        build_edited_source(tmp_path, monkeypatch,
+                            'wide = __builtin_cpu_supports("avx512f")',
+                            'wide = 0 && __builtin_cpu_supports("avx512f")')
+    seeds = derive_key(13, np.arange(1, dtype=np.uint64))
+    T = schemes.TILE_ELEMENTS
+    for m in (inverse_quadratic(), scaled_cosine(0.8), affine([[0.3]], [0.5])):
+        for noise in (zero(), gaussian(2.0), bounded_uniform(1.5)):
+            cfg = SchemeConfig(kind="stochastic_mann", map_spec=m,
+                               x0=np.array([-1.0]), noise=noise,
+                               steps=StepSequences(a=0.7))
+            assert schemes.tile_kernel(cfg) is not None, (m.family, noise)
+            for horizon in (1, 31, 32, 33, 64, T, T + 37):
+                got, want = tiles_on_both_paths(cfg, seeds, horizon)
+                assert len(got) == 1 + (horizon > T)
+                assert_same_tiles(got, want)
 
 
 def test_ndtri_port_is_scipys_ndtri(kernel):

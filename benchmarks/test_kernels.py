@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochmann import schemes, streams
+from stochmann import schemes
 from stochmann.config import build_scheme, load_config
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import gaussian, sample_block
@@ -67,10 +67,10 @@ def scalar_library(tmp_path_factory):
     CPU without it, built once into a cache of its own."""
     tmp = tmp_path_factory.mktemp("scalar")
     wide = 'wide = __builtin_cpu_supports("avx512f")'
-    text = streams._SOURCE.read_text()
+    text = schemes._SOURCE.read_text()
     assert wide in text
     (tmp / "philox.c").write_text(text.replace(wide, "wide = 0 && " + wide[7:]))
-    lib = streams._build(tmp / "philox.c", tmp / "cache")
+    lib = schemes._build(tmp / "philox.c", tmp / "cache")
     assert lib is not None
     return lib
 
@@ -80,12 +80,12 @@ def use_path(request, monkeypatch, path):
     through that library with its vector dispatch off, or through the numpy
     body, as where it cannot be built."""
     if path == "kernel":
-        assert streams.tile_library() is not None
+        assert schemes.tile_library() is not None
     elif path == "scalar":
         lib = request.getfixturevalue("scalar_library")
-        monkeypatch.setattr(streams, "tile_library", lambda: lib)
+        monkeypatch.setattr(schemes, "tile_library", lambda: lib)
     else:
-        monkeypatch.setattr(streams, "tile_library", lambda: None)
+        monkeypatch.setattr(schemes, "tile_library", lambda: None)
 
 
 D8 = 8
@@ -112,8 +112,8 @@ def test_advance_tile(benchmark, request, monkeypatch, case, path):
 def test_kernel_cold_compile(benchmark, tmp_path):
     # each round builds into a new, empty cache directory
     caches = (tmp_path / str(i) for i in itertools.count())
-    kernel = benchmark.pedantic(streams._build, rounds=5,
-                                setup=lambda: ((streams._SOURCE, next(caches)), {}))
+    kernel = benchmark.pedantic(schemes._build, rounds=5,
+                                setup=lambda: ((schemes._SOURCE, next(caches)), {}))
     assert kernel is not None
 
 

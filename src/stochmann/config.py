@@ -98,21 +98,23 @@ def load_config(path):
 def validate_config(raw):
     """Check what no object owns, and return the config unchanged: the key
     sets; the map, scheme and noise blocks and their keys map.family,
-    scheme.x0 and noise.family; JSON null in those blocks, which the
-    objects would read as "not given"; the norm; bounds.rho_scale next to
-    bounds.rho; the RANGES; experiment.checkpoints and eps_grid; out_dir
-    and base_seed.  The rest, and cross-field constraints (dimension
-    agreement, contractivity, rho feasibility), surface from build_scheme
-    and build_bound_params, with the same exception type."""
+    scheme.kind, scheme.x0 and noise.family; JSON null in those blocks,
+    which the objects would read as "not given"; the norm;
+    bounds.rho_scale next to bounds.rho; the RANGES; experiment.checkpoints
+    and eps_grid; out_dir and base_seed.  The rest, and cross-field
+    constraints (dimension agreement, contractivity, rho feasibility),
+    surface from build_scheme and build_bound_params, with the same
+    exception type."""
     _object(raw, _TOP_KEYS, "config")
-    for block, keys, required in (("map", _MAP_KEYS, "family"),
-                                  ("scheme", _SCHEME_KEYS, "x0"),
-                                  ("noise", _NOISE_KEYS, "family")):
+    for block, keys, required in (("map", _MAP_KEYS, ("family",)),
+                                  ("scheme", _SCHEME_KEYS, ("kind", "x0")),
+                                  ("noise", _NOISE_KEYS, ("family",))):
         if block not in raw:
             raise ValidationError(f"config.{block}: required block is missing")
         _object(raw[block], keys, block)
-        if required not in raw[block]:
-            raise ValidationError(f"{block}.{required}: required")
+        for key in required:
+            if key not in raw[block]:
+                raise ValidationError(f"{block}.{key}: required")
         # the objects would read None as "not given"
         for key, value in raw[block].items():
             if value is None:
@@ -200,7 +202,7 @@ def build_scheme(cfg):
     d = dimension(map_spec)
     sc = cfg["scheme"]
     return SchemeConfig(
-        kind=sc.get("kind"),
+        kind=sc["kind"],
         map_spec=map_spec,
         x0=sc["x0"],
         steps=StepSequences(a=sc.get("a", 0.5)),

@@ -13,36 +13,43 @@ for a single state on the line, with the same bits for either.
 
 advance(), the one time loop, steps a whole noise tile per call of
 mann_tile in philox.c: draws, noise transform and update in one C call,
-rounding as numpy does.  Its numpy body, which goes through the update rule
-above, is the reference that the compiled tile is checked against on first
-use, and the path wherever the library cannot be built or fails that
-check.  rows_at(), advance()'s only consumer, walks it once, split over
-threads where the replicas are many, and fills arrays with the rows asked
-for; run(), the CLI and the Monte Carlo harness read through it.
+rounding as numpy does.  tile_library compiles it with the system's C
+compiler on the first stepped tile in a process, into __pycache__/ beside
+this file.  advance's numpy body, which goes through the update rule above,
+is the reference that each family's tile is checked against on first use,
+and the path wherever the library cannot be built or fails that check.
+rows_at(), advance()'s only consumer, walks it once, split over threads
+where the replicas are many, and fills arrays with the rows asked for;
+run(), the CLI and the Monte Carlo harness read through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
 import math
 import os
+import struct
+import subprocess
+import sysconfig
+import tempfile
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from . import _special
 from . import noise as noise_mod
-from . import streams
 from .errors import DivergedError, ValidationError, check_number
 from .spaces import (NORM_KINDS, MapSpec, affine, as_point, dimension,
                      eval_map, inverse_quadratic, map_function, norm,
                      scaled_cosine)
-from .streams import check_seed, check_seeds, derive_key
+from .streams import check_seed, check_seeds, derive_key, sha256
 
 SCHEME_KINDS = ("stochastic_mann",)
 
@@ -390,10 +397,84 @@ def _kernel_tiles(cfg, keys, states, kernel):
     return step_tile
 
 
-# where the CPU has AVX-512, philox.c draws the replicas of a tile with at
-# least this many in blocks of this many, in vector lanes, and one replica
-# on the line in blocks of this many steps
-_LANE_BLOCK = 32
+# The library's source and build: a library file per (source, compiler,
+# flags, platform), so a stale build is never loaded.
+_SOURCE = Path(__file__).with_name("philox.c")
+_CACHE = _SOURCE.parent / "__pycache__"
+_CC = "cc"
+# -falign-loops: unaligned, philox.c's d = 8 affine loop ran 30-45% slower
+_FLAGS = ("-O1", "-falign-loops=32", "-fPIC", "-shared", "-ffp-contract=off")
+_LIBS = ("-lm",)  # after the source, for linkers that drop unused libraries
+_COMPILE_SECONDS = 60
+
+
+def _truncated(lib):
+    """True when lib is a 64-bit ELF file (the kernel's __int128 needs a
+    64-bit target) that ends before its section header table, which the
+    linker writes last.  dlopen would map such a file and die of SIGBUS on
+    the missing pages instead of failing.  Other files are left to the
+    loader, which refuses them."""
+    with open(lib, "rb") as f:
+        head = f.read(64)
+        size = os.fstat(f.fileno()).st_size
+    if len(head) < 64 or head[:5] != b"\x7fELF\x02":
+        return False
+    order = "<" if head[5] == 1 else ">"
+    shoff, = struct.unpack_from(order + "Q", head, 0x28)
+    entsize, count = struct.unpack_from(order + "HH", head, 0x3A)
+    return size < shoff + entsize * count
+
+
+def _build(source, cache):
+    """The library compiled from source, with the argument types of its
+    mann_tile (in _kernel_tiles' order) and ndtri_many set, loaded from
+    cache or compiled into it first; None when any step fails.  The
+    compiler writes a temporary file that os.replace then moves into place,
+    so a concurrent process never loads a half-written library, and no
+    temporary file is left behind.  A new build removes, as far as it can,
+    the other philox.*.so in cache: the builds of an earlier source,
+    compiler, flags or platform."""
+    try:
+        text = source.read_bytes()
+        recipe = "\0".join((_CC, *_FLAGS, *_LIBS, sysconfig.get_platform()))
+        digest = sha256(text + b"\0" + recipe.encode()).hexdigest()
+        lib = cache / f"philox.{digest[:16]}.so"
+        if not lib.exists():
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=lib.name + ".", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, *_FLAGS, str(source), "-o", tmp,
+                                *_LIBS], stdin=subprocess.DEVNULL,
+                               capture_output=True, check=True,
+                               timeout=_COMPILE_SECONDS)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+            for stale in set(cache.glob("philox.*.so")) - {lib}:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+        if _truncated(lib):
+            return None
+        lib = ctypes.CDLL(str(lib))
+        tile, ndtri = lib.mann_tile, lib.ndtri_many
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    size, ptr, f64 = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ctypes.c_int,
+                     ptr, ptr, f64, ptr, ptr, ptr, ctypes.c_uint64, size)
+    tile.restype = size
+    ndtri.argtypes, ndtri.restype = (ptr, size, ptr), None
+    return lib
+
+
+@functools.cache
+def tile_library():
+    """The compiled library of philox.c, or None where it cannot be compiled
+    or loaded; resolved once per process, on the first call.  Its
+    ndtri_many runs the ndtri port alone, for tile_kernel's check."""
+    return _build(_SOURCE, _CACHE)
 
 
 def tile_kernel(cfg, replicas=1):
@@ -402,12 +483,11 @@ def tile_kernel(cfg, replicas=1):
     a kernel whose tile differs from the numpy body's (libm's cos, say,
     rounding unlike numpy's), or for Gaussian noise whose ndtri port differs
     from scipy's.  Resolved once per process, family and class of tile: one
-    replica on the line, _LANE_BLOCK replicas or more, or the rest."""
-    lib = streams.tile_library()
+    replica on the line, or a batch."""
+    lib = tile_library()
     return None if lib is None else _checked_kernel(
         lib, cfg.map_spec.family, cfg.noise.family,
-        "line" if replicas * cfg.x0.shape[0] == 1
-        else "blocks" if replicas >= _LANE_BLOCK else "narrow")
+        "line" if replicas * cfg.x0.shape[0] == 1 else "batch")
 
 
 def _ndtri_port_exact(lib):
@@ -438,12 +518,12 @@ def _checked_kernel(lib, map_family, noise_family, tiles):
     so must ndtri on its edges.  The tile of each class runs both its vector
     lanes and its scalar remainders.  "line": 1 replica at d = 1 for 41
     steps, which the numpy body steps as floats, one 32-step Philox block,
-    five 8-element ndtri blocks and the steps past them.  "blocks" and
-    "narrow": 41 and 9 replicas for 7 steps (d = 3 for the affine map), the
-    32-replica Philox blocks (at 41), 8-replica update blocks and 8-element
-    ndtri blocks, each with a remainder (7 * 41 and 7 * 9 are odd).  Zero
-    noise keeps the replicas together, so the steps are what catch a
-    contracted multiply-add: 4 steps already catch an FMA build."""
+    five 8-element ndtri blocks and the steps past them.  "batch": 41
+    replicas for 7 steps (d = 3 for the affine map), a 32-replica Philox
+    block, 8-replica update blocks and 8-element ndtri blocks, each with a
+    remainder (7 * 41 is odd); a batch of fewer replicas runs a subset of
+    these.  Zero noise keeps the replicas together, so the steps are what
+    catch a contracted multiply-add: 4 steps already catch an FMA build."""
     if noise_family == "gaussian" and not _ndtri_port_exact(lib):
         return None
     # the family's map alone: affine()'s norm through LAPACK costs ~1 MB RSS
@@ -459,7 +539,7 @@ def _checked_kernel(lib, map_family, noise_family, tiles):
                        x0=np.linspace(-0.5, 1.0, d),
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
-    R, T = {"line": (1, 41), "blocks": (41, 7), "narrow": (9, 7)}[tiles]
+    R, T = (1, 41) if tiles == "line" else (41, 7)
     keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
     out = []
     for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):

@@ -8,39 +8,21 @@ the counter pair ``(block, index)`` under a per-stream key; uniform and
 Gaussian variates are derived from its output deterministically.
 
 substream_uniforms draws through philox2x64, the numpy reference checked
-against Random123's known answers.  The noise tiles of schemes.advance go
-through mann_tile in philox.c, the compiled library's tile export: a tile's
-uniforms, noise and Mann update in one C call, with each round's 64x64-bit
-multiply one instruction where numpy needs ~13 passes over the array.
-Gaussian tiles draw through philox.c's port of scipy's ndtri, which
-schemes.tile_kernel checks against the ndtri ufunc through the library's
-other export, ndtri_many.  tile_library compiles it with the system's C
-compiler on the first stepped tile in a process (not on import), into
-__pycache__/ beside this file, and loads it through ctypes;
-schemes.tile_kernel checks each family's tile against the numpy body.
+against Random123's known answers (Salmon et al., SC'11), and the
+reference for the rounds of philox.c, which schemes compiles and checks.
 """
 
 from __future__ import annotations
-
-import contextlib
-import ctypes
-import functools
-import os
-import struct
-import subprocess
-import sysconfig
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from . import _special
 from .errors import ValidationError, check_number
 
-# SHA-256 (FIPS 180-4) for config_hash and the library's file name, from
-# CPython's builtin module where there is one: hashlib would load OpenSSL
-# (~4 ms, ~3.6 MB) to hash two short strings.  Every route gives the same
-# digest.
+# SHA-256 (FIPS 180-4) for config_hash and the file name of schemes'
+# compiled library, from CPython's builtin module where there is one:
+# hashlib would load OpenSSL (~4 ms, ~3.6 MB) to hash two short strings.
+# Every route gives the same digest.
 try:
     from _sha256 import sha256  # Python 3.10, 3.11
 except ImportError:
@@ -59,16 +41,6 @@ _U_MAX = 1.0 - 2.0**-53
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
-
-# The library's source and build: a library file per (source, compiler,
-# flags, platform), so a stale build is never loaded.
-_SOURCE = Path(__file__).with_name("philox.c")
-_CACHE = _SOURCE.parent / "__pycache__"
-_CC = "cc"
-# -falign-loops: unaligned, philox.c's d = 8 affine loop ran 30-45% slower
-_FLAGS = ("-O1", "-falign-loops=32", "-fPIC", "-shared", "-ffp-contract=off")
-_LIBS = ("-lm",)  # after the source, for linkers that drop unused libraries
-_COMPILE_SECONDS = 60
 
 __all__ = [
     "mix64",
@@ -122,7 +94,7 @@ def philox2x64(c0, c1, key, rounds=_ROUNDS):
     shape.  Distinct (c0, c1, key) triples give statistically independent
     outputs, which is what makes draw-by-counter streams sound.  It draws
     every uniform of substream_uniforms, and is the reference for the rounds
-    of the compiled mann_tile (see tile_library).
+    of philox.c.
 
     The rounds run in place in six buffers allocated per call: a new array
     per operation made them 1.4-1.6x slower and a 10**5-draw cramer_check
@@ -199,78 +171,6 @@ def derive_key(seed, salt=0):
     with np.errstate(over="ignore"):
         s = _as_u64(seed) + (_as_u64(salt) + np.uint64(1)) * _PHILOX_W
     return mix64(s)
-
-
-def _truncated(lib):
-    """True when lib is a 64-bit ELF file (the kernel's __int128 needs a
-    64-bit target) that ends before its section header table, which the
-    linker writes last.  dlopen would map such a file and die of SIGBUS on
-    the missing pages instead of failing.  Other files are left to the
-    loader, which refuses them."""
-    with open(lib, "rb") as f:
-        head = f.read(64)
-        size = os.fstat(f.fileno()).st_size
-    if len(head) < 64 or head[:5] != b"\x7fELF\x02":
-        return False
-    order = "<" if head[5] == 1 else ">"
-    shoff, = struct.unpack_from(order + "Q", head, 0x28)
-    entsize, count = struct.unpack_from(order + "HH", head, 0x3A)
-    return size < shoff + entsize * count
-
-
-def _build(source, cache):
-    """The library compiled from source, with the argument types of its
-    mann_tile and ndtri_many set, loaded from cache or compiled into it
-    first; None when any step fails.  The compiler writes a temporary file
-    that os.replace then moves into place, so a concurrent process never
-    loads a half-written library, and no temporary file is left behind.  A new
-    build removes, as far as it can, the other philox.*.so in cache: the
-    builds of an earlier source, compiler, flags or platform."""
-    try:
-        text = source.read_bytes()
-        recipe = "\0".join((_CC, *_FLAGS, *_LIBS, sysconfig.get_platform()))
-        digest = sha256(text + b"\0" + recipe.encode()).hexdigest()
-        lib = cache / f"philox.{digest[:16]}.so"
-        if not lib.exists():
-            cache.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=lib.name + ".", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([_CC, *_FLAGS, str(source), "-o", tmp,
-                                *_LIBS], stdin=subprocess.DEVNULL,
-                               capture_output=True, check=True,
-                               timeout=_COMPILE_SECONDS)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            for stale in set(cache.glob("philox.*.so")) - {lib}:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
-        if _truncated(lib):
-            return None
-        lib = ctypes.CDLL(str(lib))
-        tile, ndtri = lib.mann_tile, lib.ndtri_many
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    size, ptr, f64 = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    tile.argtypes = (ptr, size, size, size, ctypes.c_int, f64, ctypes.c_int,
-                     ptr, ptr, f64, ptr, ptr, ptr, ctypes.c_uint64, size)
-    tile.restype = size
-    ndtri.argtypes, ndtri.restype = (ptr, size, ptr), None
-    return lib
-
-
-@functools.cache
-def tile_library():
-    """The compiled library of philox.c, or None where it cannot be compiled
-    or loaded; resolved once per process, on the first call.
-
-    Its export mann_tile steps whole noise tiles for schemes.advance, which
-    checks it per map and noise family before it uses it; ndtri_many runs
-    its ndtri port alone, for that check.
-    """
-    return _build(_SOURCE, _CACHE)
 
 
 def substream_uniforms(key, index, count):

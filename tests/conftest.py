@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from stochmann import schemes, streams
+from stochmann import schemes
 
 
 @pytest.fixture
@@ -42,13 +42,13 @@ def numpy_streams(monkeypatch):
     compiled mann_tile, as on a machine where the library cannot be built.
     The uniforms of substream_uniforms go through philox2x64 with or
     without it."""
-    monkeypatch.setattr(streams, "tile_library", lambda: None)
+    monkeypatch.setattr(schemes, "tile_library", lambda: None)
 
 
 @pytest.fixture(scope="module")
 def kernel():
     """The compiled library, which must build wherever the compiler exists."""
-    if shutil.which(streams._CC) is None:
-        pytest.skip(f"no C compiler {streams._CC!r}")
-    assert streams.tile_library() is not None
-    return streams.tile_library()
+    if shutil.which(schemes._CC) is None:
+        pytest.skip(f"no C compiler {schemes._CC!r}")
+    assert schemes.tile_library() is not None
+    return schemes.tile_library()

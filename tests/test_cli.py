@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmann import bounds, cli, config, schemes, streams
+from stochmann import bounds, cli, config, schemes
 from stochmann.bounds import tail_bound
 from stochmann.cli import build_parser, main
 from stochmann.config import (build_bound_params, build_plan, build_scheme,
@@ -471,9 +471,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # ranges and combinations that the scheme's own objects check
     scheme = REFERENCE["scheme"]
     cases += [({"scheme": dict(scheme, a=1.5)}, "scheme.a")]
-    # stochastic Mann is the one kind, and the noise block is required (a
-    # None value drops the block); zero noise runs plain Mann
+    # stochastic Mann is the one kind, which is required as x0 is, and the
+    # noise block is required (a None value drops the block); zero noise
+    # runs plain Mann
     cases += [({"scheme": dict(scheme, kind="mann")}, "scheme.kind"),
+              ({"scheme": {k: v for k, v in scheme.items() if k != "kind"}},
+               "scheme.kind: required"),
               ({"noise": None}, "config.noise")]
     # removed knobs: c and the moment parameters are set under map and noise
     cases += [({"bounds": {key: 0.1}}, f"bounds.{key}")
@@ -847,7 +850,7 @@ LOADS = {
                      (MONTECARLO, *POOL, CYTHON), (), False),
     # the split's one worker counted by the threads started
     "montecarlo": ([CLI, "import os, threading",
-                    "from stochmann import schemes, streams",
+                    "from stochmann import schemes",
                     "os.sched_getaffinity = lambda pid: {0, 1}",
                     "schemes.SPLIT_ELEMENTS, names = 1, []",
                     "start = threading.Thread.start",
@@ -856,7 +859,7 @@ LOADS = {
                     f"assert cli.main(['montecarlo', '--config', {REF!r}, "
                     "'--replicas', '20', '--out', OUT]) == 0",
                     "assert len(names) == "
-                    "(streams.tile_library() is not None)"],
+                    "(schemes.tile_library() is not None)"],
                    ("multiprocessing", "scipy.stats", CYTHON, *POOL),
                    (MONTECARLO,), True),
     "montecarlo-one-core": ([CLI, "import os",
@@ -876,8 +879,8 @@ def test_each_command_loads_only_what_it_runs(row, tmp_path):
         "import json, sys", f"OUT = {str(tmp_path)!r}", *lines,
         f"print(json.dumps([m for m in {[*absent, *present]!r} "
         "if m in sys.modules]))",
-        "from stochmann import streams",
-        "print(streams.tile_library.cache_info().currsize)"])
+        "from stochmann import schemes",
+        "print(schemes.tile_library.cache_info().currsize)"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

@@ -29,11 +29,10 @@ from stochmann.config import build_scheme, load_config
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian
 from stochmann.schemes import (TILE_ELEMENTS, SchemeConfig, StepSequences, run,
-                               tile_kernel)
+                               tile_kernel, tile_library)
 from stochmann.spaces import (affine, inverse_quadratic, reference_fixed_point,
                               scaled_cosine)
-from stochmann.streams import (derive_key, philox2x64, substream_normals,
-                               tile_library)
+from stochmann.streams import derive_key, philox2x64, substream_normals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -278,9 +277,9 @@ def test_cli_output_digests_through_hashlib(tmp_path):
                      (["montecarlo", "--config", cfg, "--replicas", "200"],
                       0))]
     code = "\n".join([
-        REFUSE_SHA, "import os", "from stochmann import streams",
+        REFUSE_SHA, "import os", "from stochmann import schemes",
         "from stochmann.cli import main", *runs,
-        "lib = streams.tile_library()",
+        "lib = schemes.tile_library()",
         "print(sorted(set(refused)), '_hashlib' in sys.modules,",
         "      lib and os.path.basename(lib._name))"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

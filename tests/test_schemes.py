@@ -10,11 +10,12 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from stochmann import schemes, streams
+from stochmann import schemes
 from stochmann.errors import DivergedError, ValidationError
 from stochmann.noise import (bounded_uniform, gaussian, sample_block,
                              sample_keyed, zero)
@@ -151,7 +152,7 @@ def test_run_reports_a_late_divergence_at_its_step(numpy_body, monkeypatch):
     # of _SCALAR_CHUNK steps, and this stream's first draw to overflow is
     # at step 2592, inside the third
     if numpy_body:
-        monkeypatch.setattr(streams, "tile_library", lambda: None)
+        monkeypatch.setattr(schemes, "tile_library", lambda: None)
     cfg = make_cfg(noise=gaussian(scale=5e307), horizon=5000, seed=0)
     with np.errstate(over="ignore"):
         xi = sample_block(cfg.noise, 1, cfg.seed, np.arange(1, cfg.horizon + 1))
@@ -178,7 +179,7 @@ def test_one_replica_diverges_at_the_numpy_bodys_step(seed, first):
                 np.errstate(over="ignore"), \
                 pytest.raises(DivergedError) as exc_info:
             if numpy_body:
-                mp.setattr(streams, "tile_library", lambda: None)
+                mp.setattr(schemes, "tile_library", lambda: None)
             run(cfg)
         found.append((exc_info.value.last_finite_index,
                       exc_info.value.replicas))
@@ -445,7 +446,7 @@ def test_rows_at_equals_run_bitwise(m):
     for numpy_body in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             if numpy_body:
-                mp.setattr(streams, "tile_library", lambda: None)
+                mp.setattr(schemes, "tile_library", lambda: None)
             walked = tiles(cfg, [cfg.seed], cfg.horizon)
             traj = run(cfg, x_star)
             states, noises = rows_at(cfg, [cfg.seed], [n - 1 for n in cps],
@@ -547,7 +548,7 @@ def tiles_on_both_paths(cfg, seeds, horizon):
     """advance's tiles on the kernel path and on the numpy path, copied."""
     compiled = tiles(cfg, seeds, horizon)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "tile_library", lambda: None)
+        m.setattr(schemes, "tile_library", lambda: None)
         return compiled, tiles(cfg, seeds, horizon)
 
 
@@ -558,10 +559,11 @@ def assert_same_tiles(got, want):
         assert xi.shape == eta.shape and xi.tobytes() == eta.tobytes()
 
 
-@pytest.mark.parametrize("R", [1, 7, 45, 200])
+@pytest.mark.parametrize("R", [1, 7, 31, 33, 45, 200])
 def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
     # over two tiles, the second one short; R = 200 at d = 9 gives tiles of
-    # 9 steps, d = 8 and 9 reach the affine map's longest column sums, and
+    # 9 steps, d = 8 and 9 reach the affine map's longest column sums,
+    # R = 31 and 33 lie on either side of the 32-replica Philox block, and
     # R = 45 leaves a remainder past the 8- and 32-replica vector blocks
     seeds = derive_key(3, np.arange(R, dtype=np.uint64))
     for m in [inverse_quadratic()] + [affine_nd(d) for d in (1, 2, 8, 9)]:
@@ -575,6 +577,28 @@ def test_kernel_tiles_equal_the_numpy_body_bitwise(kernel, R):
             got, want = tiles_on_both_paths(cfg, seeds, T + 3)
             assert len(got) == 2 and got[1][1].shape[0] == 3
             assert_same_tiles(got, want)
+
+
+def test_every_batch_shares_one_known_answer_check(kernel):
+    # tiles of 2 to 2000 replicas at d = 1, and one replica at d = 3,
+    # resolve one check per family: its 41-replica tile runs every
+    # function of philox.c that a narrower batch runs
+    schemes._checked_kernel.cache_clear()
+    for m in (inverse_quadratic(), scaled_cosine(0.8), affine_nd(1)):
+        for noise in (zero, partial(gaussian, 2.0),
+                      partial(bounded_uniform, 1.5)):
+            before = schemes._checked_kernel.cache_info().currsize
+            cfgs = [(SchemeConfig(kind="stochastic_mann", map_spec=m,
+                                  x0=np.array([0.5]), noise=noise()), R)
+                    for R in (2, 7, 31, 32, 2000)]
+            if m.family == "affine":
+                cfgs.append((SchemeConfig(
+                    kind="stochastic_mann", map_spec=affine_nd(3),
+                    x0=np.zeros(3), noise=noise(dim=3)), 1))
+            for cfg, R in cfgs:
+                assert schemes.tile_kernel(cfg, R) is not None
+            after = schemes._checked_kernel.cache_info().currsize
+            assert after == before + 1, (m.family, noise().family)
 
 
 @pytest.mark.parametrize("m", [inverse_quadratic(), affine_nd(2)],
@@ -603,7 +627,7 @@ def test_divergence_in_a_lane_block_or_the_remainder(kernel, m, bad):
                 np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergedError) as exc_info:
             if numpy_body:
-                mp.setattr(streams, "tile_library", lambda: None)
+                mp.setattr(schemes, "tile_library", lambda: None)
             next(advance(cfg, seeds, 5))
         errors.append((exc_info.value.last_finite_index,
                        exc_info.value.replicas))

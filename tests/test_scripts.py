@@ -39,8 +39,8 @@ def untimed_digest(stdout):
 
 
 def test_envelope_demo_smoke():
-    # where mann_tile runs, one replica steps a narrow tile and the others
-    # wider ones; without it one replica takes the float path
+    # where mann_tile runs, one replica steps the line path and the others
+    # a batch; without it one replica takes the float path
     for replicas, horizon, digest in (("10", "100", None), ("1", "100", None),
                                       ("20", "200", ENVELOPE_DEMO_R20_H200)):
         stdout = run_script("envelope_demo.py", "--replicas", replicas,
@@ -64,13 +64,15 @@ def test_kernel_benchmarks_run():
                "--benchmark-disable", "-q", "-p", "no:cacheprovider")
 
 
-# `wc -l src/stochmann/*.py scripts/*.py`: a change that grows the package
-# and its scripts raises this pin in the same diff and says why
-LINE_BUDGET = 3113
+# `wc -l src/stochmann/*.py src/stochmann/*.c scripts/*.py`: a change that
+# grows the package, its compiled tile or its scripts raises this pin in the
+# same diff and says why
+LINE_BUDGET = 3700
 
 
 def test_source_stays_within_its_line_budget():
     files = [*(ROOT / "src" / "stochmann").glob("*.py"),
+             *(ROOT / "src" / "stochmann").glob("*.c"),
              *(ROOT / "scripts").glob("*.py")]
     lines = sum(f.read_bytes().count(b"\n") for f in files)
     assert lines <= LINE_BUDGET, f"{lines} lines > {LINE_BUDGET}"

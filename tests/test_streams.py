@@ -2,8 +2,8 @@
 
 The references below redo the bit manipulation with Python ints, so any
 numpy wraparound or casting mistake in the library shows up as a mismatch.
-The golden digests are rerun with advance's numpy body, and every way the
-compiled library's build can fail must fall back to that body.  So must a
+The golden digests are rerun with advance's numpy body, and every way that
+schemes' build of philox.c can fail must fall back to that body.  So must a
 library whose tiles, uniforms or update, fail the load-time check, on its
 scalar path or its AVX-512 one, and Gaussian tiles whose ndtri differs
 from scipy's.
@@ -27,12 +27,11 @@ from test_schemes import affine_nd, assert_same_tiles, tiles_on_both_paths
 from stochmann import schemes, streams
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian, zero
-from stochmann.schemes import SchemeConfig, StepSequences
+from stochmann.schemes import SchemeConfig, StepSequences, tile_library
 from stochmann.spaces import (affine, dimension, inverse_quadratic,
                               reference_fixed_point, scaled_cosine)
 from stochmann.streams import (derive_key, mix64, philox2x64,
-                               substream_normals, substream_uniforms,
-                               tile_library)
+                               substream_normals, substream_uniforms)
 
 MASK = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -222,7 +221,7 @@ def advance_bytes(cfg, R=7):
 
 def numpy_path_bytes(cfg, R=7):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "tile_library", lambda: None)
+        m.setattr(schemes, "tile_library", lambda: None)
         return advance_bytes(cfg, R)
 
 
@@ -261,7 +260,7 @@ def test_replica_errors_digests_on_the_numpy_path(numpy_streams, cores):
 def cold(tmp_path, monkeypatch):
     """tile_library resolved afresh, with its cache in tmp_path/cache."""
     cache = tmp_path / "cache"
-    monkeypatch.setattr(streams, "_CACHE", cache)
+    monkeypatch.setattr(schemes, "_CACHE", cache)
     tile_library.cache_clear()
     yield cache
     tile_library.cache_clear()
@@ -280,7 +279,7 @@ def check_fallback(cache, capfd):
 
 
 def test_missing_compiler_falls_back(cold, tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(streams, "_CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(schemes, "_CC", str(tmp_path / "no-such-cc"))
     check_fallback(cold, capfd)
     assert list(cold.iterdir()) == []
 
@@ -289,7 +288,7 @@ def test_source_that_does_not_compile_falls_back(cold, tmp_path, monkeypatch,
                                                  capfd):
     source = tmp_path / "philox.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(streams, "_SOURCE", source)
+    monkeypatch.setattr(schemes, "_SOURCE", source)
     check_fallback(cold, capfd)
     assert list(cold.iterdir()) == []
 
@@ -299,11 +298,11 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch, capfd):
     # mkstemp can write there, whatever the user (root ignores mode bits)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setattr(streams, "_CACHE", blocker)
+    monkeypatch.setattr(schemes, "_CACHE", blocker)
     tile_library.cache_clear()
     try:
         check_fallback(blocker, capfd)
-        monkeypatch.setattr(streams, "_CACHE", blocker / "cache")
+        monkeypatch.setattr(schemes, "_CACHE", blocker / "cache")
         tile_library.cache_clear()
         check_fallback(blocker, capfd)
     finally:
@@ -313,7 +312,7 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch, capfd):
 
 def test_truncated_library_falls_back(kernel, cold, tmp_path, monkeypatch,
                                       capfd):
-    assert streams._build(streams._SOURCE, tmp_path / "built") is not None
+    assert schemes._build(schemes._SOURCE, tmp_path / "built") is not None
     lib, = (tmp_path / "built").iterdir()
     data = lib.read_bytes()
     for size in (len(data) - 1, len(data) // 2, 200, 10, 0):
@@ -323,7 +322,7 @@ def test_truncated_library_falls_back(kernel, cold, tmp_path, monkeypatch,
         cache = tmp_path / f"cache{size}"
         cache.mkdir()
         (cache / lib.name).write_bytes(data[:size])
-        monkeypatch.setattr(streams, "_CACHE", cache)
+        monkeypatch.setattr(schemes, "_CACHE", cache)
         tile_library.cache_clear()
         check_fallback(cache, capfd)
         assert list(cache.iterdir()) == [cache / lib.name]
@@ -335,8 +334,8 @@ def test_compile_timeout_falls_back_and_kills_the_compiler(cold, tmp_path,
     cc = tmp_path / "cc"
     cc.write_text(f'#!/bin/sh\necho $$ > "{pid_file}"\nexec sleep 60\n')
     cc.chmod(0o755)
-    monkeypatch.setattr(streams, "_CC", str(cc))
-    monkeypatch.setattr(streams, "_COMPILE_SECONDS", 0.5)
+    monkeypatch.setattr(schemes, "_CC", str(cc))
+    monkeypatch.setattr(schemes, "_COMPILE_SECONDS", 0.5)
     check_fallback(cold, capfd)
     assert list(cold.iterdir()) == []
     with pytest.raises(ProcessLookupError):
@@ -345,11 +344,11 @@ def test_compile_timeout_falls_back_and_kills_the_compiler(cold, tmp_path,
 
 def test_changed_source_gets_its_own_build(kernel, tmp_path):
     source = tmp_path / "philox.c"
-    text = streams._SOURCE.read_text()
+    text = schemes._SOURCE.read_text()
     built = []
     for version in (text, text, text + "/* changed */\n"):
         source.write_text(version)
-        assert streams._build(source, tmp_path / "cache") is not None
+        assert schemes._build(source, tmp_path / "cache") is not None
         built.append(sorted(p.name for p in (tmp_path / "cache").iterdir()))
     assert len(built[0]) == 1 and built[1] == built[0]  # loaded, not rebuilt
     assert len(built[2]) == 1 and built[2] != built[0]  # rebuilt, old removed
@@ -377,9 +376,9 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
     log = tmp_path / "compiles"
     cc = tmp_path / "cc"
     cc.write_text(f'#!/bin/sh\necho >> "{log}"\n'
-                  f'exec {shutil.which(streams._CC)} "$@"\n')
+                  f'exec {shutil.which(schemes._CC)} "$@"\n')
     cc.chmod(0o755)
-    monkeypatch.setattr(streams, "_CC", str(cc))
+    monkeypatch.setattr(schemes, "_CC", str(cc))
     cfg = golden.scheme(inverse_quadratic(), [0.5], gaussian(2.0), horizon=50)
     x_star = reference_fixed_point(cfg.map_spec)
     pools = cores(2)
@@ -388,7 +387,7 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
     assert len(log.read_text().splitlines()) == 1
     assert tile_library() is not None
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams, "tile_library", lambda: None)
+        m.setattr(schemes, "tile_library", lambda: None)
         assert same_bits(replica_errors(cfg, x_star, replica_seeds(3, 20),
                                         (10, 50)), errs)
 
@@ -397,11 +396,11 @@ def test_one_compile_per_cold_cache_over_two_processes(kernel, cold, tmp_path,
 
 def build_edited_source(tmp_path, monkeypatch, old, new):
     """tile_library built from philox.c with old replaced by new."""
-    text = streams._SOURCE.read_text()
+    text = schemes._SOURCE.read_text()
     assert old in text
     source = tmp_path / "philox.c"
     source.write_text(text.replace(old, new))
-    monkeypatch.setattr(streams, "_SOURCE", source)
+    monkeypatch.setattr(schemes, "_SOURCE", source)
     assert tile_library() is not None
 
 
@@ -431,23 +430,23 @@ def test_wrong_uniforms_in_the_tile_kernel_fall_back(kernel, cold, tmp_path,
 
 def vector_path():
     """Whether mann_tile takes its AVX-512 path here: a CPU with AVX-512F
-    and DQ, and streams._CC a GCC for x86-64."""
+    and DQ, and schemes._CC a GCC for x86-64."""
     flags = set()
     with contextlib.suppress(OSError), open("/proc/cpuinfo") as f:
         flags = next((set(line.split(":", 1)[1].split()) for line in f
                       if line.startswith("flags")), set())
-    macros = subprocess.run([streams._CC, "-dM", "-E", "-x", "c", os.devnull],
+    macros = subprocess.run([schemes._CC, "-dM", "-E", "-x", "c", os.devnull],
                             capture_output=True, text=True).stdout.split()
     return ({"avx512f", "avx512dq"} <= flags and "__x86_64__" in macros
             and "__GNUC__" in macros and "__clang__" not in macros)
 
 
-ALL = {"blocks", "narrow", "line"}
+ALL = {"batch", "line"}
 
 
 @pytest.mark.parametrize("old, new, families, classes", [
     ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
-     ("gaussian", "bounded_uniform"), {"blocks", "line"}),
+     ("gaussian", "bounded_uniform"), ALL),
     ("x1[v] = lane + (start + (uint64_t)(k + 8 * v));",
      "x1[v] = lane + (start + (uint64_t)(k + 8 * v + 1));",
      ("gaussian", "bounded_uniform"), {"line"}),
@@ -456,22 +455,22 @@ ALL = {"blocks", "narrow", "line"}
      ("gaussian",), ALL),
     ("(i64x8)(1.0 - u_e) & upper", "(i64x8)u_e & upper", ("gaussian",), ALL),
     ("y = keep * v + a_n * f\n", "y = keep * v + a_n * f * 2.0\n",
-     ("zero", "gaussian", "bounded_uniform"), {"blocks", "narrow"})])
+     ("zero", "gaussian", "bounded_uniform"), {"batch"})])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
                                         old, new, families, classes):
-    # a defect in one 8-lane function alone, each refused wherever it runs:
-    # the Philox rounds, which both lane layouts share, in tiles of 32
-    # replicas or more, whose check has 41, and for one replica on the
-    # line, whose check has 41 steps; the line's counters there alone; the
-    # central and tail ndtri in any Gaussian tile (the tails' first log
-    # taken of u, not 1 - u, past the upper edge, among them); and the
-    # update in tiles of 8 replicas or more, whose narrow check has 9
+    # a defect in one 8-lane function alone, refused in every class of
+    # tile whose check runs it, even where the tile asked for would not:
+    # the Philox rounds, which both lane layouts share, in any batch, whose
+    # check has 41 replicas, and for one replica on the line, whose check
+    # has 41 steps; the line's counters there alone; the central and tail
+    # ndtri in any Gaussian tile (the tails' first log taken of u, not
+    # 1 - u, past the upper edge, among them); and the update in any batch
     build_edited_source(tmp_path, monkeypatch, old, new)
     lanes = vector_path()
     for cfg in TILE_CASES:
         hit = lanes and cfg.noise.family in families
-        line = "line" if dimension(cfg.map_spec) == 1 else "narrow"
-        for R, tiles in ((40, "blocks"), (7, "narrow"), (1, line)):
+        line = "line" if dimension(cfg.map_spec) == 1 else "batch"
+        for R, tiles in ((40, "batch"), (7, "batch"), (1, line)):
             assert ((schemes.tile_kernel(cfg, R) is None)
                     == (hit and tiles in classes)), (cfg.noise.family, R)
         for R in (1, 7, 40):
@@ -563,10 +562,10 @@ def test_the_source_compiles_without_warnings():
     # the vector builtins take vector arguments, and a missing cast is
     # only a warning under the build's flags; they do not ask for these
     # warnings, as the flags key the build cache
-    if shutil.which(streams._CC) is None:
-        pytest.skip(f"no C compiler {streams._CC!r}")
-    done = subprocess.run([streams._CC, "-Wall", "-Wextra", "-Werror",
-                           "-fsyntax-only", str(streams._SOURCE)],
+    if shutil.which(schemes._CC) is None:
+        pytest.skip(f"no C compiler {schemes._CC!r}")
+    done = subprocess.run([schemes._CC, "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(schemes._SOURCE)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

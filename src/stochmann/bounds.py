@@ -240,13 +240,9 @@ def series_S1_detail(a, c, tol=SERIES_TOL):
 def series_S2_detail(a, c, sigma, tol=SERIES_TOL):
     """S2 = 4 a^2 sigma^2 sum_{i>=1} (i+1)^(2a(1-c)) / i^4 to relative
     error tol."""
-    return _series_S2(check_number(a, "a", exclusive_min=0, exclusive_max=1),
-                      check_number(c, "c", minimum=0, exclusive_max=1),
-                      check_number(sigma, "sigma", minimum=0), tol)
-
-
-def _series_S2(a, c, sigma, tol):
-    """series_S2_detail of arguments already checked."""
+    a = check_number(a, "a", exclusive_min=0, exclusive_max=1)
+    c = check_number(c, "c", minimum=0, exclusive_max=1)
+    sigma = check_number(sigma, "sigma", minimum=0)
     if sigma == 0.0:
         return SeriesEstimate(value=0.0, terms=0, half_width=0.0)
     scale = 4.0 * a * a * sigma * sigma
@@ -393,14 +389,14 @@ def certificate(params, s1=None, s2=None):
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _certificate(params, s1, s2):
     """certificate, cached on the whole params where s1 and s2 are None."""
-    # params is valid by construction (so a(1-c) < 1): no check repeated
+    # params is valid by construction (so a(1-c) < 1): S1 skips the checks
     if s1 is None:
         est = _series_power_sum(params.kappa, 2.0, SERIES_TOL)
         s1 = est.value + est.half_width
     else:
         s1 = check_number(s1, "s1", minimum=0)
     if s2 is None:
-        est = _series_S2(params.a, params.c, params.sigma, SERIES_TOL)
+        est = series_S2_detail(params.a, params.c, params.sigma)
         s2 = est.value + est.half_width
     else:
         s2 = check_number(s2, "s2", minimum=0)

@@ -12,12 +12,14 @@ required; zero noise ({"family": "zero"}) runs the plain Mann iteration.
 Each value has one owner, and every number meets one rule,
 errors.check_number.  validate_config checks the structure that no object
 sees (key sets, required blocks and keys, JSON null) and the fields that no
-object takes; its docstring lists them.  build_scheme hands the raw values
-to the objects that own the rest: MapSpec the map fields (which of them a
-family takes, and their values), NoiseModel the noise fields,
-StepSequences and SchemeConfig the scheme fields.  The certificate's c
-comes from map.declared_c (or the map family) and its moment parameters
-from the noise model.
+object takes; its docstring lists them.  One reader, shared by
+build_scheme and build_bound_params, hands the raw values to the objects
+that own the rest: MapSpec the map fields (which of them a family takes,
+and their values), NoiseModel the noise fields, StepSequences and
+SchemeConfig the scheme fields and the norm, with their defaults.  The
+certificate reads a, x0, the noise model and the norm from that scheme;
+its c comes from map.declared_c (or the map family) and its moment
+parameters from the noise model.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from .errors import (ValidationError, check_checkpoints, check_number,
                      check_numbers)
 from .noise import NoiseModel
 from .schemes import SchemeConfig, StepSequences
-from .spaces import (FIXED_POINT_TOL, NORM_KINDS, MapSpec, as_point,
-                     contraction_constant, dimension, norm,
-                     reference_fixed_point)
+from .spaces import (FIXED_POINT_TOL, NORM_KINDS, MapSpec, contraction_constant,
+                     dimension, norm, reference_fixed_point)
 from .streams import check_seed, sha256
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "validate_config",
     "config_hash",
     "dumps17",
-    "build_map",
-    "build_noise",
     "build_scheme",
     "build_bound_params",
     "build_plan",
@@ -189,39 +188,31 @@ def dumps17(obj, indent=0):
     raise ValidationError(f"dumps17: cannot serialize {type(obj).__name__}")
 
 
-def build_map(cfg):
-    return MapSpec(**cfg["map"])
-
-
-def build_noise(cfg, dim):
-    return NoiseModel(dim=dim, **cfg["noise"])
+def _scheme(cfg, map_spec):
+    """cfg's SchemeConfig on map_spec, given only the fields cfg sets."""
+    sc = cfg["scheme"]
+    given = {key: sc[key] for key in ("horizon", "seed") if key in sc}
+    if "norm" in cfg:
+        given["norm_kind"] = cfg["norm"]
+    return SchemeConfig(
+        kind=sc["kind"], map_spec=map_spec, x0=sc["x0"],
+        steps=StepSequences(**{key: sc[key] for key in ("a",) if key in sc}),
+        noise=NoiseModel(dim=dimension(map_spec), **cfg["noise"]), **given)
 
 
 def build_scheme(cfg):
-    map_spec = build_map(cfg)
-    d = dimension(map_spec)
-    sc = cfg["scheme"]
-    return SchemeConfig(
-        kind=sc["kind"],
-        map_spec=map_spec,
-        x0=sc["x0"],
-        steps=StepSequences(a=sc.get("a", 0.5)),
-        noise=build_noise(cfg, d),
-        horizon=sc.get("horizon", 1000),
-        seed=sc.get("seed", 0),
-        norm_kind=cfg.get("norm", "euclidean"),
-    )
+    return _scheme(cfg, MapSpec(**cfg["map"]))
 
 
 def build_bound_params(cfg, map_spec=None, x_star=None):
     """Assemble the analytic parameter set, filling gaps from the run.
 
     map_spec is the config's map, built here unless passed (as build_scheme
-    built it); the noise model is always built here from cfg["noise"].
+    built it); a, x0, the noise and the norm are the scheme's built on it.
     Each constant has one source.  c is map.declared_c, else the analytic
     contraction constant; sigma, L and mean_norm_bound are the noise
     model's (noise.* where given, else the family's certified values).  N
-    defaults to the initial distance ||x0 - x_star|| in the config's norm,
+    defaults to the initial distance ||x0 - x_star|| in the scheme's norm,
     against the reference fixed point x_star (computed here unless passed),
     and rho to rho_scale times 2a(1-c).  The one-norm at d >= 2 has no
     certified moment defaults: with nonzero noise there, noise.sigma,
@@ -233,14 +224,10 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     residual), so by sqrt(d) times that in any of the three norms; N may
     fall short of the distance by this much, plus the distance's rounding.
     """
-    if map_spec is None:
-        map_spec = build_map(cfg)
-    d = dimension(map_spec)
-    bd = cfg.get("bounds", {})
-    norm_kind = cfg.get("norm", "euclidean")
-    a = StepSequences(a=cfg["scheme"].get("a", 0.5)).a
+    scheme = build_scheme(cfg) if map_spec is None else _scheme(cfg, map_spec)
+    map_spec, model, norm_kind = scheme.map_spec, scheme.noise, scheme.norm_kind
+    d, a, bd = dimension(map_spec), scheme.steps.a, cfg.get("bounds", {})
     c = contraction_constant(map_spec, norm_kind)
-    model = build_noise(cfg, d)
     if norm_kind == "one" and model.family != "zero" and d >= 2:
         # default_cramer_params certifies the Euclidean and max norms only
         for key in ("sigma", "L", "mean_norm_bound"):
@@ -250,8 +237,7 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
                     "certified default; set it under noise")
     if x_star is None:
         x_star = reference_fixed_point(map_spec)
-    x0 = as_point(cfg["scheme"]["x0"], d, name="scheme.x0")
-    distance = float(norm(x0 - x_star, norm_kind))
+    distance = float(norm(scheme.x0 - x_star, norm_kind))
     N = float(bd.get("N", distance))
     rho = bd.get("rho", bd.get("rho_scale", DEFAULT_RHO_SCALE) * 2.0 * a * (1.0 - c))
     params = BoundParams(N=N, a=a, c=c, sigma=model.sigma, L=model.L,

@@ -78,9 +78,9 @@ def as_point(x, dim=None, name="x"):
 
 
 def _matrix(x, name):
-    """x copied to a read-only float64 matrix: an integer or float array, or
-    a nonempty list of equally long, nonempty lists of numbers under
-    check_number's rule."""
+    """x copied to a read-only, finite float64 matrix: an integer or float
+    array, or a nonempty list of equally long, nonempty lists of numbers
+    under check_number's rule."""
     if not isinstance(x, np.ndarray):
         if not isinstance(x, (list, tuple)) or not x:
             raise ValidationError(f"{name}: must be a nonempty list")
@@ -90,6 +90,8 @@ def _matrix(x, name):
     A = _real_array(np.asarray(x), name)
     if A.ndim != 2:
         raise ValidationError(f"{name}: expected a matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValidationError(f"{name}: entries must be finite")
     return A
 
 
@@ -102,7 +104,18 @@ def norm(v, kind="euclidean"):
     """
     v = np.asarray(v, dtype=np.float64, order="C")
     if kind == "euclidean":
-        return np.sqrt(np.sum(v * v, axis=-1))
+        with np.errstate(over="ignore", under="ignore"):
+            r = np.sqrt(np.sum(v * v, axis=-1))
+            # a row whose squares overflow, or underflow (r < 2**-511, the
+            # root of the least normal float), again over its largest entry
+            bad = ~((r >= 2.0 ** -511) & (r < np.inf))
+            if bad.any():
+                r, w = np.array(r), v[bad]
+                s = np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+                s[~((s > 0.0) & (s < np.inf))] = 1.0  # 0, inf, NaN: as they are
+                r[bad] = s[..., 0] * np.sqrt(np.sum((w / s) ** 2, axis=-1))
+                return r[()]
+        return r
     if kind == "max":
         return np.max(np.abs(v), axis=-1)
     if kind == "one":
@@ -148,8 +161,6 @@ class MapSpec:
             b = as_point(self.offset, A.shape[0], name="map.offset")
             if A.shape[0] != A.shape[1]:
                 raise ValidationError("map: affine matrix must be square and match offset")
-            if not np.all(np.isfinite(A)):
-                raise ValidationError("map.matrix: entries must be finite")
             if np.linalg.norm(A, 2) >= 1.0:
                 raise ValidationError("map.matrix: operator norm must be < 1 for a contraction")
             object.__setattr__(self, "matrix", A)
@@ -271,8 +282,6 @@ def estimate_contraction(m, domain_box=None, samples=10**4, seed=0, norm_kind="e
                   "domain_box")
     if box.shape != (d, 2):
         raise ValidationError(f"domain_box: expected shape ({d}, 2)")
-    if not np.all(np.isfinite(box)):
-        raise ValidationError("domain_box: bounds must be finite")
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValidationError("domain_box: degenerate (zero or negative volume)")
     check_block((samples, 2 * d), "samples", f"{samples} pairs in dimension {d}")

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -720,11 +721,11 @@ def test_each_command_builds_the_map_and_fixed_point_once(tmp_path,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(config, "build_map", counted("map", config.build_map))
+    monkeypatch.setattr(config, "MapSpec", counted("map", config.MapSpec))
     # and the noise model: build_scheme builds it, and build_bound_params
-    # builds its own from the same cfg["noise"] for the certificate
-    monkeypatch.setattr(config, "build_noise",
-                        counted("noise", config.build_noise))
+    # builds the scheme again on the given map for the certificate
+    monkeypatch.setattr(config, "NoiseModel",
+                        counted("noise", config.NoiseModel))
     for module in (cli, config):
         monkeypatch.setattr(module, "reference_fixed_point",
                             counted("x_star", module.reference_fixed_point))
@@ -802,6 +803,61 @@ def test_null_field_exits_2(tmp_path):
         path = write(tmp_path, cfg)
         assert main(["iterate", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2, (block, key)
+
+
+# the sweep's values and commands; horizons are capped at 1000 for time
+SWEEP_VALUES = (1e300, -1e300, 1e-300, 1e308, math.nan, math.inf, 2**70,
+                [[1]], "x", None, True)
+DROP = object()  # the sweep's other mutation: the key is removed
+SWEEP_COMMANDS = (["iterate"], ["bound", "--n", "10", "--eps", "0.1"],
+                  ["confidence", "--eps", "0.1"], ["montecarlo", "--replicas", "2"],
+                  ["cramer-check", "--draws", "100"])
+
+
+def _key_paths(node, path=()):
+    """Every key of a JSON structure, as the path of keys and list indices
+    that reaches it, containers and leaves alike."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+def test_every_mutated_shipped_config_exits_with_a_documented_code(tmp_path,
+                                                                   capsys):
+    # each key of both shipped configs swapped for each value, or dropped,
+    # through all five commands: exit 0, 2, 3 or 4, with no exception and
+    # no numpy warning
+    out, failures = ["--out", str(tmp_path / "o")], []
+    for name in ("reference.json", "confidence_demo.json"):
+        base = json.loads((CONFIGS / name).read_text())
+        base["scheme"]["horizon"] = 1000
+        ex = base["experiment"]
+        ex["checkpoints"] = [n for n in ex["checkpoints"] if n <= 1000]
+        for path in _key_paths(base):
+            for value in SWEEP_VALUES + (DROP,):
+                cfg = json.loads(json.dumps(base))
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                if value is DROP:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                config_path = write(tmp_path, cfg)
+                for command in SWEEP_COMMANDS:
+                    argv = command + ["--config", config_path] + out
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            code = main(argv)
+                    except Exception as exc:
+                        code = repr(exc)
+                    capsys.readouterr()
+                    if code not in (0, 2, 3, 4):
+                        failures.append((name, path, value, command[0], code))
+    assert not failures, failures[:10]
 
 
 def test_module_entry_point_runs():

@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochmann.bounds import certificate
-from stochmann.config import (build_bound_params, build_map, build_noise,
-                              build_plan, build_scheme, config_hash, dumps17,
-                              experiment_settings, load_config,
-                              validate_config)
+from stochmann.config import (build_bound_params, build_plan, build_scheme,
+                              config_hash, dumps17, experiment_settings,
+                              load_config, validate_config)
 from stochmann.errors import ValidationError
 from stochmann.noise import zero
 from stochmann.spaces import INVERSE_QUADRATIC_C, reference_fixed_point
@@ -121,22 +120,22 @@ def test_load_config_errors(tmp_path):
 
 
 def test_build_map_families():
-    assert build_map(BASE).family == "inverse_quadratic"
-    cfg = {"map": {"family": "affine", "matrix": [[0.2]], "offset": [1.0]}}
-    m = build_map(cfg)
+    assert build_scheme(BASE).map_spec.family == "inverse_quadratic"
+    cfg = {**BASE, "map": {"family": "affine", "matrix": [[0.2]], "offset": [1.0]}}
+    m = build_scheme(cfg).map_spec
     assert m.family == "affine" and m.matrix[0, 0] == 0.2
-    cfg = {"map": {"family": "scaled_cosine", "lam": 0.5}}
-    assert build_map(cfg).lam == 0.5
+    cfg = {**BASE, "map": {"family": "scaled_cosine", "lam": 0.5}}
+    assert build_scheme(cfg).map_spec.lam == 0.5
 
 
 def test_build_noise_defaults_and_overrides():
-    model = build_noise(BASE, 1)
+    model = build_scheme(BASE).noise
     assert model.family == "gaussian" and model.sigma == 4.0 and model.L == 4.0
     assert np.isclose(model.mean_norm_bound, 2.0 * np.sqrt(2.0 / np.pi))
     assert model.certified
     cfg = copy.deepcopy(BASE)
     cfg["noise"]["sigma"] = 1.0
-    model = build_noise(cfg, 1)
+    model = build_scheme(cfg).noise
     assert model.sigma == 1.0 and not model.certified
 
 
@@ -151,7 +150,7 @@ def test_build_scheme_defaults():
 
 def test_build_bound_params_fills_gaps_from_run():
     p = build_bound_params(BASE)
-    x_star = reference_fixed_point(build_map(BASE))
+    x_star = reference_fixed_point(build_scheme(BASE).map_spec)
     assert np.isclose(p.N, abs(0.5 - float(x_star[0])), rtol=1e-12)
     assert p.c == INVERSE_QUADRATIC_C
     assert p.sigma == 4.0 and p.L == 4.0

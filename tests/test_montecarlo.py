@@ -385,14 +385,20 @@ def test_split_while_other_threads_run(kernel, cores):
     assert pools == [1] and got.tobytes() == serial.tobytes()
 
 
-def test_split_threads_keep_the_callers_errstate(kernel, cores):
-    # the states stay near 1e200, finite, but their squared norms overflow:
-    # under the caller's np.errstate every thread is as quiet as the serial
-    # pass, where a warning would raise
+def test_split_threads_keep_the_callers_errstate(kernel, cores, monkeypatch):
+    # every walk, each worker's too, runs under the caller's np.errstate,
+    # and the states near 1e200 give the same finite errors either way
     cfg = dataclasses.replace(
         ref_cfg(horizon=20), map_spec=affine(np.array([[0.5]]), np.array([0.0])),
         x0=np.array([1e200]), noise=zero())
     seeds = replica_seeds(1, 4)
+    seen, walk = [], schemes._walk
+
+    def recording(*args):
+        seen.append(np.geterr()["over"])
+        return walk(*args)
+
+    monkeypatch.setattr(schemes, "_walk", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
@@ -400,7 +406,8 @@ def test_split_threads_keep_the_callers_errstate(kernel, cores):
             serial = replica_errors(cfg, np.zeros(1), seeds, (10, 20))
             pools = cores(2)
             split = replica_errors(cfg, np.zeros(1), seeds, (10, 20))
-    assert np.isinf(serial).all()
+    assert np.geterr()["over"] != "ignore" and seen == ["ignore"] * 3
+    assert np.isfinite(serial).all()
     assert pools == [1] and split.tobytes() == serial.tobytes()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def test_cramer_check_passes_for_catalog_models():
         report = cramer_check(model, m_max=8, draws=2 * 10**4, seed=4)
         assert report.ok, [row for row in (report.mean, *report.raw,
                                            *report.centered) if not row.ok]
+
+
+def test_cramer_check_reads_an_overflowing_standard_error_as_inf():
+    # std squares the order-10 powers of norms near 2**70 past the float
+    # range: the standard error is inf, with no warning, and the row holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cramer_check(gaussian(2.0**70), draws=100)
+    assert report.raw[-1].stderr == math.inf and report.raw[-1].ok
+    assert math.isfinite(report.mean.stderr)
 
 
 def test_cramer_check_refuses_draws_numpy_cannot_hold():

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +139,34 @@ def test_norm_bits_independent_of_memory_layout(d, kind):
     F = np.asfortranarray(V)
     assert F.strides[0] == 8
     assert np.array_equal(norm(F, kind), norm(V, kind))
+
+
+def test_euclidean_norm_of_rows_whose_squares_leave_the_float_range():
+    # such rows are summed again over their largest entry, with no warning;
+    # in-range, zero, inf and NaN rows keep the plain sqrt(sum(v * v))
+    rows = np.array([[1e200, 0.0], [1e-200, 0.0], [3e160, 4e160], [0.0, 0.0],
+                     [3e-170, 4e-170], [3.0, 4.0], [np.inf, 1.0],
+                     [np.nan, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm(rows)
+        one_by_one = [norm(row) for row in rows]
+    assert got[:2].tolist() == [1e200, 1e-200] and got[3] == 0.0
+    assert np.allclose(got[[2, 4]], [math.hypot(3e160, 4e160),
+                                      math.hypot(3e-170, 4e-170)],
+                       rtol=4e-16, atol=0.0)
+    assert got[5] == 5.0 and got[6] == np.inf and np.isnan(got[7])
+    assert np.array_equal(one_by_one, got, equal_nan=True)
+    assert type(one_by_one[0]) is np.float64
+
+
+@given(arrays(np.float64, st.integers(1, 6),
+              elements=st.floats(-1e300, 1e300, allow_nan=False)))
+def test_euclidean_norm_of_finite_rows_is_the_hypotenuse(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm(v)
+    assert np.isclose(got, math.hypot(*v), rtol=1e-14, atol=0.0)
 
 
 finite_vec = arrays(np.float64, st.integers(1, 6),

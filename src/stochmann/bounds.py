@@ -18,10 +18,8 @@ other:
 
 The series S1 and S2 behind the constants K1 and K2 are summed in closed
 form, a short head plus Hurwitz zeta terms, with a certified half-width;
-a Certificate takes the upper end of each bracket.  Each sum is cached per
-(p, q, tol) for the life of the process: N, L, mean_norm_bound and rho do
-not enter it and sigma only scales S2 outside it.  Equal params share one
-cached Certificate, so tail_bound, min_iterations_for_confidence and
+a Certificate takes the upper end of each bracket.  Equal params share
+one cached Certificate, so tail_bound, min_iterations_for_confidence and
 canonical_eps0 in a loop rebuild no constant after the first call.
 min_iterations starts its search for n_alpha from the closed-form
 threshold of the tail bound.
@@ -180,19 +178,16 @@ class SeriesEstimate:
 # with the binomial series cut after k = SERIES_ORDER.
 SERIES_HEAD = 32
 SERIES_ORDER = 12
-# Distinct (p, q, tol) sums kept per process; a sweep needs two per (a, c).
-SERIES_CACHE_SIZE = 256
+# Distinct parameter sets whose Certificate is kept per process.
+CERTIFICATE_CACHE_SIZE = 256
 # The relative error to which a certificate sums S1 and S2.
 SERIES_TOL = 1e-10
+# The default cap on n when sizing n_alpha.
+N_CAP = 10**12
 
 
-@functools.lru_cache(maxsize=SERIES_CACHE_SIZE, typed=True)
 def _series_power_sum(p, q, tol):
     """sum_{i>=1} (i+1)^p / i^q with certified relative error <= tol.
-
-    The result is cached per exact (p, q, tol) and shared by every caller,
-    which a frozen SeriesEstimate allows; a refused input is not cached and
-    raises on every call.
 
     half_width adds three bounds:
       truncation: for 0 <= p < 2, |C(p,k)| <= 2/k <= 1 for k >= 2, and
@@ -227,14 +222,10 @@ def _series_power_sum(p, q, tol):
 
 
 def series_S1_detail(a, c, tol=SERIES_TOL):
-    """S1 = sum_{i>=1} (i+1)^(a(1-c)) / i^2 to relative error tol; needs
-    a(1-c) < 1 for convergence."""
-    a = check_number(a, "a", exclusive_min=0)
+    """S1 = sum_{i>=1} (i+1)^(a(1-c)) / i^2 to relative error tol."""
+    a = check_number(a, "a", exclusive_min=0, exclusive_max=1)
     c = check_number(c, "c", minimum=0, exclusive_max=1)
-    p = a * (1.0 - c)
-    if p >= 1.0:
-        raise ValidationError("series_S1: divergent parameter combination (a(1-c) >= 1)")
-    return _series_power_sum(p, 2.0, tol)
+    return _series_power_sum(a * (1.0 - c), 2.0, tol)
 
 
 def series_S2_detail(a, c, sigma, tol=SERIES_TOL):
@@ -313,7 +304,7 @@ class Certificate:
                            raw_bound=raw, log_raw_bound=log_raw,
                            clipped_bound=min(1.0, raw))
 
-    def min_iterations(self, eps, alpha, n_cap=10 ** 12):
+    def min_iterations(self, eps, alpha, n_cap=N_CAP):
         """Smallest n with clipped tail bound <= alpha, or None if no n
         under n_cap qualifies.
 
@@ -386,12 +377,11 @@ def certificate(params, s1=None, s2=None):
     return _certificate.__wrapped__(params, s1, s2)
 
 
-@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def _certificate(params, s1, s2):
     """certificate, cached on the whole params where s1 and s2 are None."""
-    # params is valid by construction (so a(1-c) < 1): S1 skips the checks
     if s1 is None:
-        est = _series_power_sum(params.kappa, 2.0, SERIES_TOL)
+        est = series_S1_detail(params.a, params.c)
         s1 = est.value + est.half_width
     else:
         s1 = check_number(s1, "s1", minimum=0)
@@ -418,7 +408,7 @@ def tail_bound(n, eps, params, s1=None, s2=None):
     return certificate(params, s1=s1, s2=s2).report(n, eps)
 
 
-def min_iterations_for_confidence(eps, alpha, params, n_cap=10 ** 12):
+def min_iterations_for_confidence(eps, alpha, params, n_cap=N_CAP):
     """Smallest n with clipped tail bound <= alpha, or None past n_cap."""
     return certificate(params).min_iterations(eps, alpha, n_cap)
 

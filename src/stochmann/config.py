@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bounds import BoundParams
+from .bounds import N_CAP, BoundParams
 from .errors import (ValidationError, check_checkpoints, check_number,
                      check_numbers)
 from .noise import NoiseModel
@@ -72,7 +72,6 @@ RANGES = {
 DEFAULT_ALPHA = 0.05
 DEFAULT_RHO_SCALE = 0.5
 DEFAULT_RUN_CAP = 10**7
-DEFAULT_N_CAP = 10**12
 
 
 def _object(block, allowed, path):
@@ -259,7 +258,7 @@ def experiment_settings(cfg):
         "replicas": int(ex.get("replicas", 1000)),
         "alpha": float(ex.get("alpha", DEFAULT_ALPHA)),
         "run_cap": int(ex.get("run_cap", DEFAULT_RUN_CAP)),
-        "n_cap": int(cfg.get("bounds", {}).get("n_cap", DEFAULT_N_CAP)),
+        "n_cap": int(cfg.get("bounds", {}).get("n_cap", N_CAP)),
         "base_seed": int(cfg.get("base_seed", 0)),
         "out_dir": cfg.get("out_dir", "out"),
     }

@@ -163,9 +163,8 @@ def sample_keyed(model, keys, indices):
     return u
 
 
-def sample_many(model, dim, seeds, index):
-    """One common index across many seeds (replica batch)."""
-    return sample_block(model, dim, seeds, index)
+# One common index across many seeds (replica batch) is a sample_block call.
+sample_many = sample_block
 
 
 @dataclass(frozen=True)

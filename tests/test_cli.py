@@ -147,6 +147,27 @@ def test_confidence_feasible(tmp_path):
     assert payload["contains_reference"] is True
 
 
+def test_confidence_in_two_dimensions_reports_a_ball(tmp_path, capsys):
+    cfg = json.loads(json.dumps(DEMO))
+    cfg["map"].update(matrix=[[0.0, 0.0], [0.0, 0.0]], offset=[0.7, -0.2])
+    cfg["scheme"]["x0"] = [0.0, 0.0]
+    out = tmp_path / "out"
+    assert main(["confidence", "--config", write(tmp_path, cfg),
+                 "--eps", "0.1", "--alpha", "0.05", "--out", str(out)]) == 0
+    assert "confidence ball radius 0.1 at level 0.95" in capsys.readouterr().out
+    payload = json.loads(next(out.glob("confidence_*.json")).read_text())
+    assert len(payload["center"]) == 2
+
+
+def test_confidence_without_an_eps_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["confidence", "--config", write(tmp_path, DEMO),
+                 "--out", str(out)]) == 2
+    assert ("error: confidence: provide --eps or experiment.eps_grid"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_single_replica_commands_never_split(tmp_path, cores):
     # even with the split allowed from one replica-step on, the R = 1 paths
     # start no worker thread
@@ -676,10 +697,9 @@ def test_each_command_sums_each_series_once(tmp_path, monkeypatch):
         return series_power_sum(p, q, tol)
 
     def cold():
-        # a warm certificate or series from an earlier call would hide a
-        # command that sums a series twice
+        # a warm certificate from an earlier call would hide a command that
+        # sums a series twice
         calls.clear()
-        series_power_sum.cache_clear()
         bounds._certificate.cache_clear()
 
     monkeypatch.setattr(bounds, "_series_power_sum", counted)

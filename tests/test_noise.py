@@ -50,6 +50,58 @@ def test_bounded_uniform_moments_satisfy_raw_bound_analytically():
         assert uniform_abs_moment(h, m) <= 0.5 * math.factorial(m) * h**m
 
 
+def log_moment_bound(family, p, d, norm_kind, m):
+    """ln of an exact moment, or an upper bound on it, of ||xi||^m.
+
+    Gaussian: the chi law of the Euclidean norm, which also bounds the max
+    norm.  Uniform: |xi| on the line and the max of d |xi_i| in the max
+    norm are exact; in the Euclidean norm at d >= 2, ||xi||^m <= ||xi||^2
+    (h sqrt(d))^(m-2) with E||xi||^2 = d h^2/3.
+    """
+    if family == "gaussian":
+        return (m * math.log(p) + 0.5 * m * math.log(2.0)
+                + math.lgamma(0.5 * (d + m)) - math.lgamma(0.5 * d))
+    if d == 1:
+        return m * math.log(p) - math.log(m + 1.0)
+    if norm_kind == "max":
+        return m * math.log(p) + math.log(d / (d + m))
+    return math.log(d * p * p / 3.0) + (m - 2) * math.log(p * math.sqrt(d))
+
+
+@pytest.mark.parametrize("family, p", [("gaussian", 1.7),
+                                       ("bounded_uniform", 0.3)])
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("norm_kind", ["euclidean", "max"])
+def test_shipped_cramer_defaults_meet_the_moment_condition(family, p, d,
+                                                           norm_kind):
+    sigma, L, mnb = default_cramer_params(family, p, dim=d)
+    for m in range(2, 65):
+        bound = (math.lgamma(m + 1.0) - math.log(2.0) + 2.0 * math.log(sigma)
+                 + (m - 2) * math.log(L))
+        assert log_moment_bound(family, p, d, norm_kind, m) <= bound, m
+    # E||xi|| <= E||xi||^2 ^ (1/2) by Jensen; at d = 1 both means are exact,
+    # and the Gaussian one equals its bound up to rounding
+    if family == "gaussian":
+        mean = p * math.sqrt(2.0) * math.exp(
+            math.lgamma(0.5 * (d + 1)) - math.lgamma(0.5 * d))
+    elif d == 1:
+        mean = 0.5 * p
+    else:
+        mean = p * (d / (d + 1.0) if norm_kind == "max" else math.sqrt(d / 3.0))
+    assert mean <= mnb * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("family, p, tightest", [
+    ("gaussian", 1.7, 1.7), ("bounded_uniform", 0.3, 0.3 / math.sqrt(3.0))])
+def test_tightest_sigma_at_the_shipped_L_on_the_line(family, p, tightest):
+    # sigma^2 >= 2 E|xi|^m / (m! L^(m-2)) for every m; m = 2 binds
+    _, L, _ = default_cramer_params(family, p, dim=1)
+    need = max(math.log(2.0) + log_moment_bound(family, p, 1, "max", m)
+               - math.lgamma(m + 1.0) - (m - 2) * math.log(L)
+               for m in range(2, 65))
+    assert math.isclose(math.exp(0.5 * need), tightest, rel_tol=1e-12)
+
+
 def test_sample_pure_in_seed_and_index():
     model = gaussian(scale=1.5, dim=3)
     a = sample_block(model, 3, 123, 9)

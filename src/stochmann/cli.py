@@ -35,7 +35,7 @@ from .errors import (CoverageError, DivergedError, DominanceError,
 from .noise import cramer_check
 from .schemes import rows_at
 from .spaces import norm, reference_fixed_point
-from .streams import check_block, check_seed
+from .streams import check_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -191,20 +191,18 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
 
 def cmd_montecarlo(args, cfg, scheme, digest, settings):
     # montecarlo loads for this command alone
-    from .montecarlo import dominance_failures, empirical_tail
+    from .montecarlo import TailEstimate, dominance_failures, empirical_tail
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
     x_star, params = _certificate_inputs(cfg, scheme)
-    # the seeds are sized as replica_seeds sizes them, before the directory
-    check_block((plan.replicas,), "replicas", f"{plan.replicas} replica seeds")
     out = _out_dir(args, settings)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
     vacuous = sum(1 for c in cells if c.vacuous)
-    header = ["n", "eps", "p_hat", "ci_low", "ci_high", "bound_clipped",
-              "vacuous", "dominated"]
-    rows = [[c.n, c.eps, c.p_hat, c.ci_low, c.ci_high, c.bound_clipped,
-             int(c.vacuous), int(c.dominated)] for c in cells]
+    header = ([f.name for f in dataclasses.fields(TailEstimate)]
+              + ["vacuous", "dominated"])
+    rows = [[*dataclasses.astuple(c), int(c.vacuous), int(c.dominated)]
+            for c in cells]
     path = _save(out, "montecarlo", digest, settings, {
         "replicas": plan.replicas,
         "cells": len(cells),

@@ -58,6 +58,7 @@ class ExperimentPlan:
         eps = check_numbers(self.eps_grid, "experiment.eps_grid", exclusive_min=0)
         replicas = check_number(self.replicas, "experiment.replicas",
                                 integer=True, minimum=1)
+        check_block((replicas,), "replicas", f"{replicas} replica seeds")
         object.__setattr__(self, "checkpoints", cps)
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "replicas", replicas)

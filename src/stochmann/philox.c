@@ -13,11 +13,11 @@
  * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, or of
  * each 32 consecutive steps of one replica on the line, the central
  * branch of ndtri, which packs the tail lanes into lists with
- * vcompress, and the arithmetic of its tails (libm's log stays scalar, in
- * loops over those lists between the stages), and the update of each
- * 8-replica block for every map but scaled_cosine, whose cos is libm's.
- * They do the same IEEE operations in the same order (vsqrtpd and vdivpd
- * round correctly, as sqrt and / do), so the bits do not depend on the
+ * vcompress, and the arithmetic of its tails after their first log and
+ * sqrt (libm's log and sqrt stay scalar, in loops over those lists), and
+ * the update of each 8-replica block for every map but scaled_cosine,
+ * whose cos is libm's.  They do the same IEEE operations in the same order
+ * (vdivpd rounds correctly, as / does), so the bits do not depend on the
  * path.  Each ends in vzeroupper, which GCC emits only from -O2 on:
  * without it, Gaussian tiles ran 5-7x slower, as libm's SSE code after
  * them paid for the dirty upper registers.  <immintrin.h> would add
@@ -35,7 +35,8 @@ double sqrt(double);
 #define PHILOX_W 0x9E3779B97F4A7C15u
 
 /* the largest uniform: the top 2**11 words would give 1.0, as (2**53 - 1)
- * + 0.5 rounds half to even to 2**53, and ndtri(1.0) is +inf */
+ * + 0.5 rounds half to even to 2**53, and ndtri(1.0) is +inf.  The
+ * smallest, from the word 0, is 2**-54, so no uniform is 0.0 or 1.0. */
 #define U_MAX (1.0 - 0x1p-53)
 
 /* Uniform j of replica r at step start + k: block b of Philox-2x64-10 under
@@ -76,9 +77,10 @@ static void uniform_grid(const uint64_t *key, uint64_t start, ptrdiff_t T,
 
 /* Cephes' ndtri as scipy 1.17 computes it (xsf::cephes::ndtri): the same
  * coefficients, Horner order and branches, with libm's log and sqrt, so the
- * bits are scipy's ndtri ufunc's.  The central branch is
- * exp(-2) < y <= 1 - exp(-2); past exp(-32) = 1.27e-14 from either end the
- * tail uses P2/Q2 instead of P1/Q1. */
+ * bits are scipy's ndtri ufunc's on its domain here, the uniforms a tile
+ * draws, [2**-54, U_MAX]: it has no case for 0.0 or 1.0.  The central
+ * branch is exp(-2) < y <= 1 - exp(-2); past exp(-32) = 1.27e-14 from
+ * either end the tail uses P2/Q2 instead of P1/Q1. */
 #define EXP_M2 0.13533528323661269189
 #define S2PI 2.50662827463100050242E0
 static const double P0[5] = {
@@ -132,10 +134,6 @@ static inline double p1evl(double x, const double *c, int n)
 
 static double ndtri(double y0)
 {
-    if (y0 == 0.0)
-        return -__builtin_inf();
-    if (y0 == 1.0)
-        return __builtin_inf();
     double y = y0, x;
     const int upper = y > 1.0 - EXP_M2;
     if (upper)
@@ -293,19 +291,16 @@ LANES void pack(void *to, i64x8 v, unsigned mask)
 }
 
 /* u[e] = ndtri(u[e]) * param for the e < n in ndtri's central branch, 8 at
- * a time, n a multiple of 8.  The other lanes of each block are packed in
- * order: the tails' positions into tail, their u into y and the argument
- * of their first log, u or 1 - u past the upper edge, into x; the
- * positions of 0.0 and 1.0 into edge, and their number into *edges.
+ * a time, n a multiple of 8.  The other lanes of each block, the tails,
+ * are packed in order: their positions into tail, their u into y and the
+ * argument of their first log, u or 1 - u past the upper edge, into x.
  * Returns the number of tails.  A list grows from its length so far, at
- * most e, so each 8-lane store ends within n elements.  0.0 and 1.0 get a
- * list of their own, as a central output can be exactly 0.0: ndtri(0.5). */
+ * most e, so each 8-lane store ends within n elements. */
 WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
-                                   int64_t *tail, double *y, double *x,
-                                   int64_t *edge, ptrdiff_t *edges)
+                                   int64_t *tail, double *y, double *x)
 {
     const i64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
-    ptrdiff_t tails = 0, edged = 0;
+    ptrdiff_t tails = 0;
     for (ptrdiff_t e = 0; e < n; e += 8) {
         const f64x8 u_e = *(f64x8_u *)(u + e);
         const i64x8 central = (i64x8)((u_e > EXP_M2) & (u_e <= 1.0 - EXP_M2));
@@ -322,32 +317,14 @@ WIDE static ptrdiff_t central_wide(double *u, ptrdiff_t n, double param,
                                       | ((i64x8)u_e & ~central));
         const i64x8 upper = (i64x8)(u_e > 1.0 - EXP_M2);
         const i64x8 l = ((i64x8)(1.0 - u_e) & upper) | ((i64x8)u_e & ~upper);
-        const unsigned edge_e = __builtin_ia32_cvtq2mask512(
-            (i64x8)((u_e == 0.0) | (u_e == 1.0)));
-        const unsigned tail_e = (uint8_t)~__builtin_ia32_cvtq2mask512(central)
-            & ~edge_e;
+        const unsigned tail_e = (uint8_t)~__builtin_ia32_cvtq2mask512(central);
         pack(tail + tails, lane + e, tail_e);
         pack(y + tails, (i64x8)u_e, tail_e);
         pack(x + tails, l, tail_e);
-        pack(edge + edged, lane + e, edge_e);
         tails += __builtin_popcount(tail_e);
-        edged += __builtin_popcount(edge_e);
     }
     __builtin_ia32_vzeroupper();
-    *edges = edged;
     return tails;
-}
-
-/* x[t] = sqrt(-2.0 * x[t]) for t < n, n a multiple of 8: the first 8-lane
- * stage of ndtri's tails, from x[t] = log(y) (vsqrtpd rounds correctly, as
- * libm's sqrt does) */
-WIDE static void tail_sqrt_wide(double *x, ptrdiff_t n)
-{
-    for (ptrdiff_t t = 0; t < n; t += 8) {
-        const f64x8 l = *(f64x8_u *)(x + t);
-        *(f64x8_u *)(x + t) = __builtin_ia32_sqrtpd512_mask(-2.0 * l, l, 0xFF, 4);
-    }
-    __builtin_ia32_vzeroupper();
 }
 
 /* z * polevl(z, p, 8) / p1evl(z, q, 8) in each lane */
@@ -422,35 +399,32 @@ WIDE static int update_wide(int map, ptrdiff_t R, ptrdiff_t d,
 
 /* u[e] = ndtri(u[e]) * param for e < n.  On the wide path, per chunk: the
  * central branch of its 8-element blocks, which packs their tails into
- * contiguous lists, the scalar port on the last m % 8 and on 0.0 and 1.0,
- * ndtri's infinities, and then the tails in stages: libm's logs in scalar
- * loops over the lists, between the 8-lane stages, and a scatter back. */
+ * contiguous lists, the scalar port on the last m % 8, and then the tails:
+ * sqrt(-2 log) and log in scalar loops over the lists, the rest 8 lanes
+ * wide, and a scatter back. */
 static void normals(double *u, ptrdiff_t n, double param)
 {
 #ifdef WIDE
     if (wide) {
-        int64_t tail[NDTRI_CHUNK], edge[NDTRI_CHUNK];
+        int64_t tail[NDTRI_CHUNK];
         double y[NDTRI_CHUNK], x[NDTRI_CHUNK], lx[NDTRI_CHUNK];
         for (ptrdiff_t c = 0; c < n; c += NDTRI_CHUNK) {
             double *v = u + c;
             const ptrdiff_t m = n - c < NDTRI_CHUNK ? n - c : NDTRI_CHUNK;
-            ptrdiff_t edges, lanes;
+            ptrdiff_t lanes;
             const ptrdiff_t tails = central_wide(v, m - m % 8, param, tail,
-                                                 y, x, edge, &edges);
+                                                 y, x);
             for (ptrdiff_t e = m - m % 8; e < m; e++)
                 v[e] = ndtri(v[e]) * param;
-            for (ptrdiff_t t = 0; t < edges; t++)
-                v[edge[t]] = ndtri(v[edge[t]]) * param;
             if (!tails)
                 continue;
             for (ptrdiff_t t = 0; t < tails; t++)
-                x[t] = log(x[t]);
+                x[t] = sqrt(-2.0 * log(x[t]));
             for (lanes = tails; lanes % 8; lanes++) {  /* past the last */
                 y[lanes] = 0.5;
-                x[lanes] = -0.5;
+                x[lanes] = 1.0;
                 lx[lanes] = 0.0;
             }
-            tail_sqrt_wide(x, lanes);
             for (ptrdiff_t t = 0; t < tails; t++)
                 lx[t] = log(x[t]);
             tail_wide(y, x, lx, lanes, param);
@@ -464,8 +438,9 @@ static void normals(double *u, ptrdiff_t n, double param)
         u[e] = ndtri(u[e]) * param;
 }
 
-/* out[e] = ndtri(u[e]) for e < n, through the path that Gaussian tiles
- * take: the port, for the load-time comparison with scipy's ufunc */
+/* out[e] = ndtri(u[e]) for e < n, each u[e] in [2**-54, 1 - 2**-53], the
+ * uniforms a tile draws, through the path that Gaussian tiles take: the
+ * port, for the load-time comparison with scipy's ufunc */
 void ndtri_many(const double *u, ptrdiff_t n, double *out)
 {
     for (ptrdiff_t e = 0; e < n; e++)

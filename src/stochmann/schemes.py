@@ -493,17 +493,18 @@ def tile_kernel(cfg, replicas=1):
 def _ndtri_port_exact(lib):
     """Whether philox.c's ndtri gives the ndtri ufunc's bits on its edges:
     the branch points exp(-32) and exp(-2) and the mirror 1 - exp(-2), each
-    +-1 ulp, the smallest and largest uniforms, 0.5, 1 - 2**-53 and 1.0.
-    2**-54 takes the x >= 8 branch, which Philox draws with probability
-    ~1e-14.  ndtri_many runs them as Gaussian tiles do: the grid, padded to
-    16 values, whole, so that every value lands in a vector lane where the
-    CPU has them, and each value alone, which the scalar port finishes.
+    +-1 ulp, and the smallest and largest uniforms, 2**-54 and 1 - 2**-53,
+    the ends of the port's domain.  2**-54 takes the x >= 8 branch, which
+    Philox draws with probability ~1e-14.  ndtri_many runs them as Gaussian
+    tiles do: the grid, padded to 16 values, whole, so that every value
+    lands in a vector lane where the CPU has them, and each value alone,
+    which the scalar port finishes.
     (The grid is built here, not on import: a module-level array moved
     confidence's peak RSS by ~0.15 MB.)"""
     u = np.array([v for c in (math.exp(-32.0), math.exp(-2.0),
                               1.0 - math.exp(-2.0))
                   for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
-                 + [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0, 0.25, 0.75, 0.01])
+                 + [2.0**-54, 0.5, 1.0 - 2.0**-53, 0.25, 0.75, 0.01, 0.99])
     out = np.empty((2, u.size))
     lib.ndtri_many(u.ctypes.data, u.size, out.ctypes.data)
     for e in range(u.size):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -245,6 +246,12 @@ def test_dumps17_sorted_and_parseable():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_dumps17_floats_round_trip_exactly(x):
     assert json.loads(dumps17(x)) == x
+
+
+def test_dumps17_empty_dict_and_non_finite_floats():
+    assert dumps17({}) == "{}"
+    assert dumps17(math.nan) == "NaN"
+    assert dumps17(-math.inf) == "-Infinity"
 
 
 def test_dumps17_numpy_scalars():

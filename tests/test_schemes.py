@@ -118,6 +118,13 @@ def test_trajectory_indexing():
         traj.iterate(32)
 
 
+def test_trajectory_without_a_reference_point_has_no_errors():
+    traj = run(make_cfg(horizon=3))
+    assert traj.errors_to_ref is None
+    with pytest.raises(ValidationError, match="no reference errors"):
+        traj.error(1)
+
+
 def test_trajectory_noise_norms_match_draws():
     cfg = make_cfg(noise=gaussian(scale=2.0), horizon=25, seed=9)
     traj = run(cfg)

@@ -258,6 +258,39 @@ def test_as_point_shapes_and_dim_check():
         as_point([np.inf])
 
 
+def test_refusals_of_points_norm_kinds_and_map_inputs():
+    # an ndarray point that is not 1-d or not finite; a norm kind that is
+    # none of euclidean, max, one; a batch whose rows are not the map's d
+    with pytest.raises(ValidationError, match="expected a 1-d point"):
+        as_point(np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="coordinates must be finite"):
+        as_point(np.array([1.0, np.nan]))
+    m = affine([[0.5]], [0.0])
+    with pytest.raises(ValidationError, match="unknown norm kind 'two'"):
+        norm([1.0], "two")
+    with pytest.raises(ValidationError, match="unknown norm kind 'two'"):
+        contraction_constant(m, "two")
+    with pytest.raises(ValidationError, match="trailing dimension 1"):
+        eval_map(m, np.zeros((3, 2)))
+
+
+def test_fixed_point_iteration_refuses_past_max_iter():
+    # x* = 10 for F(x) = 0.9 x + 1, five steps from 0 are far from it
+    with pytest.raises(NonContractiveError, match="in 5 steps"):
+        reference_fixed_point(affine([[0.9]], [1.0]), max_iter=5)
+
+
+@pytest.mark.xfail(strict=True, raises=NonContractiveError,
+                   reason="CHANGES.md FOUND: reference_fixed_point refuses "
+                          "a valid slow contraction, as its residual falls "
+                          "like c**k")
+def test_fixed_point_of_a_slow_contraction():
+    # x* = 10**4 for F(x) = 0.9999 x + 1; the iteration runs out of its
+    # 100,000 steps (~1 s) with the residual near 0.9999**10**5 * 1 = 4.5e-5
+    x = reference_fixed_point(affine([[0.9999]], [1.0]))
+    assert abs(x[0] - 1e4) <= 1e-6
+
+
 def test_later_writes_to_the_callers_arrays_change_nothing():
     # the map and the scheme keep read-only copies: a matrix edited to an
     # expansion after its operator-norm check, an edited offset or x0,

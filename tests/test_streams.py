@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from test_schemes import affine_nd, assert_same_tiles, tiles_on_both_paths
 
 from stochmann import schemes, streams
+from stochmann.errors import ValidationError
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian, zero
 from stochmann.schemes import SchemeConfig, StepSequences, tile_library
@@ -145,6 +146,12 @@ def test_distinct_substreams_disagree():
     c = substream_uniforms(np.uint64(2), 0, 64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_ragged_seeds_are_refused():
+    # numpy cannot make one object array of a 2x2 and a length-2 array
+    with pytest.raises(ValidationError, match="^s: must be an array of int"):
+        streams.check_seeds([np.zeros((2, 2)), np.zeros(2)], "s")
 
 
 def test_derive_key_matches_reference_and_injective():
@@ -454,17 +461,20 @@ ALL = {"batch", "line"}
     ("const f64x8 r = x0 - x1;", "const f64x8 r = x0 + x1;",
      ("gaussian",), ALL),
     ("(i64x8)(1.0 - u_e) & upper", "(i64x8)u_e & upper", ("gaussian",), ALL),
+    ("sqrt(-2.0 * log(x[t]))", "sqrt(-2.1 * log(x[t]))", ("gaussian",), ALL),
     ("y = keep * v + a_n * f\n", "y = keep * v + a_n * f * 2.0\n",
      ("zero", "gaussian", "bounded_uniform"), {"batch"})])
 def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
                                         old, new, families, classes):
-    # a defect in one 8-lane function alone, refused in every class of
-    # tile whose check runs it, even where the tile asked for would not:
+    # a defect in one stage of the vector path alone, refused in every
+    # class of tile whose check runs it, even where the tile asked for
+    # would not:
     # the Philox rounds, which both lane layouts share, in any batch, whose
     # check has 41 replicas, and for one replica on the line, whose check
     # has 41 steps; the line's counters there alone; the central and tail
     # ndtri in any Gaussian tile (the tails' first log taken of u, not
-    # 1 - u, past the upper edge, among them); and the update in any batch
+    # 1 - u, past the upper edge, and their scalar sqrt(-2 log) stage,
+    # among them); and the update in any batch
     build_edited_source(tmp_path, monkeypatch, old, new)
     lanes = vector_path()
     for cfg in TILE_CASES:
@@ -528,28 +538,28 @@ def test_line_tiles_equal_the_numpy_body(kernel, cold, tmp_path, monkeypatch,
 def test_ndtri_port_is_scipys_ndtri(kernel):
     # philox.c's ndtri, which Gaussian tiles draw through, against the
     # ndtri ufunc: 10**6 Philox uniforms, log-spaced tails on both sides
-    # down to 1e-308 and 1e-16, and the extreme uniforms 2**-54 and 1.0
+    # down to 1e-308 and 1e-16, and the extreme uniforms 2**-54 and
+    # 1 - 2**-53, the ends of the port's domain
     keys = derive_key(5, np.arange(1000, dtype=np.uint64))[:, None]
     u = np.concatenate([
         substream_uniforms(keys, np.arange(1, 501, dtype=np.uint64), 2).ravel(),
         np.logspace(-308, np.log10(0.2), 10**5),
         1.0 - np.logspace(-16, np.log10(0.2), 10**5),
-        [2.0**-54, 1.0 - 2.0**-53, 1.0]])
+        [2.0**-54, 1.0 - 2.0**-53]])
     out = np.empty_like(u)
     kernel.ndtri_many(u.ctypes.data_as(ctypes.c_void_p), u.size,
                       out.ctypes.data_as(ctypes.c_void_p))
     assert same_bits(out, ndtri(u))
-    assert out[-1] == np.inf
 
 
 def test_ndtri_port_is_scipys_ndtri_on_edges_in_vector_lanes(kernel):
-    # 0.0 and 1.0 beside central, tail and branch-edge values in 8-element
-    # blocks, in each of the 8 rotations, so that every value reaches every
-    # lane of the vector path: 0.0 and 1.0 go to the scalar port by
-    # position, as a central output can be exactly 0.0, ndtri(0.5).  Nine
+    # central, tail and branch-edge values, both edges exp(-2) and
+    # 1 - exp(-2) +-1 ulp, in 8-element blocks, in each of the 8 rotations,
+    # so that every value reaches every lane of the vector path.  Nine
     # rounds of 64 values also cross the 512-element chunk.
-    e2 = math.exp(-2.0)
-    block = np.array([0.0, 1.0, 0.5, 2.0**-54, 1.0 - 2.0**-53,
+    e2, m2 = math.exp(-2.0), 1.0 - math.exp(-2.0)
+    block = np.array([math.nextafter(m2, 0.0), math.nextafter(m2, 1.0), 0.5,
+                      2.0**-54, 1.0 - 2.0**-53,
                       math.nextafter(e2, 0.0), e2, math.nextafter(e2, 1.0)])
     u = np.tile(np.concatenate([np.roll(block, k) for k in range(8)]), 9)
     out = np.empty_like(u)

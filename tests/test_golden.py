@@ -11,9 +11,11 @@ compiled tile steps, whatever the machine's core count.  The CLI outputs
 are checked once more with SHA-256 taken from hashlib instead of CPython's
 builtin module.  A change that moves any digest changes output bits;
 regenerate the digests deliberately, in a commit of their own, and log it
-in CHANGES.md.
+in CHANGES.md.  The help screens of the parser and its five commands are
+pinned too, at a terminal width of 80 columns.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochmann.cli import main
+from stochmann.cli import build_parser, main
 from stochmann.config import build_scheme, load_config
 from stochmann.montecarlo import replica_errors, replica_seeds
 from stochmann.noise import bounded_uniform, gaussian
@@ -141,6 +143,21 @@ STDIO_GOLDEN = {
         "cramer-check":
             "a5d50de0f5f44f45ea9c46a970842b21688adf8faabb30c8500b8b13a5c6cc89",
     },
+}
+
+# sha256 of format_help() at COLUMNS=80, by command; "" is the top parser
+HELP_SHA256 = {
+    "": "ea1fc1b7d2c2c3c96d904716241958fa104648e9252215b2efa848e5af4fb1b1",
+    "iterate":
+        "cb1545fce09b7ee7ea79a64067fab85634813bdc83384ca36fe17f195f67fcce",
+    "bound":
+        "ebe1d4318e2659a1e8778c5c3b6a8d3900376e4ae1c3750c9e499c834d475b95",
+    "confidence":
+        "5c8d585ccf23c8a983901f085d2ec038c950931131fb44ecafb55a93f46d57c7",
+    "montecarlo":
+        "1103c6b03f984dc0bd27e01ad07782715f42bcaa82ca2b8b69a0e2606fd749cc",
+    "cramer-check":
+        "989b06793c25c776b8400fed02b14e30fd9295089a5dce01dd15937ab7bc02d0",
 }
 
 
@@ -290,6 +307,18 @@ def test_cli_output_digests_through_hashlib(tmp_path):
         f"['_sha2', '_sha256'] True {lib and Path(lib._name).name}")
     for config in sorted(GOLDEN):
         assert digests(tmp_path / config) == GOLDEN[config], config
+
+
+def test_help_screens_digest(monkeypatch):
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    screens = {"": parser.format_help(),
+               **{name: p.format_help() for name, p in sub.choices.items()}}
+    assert {name: sha256(text.encode()) for name, text in screens.items()} \
+        == HELP_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))

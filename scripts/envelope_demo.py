@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from stochmann.bounds import canonical_eps0, envelope_sequence
-from stochmann.config import build_bound_params, build_scheme, load_config
+from stochmann.config import build_scheme, certificate_inputs, load_config
 from stochmann.montecarlo import ExperimentPlan, rate_diagnostic, replica_seeds
 from stochmann.schemes import rows_at
 from stochmann.spaces import norm, reference_fixed_point
@@ -31,9 +31,8 @@ def load_reference(rho_scale):
     cfg = load_config(REFERENCE)
     cfg["bounds"]["rho_scale"] = rho_scale
     scheme = build_scheme(cfg)
-    x_star = reference_fixed_point(scheme.map_spec, tol=1e-14)
-    params = build_bound_params(cfg, map_spec=scheme.map_spec, x_star=x_star)
-    return scheme, x_star, params
+    return (scheme, *certificate_inputs(
+        cfg, scheme, reference_fixed_point(scheme.map_spec, tol=1e-14)))
 
 
 def block_envelope(args):

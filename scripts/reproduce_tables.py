@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from stochmann.bounds import certificate
-from stochmann.config import (build_bound_params, build_plan, build_scheme,
+from stochmann.config import (build_plan, build_scheme, certificate_inputs,
                               load_config)
 from stochmann.montecarlo import (clopper_pearson, coverage_experiment,
                                   empirical_tail, error_table)
@@ -53,9 +53,8 @@ def block_tail_grid(args):
     print("== tail frequencies vs exponential bound, %d replicas ==" % replicas)
     cfg = load_config(CONFIGS / "reference.json")
     plan = build_plan(cfg, base_seed=args.seed, replicas=replicas)
-    x_star = reference_fixed_point(plan.scheme.map_spec, tol=1e-14)
-    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec,
-                                x_star=x_star)
+    x_star, params = certificate_inputs(cfg, plan.scheme, reference_fixed_point(
+        plan.scheme.map_spec, tol=1e-14))
     t0 = time.perf_counter()
     cells = empirical_tail(plan, x_star, params)
     print(f"{'n':>6} {'eps':>5}  {'p_hat':>8}  {'99% CI':>21}"
@@ -76,7 +75,7 @@ def block_coverage(args):
           % replicas)
     cfg = load_config(CONFIGS / "confidence_demo.json")
     plan = build_plan(cfg, replicas=replicas)
-    params = build_bound_params(cfg, map_spec=plan.scheme.map_spec)
+    _, params = certificate_inputs(cfg, plan.scheme)
     print(f"{'alpha':>6} {'eps':>5}  {'n_alpha':>8}  {'coverage':>9}"
           f"  {'CP upper':>8}")
     t0 = time.perf_counter()

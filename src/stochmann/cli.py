@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .bounds import certificate
-from .config import (RANGES, build_bound_params, build_plan, build_scheme,
+from .config import (RANGES, build_plan, build_scheme, certificate_inputs,
                      config_hash, dumps17, experiment_settings, load_config)
 from .errors import (CoverageError, DivergedError, DominanceError,
                      InfeasibleExperimentError, StochmannError,
@@ -74,38 +74,31 @@ def _save(out, command, digest, settings, record, table=None, name=None):
     return path
 
 
-def _certificate_inputs(cfg, scheme):
-    """The reference fixed point x_star and the bound parameters built on
-    it, from the scheme's map."""
-    x_star = reference_fixed_point(scheme.map_spec)
-    return x_star, build_bound_params(cfg, map_spec=scheme.map_spec,
-                                      x_star=x_star)
-
-
 def _apply_overrides(settings, args):
-    # each flag that sets a library argument meets that argument's limits
-    for flag, limits in (("n", {"integer": True, "minimum": 1}),
-                         ("eps", {"exclusive_min": 0}),
-                         ("m_max", {"integer": True, "minimum": 2}),
-                         ("draws", {"integer": True, "minimum": 2})):
-        if getattr(args, flag, None) is not None:
-            setattr(args, flag, check_number(
-                getattr(args, flag), "--" + flag.replace("_", "-"), **limits))
-    if getattr(args, "seed", None) is not None:
+    """Check the invoked command's flags against their limits, then --seed.
+    A flag that names a setting (--replicas, --alpha) overrides it; the
+    others (--n, --eps, --m-max, --draws) set the command's argument."""
+    for flag, _, limits in _COMMANDS[args.command][2]:
+        key = flag[2:].replace("-", "_")
+        if getattr(args, key) is not None:
+            (settings if key in settings else vars(args))[key] = check_number(
+                getattr(args, key), flag, **limits)
+    if args.seed is not None:
         settings["base_seed"] = check_seed(args.seed, "--seed")
-    for key in ("replicas", "alpha"):
-        if getattr(args, key, None) is not None:
-            settings[key] = check_number(getattr(args, key), "--" + key,
-                                         **RANGES["experiment." + key])
     return settings
+
+
+def _run_cap(what, n, settings):
+    """Refuse to step n times, named what, past experiment.run_cap."""
+    if n > settings["run_cap"]:
+        raise InfeasibleExperimentError(
+            f"{what} = {n} exceeds run cap {settings['run_cap']}; "
+            "raise experiment.run_cap to execute")
 
 
 def cmd_iterate(args, cfg, scheme, digest, settings):
     horizon = scheme.horizon
-    if horizon > settings["run_cap"]:
-        raise InfeasibleExperimentError(
-            f"scheme.horizon = {horizon} exceeds run cap {settings['run_cap']}; "
-            "raise experiment.run_cap to execute")
+    _run_cap("scheme.horizon", horizon, settings)
     cps = settings["checkpoints"] or tuple(
         10**k for k in range(12) if 10**k <= horizon) + (horizon + 1,)
     if cps[-1] > horizon + 1:
@@ -137,7 +130,7 @@ def cmd_iterate(args, cfg, scheme, digest, settings):
 
 
 def cmd_bound(args, cfg, scheme, digest, settings):
-    _, params = _certificate_inputs(cfg, scheme)
+    _, params = certificate_inputs(cfg, scheme)
     report = certificate(params).report(args.n, args.eps)
     out = _out_dir(args, settings) if args.out else None
     record = {"params": dataclasses.asdict(params),
@@ -148,7 +141,7 @@ def cmd_bound(args, cfg, scheme, digest, settings):
 
 
 def cmd_confidence(args, cfg, scheme, digest, settings):
-    x_star, params = _certificate_inputs(cfg, scheme)
+    x_star, params = certificate_inputs(cfg, scheme)
     eps = args.eps if args.eps is not None else (
         settings["eps_grid"][0] if settings["eps_grid"] else None)
     if eps is None:
@@ -161,10 +154,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
             f"no n <= {settings['n_cap']} certifies P(error > {eps:g}) <= "
             f"{alpha:g}",
             report=cert.report(settings["n_cap"], eps))
-    if n_alpha > settings["run_cap"]:
-        raise InfeasibleExperimentError(
-            f"certified n_alpha = {n_alpha} exceeds run cap "
-            f"{settings['run_cap']}; raise experiment.run_cap to execute")
+    _run_cap("certified n_alpha", n_alpha, settings)
     out = _out_dir(args, settings)
     x = rows_at(scheme, [scheme.seed], [int(n_alpha)])[0][0]
     center = x[0]
@@ -194,7 +184,7 @@ def cmd_montecarlo(args, cfg, scheme, digest, settings):
     from .montecarlo import TailEstimate, dominance_failures, empirical_tail
     plan = build_plan(cfg, scheme=scheme, base_seed=settings["base_seed"],
                       replicas=settings["replicas"])
-    x_star, params = _certificate_inputs(cfg, scheme)
+    x_star, params = certificate_inputs(cfg, scheme)
     out = _out_dir(args, settings)
     cells = empirical_tail(plan, x_star, params)
     failures = dominance_failures(cells)
@@ -248,52 +238,44 @@ def cmd_cramer_check(args, cfg, scheme, digest, settings):
     return 0
 
 
+# Each command's help, function and own flags, which follow _COMMON's; a
+# flag is (flag, argparse keywords, the limits _apply_overrides checks)
+_COMMON = (
+    ("--config", {"required": True, "help": "path to JSON config"}, None),
+    ("--out", {"help": "output directory"}, None),
+    ("--seed", {"type": int, "help": (
+        "override base_seed, which names the output files and seeds "
+        "montecarlo and cramer-check; iterate and confidence draw from "
+        "scheme.seed")}, None),
+)
+_COMMANDS = {
+    "iterate": ("run one trajectory, write checkpoints", cmd_iterate, ()),
+    "bound": ("evaluate the tail bound at (n, eps)", cmd_bound, (
+        ("--n", {"type": int, "required": True}, {"integer": True, "minimum": 1}),
+        ("--eps", {"type": float, "required": True}, {"exclusive_min": 0}))),
+    "confidence": ("size n_alpha and report the confidence set", cmd_confidence, (
+        ("--eps", {"type": float}, {"exclusive_min": 0}),
+        ("--alpha", {"type": float}, RANGES["experiment.alpha"]))),
+    "montecarlo": ("empirical tail grid against the bound", cmd_montecarlo, (
+        ("--replicas", {"type": int, "help": "override experiment.replicas"},
+         RANGES["experiment.replicas"]),)),
+    "cramer-check": ("empirical moment check for the noise model",
+                     cmd_cramer_check, (
+        ("--m-max", {"type": int, "default": 10}, {"integer": True, "minimum": 2}),
+        ("--draws", {"type": int, "default": 10**5}, {"integer": True, "minimum": 2}))),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stochmann",
         description="Inexact fixed-point iterations with certified error "
                     "tail bounds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, replicas=False):
-        p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help=(
-            "override base_seed, which names the output files and seeds "
-            "montecarlo and cramer-check; iterate and confidence draw from "
-            "scheme.seed"))
-        if replicas:
-            p.add_argument("--replicas", type=int, default=None,
-                           help="override experiment.replicas")
-
-    p = sub.add_parser("iterate", help="run one trajectory, write checkpoints")
-    common(p)
-    p.set_defaults(func=cmd_iterate)
-
-    p = sub.add_parser("bound", help="evaluate the tail bound at (n, eps)")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("confidence",
-                       help="size n_alpha and report the confidence set")
-    common(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(func=cmd_confidence)
-
-    p = sub.add_parser("montecarlo",
-                       help="empirical tail grid against the bound")
-    common(p, replicas=True)
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("cramer-check",
-                       help="empirical moment check for the noise model")
-    common(p)
-    p.add_argument("--m-max", type=int, default=10)
-    p.add_argument("--draws", type=int, default=10**5)
-    p.set_defaults(func=cmd_cramer_check)
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs, _ in _COMMON + flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -304,7 +286,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         scheme = build_scheme(cfg)
         settings = _apply_overrides(experiment_settings(cfg), args)
-        return args.func(args, cfg, scheme, config_hash(cfg), settings)
+        return _COMMANDS[args.command][1](args, cfg, scheme,
+                                          config_hash(cfg), settings)
     except InfeasibleExperimentError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -12,18 +12,18 @@ required; zero noise ({"family": "zero"}) runs the plain Mann iteration.
 Each value has one owner, and every number meets one rule,
 errors.check_number.  validate_config checks the structure that no object
 sees (key sets, required blocks and keys, JSON null) and the fields that no
-object takes; its docstring lists them.  One reader, shared by
-build_scheme and build_bound_params, hands the raw values to the objects
-that own the rest: MapSpec the map fields (which of them a family takes,
-and their values), NoiseModel the noise fields, StepSequences and
-SchemeConfig the scheme fields and the norm, with their defaults.  The
-certificate reads a, x0, the noise model and the norm from that scheme;
-its c comes from map.declared_c (or the map family) and its moment
-parameters from the noise model.
+object takes; its docstring lists them.  One reader, build_scheme, hands
+the raw values to the objects that own the rest: MapSpec the map fields
+(which of them a family takes, and their values), NoiseModel the noise
+fields, StepSequences and SchemeConfig the scheme fields and the norm, with
+their defaults.  certificate_inputs reads a, x0, the noise model and the
+norm from that scheme; its c comes from map.declared_c (or the map family)
+and its moment parameters from the noise model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -44,6 +44,7 @@ __all__ = [
     "config_hash",
     "dumps17",
     "build_scheme",
+    "certificate_inputs",
     "build_bound_params",
     "build_plan",
     "RANGES",
@@ -101,7 +102,7 @@ def validate_config(raw):
     bounds.rho_scale next to bounds.rho; the RANGES; experiment.checkpoints
     and eps_grid; out_dir and base_seed.  The rest, and cross-field
     constraints (dimension agreement, contractivity, rho feasibility),
-    surface from build_scheme and build_bound_params, with the same
+    surface from build_scheme and certificate_inputs, with the same
     exception type."""
     _object(raw, _TOP_KEYS, "config")
     for block, keys, required in (("map", _MAP_KEYS, ("family",)),
@@ -187,9 +188,9 @@ def dumps17(obj, indent=0):
     raise ValidationError(f"dumps17: cannot serialize {type(obj).__name__}")
 
 
-def _scheme(cfg, map_spec):
-    """cfg's SchemeConfig on map_spec, given only the fields cfg sets."""
-    sc = cfg["scheme"]
+def build_scheme(cfg):
+    """cfg's SchemeConfig, given only the fields cfg sets."""
+    sc, map_spec = cfg["scheme"], MapSpec(**cfg["map"])
     given = {key: sc[key] for key in ("horizon", "seed") if key in sc}
     if "norm" in cfg:
         given["norm_kind"] = cfg["norm"]
@@ -199,20 +200,15 @@ def _scheme(cfg, map_spec):
         noise=NoiseModel(dim=dimension(map_spec), **cfg["noise"]), **given)
 
 
-def build_scheme(cfg):
-    return _scheme(cfg, MapSpec(**cfg["map"]))
+def certificate_inputs(cfg, scheme, x_star=None):
+    """x_star, the reference fixed point unless passed, and the analytic
+    parameter set of cfg's run on scheme, its build_scheme(cfg).
 
-
-def build_bound_params(cfg, map_spec=None, x_star=None):
-    """Assemble the analytic parameter set, filling gaps from the run.
-
-    map_spec is the config's map, built here unless passed (as build_scheme
-    built it); a, x0, the noise and the norm are the scheme's built on it.
-    Each constant has one source.  c is map.declared_c, else the analytic
+    a, x0, the map, the noise and the norm are the scheme's.  Each
+    constant has one source.  c is map.declared_c, else the analytic
     contraction constant; sigma, L and mean_norm_bound are the noise
     model's (noise.* where given, else the family's certified values).  N
     defaults to the initial distance ||x0 - x_star|| in the scheme's norm,
-    against the reference fixed point x_star (computed here unless passed),
     and rho to rho_scale times 2a(1-c).  The one-norm at d >= 2 has no
     certified moment defaults: with nonzero noise there, noise.sigma,
     noise.L and noise.mean_norm_bound must all be given.
@@ -223,7 +219,6 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
     residual), so by sqrt(d) times that in any of the three norms; N may
     fall short of the distance by this much, plus the distance's rounding.
     """
-    scheme = build_scheme(cfg) if map_spec is None else _scheme(cfg, map_spec)
     map_spec, model, norm_kind = scheme.map_spec, scheme.noise, scheme.norm_kind
     d, a, bd = dimension(map_spec), scheme.steps.a, cfg.get("bounds", {})
     c = contraction_constant(map_spec, norm_kind)
@@ -247,7 +242,18 @@ def build_bound_params(cfg, map_spec=None, x_star=None):
         raise ValidationError(
             f"bounds.N: {N!r} is below the initial distance "
             f"||x0 - x*|| = {distance!r} in the {norm_kind} norm")
-    return params
+    return x_star, params
+
+
+def build_bound_params(cfg, map_spec=None, x_star=None):
+    """certificate_inputs' parameter set on build_scheme(cfg), with its map
+    replaced by map_spec where one is passed.  Nothing in src/ or scripts/
+    calls it; it keeps the call form perfbench/ uses, and ROADMAP item 15
+    can delete it."""
+    scheme = build_scheme(cfg)
+    if map_spec is not None:
+        scheme = dataclasses.replace(scheme, map_spec=map_spec)
+    return certificate_inputs(cfg, scheme, x_star)[1]
 
 
 def experiment_settings(cfg):

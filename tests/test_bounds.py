@@ -389,6 +389,27 @@ def test_tail_bound_is_not_below_the_three_point_witness(M, p, n, rho):
     assert tail_bound(n, eps, law).clipped_bound >= p * (1.0 - p) ** (n - 1)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: log_bound rounds to nearest, so "
+                   "it can fall below the exact bound")
+def test_log_bound_is_not_below_its_formula_in_exact_arithmetic():
+    import mpmath
+    p = BoundParams(N=1.0639018881666384, a=0.9362620071560341,
+                    c=0.10843694574365774, sigma=0.14070693412258134,
+                    L=0.7113560038383276, mean_norm_bound=1.6217906489318266,
+                    rho=0.40564622457788296)
+    n, eps = 7398230, 0.4744060703269393
+    cert = certificate(p)
+    with mpmath.workdps(60):
+        N, a, c, mnb, rho, S1, S2 = map(mpmath.mpf, (
+            p.N, p.a, p.c, p.mean_norm_bound, p.rho, cert.S1, cert.S2))
+        log_k1 = 2 * (N ** 2 + (a * S1 * mnb) ** 2)
+        k2 = min(mpmath.mpf(1), 1 / (16 * S2))
+        gamma = 2 * a * (1 - c) - rho
+        exact = log_k1 - k2 * mpmath.mpf(n) ** gamma * mpmath.mpf(eps) ** 2
+        # the float value sits 5.2e-8 below exact
+        assert cert.log_bound(n, eps) >= exact
+
 # --- confidence sizing -------------------------------------------------------
 
 ART = dict(N=0.7, a=0.9, c=0.0, sigma=0.1, L=0.1, mnb=0.1, rho=0.9)

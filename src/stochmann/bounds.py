@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import zeta
-from .errors import StochmannError, ValidationError, check_number
+from .errors import InfeasibleExperimentError, StochmannError, ValidationError, check_number
 
 __all__ = [
     "BoundParams",
@@ -355,6 +355,17 @@ class Certificate:
             else:
                 lo = mid
         return hi
+
+    def n_alpha(self, eps, alpha, n_cap):
+        """min_iterations, or InfeasibleExperimentError carrying the report
+        at n_cap when no n <= n_cap certifies."""
+        n = self.min_iterations(eps, alpha, n_cap)
+        if n is None:
+            report = self.report(n_cap, eps)
+            raise InfeasibleExperimentError(
+                f"no n <= {report.n} certifies P(error > {eps:g}) <= {alpha:g}",
+                report=report)
+        return n
 
     def eps0(self, d=1):
         """The scale sqrt((1+d)/K2) that turns the rate envelope into the

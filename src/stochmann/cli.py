@@ -147,13 +147,7 @@ def cmd_confidence(args, cfg, scheme, digest, settings):
     if eps is None:
         raise ValidationError("confidence: provide --eps or experiment.eps_grid")
     alpha = settings["alpha"]
-    cert = certificate(params)
-    n_alpha = cert.min_iterations(eps, alpha, settings["n_cap"])
-    if n_alpha is None:
-        raise InfeasibleExperimentError(
-            f"no n <= {settings['n_cap']} certifies P(error > {eps:g}) <= "
-            f"{alpha:g}",
-            report=cert.report(settings["n_cap"], eps))
+    n_alpha = certificate(params).n_alpha(eps, alpha, settings["n_cap"])
     _run_cap("certified n_alpha", n_alpha, settings)
     out = _out_dir(args, settings)
     x = rows_at(scheme, [scheme.seed], [int(n_alpha)])[0][0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._special import betaincinv
 from .bounds import certificate, rate_envelope
-from .errors import (CoverageError, InfeasibleExperimentError, ValidationError,
-                     check_checkpoints, check_number, check_numbers)
+from .errors import (CoverageError, ValidationError, check_checkpoints,
+                     check_number, check_numbers)
 from .schemes import rows_at
 from .spaces import as_point, dimension, norm, reference_fixed_point
 from .streams import check_block, check_seed, derive_key
@@ -187,19 +187,16 @@ def coverage_experiment(plan, eps, alpha, params, n_cap=None):
 
     Sizes n_alpha from the tail bound, runs the plan's replicas to
     n_alpha + 1, and returns the fraction with ||x_{n_alpha+1} - x*|| <= eps.
-    Raises InfeasibleExperimentError when no n under the cap certifies, and
-    CoverageError when the 99% Clopper-Pearson upper limit of the coverage
-    falls below 1 - alpha, the interval every other gate uses.  The
-    Certificate of params is the cached one.
+    Raises InfeasibleExperimentError when no n <= min(n_cap, horizon)
+    certifies (Certificate.n_alpha), and CoverageError when the 99%
+    Clopper-Pearson upper limit of the coverage falls below 1 - alpha, the
+    interval every other gate uses.  The Certificate of params is the
+    cached one.
     """
-    cert = certificate(params)
-    cap = plan.scheme.horizon if n_cap is None else n_cap
-    n_alpha = cert.min_iterations(eps, alpha, cap)
-    if n_alpha is None or n_alpha > plan.scheme.horizon:
-        raise InfeasibleExperimentError(
-            f"no iteration count <= {min(cap, plan.scheme.horizon)} certifies "
-            f"P(error > {eps:g}) <= {alpha:g}",
-            report=cert.report(int(min(cap, plan.scheme.horizon)), eps))
+    horizon = plan.scheme.horizon
+    cap = horizon if n_cap is None else min(
+        check_number(n_cap, "n_cap", integer=True, minimum=1), horizon)
+    n_alpha = certificate(params).n_alpha(eps, alpha, cap)
     x_star = reference_fixed_point(plan.scheme.map_spec)
     seeds = replica_seeds(plan.base_seed, plan.replicas)
     errs = replica_errors(plan.scheme, x_star, seeds, (n_alpha,))

@@ -32,7 +32,6 @@ __all__ = [
     "bounded_uniform",
     "default_cramer_params",
     "sample_block",
-    "sample_keyed",
     "sample_many",
     "MomentRow",
     "CramerReport",
@@ -142,13 +141,8 @@ def sample_block(model, dim, seed, indices):
     Seeds and indices are integers in [0, 2**64) (streams.check_seeds)."""
     if dim != model.dim:
         raise ValidationError(f"noise: model dimension {model.dim} != requested {dim}")
-    return sample_keyed(model, derive_key(check_seeds(seed, "seeds")),
-                        check_seeds(indices, "indices"))
-
-
-def sample_keyed(model, keys, indices):
-    """sample_block for keys already derived from the seeds, so a caller
-    drawing many tiles from the same seeds derives them once."""
+    keys = derive_key(check_seeds(seed, "seeds"))
+    indices = check_seeds(indices, "indices")
     if model.family == "zero":
         shape = np.broadcast_shapes(np.shape(keys), np.shape(indices))
         xi = np.zeros((model.dim,) + shape)

@@ -10,19 +10,18 @@
  * code runs as fast as -O2 code and compiles ~50 ms sooner.
  *
  * On x86-64 GCC, where the CPU has AVX-512F and DQ, the functions marked
- * WIDE run 8 lanes wide: the Philox rounds of each 32-replica block, or of
- * each 32 consecutive steps of one replica on the line, the central
- * branch of ndtri, which packs the tail lanes into lists with
- * vcompress, and the arithmetic of its tails after their first log and
- * sqrt (libm's log and sqrt stay scalar, in loops over those lists), and
- * the update of each 8-replica block for every map but scaled_cosine,
- * whose cos is libm's.  They do the same IEEE operations in the same order
- * (vdivpd rounds correctly, as / does), so the bits do not depend on the
- * path.  Each ends in vzeroupper, which GCC emits only from -O2 on:
- * without it, Gaussian tiles ran 5-7x slower, as libm's SSE code after
- * them paid for the dirty upper registers.  <immintrin.h> would add
- * ~0.45 s to each build, so the vector code uses GCC's vector extensions
- * and its builtins. */
+ * WIDE run 8 lanes wide: the Philox rounds, in one routine, of each
+ * 32-replica block or each 32 consecutive steps of one replica on the line,
+ * the central branch of ndtri, which packs the tail lanes into lists with
+ * vcompress, and the arithmetic of its tails after their first log and sqrt
+ * (libm's log and sqrt stay scalar, in loops over those lists), and the
+ * update of each 8-replica block for every map but scaled_cosine, whose cos
+ * is libm's.  They do the same IEEE operations in the same order (vdivpd
+ * rounds correctly, as / does), so the bits do not depend on the path.
+ * Each ends in vzeroupper, which GCC emits only from -O2 on: without it,
+ * Gaussian tiles ran 5-7x slower, as libm's SSE code after them paid for
+ * the dirty upper registers.  <immintrin.h> would add ~0.45 s to each build,
+ * so the vector code uses GCC's vector extensions and its builtins. */
 #include <stddef.h>
 #include <stdint.h>
 /* libm's functions, declared here: <math.h> adds ~20 ms to each build */
@@ -226,11 +225,16 @@ LANES void rounds_wide(u64x8 *x0, u64x8 *x1, u64x8 *key_r)
 }
 
 /* uniform_grid for the replicas r < R - R % 32, each 32-replica block of
- * a row as four interleaved 8-lane vectors: one key per lane */
-WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
-                                   ptrdiff_t T, ptrdiff_t R, ptrdiff_t count,
-                                   ptrdiff_t plane, double *out)
+ * a row as four interleaved 8-lane vectors: one key per lane.  With line
+ * set, the lanes of a block are instead 32 consecutive steps of one
+ * replica on the line (T = count = 1, R the steps drawn): key[0] in every
+ * lane, lane r at the counter (0, start + r). */
+WIDE static void uniform_grid_wide(const uint64_t *key, int line,
+                                   uint64_t start, ptrdiff_t T, ptrdiff_t R,
+                                   ptrdiff_t count, ptrdiff_t plane,
+                                   double *out)
 {
+    const u64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
     for (ptrdiff_t j = 0; j < count; j += 2) {
         double *even = out + j * plane, *odd = even + plane;
         for (ptrdiff_t k = 0; k < T; k++) {
@@ -238,9 +242,12 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
                 u64x8 x0[4], x1[4], key_r[4];
 #pragma GCC unroll 4
                 for (int v = 0; v < 4; v++) {
-                    key_r[v] = *(const u64x8_u *)(key + r + 8 * v);
+                    key_r[v] = line ? (u64x8){0} + key[0]
+                        : *(const u64x8_u *)(key + r + 8 * v);
                     x0[v] = (u64x8){0} + (uint64_t)(j / 2);
                     x1[v] = (u64x8){0} + (start + (uint64_t)k);
+                    if (line)
+                        x1[v] += lane + (uint64_t)(r + 8 * v);
                 }
                 rounds_wide(x0, x1, key_r);
 #pragma GCC unroll 4
@@ -252,30 +259,6 @@ WIDE static void uniform_grid_wide(const uint64_t *key, uint64_t start,
                 }
             }
         }
-    }
-    __builtin_ia32_vzeroupper();
-}
-
-/* uniform_grid for one replica on the line (R = d = 1) and the steps
- * k < T, T a multiple of 32: each 32 consecutive steps as four
- * interleaved 8-lane vectors, under the one key and the counters
- * (0, start + k + lane) */
-WIDE static void uniform_line_wide(uint64_t key, uint64_t start, ptrdiff_t T,
-                                   double *out)
-{
-    const u64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
-    for (ptrdiff_t k = 0; k < T; k += 32) {
-        u64x8 x0[4], x1[4], key_k[4];
-#pragma GCC unroll 4
-        for (int v = 0; v < 4; v++) {
-            key_k[v] = (u64x8){0} + key;
-            x0[v] = (u64x8){0};
-            x1[v] = lane + (start + (uint64_t)(k + 8 * v));
-        }
-        rounds_wide(x0, x1, key_k);
-#pragma GCC unroll 4
-        for (int v = 0; v < 4; v++)
-            *(f64x8_u *)(out + k + 8 * v) = uniform_wide(x0[v]);
     }
     __builtin_ia32_vzeroupper();
 }
@@ -542,11 +525,11 @@ update(int cosine, int map, ptrdiff_t R, ptrdiff_t d, ptrdiff_t plane,
  * k whose state is not finite for some replica, once that step is done for
  * every replica.  One replica on the line (R = d = 1) steps with its state
  * in a register (line_update); on the wide path it draws each 32 steps in
- * vector lanes and the last T % 32 through the scalar uniform_grid.  On
- * the wide path, other tiles of fewer than 32 replicas, and the last
- * R % 32, draw through the scalar uniform_grid, and fewer than 8, the last
- * R % 8 and every scaled_cosine replica step through update's scalar
- * loop. */
+ * the lanes of uniform_grid_wide's line layout and the last T % 32 through
+ * the scalar uniform_grid.  On the wide path, other tiles of fewer than 32
+ * replicas, and the last R % 32, draw through the scalar uniform_grid, and
+ * fewer than 8, the last R % 8 and every scaled_cosine replica step
+ * through update's scalar loop. */
 ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
                     ptrdiff_t plane, int noise, double param, int map,
                     const double *A, const double *b, double a, double *x,
@@ -556,11 +539,11 @@ ptrdiff_t mann_tile(const uint64_t *key, ptrdiff_t R, ptrdiff_t d,
         ptrdiff_t r0 = 0, k0 = 0;
 #ifdef WIDE
         if (wide && R >= 32) {
-            uniform_grid_wide(key, start, T, R, d, plane, xi);
+            uniform_grid_wide(key, 0, start, T, R, d, plane, xi);
             r0 = R - R % 32;
         } else if (wide && R * d == 1) {
             k0 = T - T % 32;
-            uniform_line_wide(key[0], start, k0, xi);
+            uniform_grid_wide(key, 1, start, 1, k0, 1, k0, xi);
         }
 #endif
         uniform_grid(key, start + (uint64_t)k0, T - k0, R, r0, d, plane,

@@ -208,12 +208,11 @@ def advance(cfg, seeds, horizon):
     seeds = check_replica_seeds(seeds)
     horizon = check_number(horizon, "horizon", integer=True, minimum=1)
     R, d = seeds.shape[0], dimension(cfg.map_spec)
-    keys = derive_key(seeds)  # SchemeConfig checked the noise dimension
     tile_steps = max(1, TILE_ELEMENTS // (R * d))
     states = np.empty((d, tile_steps, R), dtype=np.float64)
     kernel = tile_kernel(cfg, R)
-    step_tile = (_numpy_tiles(cfg, keys, states) if kernel is None
-                 else _kernel_tiles(cfg, keys, states, kernel))
+    step_tile = (_numpy_tiles(cfg, seeds, states) if kernel is None
+                 else _kernel_tiles(cfg, seeds, states, kernel))
     return _tiles(step_tile, states, horizon)
 
 
@@ -324,7 +323,7 @@ def _diverged(n, replicas):
 _SCALAR_CHUNK = 1024
 
 
-def _numpy_tiles(cfg, keys, states):
+def _numpy_tiles(cfg, seeds, states):
     """advance's numpy body, the reference for mann_tile: step_tile(start, T)
     fills states[:, :T] and returns the tile's noise.  One replica on the
     line (R*d == 1) steps as Python floats, the same arithmetic without
@@ -338,7 +337,7 @@ def _numpy_tiles(cfg, keys, states):
     def step_tile(start, T):
         nonlocal X
         steps = np.arange(start, start + T, dtype=np.uint64)
-        xi = noise_mod.sample_keyed(cfg.noise, keys, steps[:, None])
+        xi = noise_mod.sample_block(cfg.noise, d, seeds, steps[:, None])
         tile = states[:, :T].transpose(1, 2, 0)
         if scalar:
             # a sub-chunk of the noise at a time as a list of Python floats,
@@ -368,9 +367,9 @@ _MAP_CODES = {"inverse_quadratic": 0, "affine": 1, "scaled_cosine": 2}
 _NOISE_CODES = {"zero": 0, "gaussian": 1, "bounded_uniform": 2}
 
 
-def _kernel_tiles(cfg, keys, states, kernel):
-    """step_tile(start, T) of _numpy_tiles as one mann_tile call, with every
-    pointer resolved once."""
+def _kernel_tiles(cfg, seeds, states, kernel):
+    """step_tile(start, T) of _numpy_tiles as one mann_tile call, with the
+    keys derived and every pointer resolved once."""
     d, tile_steps, R = states.shape
     m, noise = cfg.map_spec, cfg.noise
     x = np.repeat(cfg.x0[:, None], R, axis=1)  # (d, R), C-ordered
@@ -384,7 +383,7 @@ def _kernel_tiles(cfg, keys, states, kernel):
     keys_p, x_p, X_p, xi_p, A_p, b_p = (
         None if v is None
         else np.ascontiguousarray(v).ctypes.data_as(ctypes.c_void_p)
-        for v in (keys, x, states, xis, A, b))
+        for v in (derive_key(seeds), x, states, xis, A, b))
     args = (keys_p, R, d, tile_steps * R, _NOISE_CODES[noise.family], param,
             _MAP_CODES[m.family], A_p, b_p, cfg.steps.a, x_p, X_p, xi_p)
 
@@ -541,11 +540,11 @@ def _checked_kernel(lib, map_family, noise_family, tiles):
                        noise=noise_mod.NoiseModel(noise_family, d, **param),
                        steps=StepSequences(a=0.7))
     R, T = (1, 41) if tiles == "line" else (41, 7)
-    keys = derive_key(np.arange(2**64 - R, 2**64, dtype=np.uint64))
+    seeds = np.arange(2**64 - R, 2**64, dtype=np.uint64)
     out = []
     for body in (_numpy_tiles, partial(_kernel_tiles, kernel=lib.mann_tile)):
         states = np.empty((d, T, R))
-        xi = body(cfg, keys, states)(1, T)
+        xi = body(cfg, seeds, states)(1, T)
         out.append(states.tobytes() + xi.tobytes())
     return lib.mann_tile if out[0] == out[1] else None
 

@@ -26,7 +26,7 @@ from stochmann.bounds import (BoundParams, Certificate, canonical_eps0,
                               product_bound, rate_envelope, rate_exponent,
                               series_S1_detail, series_S2_detail, tail_bound,
                               tail_exponent)
-from stochmann.errors import ValidationError
+from stochmann.errors import InfeasibleExperimentError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -623,6 +623,19 @@ def test_counts_refuse_bool():
         params(N=True)
     assert cert.report(1, 0.1).n == 1
     assert cert.min_iterations(0.1, 0.05, n_cap=1) is None
+
+
+def test_n_alpha_is_min_iterations_or_a_refusal_with_the_report():
+    cert = certificate(params(**ART))
+    n = cert.min_iterations(0.1, 0.05, 10**6)
+    assert n > 1 and cert.n_alpha(0.1, 0.05, 10**6) == n
+    assert cert.n_alpha(0.1, 0.05, n) == n
+    with pytest.raises(InfeasibleExperimentError) as info:
+        cert.n_alpha(0.1, 0.05, n - 1)
+    assert str(info.value) == f"no n <= {n - 1} certifies P(error > 0.1) <= 0.05"
+    assert info.value.report == cert.report(n - 1, 0.1)
+    with pytest.raises(ValidationError, match="n_cap"):
+        cert.n_alpha(0.1, 0.05, "10")
 
 
 # --- series refusals ---------------------------------------------------------

@@ -535,6 +535,26 @@ def test_coverage_experiment_infeasible_raises_with_report():
     assert info.value.report.clipped_bound == 1.0
 
 
+def test_coverage_experiment_refuses_as_confidence_does():
+    # ART_PARAMS certify n_alpha = 3154 at (0.1, 0.05): a horizon or an
+    # n_cap below it refuses with `confidence`'s message and the report at
+    # min(n_cap, horizon), and a bad n_cap is refused before the min
+    for horizon, n_cap, cap in ((1000, 10**6, 1000), (1000, None, 1000),
+                                (10**4, 3000, 3000)):
+        plan = ExperimentPlan(scheme=art_cfg(horizon), checkpoints=(10,),
+                              eps_grid=(0.1,), replicas=50, base_seed=1)
+        with pytest.raises(InfeasibleExperimentError) as info:
+            coverage_experiment(plan, eps=0.1, alpha=0.05, params=ART_PARAMS,
+                                n_cap=n_cap)
+        assert str(info.value) == \
+            f"no n <= {cap} certifies P(error > 0.1) <= 0.05"
+        assert info.value.report == certificate(ART_PARAMS).report(cap, 0.1)
+    for bad in ("10", True, 0):
+        with pytest.raises(ValidationError, match="n_cap"):
+            coverage_experiment(plan, eps=0.1, alpha=0.05, params=ART_PARAMS,
+                                n_cap=bad)
+
+
 def test_coverage_experiment_detects_dishonest_parameters():
     # noise is actually uniform on [-5, 5] but the claimed moments are tiny,
     # so the certified n_alpha is far too small and coverage collapses

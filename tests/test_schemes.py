@@ -17,8 +17,7 @@ import pytest
 
 from stochmann import schemes
 from stochmann.errors import DivergedError, ValidationError
-from stochmann.noise import (bounded_uniform, gaussian, sample_block,
-                             sample_keyed, zero)
+from stochmann.noise import bounded_uniform, gaussian, sample_block, zero
 from stochmann.schemes import (SCHEME_KINDS, TILE_ELEMENTS, SchemeConfig,
                                StepSequences, advance, rows_at, run, step)
 from stochmann.spaces import (affine, dimension, inverse_quadratic,
@@ -617,7 +616,7 @@ def test_divergence_in_a_lane_block_or_the_remainder(kernel, m, bad):
     # normal beyond 2.6 at step 2, which the scale overflows to inf, and
     # every other draw of the first two steps stays below 1
     d = dimension(m)
-    z = sample_keyed(gaussian(1.0, dim=d), derive_key(np.arange(2000)),
+    z = sample_block(gaussian(1.0, dim=d), d, np.arange(2000),
                      np.arange(1, 3)[:, None])
     quiet = (np.abs(z) < 1.0).all(axis=(0, 2))
     loud = (np.abs(z[0]) < 1.0).all(axis=1) & (np.abs(z[1]) > 2.6).any(axis=1)
@@ -656,17 +655,17 @@ def test_mann_tile_steps_past_two_to_the_32(kernel):
     # kernel's b_n must round n*n once, as a/(n*n) does in Python.  From
     # x = 0 the linear map's first step is b_n * xi exactly.
     start, T, R = 2**32 - 2, 4, 3
-    keys = derive_key(np.arange(R, dtype=np.uint64))
+    seeds = np.arange(R, dtype=np.uint64)
     steps = np.arange(start, start + T, dtype=np.uint64)
     for m in (inverse_quadratic(), affine([[0.3, -0.2], [0.1, 0.4]], [0.0, 0.0])):
         d = dimension(m)
         cfg = SchemeConfig(kind="stochastic_mann", map_spec=m, x0=np.zeros(d),
                            noise=gaussian(2.0, dim=d), steps=StepSequences(a=0.3))
         states = np.empty((d, T, R))
-        step_tile = schemes._kernel_tiles(cfg, keys, states,
+        step_tile = schemes._kernel_tiles(cfg, seeds, states,
                                           schemes.tile_kernel(cfg))
         xi = step_tile(start, T)
-        draws = sample_keyed(cfg.noise, keys, steps[:, None])
+        draws = sample_block(cfg.noise, d, seeds, steps[:, None])
         assert xi.tobytes() == draws.tobytes()
         update = schemes._update(cfg, map_function(m))
         x = np.zeros((R, d))

@@ -454,8 +454,10 @@ ALL = {"batch", "line"}
 @pytest.mark.parametrize("old, new, families, classes", [
     ("key_r[v] += PHILOX_W;", "key_r[v] += PHILOX_W + 2;",
      ("gaussian", "bounded_uniform"), ALL),
-    ("x1[v] = lane + (start + (uint64_t)(k + 8 * v));",
-     "x1[v] = lane + (start + (uint64_t)(k + 8 * v + 1));",
+    ("x1[v] += lane + (uint64_t)(r + 8 * v);",
+     "x1[v] += lane + (uint64_t)(r + 8 * v + 1);",
+     ("gaussian", "bounded_uniform"), {"line"}),
+    ("? (u64x8){0} + key[0]", "? (u64x8){0} + key[0] + 1",
      ("gaussian", "bounded_uniform"), {"line"}),
     ("* S2PI * param;", "* S2PI * param * 2.0;", ("gaussian",), ALL),
     ("const f64x8 r = x0 - x1;", "const f64x8 r = x0 + x1;",
@@ -469,9 +471,10 @@ def test_a_wrong_vector_path_is_refused(kernel, cold, tmp_path, monkeypatch,
     # a defect in one stage of the vector path alone, refused in every
     # class of tile whose check runs it, even where the tile asked for
     # would not:
-    # the Philox rounds, which both lane layouts share, in any batch, whose
-    # check has 41 replicas, and for one replica on the line, whose check
-    # has 41 steps; the line's counters there alone; the central and tail
+    # the Philox rounds of the one vector routine, with its two lane
+    # layouts, in any batch, whose check has 41 replicas, and for one
+    # replica on the line, whose check has 41 steps; the line layout's
+    # counters and its key broadcast there alone; the central and tail
     # ndtri in any Gaussian tile (the tails' first log taken of u, not
     # 1 - u, past the upper edge, and their scalar sqrt(-2 log) stage,
     # among them); and the update in any batch
